@@ -60,7 +60,7 @@ from .scale import (
     wq,
     zq,
 )
-from .volterra import VolterraSolution, solve_w_f, solve_w_z_f, solve_z_f
+from .volterra import VolterraSolution, solve_w_z_f
 
 __version__ = "0.1.0"
 
@@ -104,9 +104,7 @@ __all__ = [
     "parse_g",
     "parse_univariate",
     "run_exit_mc",
-    "solve_w_f",
     "solve_w_z_f",
-    "solve_z_f",
     "supremum_atom",
     "supremum_density",
     "w_derivative",

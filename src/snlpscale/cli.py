@@ -11,8 +11,17 @@ Subcommands
 All commands emit a versioned JSON document (``"schema": 1``) to stdout or
 ``--out``.  A flat ``key = value`` config file provides defaults; explicit
 flags override it, and the ``SNLP_SCALE_SEED`` environment variable backs the
-seed.  Exit status: 0 on success, 1 on numerical failure (diagnostics JSON on
-stdout), 2 on usage errors.
+seed.
+
+Exit status:
+
+* 0 on success.
+* 1 on numerical failure (an error document on stdout), on a failed z-score
+  gate of ``mc-verify``/``local-time``, and when the refinement of ``exit`` or
+  ``mc-verify`` did not converge (``diagnostics.converged`` is false); the
+  last two still emit the full document.
+* 2 on usage errors, including Monte Carlo flags that ``MCConfig`` rejects
+  (e.g. ``--paths`` below 100 or ``--dt 0``).
 """
 
 from __future__ import annotations
@@ -171,6 +180,18 @@ def _model_from(args, config) -> LevyModel:
     return parse_model(text)
 
 
+def _mc_config(args, config, n_paths) -> MCConfig:
+    try:
+        return MCConfig(
+            dt=_resolve(args, config, "dt"),
+            n_paths=int(n_paths),
+            seed=_resolve_seed(args, config),
+            bridge_correction=_resolve(args, config, "bridge", cast=bool),
+        )
+    except ValueError as exc:
+        raise UsageError(f"--paths/--dt: {exc}") from exc
+
+
 def _emit(doc: dict, out_path: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
@@ -249,6 +270,7 @@ def _cmd_conditional(args, config) -> dict:
         raise UsageError(str(exc)) from exc
     n_outer = int(_resolve(args, config, "grid_outer", cast=int))
     n_inner = int(_resolve(args, config, "grid_inner", cast=int))
+    cfg = _mc_config(args, config, args.paths) if getattr(args, "paths", None) else None
     nodes, curve = conditional_curve(model, F, spec, n_outer=n_outer, n_inner=n_inner)
     density = [
         supremum_density(model, spec, float(z)) if z < spec.a else None for z in nodes
@@ -264,13 +286,7 @@ def _cmd_conditional(args, config) -> dict:
         "supremum_density": density,
         "supremum_atom": supremum_atom(model, spec),
     }
-    if getattr(args, "paths", None):
-        cfg = MCConfig(
-            dt=_resolve(args, config, "dt"),
-            n_paths=int(args.paths),
-            seed=_resolve_seed(args, config),
-            bridge_correction=_resolve(args, config, "bridge", cast=bool),
-        )
+    if cfg is not None:
         n_bins = max(4, (n_outer - 1) // 16)
         mc = conditional_mc(model, F, spec, cfg, n_bins)
         doc["mc_bins"] = [
@@ -287,6 +303,9 @@ def _cmd_conditional(args, config) -> dict:
 def verify_report(deterministic: dict, mc_estimates: dict) -> dict:
     """Per-estimand z-scores ``(det - mc_mean)/se`` with a |z| < 3 gate.
 
+    A zero standard error with ``det != mc_mean`` has no z-score: the row
+    carries ``"zscore": None`` and fails.
+
     Raises:
         ValueError: when the estimand sets differ or the MC set is empty.
     """
@@ -302,7 +321,12 @@ def verify_report(deterministic: dict, mc_estimates: dict) -> dict:
         det = float(deterministic[name])
         est = mc_estimates[name]
         se = est.std_error
-        z = 0.0 if det == est.mean else (det - est.mean) / se
+        if det == est.mean:
+            z = 0.0
+        elif se == 0.0:
+            z = None
+        else:
+            z = (det - est.mean) / se
         rows.append(
             {
                 "estimand": name,
@@ -310,7 +334,7 @@ def verify_report(deterministic: dict, mc_estimates: dict) -> dict:
                 "mc_mean": est.mean,
                 "mc_se": se,
                 "zscore": z,
-                "pass": bool(abs(z) < 3.0),
+                "pass": z is not None and bool(abs(z) < 3.0),
             }
         )
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
@@ -328,15 +352,7 @@ def _cmd_mc_verify(args, config) -> dict:
         raise UsageError(str(exc)) from exc
     n_outer = int(_resolve(args, config, "grid_outer", cast=int))
     n_inner = int(_resolve(args, config, "grid_inner", cast=int))
-    try:
-        cfg = MCConfig(
-            dt=_resolve(args, config, "dt"),
-            n_paths=int(_resolve(args, config, "paths", cast=int)),
-            seed=_resolve_seed(args, config),
-            bridge_correction=_resolve(args, config, "bridge", cast=bool),
-        )
-    except ValueError as exc:
-        raise UsageError(f"--paths/--dt: {exc}") from exc
+    cfg = _mc_config(args, config, _resolve(args, config, "paths", cast=int))
 
     det_result = evaluate_exit(model, F, spec, g=g, n_outer=n_outer, n_inner=n_inner)
     det = {
@@ -380,6 +396,7 @@ def _cmd_local_time(args, config) -> dict:
         raise UsageError(str(exc)) from exc
     n_outer = int(_resolve(args, config, "grid_outer", cast=int))
     n_inner = int(_resolve(args, config, "grid_inner", cast=int))
+    cfg = _mc_config(args, config, args.paths) if getattr(args, "paths", None) else None
     value = local_time_laplace(model, f_x, spec, n_outer=n_outer, n_inner=n_inner)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -389,13 +406,7 @@ def _cmd_local_time(args, config) -> dict:
         "potential": pot_spec,
         "laplace": value,
     }
-    if getattr(args, "paths", None):
-        cfg = MCConfig(
-            dt=_resolve(args, config, "dt"),
-            n_paths=int(args.paths),
-            seed=_resolve_seed(args, config),
-            bridge_correction=_resolve(args, config, "bridge", cast=bool),
-        )
+    if cfg is not None:
         occ = occupation_mc(model, f_x, spec, cfg, n_levels=33)
         report = verify_report(
             {"local_time_laplace": value}, {"local_time_laplace": occ.time_integral_laplace}
@@ -504,6 +515,8 @@ def main(argv=None) -> int:
         return 1
     _emit(doc, args.out)
     if args.command in ("mc-verify", "local-time") and doc.get("pass") is False:
+        return 1
+    if doc.get("diagnostics", {}).get("converged") is False:
         return 1
     return 0
 

@@ -468,5 +468,5 @@ def local_time_laplace(
     exit identities for the lifted potential ``F(s, x) := f(x)``.
     """
     lifted = BivariatePotential.from_univariate(f_x)
-    result = evaluate_exit(model, lifted, spec, g=None)
+    result = evaluate_exit(model, lifted, spec, g=None, n_outer=n_outer, n_inner=n_inner)
     return result.up_laplace + result.down_value

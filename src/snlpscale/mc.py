@@ -1,8 +1,9 @@
 """Monte Carlo engine for two-sided exit problems with supremum tracking.
 
-Paths follow Euler steps with exact Gaussian increments; the jump family adds
-downward exponential jumps at exact exponential event times, with diffusion
-substeps between events and barrier checks at every substep.  With the bridge
+One stepper, ``_simulate_exit_chunk``, runs every path.  Paths follow Euler
+steps with exact Gaussian increments; the jump family adds downward
+exponential jumps at exact exponential event times, with diffusion substeps
+between events and barrier checks at every substep.  With the bridge
 correction enabled, each diffusion substep samples the conditional extrema of
 the Brownian bridge between its endpoints::
 
@@ -11,14 +12,27 @@ the Brownian bridge between its endpoints::
 
 which detects intra-step barrier crossings with the exact conditional
 probability and keeps the running supremum free of the O(sqrt(dt)) discrete
-maximum bias.  Path functionals accumulate by the trapezoid rule in time,
-consistent with the first-order path discretization.
+maximum bias.
 
-Paths are simulated in fixed-size chunks; chunk ``k`` draws from a
-counter-derived Philox substream keyed by ``(seed, k)`` and the reduction
-runs in fixed chunk order, so estimates are bit-identical for a given
-configuration regardless of scheduling.  Antithetic mates rerun a chunk on
-the same substream with negated Gaussian increments.
+The stepper takes two hooks.  Each integrand ``(s, x) -> rate`` in its list
+is accumulated per path by the trapezoid rule in time, consistent with the
+first-order path discretization; a bridge kill strictly inside the band gets
+a half step.  An optional observer ``(x_old, x_new, dt_eff)`` sees every step
+of the paths alive at its start.  :func:`run_exit_mc` passes the potential
+alone; :func:`occupation_mc` passes its point and smoothed integrands and a
+box-count observer for the occupation-density profile.
+
+``_collect_states`` drives the stepper over fixed-size chunks and owns the
+censoring gate for both entry points: paths that reach the time cap are
+censored, a censored fraction above 0.1% raises, and so does any censoring
+in an antithetic run, since it would break the pair alignment.
+
+Chunk ``k`` draws from a counter-derived Philox substream keyed by
+``(seed, k)``, each step draws one ``standard_normal`` batch before its
+bridge uniforms, and the reduction runs in fixed chunk order, so estimates
+are bit-identical for a given configuration regardless of scheduling.
+Antithetic mates rerun a chunk on the same substream with negated Gaussian
+increments.
 """
 
 from __future__ import annotations
@@ -168,42 +182,51 @@ def _as_weight2(fn: Optional[Callable]) -> Callable[[np.ndarray, np.ndarray], np
 
 
 class _ExitState:
-    """Terminal records of one simulated chunk."""
+    """Terminal records of simulated paths, one column per path.
+
+    ``acc`` holds one row per integrand.
+    """
 
     __slots__ = ("up", "s_exit", "x_pre", "x_post", "acc", "censored")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, n_integrands: int):
         self.up = np.zeros(n, dtype=bool)
         self.s_exit = np.full(n, np.nan)
         self.x_pre = np.full(n, np.nan)
         self.x_post = np.full(n, np.nan)
-        self.acc = np.zeros(n)
+        self.acc = np.zeros((n_integrands, n))
         self.censored = np.zeros(n, dtype=bool)
 
 
 def _simulate_exit_chunk(
     model: LevyModel,
-    F: BivariatePotential,
     spec: ExitSpec,
     cfg: MCConfig,
     rng: np.random.Generator,
     n: int,
+    integrands: list,
+    observer: Optional[Callable] = None,
     xi_sign: float = 1.0,
 ) -> _ExitState:
-    """Run ``n`` paths to exit or censoring."""
+    """Run ``n`` paths to exit or censoring.
+
+    Each integrand ``(s, x) -> rate`` is accumulated per path into its row of
+    ``acc``; ``observer(x_old, x_new, dt_eff)`` sees every step of the paths
+    alive at its start.
+    """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma = model.mu, model.sigma
     rate = model.jump_rate if model.family is Family.EXP_JUMP_DIFFUSION else 0.0
     t_cap = cfg.resolved_t_cap(model, spec)
     bridge = cfg.bridge_correction
 
-    out = _ExitState(n)
+    out = _ExitState(n, len(integrands))
     x = np.full(n, x0)
     s = np.full(n, x0)
     t = np.zeros(n)
     alive = np.ones(n, dtype=bool)
     jump_in = rng.exponential(1.0 / rate, n) if rate > 0.0 else np.full(n, np.inf)
-    f_prev = F.eval_pairs(s, x)
+    f_prev = [fn(s, x) for fn in integrands]
 
     while True:
         idx = np.flatnonzero(alive)
@@ -228,19 +251,23 @@ def _simulate_exit_chunk(
             up_hit = m_hi >= a
             dn_hit = ~up_hit & (m_lo <= b)
             s_new = np.minimum(np.maximum(s_old, m_hi), a)
+            # bridge kills strictly inside the band get a half step since the
+            # crossing time is interior to the step
+            interior = (up_hit | dn_hit) & (x_new < a) & (x_new >= b)
         else:
             up_hit = x_new >= a
             dn_hit = x_new < b
             s_new = np.maximum(s_old, np.minimum(x_new, a))
 
-        # trapezoid accumulation; bridge kills strictly inside the band get a
-        # half step since the crossing time is interior to the step
-        f_new = F.eval_pairs(s_new, x_new)
-        d_acc = 0.5 * dt_eff * (f_prev[idx] + f_new)
-        if bridge:
-            interior = (up_hit | dn_hit) & (x_new < a) & (x_new >= b)
-            d_acc = np.where(interior, 0.5 * d_acc, d_acc)
-        out.acc[idx] += d_acc
+        # trapezoid accumulation
+        f_new = [fn(s_new, x_new) for fn in integrands]
+        for acc, fp, fq in zip(out.acc, f_prev, f_new):
+            d_acc = 0.5 * dt_eff * (fp[idx] + fq)
+            if bridge:
+                d_acc = np.where(interior, 0.5 * d_acc, d_acc)
+            acc[idx] += d_acc
+        if observer is not None:
+            observer(x_old, x_new, dt_eff)
         t[idx] += dt_eff
 
         if np.any(up_hit):
@@ -263,7 +290,8 @@ def _simulate_exit_chunk(
         sidx = idx[survive]
         x[sidx] = x_new[survive]
         s[sidx] = s_new[survive]
-        f_prev[sidx] = f_new[survive]
+        for fp, fq in zip(f_prev, f_new):
+            fp[sidx] = fq[survive]
         jump_in[sidx] -= dt_eff[survive]
 
         # jump events fire exactly at the end of their substep
@@ -282,7 +310,8 @@ def _simulate_exit_chunk(
                 out.x_post[dn] = x_jumped[below]
             keep = jidx[~below]
             x[keep] = x_jumped[~below]
-            f_prev[keep] = F.eval_pairs(s[keep], x[keep])
+            for fp, fn in zip(f_prev, integrands):
+                fp[keep] = fn(s[keep], x[keep])
 
         tired = alive & (t >= t_cap)
         if np.any(tired):
@@ -291,12 +320,16 @@ def _simulate_exit_chunk(
     return out
 
 
-def _collect_states(model, F, spec, cfg) -> list:
-    """Simulate all chunks, honoring the antithetic pairing.
+def _collect_states(model, spec, cfg, integrands, observer=None) -> _ExitState:
+    """Simulate all chunks, honoring the antithetic pairing, and merge them.
 
-    With pairing on, the list holds all primary chunks followed by their
-    mates in the same order, so path ``i`` and path ``i + n/2`` of the
-    concatenated arrays form a pair.
+    With pairing on, the merged records hold all primary chunks followed by
+    their mates in the same order, so path ``i`` and path ``i + n/2`` form a
+    pair.
+
+    Raises:
+        RuntimeError: when more than 0.1% of the paths hit the time cap, or
+            when any path of an antithetic run does.
     """
     if cfg.antithetic and model.family is not Family.BROWNIAN_DRIFT:
         raise ValueError("antithetic pairing supports the Brownian family only")
@@ -307,17 +340,34 @@ def _collect_states(model, F, spec, cfg) -> list:
     while remaining > 0:
         n = min(_CHUNK, remaining)
         primaries.append(
-            _simulate_exit_chunk(model, F, spec, cfg, _chunk_rng(cfg.seed, chunk_index), n)
+            _simulate_exit_chunk(
+                model, spec, cfg, _chunk_rng(cfg.seed, chunk_index), n, integrands, observer
+            )
         )
         if cfg.antithetic:
             mates.append(
                 _simulate_exit_chunk(
-                    model, F, spec, cfg, _chunk_rng(cfg.seed, chunk_index), n, xi_sign=-1.0
+                    model, spec, cfg, _chunk_rng(cfg.seed, chunk_index), n, integrands,
+                    observer, xi_sign=-1.0,
                 )
             )
         remaining -= n
         chunk_index += 1
-    return primaries + mates
+
+    merged = _ExitState(0, len(integrands))
+    for name in _ExitState.__slots__:
+        parts = [getattr(st, name) for st in primaries + mates]
+        setattr(merged, name, np.concatenate(parts, axis=-1))
+    n_total = merged.up.size
+    n_censored = int(merged.censored.sum())
+    if n_censored > _MAX_CENSORED_FRACTION * n_total:
+        raise RuntimeError(
+            f"{n_censored} of {n_total} paths were censored at the time cap "
+            f"(fraction {n_censored / n_total:.2e} > {_MAX_CENSORED_FRACTION})"
+        )
+    if cfg.antithetic and n_censored:
+        raise RuntimeError("censoring breaks antithetic pair alignment; raise t_cap")
+    return merged
 
 
 def _estimate(values: np.ndarray, elapsed: float, antithetic: bool) -> Estimate:
@@ -347,35 +397,20 @@ def run_exit_mc(
     plus the raw exit records on request.
 
     Raises:
-        RuntimeError: when more than 0.1% of the paths hit the time cap.
+        RuntimeError: when more than 0.1% of the paths hit the time cap, or
+            when any path of an antithetic run does.
     """
     cfg.warn_if_coarse(spec)
     g_fn = _as_weight(g)
     h_fn = _as_weight2(h)
     start = time.perf_counter()
-    states = _collect_states(model, F, spec, cfg)
-
-    up = np.concatenate([st.up for st in states])
-    s_exit = np.concatenate([st.s_exit for st in states])
-    x_pre = np.concatenate([st.x_pre for st in states])
-    x_post = np.concatenate([st.x_post for st in states])
-    acc = np.concatenate([st.acc for st in states])
-    censored = np.concatenate([st.censored for st in states])
-
-    n_censored = int(censored.sum())
-    if n_censored > _MAX_CENSORED_FRACTION * up.size:
-        raise RuntimeError(
-            f"{n_censored} of {up.size} paths were censored at the time cap "
-            f"(fraction {n_censored / up.size:.2e} > {_MAX_CENSORED_FRACTION})"
-        )
-    counted = ~censored
-    if cfg.antithetic and n_censored:
-        raise RuntimeError("censoring breaks antithetic pair alignment; raise t_cap")
-
+    st = _collect_states(model, spec, cfg, [F.eval_pairs])
+    counted = ~st.censored
+    acc = st.acc[0]
+    up_c = st.up[counted]
     lap = np.exp(-acc[counted])
-    up_c = up[counted]
     y_up = np.where(up_c, lap, 0.0)
-    down_weight = g_fn(s_exit[counted]) * h_fn(x_pre[counted], x_post[counted])
+    down_weight = g_fn(st.s_exit[counted]) * h_fn(st.x_pre[counted], st.x_post[counted])
     y_down = np.where(~up_c, down_weight * lap, 0.0)
     elapsed = time.perf_counter() - start
 
@@ -383,14 +418,14 @@ def run_exit_mc(
         up_laplace=_estimate(y_up, elapsed, cfg.antithetic),
         down_value=_estimate(y_down, elapsed, cfg.antithetic),
         p_up=_estimate(up_c.astype(float), elapsed, cfg.antithetic),
-        n_censored=n_censored,
+        n_censored=int(st.censored.sum()),
     )
     if keep_samples:
         result.samples = ExitSamples(
             exited_up=up_c,
-            s_at_exit=s_exit[counted],
-            x_pre=x_pre[counted],
-            x_post=x_post[counted],
+            s_at_exit=st.s_exit[counted],
+            x_pre=st.x_pre[counted],
+            x_post=st.x_post[counted],
             functional=acc[counted],
         )
     return result
@@ -514,10 +549,13 @@ def occupation_mc(
     bandwidth ``2 sqrt(dt)``.  (B) integrates ``f`` exactly against each box
     through a fine cumulative table, so the A-B discrepancy carries only the
     smoothing error and shrinks like the bandwidth.  ``n_levels`` sets the
-    resolution of the returned mean occupation-density profile.
+    resolution of the returned mean occupation-density profile, which counts
+    every simulated path.  Censored paths are left out of (A) and (B), and
+    ``cfg.antithetic`` pairs paths as in :func:`run_exit_mc`.
 
     Raises:
         ValueError: if the bandwidth is unresolvable by the fine table.
+        RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
     if n_levels < 8:
         raise ValueError("occupation_mc needs n_levels >= 8")
@@ -535,108 +573,30 @@ def occupation_mc(
     fvals[inside] = f_x.eval_array(fine[inside])
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (fvals[1:] + fvals[:-1]) * np.diff(fine))])
 
-    def f_point(xs):
+    def point_rate(s, xs):
         return np.interp(xs, fine, fvals)
 
-    def f_smoothed(xs):
+    def smoothed_rate(s, xs):
         return (np.interp(xs + w, fine, cum) - np.interp(xs - w, fine, cum)) / (2.0 * w)
 
     levels = np.linspace(b, a, n_levels)
     density = np.zeros(n_levels)
 
-    mu, sigma = model.mu, model.sigma
-    rate = model.jump_rate if model.family is Family.EXP_JUMP_DIFFUSION else 0.0
-    t_cap = cfg.resolved_t_cap(model, spec)
-    bridge = cfg.bridge_correction
+    def box_count(x_old, x_new, dt_eff):
+        # occupation-density profile: box-count the step midpoints
+        x_mid = 0.5 * (x_old + x_new)
+        hits = np.abs(x_mid[:, None] - levels[None, :]) < w
+        density[:] += (hits * dt_eff[:, None]).sum(axis=0) / (2.0 * w)
+
     start = time.perf_counter()
-
-    acc_a_all = []
-    acc_b_all = []
-    remaining = cfg.n_paths
-    chunk_index = 0
-    while remaining > 0:
-        n = min(_CHUNK, remaining)
-        rng = _chunk_rng(cfg.seed, chunk_index)
-        x = np.full(n, spec.x)
-        t = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        jump_in = rng.exponential(1.0 / rate, n) if rate > 0.0 else np.full(n, np.inf)
-        acc_a = np.zeros(n)
-        acc_b = np.zeros(n)
-        fa_prev = f_point(x)
-        fb_prev = f_smoothed(x)
-        while True:
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            m = idx.size
-            dt_eff = np.minimum(cfg.dt, jump_in[idx])
-            at_jump = jump_in[idx] <= cfg.dt
-            xi = rng.standard_normal(m)
-            x_old = x[idx]
-            x_new = x_old + mu * dt_eff + sigma * np.sqrt(dt_eff) * xi
-            if bridge:
-                var = sigma * sigma * dt_eff
-                gap2 = (x_new - x_old) ** 2
-                m_hi = 0.5 * (x_old + x_new + np.sqrt(gap2 - 2.0 * var * np.log(rng.random(m))))
-                m_lo = 0.5 * (x_old + x_new - np.sqrt(gap2 - 2.0 * var * np.log(rng.random(m))))
-                up_hit = m_hi >= a
-                dn_hit = ~up_hit & (m_lo <= b)
-            else:
-                up_hit = x_new >= a
-                dn_hit = x_new < b
-
-            fa_new = f_point(x_new)
-            fb_new = f_smoothed(x_new)
-            d_a = 0.5 * dt_eff * (fa_prev[idx] + fa_new)
-            d_b = 0.5 * dt_eff * (fb_prev[idx] + fb_new)
-            if bridge:
-                interior = (up_hit | dn_hit) & (x_new < a) & (x_new >= b)
-                d_a = np.where(interior, 0.5 * d_a, d_a)
-                d_b = np.where(interior, 0.5 * d_b, d_b)
-            acc_a[idx] += d_a
-            acc_b[idx] += d_b
-            t[idx] += dt_eff
-
-            # occupation-density profile: box-count the step midpoints
-            x_mid = 0.5 * (x_old + x_new)
-            hits = np.abs(x_mid[:, None] - levels[None, :]) < w
-            density += (hits * dt_eff[:, None]).sum(axis=0) / (2.0 * w)
-
-            gone = up_hit | dn_hit
-            alive[idx[gone]] = False
-            sidx = idx[~gone]
-            x[sidx] = x_new[~gone]
-            fa_prev[sidx] = fa_new[~gone]
-            fb_prev[sidx] = fb_new[~gone]
-            jump_in[sidx] -= dt_eff[~gone]
-
-            jmask = ~gone & at_jump
-            if np.any(jmask):
-                jidx = idx[jmask]
-                sizes = rng.exponential(model.jump_mean, jidx.size)
-                jump_in[jidx] = rng.exponential(1.0 / rate, jidx.size)
-                x_jumped = x[jidx] - sizes
-                below = x_jumped < b
-                alive[jidx[below]] = False
-                keep = jidx[~below]
-                x[keep] = x_jumped[~below]
-                fa_prev[keep] = f_point(x[keep])
-                fb_prev[keep] = f_smoothed(x[keep])
-
-            tired = alive & (t >= t_cap)
-            alive[tired] = False
-        acc_a_all.append(acc_a)
-        acc_b_all.append(acc_b)
-        remaining -= n
-        chunk_index += 1
-
-    acc_a = np.concatenate(acc_a_all)
-    acc_b = np.concatenate(acc_b_all)
+    st = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], box_count)
+    counted = ~st.censored
+    acc_a = st.acc[0, counted]
+    acc_b = st.acc[1, counted]
     elapsed = time.perf_counter() - start
     return OccupationMCResult(
-        time_integral_laplace=_estimate(np.exp(-acc_a), elapsed, False),
-        occupation_laplace=_estimate(np.exp(-acc_b), elapsed, False),
+        time_integral_laplace=_estimate(np.exp(-acc_a), elapsed, cfg.antithetic),
+        occupation_laplace=_estimate(np.exp(-acc_b), elapsed, cfg.antithetic),
         mean_abs_discrepancy=float(np.mean(np.abs(acc_a - acc_b))),
         levels=levels,
         density_profile=density / cfg.n_paths,

@@ -18,51 +18,31 @@ the value columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .models import LevyModel
 from .potentials import UnivariatePotential
-from .scale import ScaleTable, _w_deriv_array, _wq_array, w_prime_at_zero
+from .scale import _w_deriv_array, _wq_array, w_prime_at_zero
 
-__all__ = ["VolterraSolution", "solve_w_f", "solve_z_f"]
+__all__ = ["VolterraSolution", "solve_w_z_f"]
 
 
 @dataclass
 class VolterraSolution:
-    """Weighted scale function tables on a uniform grid from the barrier ``b``.
+    """Weighted scale function columns on a uniform grid from the barrier ``b``.
 
-    ``base`` holds the ``Wf`` table, ``z_table`` the ``Zf`` table; either may
-    be absent depending on which solve produced the object.  Table grids carry
-    the offset ``u - b``.
+    ``w``/``w_deriv`` hold ``Wf`` and its derivative, ``z``/``z_deriv`` hold
+    ``Zf`` and its derivative, all sampled at ``nodes``.
     """
 
     b: float
     grid_step: float
-    base: Optional[ScaleTable] = None
-    z_table: Optional[ScaleTable] = None
-
-    @property
-    def nodes(self) -> np.ndarray:
-        table = self.base if self.base is not None else self.z_table
-        return self.b + table.grid
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.base.w_values
-
-    @property
-    def w_deriv(self) -> np.ndarray:
-        return self.base.w_deriv
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.z_table.w_values
-
-    @property
-    def z_deriv(self) -> np.ndarray:
-        return self.z_table.w_deriv
+    nodes: np.ndarray
+    w: np.ndarray
+    w_deriv: np.ndarray
+    z: np.ndarray
+    z_deriv: np.ndarray
 
 
 def _kernel_arrays(model: LevyModel, n: int, h: float):
@@ -100,15 +80,13 @@ def _trapz_column(kp: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     return h * (conv - 0.5 * kp[:n1] * g[0] - 0.5 * kp[0] * g)
 
 
-def _solve_tables(
-    model: LevyModel,
-    f: UnivariatePotential,
-    b: float,
-    hi: float,
-    n: int,
-    want_w: bool,
-    want_z: bool,
+def solve_w_z_f(
+    model: LevyModel, f: UnivariatePotential, b: float, hi: float, n: int
 ) -> VolterraSolution:
+    """Solve both renewal equations on ``[b, hi]`` with ``n`` grid intervals.
+
+    The two marches share the kernel and the potential samples.
+    """
     if hi <= b:
         raise ValueError(f"solve interval is empty: hi={hi} <= b={b}")
     if n < 16:
@@ -119,45 +97,18 @@ def _solve_tables(
     fvals = f.eval_array(nodes)
     kernel, kp = _kernel_arrays(model, n, h)
 
-    sol = VolterraSolution(b=float(b), grid_step=h)
-    note = f"renewal solve against potential {f.name or 'f'} on [{b}, {hi}]"
-    if want_w:
-        w = _march(kernel, fvals, h, inhom=kernel.copy())
-        if not np.all(np.isfinite(w)):
-            raise ArithmeticError("renewal march produced non-finite W values")
-        wp = kp + _trapz_column(kp, fvals * w, h)
-        sol.base = ScaleTable(
-            grid_lo=0.0, grid_hi=hi - b, n=n + 1, w_values=w, w_deriv=wp,
-            normalization_note=note,
-        )
-    if want_z:
-        z = _march(kernel, fvals, h, inhom=np.ones(n + 1))
-        if not np.all(np.isfinite(z)):
-            raise ArithmeticError("renewal march produced non-finite Z values")
-        zp = _trapz_column(kp, fvals * z, h)
-        sol.z_table = ScaleTable(
-            grid_lo=0.0, grid_hi=hi - b, n=n + 1, w_values=z, w_deriv=zp,
-            normalization_note=note,
-        )
-    return sol
-
-
-def solve_w_f(
-    model: LevyModel, f: UnivariatePotential, b: float, hi: float, n: int
-) -> VolterraSolution:
-    """Solve the ``Wf`` renewal equation on ``[b, hi]`` with ``n`` grid intervals."""
-    return _solve_tables(model, f, b, hi, n, want_w=True, want_z=False)
-
-
-def solve_z_f(
-    model: LevyModel, f: UnivariatePotential, b: float, hi: float, n: int
-) -> VolterraSolution:
-    """Solve the ``Zf`` renewal equation on ``[b, hi]`` with ``n`` grid intervals."""
-    return _solve_tables(model, f, b, hi, n, want_w=False, want_z=True)
-
-
-def solve_w_z_f(
-    model: LevyModel, f: UnivariatePotential, b: float, hi: float, n: int
-) -> VolterraSolution:
-    """Solve both equations in one pass (shared kernel and potential samples)."""
-    return _solve_tables(model, f, b, hi, n, want_w=True, want_z=True)
+    w = _march(kernel, fvals, h, inhom=kernel.copy())
+    if not np.all(np.isfinite(w)):
+        raise ArithmeticError("renewal march produced non-finite W values")
+    z = _march(kernel, fvals, h, inhom=np.ones(n + 1))
+    if not np.all(np.isfinite(z)):
+        raise ArithmeticError("renewal march produced non-finite Z values")
+    return VolterraSolution(
+        b=float(b),
+        grid_step=h,
+        nodes=nodes,
+        w=w,
+        w_deriv=kp + _trapz_column(kp, fvals * w, h),
+        z=z,
+        z_deriv=_trapz_column(kp, fvals * z, h),
+    )

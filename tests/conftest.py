@@ -78,7 +78,7 @@ def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
     leading aligned O(h) error is removed by Richardson extrapolation.
     Returns the ratio at the ten points x = 0.2, 0.4, ..., 2.0.
     """
-    from snlpscale import BivariatePotential, UnivariatePotential, iota, solve_w_f
+    from snlpscale import BivariatePotential, UnivariatePotential, iota, solve_w_z_f
     from snlpscale.quadrature import cumulative_simpson
     from snlpscale.scale import _wq_array
 
@@ -101,8 +101,8 @@ def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
     cum = cumulative_simpson(iota_vals, s_step)
 
     n_vol = round(2.0 / h_lat)
-    vol_coarse = solve_w_f(model, f_uni, 0.0, 2.0, n_vol)
-    vol_fine = solve_w_f(model, f_uni, 0.0, 2.0, 2 * n_vol)
+    vol_coarse = solve_w_z_f(model, f_uni, 0.0, 2.0, n_vol)
+    vol_fine = solve_w_z_f(model, f_uni, 0.0, 2.0, 2 * n_vol)
 
     ratios = []
     for k in range(10):

@@ -1,0 +1,51 @@
+"""CLI exit codes and report rows."""
+
+import json
+
+import pytest
+
+from snlpscale import Estimate
+from snlpscale.cli import main, verify_report
+
+BM_SPEC = ["--model", "bm:0,1", "--b", "0", "--x", "0.5", "--a", "1"]
+SMALL_GRID = ["--grid-outer", "9", "--grid-inner", "32"]
+
+
+@pytest.mark.parametrize("command", ["conditional", "local-time"])
+@pytest.mark.parametrize("bad_flag", [["--paths", "50"], ["--paths", "200", "--dt", "0"]])
+def test_bad_mc_flags_are_usage_errors(command, bad_flag, capsys):
+    argv = [command, *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", *bad_flag]
+    assert main(argv) == 2
+    assert "--paths/--dt" in capsys.readouterr().err
+
+
+# refinement from 5/16 stalls at last_delta ~ 7e-6 after four doublings
+UNCONVERGED = [
+    "--model", "bm:0,1", "--b", "0", "--x", "1.5", "--a", "2",
+    "--potential", "reflected:0.5", "--grid-outer", "5", "--grid-inner", "16",
+]
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("exit", []),
+    ("mc-verify", ["--paths", "200", "--dt", "1e-3", "--seed", "3"]),
+])
+def test_unconverged_refinement_exits_one_with_document(command, extra, capsys):
+    assert main([command, *UNCONVERGED, *extra]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == command
+    assert doc["diagnostics"]["converged"] is False
+
+
+def test_zero_standard_error_row_fails_without_zscore():
+    report = verify_report(
+        {"p_up": 0.5, "exact": 1.0},
+        {"p_up": Estimate(mean=1.0, std_error=0.0, n=200),
+         "exact": Estimate(mean=1.0, std_error=0.0, n=200)},
+    )
+    rows = {r["estimand"]: r for r in report["rows"]}
+    assert rows["p_up"]["zscore"] is None
+    assert rows["p_up"]["pass"] is False
+    assert rows["exact"]["zscore"] == 0.0
+    assert rows["exact"]["pass"] is True
+    assert report["pass"] is False

@@ -276,6 +276,13 @@ class TestLocalTime:
         ) + classical_exit_down(bm_driftless, 0.5, 0.0, 0.5, 1.0)
         assert val == pytest.approx(classical, abs=1e-5)
 
+    def test_grid_arguments_reach_the_solve(self, bm_driftless):
+        step = UnivariatePotential(lambda x: 0.5 * (x > 0.7), bound=0.5, name="step")
+        val = local_time_laplace(bm_driftless, step, SPEC, n_outer=9, n_inner=32)
+        lifted = BivariatePotential.from_univariate(step)
+        res = evaluate_exit(bm_driftless, lifted, SPEC, n_outer=9, n_inner=32)
+        assert val == res.up_laplace + res.down_value
+
 
 class TestDiagnostics:
     def test_refinement_reports_convergence(self, bm_driftless):

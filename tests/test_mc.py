@@ -117,3 +117,13 @@ class TestCensoring:
     def test_exit_mc_raises_on_censoring(self):
         with pytest.raises(RuntimeError, match="censored"):
             run_exit_mc(BM, REFLECTED, SPEC, _cfg(t_cap=1e-3))
+
+    def test_occupation_mc_raises_on_censoring(self):
+        with pytest.raises(RuntimeError, match="censored"):
+            occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3), n_levels=9)
+
+
+def test_occupation_mc_pairs_antithetic_paths():
+    occ = occupation_mc(BM, LEVEL, SPEC, _cfg(antithetic=True), n_levels=9)
+    assert occ.time_integral_laplace.n == 1000
+    assert occ.occupation_laplace.n == 1000

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from snlpscale import (
+    ScaleTable,
     UnivariatePotential,
     classical_exit_up,
     make_brownian,
     make_exp_jump_diffusion,
-    solve_w_f,
     solve_w_z_f,
-    solve_z_f,
     wq,
     zq,
 )
@@ -27,39 +26,39 @@ HALF = const_potential(0.5)
 
 class TestDegenerate:
     def test_zero_potential_collapses_to_w(self, bm_driftless):
-        sol = solve_w_f(bm_driftless, ZERO, 0.0, 1.0, 128)
-        expected = _wq_array(bm_driftless, 0.0, sol.base.grid)
+        sol = solve_w_z_f(bm_driftless, ZERO, 0.0, 1.0, 128)
+        expected = _wq_array(bm_driftless, 0.0, sol.nodes - sol.b)
         assert np.max(np.abs(sol.w - expected)) == 0.0
 
     def test_zero_potential_z_is_one(self, bm_driftless):
-        sol = solve_z_f(bm_driftless, ZERO, 0.0, 1.0, 128)
+        sol = solve_w_z_f(bm_driftless, ZERO, 0.0, 1.0, 128)
         assert np.max(np.abs(sol.z - 1.0)) == 0.0
         assert np.max(np.abs(sol.z_deriv)) == 0.0
 
 
 class TestDiscountRecovery:
     def test_w_matches_q_scale(self, bm_driftless):
-        sol = solve_w_f(bm_driftless, HALF, 0.0, 1.0, 2000)
+        sol = solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 2000)
         assert sol.w[-1] == pytest.approx(2.0 * math.sinh(1.0), abs=1e-6)
 
     def test_z_matches_q_scale(self, bm_driftless):
-        sol = solve_z_f(bm_driftless, HALF, 0.0, 1.0, 2000)
+        sol = solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 2000)
         assert sol.z[-1] == pytest.approx(math.cosh(1.0), abs=1e-6)
 
     def test_z_derivative_column(self, bm_driftless):
-        sol = solve_z_f(bm_driftless, HALF, 0.0, 1.0, 2000)
+        sol = solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 2000)
         assert sol.z_deriv[-1] == pytest.approx(math.sinh(1.0), abs=1e-5)
 
     def test_exit_ratio_reproduction(self, bm_driftless):
-        sol = solve_w_f(bm_driftless, HALF, 0.0, 1.0, 2000)
+        sol = solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 2000)
         ratio = sol.w[1000] / sol.w[-1]
         classical = classical_exit_up(bm_driftless, 0.5, 0.0, 0.5, 1.0)
         assert ratio == pytest.approx(classical, abs=1e-6)
 
     def test_grid_halving_reduces_error(self, bm_driftless):
         target = 2.0 * math.sinh(1.0)
-        e_coarse = abs(solve_w_f(bm_driftless, HALF, 0.0, 1.0, 1000).w[-1] - target)
-        e_fine = abs(solve_w_f(bm_driftless, HALF, 0.0, 1.0, 2000).w[-1] - target)
+        e_coarse = abs(solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 1000).w[-1] - target)
+        e_fine = abs(solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 2000).w[-1] - target)
         assert e_coarse / e_fine >= 3.0
 
     def test_jump_family_against_inversion(self, jd_unit):
@@ -73,25 +72,27 @@ class TestStructure:
         indicator = UnivariatePotential(
             lambda x: 0.5 * (np.asarray(x) > 0.5), bound=0.5, name="step"
         )
-        low = solve_w_f(bm_driftless, ZERO, 0.0, 1.5, 600)
-        mid = solve_w_f(bm_driftless, indicator, 0.0, 1.5, 600)
-        high = solve_w_f(bm_driftless, HALF, 0.0, 1.5, 600)
+        low = solve_w_z_f(bm_driftless, ZERO, 0.0, 1.5, 600)
+        mid = solve_w_z_f(bm_driftless, indicator, 0.0, 1.5, 600)
+        high = solve_w_z_f(bm_driftless, HALF, 0.0, 1.5, 600)
         assert np.all(mid.w >= low.w - 1e-12)
         assert np.all(mid.w <= high.w + 1e-12)
 
     def test_solution_positive_and_increasing(self, bm_drift_up):
-        sol = solve_w_f(bm_drift_up, HALF, 0.0, 2.0, 400)
+        sol = solve_w_z_f(bm_drift_up, HALF, 0.0, 2.0, 400)
         assert np.all(sol.w >= 0.0)
         assert np.all(np.diff(sol.w) > 0.0)
-        sol.base.validate()
+        ScaleTable(
+            grid_lo=0.0, grid_hi=2.0, n=sol.w.size, w_values=sol.w, w_deriv=sol.w_deriv
+        ).validate()
 
     def test_z_at_least_one(self, bm_drift_up):
-        sol = solve_z_f(bm_drift_up, HALF, 0.0, 2.0, 400)
+        sol = solve_w_z_f(bm_drift_up, HALF, 0.0, 2.0, 400)
         assert np.all(sol.z >= 1.0 - 1e-12)
 
     def test_derivative_column_consistent_with_values(self, bm_driftless):
         # central differences of the value column agree at O(h^2) away from b
-        sol = solve_w_f(bm_driftless, HALF, 0.0, 1.0, 800)
+        sol = solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 800)
         h = sol.grid_step
         interior = slice(50, -1)
         fd = (sol.w[2:] - sol.w[:-2]) / (2.0 * h)
@@ -100,9 +101,9 @@ class TestStructure:
 
     def test_offset_barrier(self, bm_driftless):
         # the march is translation covariant in the barrier
-        lo = solve_w_f(bm_driftless, HALF, 0.0, 1.0, 500)
+        lo = solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 500)
         shifted_pot = UnivariatePotential(lambda x: 0.5 + 0.0 * x, bound=0.5)
-        hi = solve_w_f(bm_driftless, shifted_pot, -2.0, -1.0, 500)
+        hi = solve_w_z_f(bm_driftless, shifted_pot, -2.0, -1.0, 500)
         assert np.allclose(lo.w, hi.w, atol=1e-12)
         assert np.allclose(lo.nodes, hi.nodes + 2.0)
 
@@ -111,10 +112,10 @@ class TestValidation:
     def test_bound_violation_is_hard_error(self, bm_driftless):
         lying = UnivariatePotential(lambda x: np.asarray(x) ** 2, bound=0.1, name="liar")
         with pytest.raises(ValueError):
-            solve_w_f(bm_driftless, lying, 0.0, 1.0, 64)
+            solve_w_z_f(bm_driftless, lying, 0.0, 1.0, 64)
 
     def test_interval_and_resolution_preconditions(self, bm_driftless):
         with pytest.raises(ValueError):
-            solve_w_f(bm_driftless, HALF, 1.0, 1.0, 64)
+            solve_w_z_f(bm_driftless, HALF, 1.0, 1.0, 64)
         with pytest.raises(ValueError):
-            solve_w_f(bm_driftless, HALF, 0.0, 1.0, 8)
+            solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 8)
