@@ -19,7 +19,9 @@ from snlpscale import (
     kappa,
     local_time_laplace,
     make_brownian,
+    make_exp_jump_diffusion,
     n_height_tail,
+    parse_bivariate,
     supremum_atom,
     supremum_density,
     z_f_truncated,
@@ -297,3 +299,72 @@ class TestDiagnostics:
         doc = res.to_json_dict()
         assert doc["up_laplace"] == res.up_laplace
         assert len(doc["iota"]) == res.iota_grid.shape[0]
+
+
+# evaluate_exit at 9/32 without refinement, on b=0, x=0.5, a=1:
+# (up_laplace, down_value, iota on the outer grid, kappa on the outer grid).
+# The first two iota nodes sit within ten outer steps of the barrier and come
+# from the extrapolation guard.
+GOLDEN_MODELS = {"bm": make_brownian(0.3, 1.0), "jd": make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5)}
+EXIT_GOLDEN = {
+    ("bm", "const:0.5"): (
+        0.5097975987865513, 0.3777460172203387,
+        [0.16453833463274292, 0.18341491164309454, 0.20229148865344615, 0.22116806566379776,
+         0.23968545549860942, 0.2578224377410129, 0.27556024085559694, 0.29288255785321915,
+         0.3097755329372056],
+        [1.6457193367273666, 1.4188308613788694, 1.236873041498955, 1.0877219602557882,
+         0.9632916699039141, 0.8579803420545293, 0.7677824383005161, 0.6897560967569083,
+         0.6216903302011564]),
+    ("bm", "reflected:0.5"): (
+        0.5611632076973108, 0.41009507675611007,
+        [0.01890754144608553, 0.025442990074791894, 0.03197843870349826,
+         0.03851388733220462, 0.045587345109253, 0.05317099855442142, 0.06123363324525832,
+         0.06974077814569113, 0.07865493548834501],
+        [1.6972888920486284, 1.4727483950280007, 1.292348493209638, 1.144012663526486,
+         1.0197060641337279, 0.9138812922837694, 0.8225900622431439, 0.7429500102025163,
+         0.6728112363515538]),
+    ("bm", "level:1,0.6"): (
+        0.5117117085188112, 0.408396256710995,
+        [0.0, 0.0, 0.05613708384449856, 0.1665872185897388, 0.24363058416839767,
+         0.31887688208222487, 0.3900947086505572, 0.43674207891502237, 0.48210512142988327],
+        [1.7149775481060494, 1.4946208282819686, 1.317732612968157, 1.1653609046330708,
+         1.0350770684548978, 0.9197590737787982, 0.8160769491990179, 0.7308603381256692,
+         0.654721373972824]),
+    ("jd", "const:0.5"): (
+        0.7350742997022042, 0.17987244263348245,
+        [0.14443698259644533, 0.15425387697838183, 0.16407077136031833, 0.17388766574225484,
+         0.18272236019458005, 0.19068575836213258, 0.19788319236251928, 0.2044113057361362,
+         0.2103565934861037],
+        [0.7853761723544579, 0.6352789624603672, 0.5236317131302997, 0.4386307879610141,
+         0.3725710589724677, 0.32026490570048227, 0.2781337294329886, 0.24365922818395688,
+         0.21503838611917178]),
+    ("jd", "reflected:0.5"): (
+        0.7927465913822438, 0.19104816690451631,
+        [0.016384137039838764, 0.01974242279071209, 0.023100708541585413,
+         0.026458994292458737, 0.029783073826921858, 0.03305126140169079,
+         0.03624997544772168, 0.03937177756718174, 0.04241366055376672],
+        [0.80521569938636, 0.6537630985708303, 0.5406661220599722, 0.45420612307375197,
+         0.3867321166165833, 0.3330880896917041, 0.2897112866608127, 0.254088750384114,
+         0.22441623580427528]),
+    ("jd", "level:1,0.6"): (
+        0.7320429875655867, 0.18919651404867946,
+        [0.0, 0.0, 0.05485253071082352, 0.15328521179872429, 0.21388802692170877,
+         0.26645307523609113, 0.31022415359966765, 0.33527672678479864, 0.35746367174630667],
+        [0.811778688036613, 0.6609100328668206, 0.5478829524319648, 0.45874188972365837,
+         0.38849728232594466, 0.33173092725796466, 0.28527710489716307, 0.24851349145264615,
+         0.21788088364728617]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_exit_values_are_pinned(case):
+    model_name, pot = case
+    up, down, iotas, kappas = EXIT_GOLDEN[case]
+    spec = ExitSpec(0.0, 0.5, 1.0)
+    F = parse_bivariate(pot, spec.a - spec.b)
+    res = evaluate_exit(GOLDEN_MODELS[model_name], F, spec, n_outer=9, n_inner=32, refine=False)
+    assert res.up_laplace == pytest.approx(up, rel=1e-12)
+    assert res.down_value == pytest.approx(down, rel=1e-12)
+    assert res.iota_grid[:, 0] == pytest.approx(np.linspace(0.5, 1.0, 9), rel=1e-15)
+    assert res.iota_grid[:, 1] == pytest.approx(iotas, rel=1e-12)
+    assert res.kappa_grid[:, 1] == pytest.approx(kappas, rel=1e-12)

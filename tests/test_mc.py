@@ -7,6 +7,8 @@ moves any draw, or any floating-point operation of the accumulation, shows up
 here as a failed ``==``.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,31 @@ OCCUPATION_GOLDEN = {
 }
 
 
+# sha256 of the raw bytes of each per-path record (keep_samples=True); the jd
+# case has jump exits with x_post < b, and without the bridge x_post < b too
+SAMPLE_FIELDS = ("exited_up", "s_at_exit", "x_pre", "x_post", "functional")
+SAMPLE_GOLDEN = {
+    "bm_bridge": (BM, {"bridge_correction": True}, (
+        "35ee6ec078f9ac8a6a42180f5155f2dfbdd8f6fd791755605e100de8414bf464",
+        "9410789052eb101a0cc372e52a81407fd6335d851e1df22d844ef4997e36f047",
+        "f0bc3ff4f6363338160de55703e85beae3a419a8a9d897942fa3203b95f26102",
+        "f0bc3ff4f6363338160de55703e85beae3a419a8a9d897942fa3203b95f26102",
+        "6dc9a741efc3eb181145b4b021d3b2ef0616a74c17821e68cda1e74ef4e4f642")),
+    "bm_nobridge": (BM, {"bridge_correction": False}, (
+        "064451065ae4b8a3b0e7c4f036917a740e58a01e545b4f204f0067944e067eb3",
+        "40ceac2faf99721e6cd54e58cea15cca37e3e93d26262023c89327d3856d0293",
+        "5a1e0f192a96176d2614d6b3b7d1d86e1587d6525aa196603fbba06c72ebd6f8",
+        "5a1e0f192a96176d2614d6b3b7d1d86e1587d6525aa196603fbba06c72ebd6f8",
+        "7ea00337d40f20923d13a58634d149809cccf76143711261043e6ec066b027b4")),
+    "jd": (JD, {}, (
+        "cc2947049ba6a5857a5ca69cb3954682ebaade63fff1be4941c62c9cd9d65908",
+        "3277d9876f21c756f968e3c6a7e686584904e42aa7d0795a60b6dd0535909da9",
+        "b1479105e7e328925d9a960a1d16c413e6c802fb0140454ca5a938c9e247d87e",
+        "53dd1d80a5f94deece882bb3c6b0a970bd1a8f1e4e6fe5e6e4d53efe90e7cc5c",
+        "4aabfd7272bb8b727e15261a99c3718927b4a8555cf11e729e6df72f84e32e98")),
+}
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("case", sorted(EXIT_GOLDEN))
     def test_exit_estimates_are_pinned(self, case):
@@ -92,6 +119,18 @@ class TestReproducibility:
         )
         assert got == want[:5]
         assert np.array_equal(occ.density_profile, np.array(want[5]))
+
+    @pytest.mark.parametrize("case", sorted(SAMPLE_GOLDEN))
+    def test_per_path_records_are_pinned(self, case):
+        model, kw, want = SAMPLE_GOLDEN[case]
+        res = run_exit_mc(model, REFLECTED, SPEC, _cfg(**kw), g=IDENTITY, keep_samples=True)
+        got = tuple(
+            hashlib.sha256(np.ascontiguousarray(getattr(res.samples, name)).tobytes()).hexdigest()
+            for name in SAMPLE_FIELDS
+        )
+        assert dict(zip(SAMPLE_FIELDS, got)) == dict(zip(SAMPLE_FIELDS, want))
+        if model is JD:
+            assert np.any(res.samples.x_post < SPEC.b)
 
     def test_same_seed_same_samples(self):
         one = run_exit_mc(JD, REFLECTED, SPEC, _cfg(), keep_samples=True)
