@@ -20,8 +20,11 @@ Exit status:
   gate of ``mc-verify``/``local-time``, and when the refinement of ``exit`` or
   ``mc-verify`` did not converge (``diagnostics.converged`` is false); the
   last two still emit the full document.
-* 2 on usage errors, including Monte Carlo flags that ``MCConfig`` rejects
-  (e.g. ``--paths`` below 100 or ``--dt 0``).
+* 2 on usage errors, including Monte Carlo settings that ``MCConfig``
+  rejects, from flags or the config file (e.g. ``--paths 0``, ``--paths``
+  below 100 or ``--dt 0``).  ``conditional`` and ``local-time`` run Monte
+  Carlo only when ``--paths`` or a ``paths`` line in the config file asks for
+  it.
 """
 
 from __future__ import annotations
@@ -192,6 +195,17 @@ def _mc_config(args, config, n_paths) -> MCConfig:
         raise UsageError(f"--paths/--dt: {exc}") from exc
 
 
+def _optional_mc_config(args, config) -> Optional[MCConfig]:
+    """Monte Carlo settings when ``--paths`` or the config file sets a path count.
+
+    There is no built-in path count here: ``conditional`` and ``local-time``
+    run Monte Carlo only when asked for, and return ``None`` otherwise.
+    """
+    if getattr(args, "paths", None) is None and "paths" not in config:
+        return None
+    return _mc_config(args, config, _resolve(args, config, "paths", cast=int))
+
+
 def _emit(doc: dict, out_path: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
@@ -270,7 +284,7 @@ def _cmd_conditional(args, config) -> dict:
         raise UsageError(str(exc)) from exc
     n_outer = int(_resolve(args, config, "grid_outer", cast=int))
     n_inner = int(_resolve(args, config, "grid_inner", cast=int))
-    cfg = _mc_config(args, config, args.paths) if getattr(args, "paths", None) else None
+    cfg = _optional_mc_config(args, config)
     nodes, curve = conditional_curve(model, F, spec, n_outer=n_outer, n_inner=n_inner)
     density = [
         supremum_density(model, spec, float(z)) if z < spec.a else None for z in nodes
@@ -396,7 +410,7 @@ def _cmd_local_time(args, config) -> dict:
         raise UsageError(str(exc)) from exc
     n_outer = int(_resolve(args, config, "grid_outer", cast=int))
     n_inner = int(_resolve(args, config, "grid_inner", cast=int))
-    cfg = _mc_config(args, config, args.paths) if getattr(args, "paths", None) else None
+    cfg = _optional_mc_config(args, config)
     value = local_time_laplace(model, f_x, spec, n_outer=n_outer, n_inner=n_inner)
     doc = {
         "schema": SCHEMA_VERSION,

@@ -18,8 +18,10 @@ All exit quantities follow from these two ingredients:
 * down-exit functional:      ``int_x^a g(z) R(x, z) kappa(z) dz`` with
   ``R(x, z) = (W(x-b)/W(z-b)) * exp(-int_x^z iota)``
 
-Outer integrals use composite Simpson with node-wise cumulative sums; every
-outer node costs one frozen renewal solve.  A doubling loop refines both the
+Outer integrals use composite Simpson with node-wise cumulative sums.  Each
+outer node needs one frozen renewal solve on its own interval ``[b, s]``;
+the solves of a grid are marched together in blocks of rows, and only the
+last node of each row feeds iota and kappa.  A doubling loop refines both the
 outer and inner grids until two successive levels agree.
 """
 
@@ -58,6 +60,7 @@ DEFAULT_OUTER = 129
 DEFAULT_INNER = 1024
 _REFINE_TOL = 1e-6
 _REFINE_CAP = 4
+_ROW_BLOCK = 32  # outer nodes per batched frozen solve
 
 
 class TailNotConverged(RuntimeError):
@@ -104,23 +107,35 @@ class GeneralizedScaleResult:
 # ---------------------------------------------------------------------------
 
 
-def _iota_from_solution(model, sol, b, s) -> float:
-    log_deriv = sol.w_deriv[-1] / sol.w[-1]
-    base = w_derivative(model, 0.0, s - b) / wq(model, 0.0, s - b)
-    val = log_deriv - base
-    if val < 0.0:
-        if val < -1e-6 * max(1.0, abs(base)):
-            raise ArithmeticError(
-                f"iota({s}) = {val} is negative beyond tolerance; "
-                "the frozen solve is under-resolved"
-            )
-        val = 0.0
-    return val
+def _frozen_ends(model, F, b, levels, n):
+    """``(Wf, Wf', Zf, Zf')`` at the end of the frozen solve of each level.
+
+    Row ``i`` solves the potential frozen at ``levels[i]`` on
+    ``[b, levels[i]]``; the rows are marched as one block.
+    """
+    levels = np.asarray(levels, dtype=float)
+    sol = solve_w_z_f(model, [F.frozen(s) for s in levels], b, levels, n)
+    wp, zp = sol.end_derivatives()
+    return sol.w[:, -1], wp, sol.z[:, -1], zp
 
 
-def _kappa_from_solution(sol) -> float:
-    w, wp = sol.w[-1], sol.w_deriv[-1]
-    z, zp = sol.z[-1], sol.z_deriv[-1]
+def _iota_values(model, b, levels, w, wp) -> np.ndarray:
+    """Log-derivative gap of the frozen solves against ``W'/W`` at each level."""
+    base = np.array(
+        [w_derivative(model, 0.0, s - b) / wq(model, 0.0, s - b) for s in levels]
+    )
+    val = wp / w - base
+    deep = np.flatnonzero(val < -1e-6 * np.maximum(1.0, np.abs(base)))
+    if deep.size:
+        i = deep[0]
+        raise ArithmeticError(
+            f"iota({levels[i]}) = {val[i]} is negative beyond tolerance; "
+            "the frozen solve is under-resolved"
+        )
+    return np.maximum(val, 0.0)
+
+
+def _kappa_values(w, wp, z, zp) -> np.ndarray:
     return (z * wp - zp * w) / w
 
 
@@ -133,8 +148,8 @@ def iota(model: LevyModel, F: BivariatePotential, b: float, s: float, n: int) ->
     """
     if s <= b:
         raise ValueError(f"iota requires s > b, got s={s}, b={b}")
-    sol = solve_w_z_f(model, F.frozen(s), b, s, n)
-    return _iota_from_solution(model, sol, b, s)
+    w, wp, _, _ = _frozen_ends(model, F, b, [s], n)
+    return float(_iota_values(model, b, [float(s)], w, wp)[0])
 
 
 def kappa(model: LevyModel, F: BivariatePotential, b: float, z: float, n: int) -> float:
@@ -148,8 +163,7 @@ def kappa(model: LevyModel, F: BivariatePotential, b: float, z: float, n: int) -
         raise ValueError(f"kappa requires z > b, got z={z}, b={b}")
     if z - b < 1e-9 * max(1.0, abs(b), abs(z)):
         raise ValueError(f"kappa: z - b = {z - b} is below grid resolution")
-    sol = solve_w_z_f(model, F.frozen(z), b, z, n)
-    return _kappa_from_solution(sol)
+    return float(_kappa_values(*_frozen_ends(model, F, b, [z], n))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +174,11 @@ def kappa(model: LevyModel, F: BivariatePotential, b: float, z: float, n: int) -
 def _functional_grids(model, F, b, nodes, n_inner, guard_step, need_kappa=True):
     """iota (and optionally kappa) on outer nodes, guarding the barrier edge.
 
-    Frozen solves for iota on a sliver ``[b, s]`` with ``s - b`` under ten
-    outer steps are skipped: the log-derivative gap there is a difference of
-    two nearly singular terms.  iota is bounded near the barrier, so a linear
+    The frozen solves of the outer nodes are marched in blocks of at most
+    ``_ROW_BLOCK`` rows, which bounds the memory of one block.  Frozen solves
+    for iota on a sliver ``[b, s]`` with ``s - b`` under ten outer steps are
+    skipped: the log-derivative gap there is a difference of two nearly
+    singular terms.  iota is bounded near the barrier, so a linear
     extrapolation from the two nearest resolved nodes stands in.  kappa has no
     such cancellation and is always evaluated directly.
     """
@@ -175,14 +191,13 @@ def _functional_grids(model, F, b, nodes, n_inner, guard_step, need_kappa=True):
             "every outer node sits within ten steps of the barrier; "
             "refine the outer grid or move x away from b"
         )
-    for i, s in enumerate(nodes):
-        if not (valid[i] or need_kappa):
-            continue
-        sol = solve_w_z_f(model, F.frozen(s), b, float(s), n_inner)
-        if valid[i]:
-            iotas[i] = _iota_from_solution(model, sol, b, float(s))
+    rows = np.flatnonzero(valid | need_kappa)
+    for block in np.array_split(rows, -(-rows.size // _ROW_BLOCK)):
+        w, wp, z, zp = _frozen_ends(model, F, b, nodes[block], n_inner)
+        ok = valid[block]
+        iotas[block[ok]] = _iota_values(model, b, nodes[block[ok]], w[ok], wp[ok])
         if need_kappa:
-            kappas[i] = _kappa_from_solution(sol)
+            kappas[block] = _kappa_values(w, wp, z, zp)
     bad = np.flatnonzero(~valid)
     if bad.size:
         good = np.flatnonzero(valid)[:2]

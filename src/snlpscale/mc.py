@@ -18,9 +18,17 @@ The stepper takes two hooks.  Each integrand ``(s, x) -> rate`` in its list
 is accumulated per path by the trapezoid rule in time, consistent with the
 first-order path discretization; a bridge kill strictly inside the band gets
 a half step.  An optional observer ``(x_old, x_new, dt_eff)`` sees every step
-of the paths alive at its start.  :func:`run_exit_mc` passes the potential
+of the paths alive at its start; ``dt_eff`` is one float when no path can
+jump.  :func:`run_exit_mc` passes the potential
 alone; :func:`occupation_mc` passes its point and smoothed integrands and a
 box-count observer for the occupation-density profile.
+
+The stepper keeps only the live paths, in dense arrays in path order: the
+position, supremum, time, time to the next jump (jump family only),
+integrand values and accumulators, plus a map to each path's output column.
+Every step keeps the survivors with one boolean mask, and exits and
+censoring write their records through the map, so a step costs in
+proportion to the paths still alive.
 
 ``_collect_states`` drives the stepper over fixed-size chunks and owns the
 censoring gate for both entry points: paths that reach the time cap are
@@ -212,111 +220,118 @@ def _simulate_exit_chunk(
 
     Each integrand ``(s, x) -> rate`` is accumulated per path into its row of
     ``acc``; ``observer(x_old, x_new, dt_eff)`` sees every step of the paths
-    alive at its start.
+    alive at its start.  The live paths' state sits in dense arrays, in path
+    order, with ``pid`` mapping each to its output column.  Without jumps
+    every path takes the full step and ``dt_eff`` is one float.
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma = model.mu, model.sigma
     rate = model.jump_rate if model.family is Family.EXP_JUMP_DIFFUSION else 0.0
+    jumpy = rate > 0.0
     t_cap = cfg.resolved_t_cap(model, spec)
     bridge = cfg.bridge_correction
 
     out = _ExitState(n, len(integrands))
+    pid = np.arange(n)
     x = np.full(n, x0)
     s = np.full(n, x0)
     t = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    jump_in = rng.exponential(1.0 / rate, n) if rate > 0.0 else np.full(n, np.inf)
+    acc = np.zeros((len(integrands), n))
+    jump_in = rng.exponential(1.0 / rate, n) if jumpy else None
     f_prev = [fn(s, x) for fn in integrands]
 
-    while True:
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        m = idx.size
-        dt_eff = np.minimum(cfg.dt, jump_in[idx])
-        at_jump = jump_in[idx] <= cfg.dt
+    while pid.size:
+        m = pid.size
+        if jumpy:
+            dt_eff = np.minimum(cfg.dt, jump_in)
+            at_jump = jump_in <= cfg.dt
+        else:
+            dt_eff = cfg.dt
 
-        xi = xi_sign * rng.standard_normal(m)
-        x_old = x[idx]
-        s_old = s[idx]
-        x_new = x_old + mu * dt_eff + sigma * np.sqrt(dt_eff) * xi
+        xi = rng.standard_normal(m)
+        if xi_sign < 0.0:
+            np.negative(xi, out=xi)
+        x_new = x + mu * dt_eff + sigma * np.sqrt(dt_eff) * xi
 
         if bridge:
             var = sigma * sigma * dt_eff
-            gap2 = (x_new - x_old) ** 2
+            gap2 = (x_new - x) ** 2
             u_hi = rng.random(m)
             u_lo = rng.random(m)
-            m_hi = 0.5 * (x_old + x_new + np.sqrt(gap2 - 2.0 * var * np.log(u_hi)))
-            m_lo = 0.5 * (x_old + x_new - np.sqrt(gap2 - 2.0 * var * np.log(u_lo)))
+            ends = x + x_new
+            m_hi = 0.5 * (ends + np.sqrt(gap2 - 2.0 * var * np.log(u_hi)))
+            m_lo = 0.5 * (ends - np.sqrt(gap2 - 2.0 * var * np.log(u_lo)))
             up_hit = m_hi >= a
             dn_hit = ~up_hit & (m_lo <= b)
-            s_new = np.minimum(np.maximum(s_old, m_hi), a)
+            s_new = np.minimum(np.maximum(s, m_hi), a)
             # bridge kills strictly inside the band get a half step since the
             # crossing time is interior to the step
             interior = (up_hit | dn_hit) & (x_new < a) & (x_new >= b)
         else:
             up_hit = x_new >= a
             dn_hit = x_new < b
-            s_new = np.maximum(s_old, np.minimum(x_new, a))
+            s_new = np.maximum(s, np.minimum(x_new, a))
 
         # trapezoid accumulation
         f_new = [fn(s_new, x_new) for fn in integrands]
-        for acc, fp, fq in zip(out.acc, f_prev, f_new):
-            d_acc = 0.5 * dt_eff * (fp[idx] + fq)
+        for row, fp, fq in zip(acc, f_prev, f_new):
+            d_acc = 0.5 * dt_eff * (fp + fq)
             if bridge:
                 d_acc = np.where(interior, 0.5 * d_acc, d_acc)
-            acc[idx] += d_acc
+            row += d_acc
         if observer is not None:
-            observer(x_old, x_new, dt_eff)
-        t[idx] += dt_eff
+            observer(x, x_new, dt_eff)
+        t += dt_eff
 
+        gone = up_hit | dn_hit
         if np.any(up_hit):
-            hit = idx[up_hit]
-            alive[hit] = False
+            hit = pid[up_hit]
             out.up[hit] = True
             out.s_exit[hit] = a
-            end = np.full(hit.size, a) if bridge else x_new[up_hit]
+            end = a if bridge else x_new[up_hit]
             out.x_pre[hit] = end
             out.x_post[hit] = end
         if np.any(dn_hit):
-            hit = idx[dn_hit]
-            alive[hit] = False
+            hit = pid[dn_hit]
             out.s_exit[hit] = s_new[dn_hit]
-            end = np.full(hit.size, b) if bridge else x_new[dn_hit]
+            end = b if bridge else x_new[dn_hit]
             out.x_pre[hit] = end
             out.x_post[hit] = end
-
-        survive = ~(up_hit | dn_hit)
-        sidx = idx[survive]
-        x[sidx] = x_new[survive]
-        s[sidx] = s_new[survive]
-        for fp, fq in zip(f_prev, f_new):
-            fp[sidx] = fq[survive]
-        jump_in[sidx] -= dt_eff[survive]
+        x, s, f_prev = x_new, s_new, f_new
 
         # jump events fire exactly at the end of their substep
-        jmask = survive & at_jump
-        if np.any(jmask):
-            jidx = idx[jmask]
-            sizes = rng.exponential(model.jump_mean, jidx.size)
-            jump_in[jidx] = rng.exponential(1.0 / rate, jidx.size)
-            x_jumped = x[jidx] - sizes
-            below = x_jumped < b
-            dn = jidx[below]
-            if dn.size:
-                alive[dn] = False
-                out.s_exit[dn] = s[dn]
-                out.x_pre[dn] = x[dn]
-                out.x_post[dn] = x_jumped[below]
-            keep = jidx[~below]
-            x[keep] = x_jumped[~below]
-            for fp, fn in zip(f_prev, integrands):
-                fp[keep] = fn(s[keep], x[keep])
+        if jumpy:
+            jump_in = jump_in - dt_eff
+            jumps = np.flatnonzero(at_jump & ~gone)
+            if jumps.size:
+                sizes = rng.exponential(model.jump_mean, jumps.size)
+                jump_in[jumps] = rng.exponential(1.0 / rate, jumps.size)
+                x_jumped = x[jumps] - sizes
+                below = x_jumped < b
+                dn = jumps[below]
+                if dn.size:
+                    hit = pid[dn]
+                    out.s_exit[hit] = s[dn]
+                    out.x_pre[hit] = x[dn]
+                    out.x_post[hit] = x_jumped[below]
+                    gone[dn] = True
+                keep = jumps[~below]
+                x[keep] = x_jumped[~below]
+                for fp, fn in zip(f_prev, integrands):
+                    fp[keep] = fn(s[keep], x[keep])
 
-        tired = alive & (t >= t_cap)
+        tired = ~gone & (t >= t_cap)
         if np.any(tired):
-            alive[tired] = False
-            out.censored[tired] = True
+            out.censored[pid[tired]] = True
+            gone |= tired
+
+        if np.any(gone):
+            out.acc[:, pid[gone]] = acc[:, gone]
+            live = ~gone
+            pid, x, s, t, acc = pid[live], x[live], s[live], t[live], acc[:, live]
+            if jumpy:
+                jump_in = jump_in[live]
+            f_prev = [fp[live] for fp in f_prev]
     return out
 
 
@@ -586,7 +601,7 @@ def occupation_mc(
         # occupation-density profile: box-count the step midpoints
         x_mid = 0.5 * (x_old + x_new)
         hits = np.abs(x_mid[:, None] - levels[None, :]) < w
-        density[:] += (hits * dt_eff[:, None]).sum(axis=0) / (2.0 * w)
+        density[:] += (hits * np.expand_dims(dt_eff, -1)).sum(axis=0) / (2.0 * w)
 
     start = time.perf_counter()
     st = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], box_count)

@@ -49,3 +49,48 @@ def test_zero_standard_error_row_fails_without_zscore():
     assert rows["exact"]["zscore"] == 0.0
     assert rows["exact"]["pass"] is True
     assert report["pass"] is False
+
+
+@pytest.mark.parametrize("command,mc_key", [("conditional", "mc_bins"), ("local-time", "mc")])
+def test_config_paths_turn_on_monte_carlo(command, mc_key, tmp_path, capsys):
+    config = tmp_path / "mc.cfg"
+    config.write_text("paths = 200\ndt = 1e-3\nseed = 3\n")
+    argv = [command, *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", "--config", str(config)]
+    main(argv)
+    assert mc_key in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["conditional", "local-time"])
+def test_zero_paths_is_a_usage_error(command, capsys):
+    argv = [command, *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", "--paths", "0"]
+    assert main(argv) == 2
+    assert "--paths/--dt" in capsys.readouterr().err
+
+
+MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
+             "--paths", "200", "--dt", "1e-3"]
+
+
+def test_mc_verify_passes_with_exit_zero(capsys):
+    assert main([*MC_VERIFY, "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is True
+    assert doc["diagnostics"]["converged"] is True
+
+
+@pytest.mark.parametrize("flag,config_seed,want", [
+    (None, None, 5),
+    (None, 4, 4),
+    (3, 4, 3),
+])
+def test_seed_precedence(flag, config_seed, want, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SNLP_SCALE_SEED", "5")
+    argv = list(MC_VERIFY)
+    if flag is not None:
+        argv += ["--seed", str(flag)]
+    if config_seed is not None:
+        config = tmp_path / "seed.cfg"
+        config.write_text(f"seed = {config_seed}\n")
+        argv += ["--config", str(config)]
+    main(argv)
+    assert json.loads(capsys.readouterr().out)["mc_config"]["seed"] == want

@@ -9,6 +9,7 @@ from snlpscale import (
     classical_exit_up,
     make_brownian,
     make_exp_jump_diffusion,
+    parse_bivariate,
     solve_w_z_f,
     wq,
     zq,
@@ -119,3 +120,29 @@ class TestValidation:
             solve_w_z_f(bm_driftless, HALF, 1.0, 1.0, 64)
         with pytest.raises(ValueError):
             solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 8)
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("model,pot", [
+        (make_brownian(0.3, 1.0), "reflected:0.5"),
+        (make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5), "level:1,0.6"),
+    ], ids=["bm-reflected", "jd-level"])
+    def test_block_matches_single_solves(self, model, pot):
+        # each row has its own interval [0, s] and its own frozen slice F(s, .)
+        F = parse_bivariate(pot, 1.0)
+        levels = np.linspace(0.55, 1.0, 6)
+        block = solve_w_z_f(model, [F.frozen(s) for s in levels], 0.0, levels, 64)
+        w_ends, z_ends = block.end_derivatives()
+        for r, s in enumerate(levels):
+            one = solve_w_z_f(model, F.frozen(s), 0.0, float(s), 64)
+            assert np.array_equal(block.nodes[r], one.nodes)
+            assert block.w[r, -1] == pytest.approx(one.w[-1], rel=1e-13)
+            assert block.z[r, -1] == pytest.approx(one.z[-1], rel=1e-13)
+            assert w_ends[r] == pytest.approx(one.w_deriv[-1], rel=1e-13)
+            assert z_ends[r] == pytest.approx(one.z_deriv[-1], rel=1e-13)
+
+    def test_one_upper_end_per_potential(self, bm_driftless):
+        with pytest.raises(ValueError):
+            solve_w_z_f(bm_driftless, [HALF, HALF], 0.0, [1.0], 64)
+        with pytest.raises(ValueError):
+            solve_w_z_f(bm_driftless, [], 0.0, [], 64)
