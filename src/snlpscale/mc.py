@@ -19,9 +19,9 @@ is accumulated per path by the trapezoid rule in time, consistent with the
 first-order path discretization; a bridge kill strictly inside the band gets
 a half step.  An optional observer ``(x_old, x_new, dt_eff)`` sees every step
 of the paths alive at its start; ``dt_eff`` is one float when no path can
-jump.  :func:`run_exit_mc` passes the potential
-alone; :func:`occupation_mc` passes its point and smoothed integrands and a
-box-count observer for the occupation-density profile.
+jump.  :func:`run_exit_mc` passes the potential alone; :func:`occupation_mc`
+passes its point and smoothed integrands and a box-count observer for the
+occupation-density profile.
 
 The stepper keeps only the live paths, in dense arrays in path order: the
 position, supremum, time, time to the next jump (jump family only),
