@@ -20,11 +20,14 @@ Exit status:
   gate of ``mc-verify``/``local-time``, and when the refinement of ``exit`` or
   ``mc-verify`` did not converge (``diagnostics.converged`` is false); the
   last two still emit the full document.
-* 2 on usage errors, including Monte Carlo settings that ``MCConfig``
-  rejects, from flags or the config file (e.g. ``--paths 0``, ``--paths``
-  below 100 or ``--dt 0``).  ``conditional`` and ``local-time`` run Monte
-  Carlo only when ``--paths`` or a ``paths`` line in the config file asks for
-  it.
+* 2 on usage errors: bad flags, and flag or config values that the library
+  rejects (a ``ValueError``).  Among these are Monte Carlo settings that
+  ``MCConfig`` rejects (e.g. ``--paths 0``, ``--paths`` below 100 or
+  ``--dt 0``), grid sizes the solvers cannot use (e.g. an even
+  ``--grid-outer``) and potentials out of range.
+
+``conditional`` and ``local-time`` run Monte Carlo only when ``--paths`` or a
+``paths`` line in the config file asks for it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -48,8 +52,13 @@ from .generalized import (
 )
 from .mc import MCConfig, conditional_mc, occupation_mc, run_exit_mc
 from .models import Family, LevyModel, RootFindingError
-from .potentials import parse_bivariate, parse_g, parse_univariate
-from .quadrature import QuadratureError
+from .potentials import (
+    BivariatePotential,
+    UnivariatePotential,
+    parse_bivariate,
+    parse_g,
+    parse_univariate,
+)
 from .scale import InversionError, make_scale_table
 
 SCHEMA_VERSION = 1
@@ -58,7 +67,6 @@ _NUMERICAL_ERRORS = (
     InversionError,
     TailNotConverged,
     RootFindingError,
-    QuadratureError,
     ArithmeticError,
     RuntimeError,
 )
@@ -166,16 +174,6 @@ def _resolve_seed(args, config: dict) -> int:
     return 0
 
 
-def _spec_from(args, config) -> ExitSpec:
-    b = _resolve(args, config, "b", required=True)
-    x = _resolve(args, config, "x", required=True)
-    a = _resolve(args, config, "a", required=True)
-    try:
-        return ExitSpec(b=b, x=x, a=a)
-    except ValueError as exc:
-        raise UsageError(f"--b/--x/--a: {exc}") from exc
-
-
 def _model_from(args, config) -> LevyModel:
     text = getattr(args, "model", None) or config.get("model")
     if text is None:
@@ -204,6 +202,46 @@ def _optional_mc_config(args, config) -> Optional[MCConfig]:
     if getattr(args, "paths", None) is None and "paths" not in config:
         return None
     return _mc_config(args, config, _resolve(args, config, "paths", cast=int))
+
+
+@dataclass
+class _Problem:
+    """The exit problem that ``exit``, ``conditional``, ``mc-verify`` and
+    ``local-time`` share: model, exit triple, potential and grid sizes."""
+
+    model: LevyModel
+    spec: ExitSpec
+    potential: str
+    F: Union[BivariatePotential, UnivariatePotential]
+    n_outer: int
+    n_inner: int
+
+    def header(self, command: str) -> dict:
+        """The document keys every exit-problem command starts with."""
+        return {
+            "schema": SCHEMA_VERSION,
+            "command": command,
+            "model": self.model.to_dict(),
+            "spec": {"b": self.spec.b, "x": self.spec.x, "a": self.spec.a},
+            "potential": self.potential,
+        }
+
+
+def _problem_from(args, config, position_only=False) -> _Problem:
+    """Read the shared exit problem; ``position_only`` parses ``f(x)`` alone."""
+    model = _model_from(args, config)
+    b, x, a = (_resolve(args, config, key, required=True) for key in ("b", "x", "a"))
+    try:
+        spec = ExitSpec(b=b, x=x, a=a)
+    except ValueError as exc:
+        raise UsageError(f"--b/--x/--a: {exc}") from exc
+    text = _resolve(args, config, "potential", cast=str)
+    F = parse_univariate(text) if position_only else parse_bivariate(text, spec.a - spec.b)
+    return _Problem(
+        model, spec, text, F,
+        n_outer=int(_resolve(args, config, "grid_outer", cast=int)),
+        n_inner=int(_resolve(args, config, "grid_inner", cast=int)),
+    )
 
 
 def _emit(doc: dict, out_path: Optional[str]) -> None:
@@ -248,67 +286,35 @@ def _cmd_scale_table(args, config) -> dict:
 
 
 def _cmd_exit(args, config) -> dict:
-    model = _model_from(args, config)
-    spec = _spec_from(args, config)
-    pot_spec = _resolve(args, config, "potential", cast=str)
+    p = _problem_from(args, config)
     g_spec = _resolve(args, config, "g", cast=str)
-    try:
-        F = parse_bivariate(pot_spec, spec.a - spec.b)
-        g = parse_g(g_spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    n_outer = int(_resolve(args, config, "grid_outer", cast=int))
-    n_inner = int(_resolve(args, config, "grid_inner", cast=int))
-    result = evaluate_exit(model, F, spec, g=g, n_outer=n_outer, n_inner=n_inner)
-    doc = result.to_json_dict()
-    doc.update(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "exit",
-            "model": model.to_dict(),
-            "spec": {"b": spec.b, "x": spec.x, "a": spec.a},
-            "potential": pot_spec,
-            "g": g_spec,
-        }
+    result = evaluate_exit(
+        p.model, p.F, p.spec, g=parse_g(g_spec), n_outer=p.n_outer, n_inner=p.n_inner
     )
-    return doc
+    return {**result.to_json_dict(), **p.header("exit"), "g": g_spec}
 
 
 def _cmd_conditional(args, config) -> dict:
-    model = _model_from(args, config)
-    spec = _spec_from(args, config)
-    pot_spec = _resolve(args, config, "potential", cast=str)
-    try:
-        F = parse_bivariate(pot_spec, spec.a - spec.b)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    n_outer = int(_resolve(args, config, "grid_outer", cast=int))
-    n_inner = int(_resolve(args, config, "grid_inner", cast=int))
+    p = _problem_from(args, config)
     cfg = _optional_mc_config(args, config)
-    nodes, curve = conditional_curve(model, F, spec, n_outer=n_outer, n_inner=n_inner)
+    nodes, curve = conditional_curve(
+        p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner
+    )
     density = [
-        supremum_density(model, spec, float(z)) if z < spec.a else None for z in nodes
+        supremum_density(p.model, p.spec, float(z)) if z < p.spec.a else None for z in nodes
     ]
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "conditional",
-        "model": model.to_dict(),
-        "spec": {"b": spec.b, "x": spec.x, "a": spec.a},
-        "potential": pot_spec,
+        **p.header("conditional"),
         "z": [float(z) for z in nodes],
         "conditional_laplace": [float(v) for v in curve],
         "supremum_density": density,
-        "supremum_atom": supremum_atom(model, spec),
+        "supremum_atom": supremum_atom(p.model, p.spec),
     }
     if cfg is not None:
-        n_bins = max(4, (n_outer - 1) // 16)
-        mc = conditional_mc(model, F, spec, cfg, n_bins)
+        mc = conditional_mc(p.model, p.F, p.spec, cfg, max(4, (p.n_outer - 1) // 16))
+        # each bin is paired with this command's own curve, at the bin midpoint
         doc["mc_bins"] = [
-            {
-                "lo": bn.lo, "hi": bn.hi, "midpoint": bn.midpoint, "n": bn.n,
-                "mc_mean": bn.mc_mean, "mc_se": bn.mc_se,
-                "deterministic": bn.deterministic, "empty": bn.empty,
-            }
+            {**asdict(bn), "deterministic": float(np.interp(bn.midpoint, nodes, curve))}
             for bn in mc.bins + [mc.up_bin]
         ]
     return doc
@@ -355,35 +361,25 @@ def verify_report(deterministic: dict, mc_estimates: dict) -> dict:
 
 
 def _cmd_mc_verify(args, config) -> dict:
-    model = _model_from(args, config)
-    spec = _spec_from(args, config)
-    pot_spec = _resolve(args, config, "potential", cast=str)
+    p = _problem_from(args, config)
     g_spec = _resolve(args, config, "g", cast=str)
-    try:
-        F = parse_bivariate(pot_spec, spec.a - spec.b)
-        g = parse_g(g_spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    n_outer = int(_resolve(args, config, "grid_outer", cast=int))
-    n_inner = int(_resolve(args, config, "grid_inner", cast=int))
+    g = parse_g(g_spec)
     cfg = _mc_config(args, config, _resolve(args, config, "paths", cast=int))
 
-    det_result = evaluate_exit(model, F, spec, g=g, n_outer=n_outer, n_inner=n_inner)
+    det_result = evaluate_exit(
+        p.model, p.F, p.spec, g=g, n_outer=p.n_outer, n_inner=p.n_inner
+    )
     det = {
         "up_laplace": det_result.up_laplace,
         "down_value": det_result.down_value,
-        "p_up": supremum_atom(model, spec),
+        "p_up": supremum_atom(p.model, p.spec),
     }
-    mc = run_exit_mc(model, F, spec, cfg, g=g, keep_samples=bool(args.csv))
+    mc = run_exit_mc(p.model, p.F, p.spec, cfg, g=g, keep_samples=bool(args.csv))
     report = verify_report(
         det, {"up_laplace": mc.up_laplace, "down_value": mc.down_value, "p_up": mc.p_up}
     )
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "mc-verify",
-        "model": model.to_dict(),
-        "spec": {"b": spec.b, "x": spec.x, "a": spec.a},
-        "potential": pot_spec,
+        **p.header("mc-verify"),
         "g": g_spec,
         "mc_config": {
             "dt": cfg.dt, "paths": cfg.n_paths, "seed": cfg.seed,
@@ -401,27 +397,12 @@ def _cmd_mc_verify(args, config) -> dict:
 
 
 def _cmd_local_time(args, config) -> dict:
-    model = _model_from(args, config)
-    spec = _spec_from(args, config)
-    pot_spec = _resolve(args, config, "potential", cast=str)
-    try:
-        f_x = parse_univariate(pot_spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    n_outer = int(_resolve(args, config, "grid_outer", cast=int))
-    n_inner = int(_resolve(args, config, "grid_inner", cast=int))
+    p = _problem_from(args, config, position_only=True)
     cfg = _optional_mc_config(args, config)
-    value = local_time_laplace(model, f_x, spec, n_outer=n_outer, n_inner=n_inner)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "local-time",
-        "model": model.to_dict(),
-        "spec": {"b": spec.b, "x": spec.x, "a": spec.a},
-        "potential": pot_spec,
-        "laplace": value,
-    }
+    value = local_time_laplace(p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner)
+    doc = {**p.header("local-time"), "laplace": value}
     if cfg is not None:
-        occ = occupation_mc(model, f_x, spec, cfg, n_levels=33)
+        occ = occupation_mc(p.model, p.F, p.spec, cfg, n_levels=33)
         report = verify_report(
             {"local_time_laplace": value}, {"local_time_laplace": occ.time_integral_laplace}
         )
@@ -446,7 +427,11 @@ def _cmd_local_time(args, config) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, mc_flags=False):
+_BIVARIATE = "const:q | reflected:c | indicator:c,r | level:c,r"
+
+
+def _add_common(p, potential=None, g=False, mc_flags=False):
+    """Shared flags; ``potential`` is the help text of ``--potential``, if taken."""
     p.add_argument("--model", help="bm:mu,sigma or jd:mu,sigma,rate,jump_mean")
     p.add_argument("--b", type=float, help="lower barrier")
     p.add_argument("--x", type=float, help="starting point, b < x < a")
@@ -458,6 +443,10 @@ def _add_common(p, mc_flags=False):
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument("--config", help="flat key = value config file with defaults")
     p.add_argument("--csv", help="write the command's CSV artifact here")
+    if potential:
+        p.add_argument("--potential", help=potential)
+    if g:
+        p.add_argument("--g", help="down-exit supremum weight: one | identity | const:c")
     if mc_flags:
         p.add_argument("--paths", type=int, help="Monte Carlo path count")
         p.add_argument("--dt", type=float, help="Euler step")
@@ -479,22 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, help="discount rate of the table")
 
     p = sub.add_parser("exit", help="deterministic two-sided exit identities")
-    _add_common(p)
-    p.add_argument("--potential", help="const:q | reflected:c | indicator:c,r | level:c,r")
-    p.add_argument("--g", help="supremum weight at the down exit: one | identity | const:c")
+    _add_common(p, potential=_BIVARIATE, g=True)
 
     p = sub.add_parser("conditional", help="conditional Laplace curve given the supremum")
-    _add_common(p, mc_flags=True)
-    p.add_argument("--potential", help="const:q | reflected:c | indicator:c,r | level:c,r")
+    _add_common(p, potential=_BIVARIATE, mc_flags=True)
 
     p = sub.add_parser("mc-verify", help="deterministic vs Monte Carlo with z-scores")
-    _add_common(p, mc_flags=True)
-    p.add_argument("--potential", help="const:q | reflected:c | indicator:c,r | level:c,r")
-    p.add_argument("--g", help="supremum weight at the down exit: one | identity | const:c")
+    _add_common(p, potential=_BIVARIATE, g=True, mc_flags=True)
 
     p = sub.add_parser("local-time", help="potential-weighted local time Laplace transform")
-    _add_common(p, mc_flags=True)
-    p.add_argument("--potential", help="position-only potential: const:q | level:c,r")
+    _add_common(p, potential="position-only potential: const:q | level:c,r", mc_flags=True)
     return parser
 
 
@@ -513,7 +496,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         doc = _COMMANDS[args.command](args, config)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

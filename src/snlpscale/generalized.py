@@ -336,6 +336,25 @@ def supremum_density(model: LevyModel, spec: ExitSpec, z: float) -> float:
     return ratio * n_height_tail(model, z - b) / p_down
 
 
+def _conditional_values(model, F, spec, z, n_outer, n_inner):
+    """Conditional Laplace values on ``n_outer`` nodes spanning ``[x, z]``.
+
+    The W-ratio of the statement cancels against the one inside the
+    frozen-scale ratio, leaving the exponential damping alone.  Below ``a``
+    the last excursion enters through ``kappa / (W'/W)``; the last node is
+    the up exit, which has no terminal excursion, only when ``z == a``.
+    """
+    b, x, a = spec.b, spec.x, spec.a
+    nodes = np.linspace(x, z, n_outer)
+    h = (z - x) / (n_outer - 1)
+    iotas, kappas = _functional_grids(model, F, b, nodes, n_inner, guard_step=h)
+    values = np.array([math.exp(-c) for c in cumulative_simpson(iotas, h)])
+    down = n_outer - 1 if abs(z - a) <= 1e-12 * max(1.0, abs(a)) else n_outer
+    tails = np.array([n_height_tail(model, float(s - b)) for s in nodes[:down]])
+    values[:down] = values[:down] * kappas[:down] / tails
+    return nodes, values
+
+
 def conditional_laplace_given_sup(
     model: LevyModel,
     F: BivariatePotential,
@@ -347,23 +366,14 @@ def conditional_laplace_given_sup(
     """``E_x[exp(-int_0^T F dt) | S_T = z]`` for ``z`` in ``[x, a]``.
 
     At ``z = a`` (up exit) the terminal excursion is absent and the value is
-    the conditional contribution of the passage to ``a``; below ``a`` the
-    last excursion enters through ``kappa / (W'/W)``.
+    the conditional contribution of the passage to ``a``.
     """
     b, x, a = spec.b, spec.x, spec.a
     if not (x <= z <= a):
         raise ValueError(f"conditional value needs z in [x, a], got z={z}")
     if z <= x:
         return kappa(model, F, b, x, n_inner) / n_height_tail(model, x - b)
-    # The W-ratio of the statement cancels against the one inside the
-    # frozen-scale ratio, leaving the exponential damping alone.
-    nodes = np.linspace(x, z, n_outer)
-    h = (z - x) / (n_outer - 1)
-    iotas, kappas = _functional_grids(model, F, b, nodes, n_inner, guard_step=h)
-    damp = math.exp(-composite_simpson(iotas, h))
-    if abs(z - a) <= 1e-12 * max(1.0, abs(a)):
-        return damp
-    return damp * kappas[-1] / n_height_tail(model, z - b)
+    return float(_conditional_values(model, F, spec, z, n_outer, n_inner)[1][-1])
 
 
 def conditional_curve(
@@ -380,19 +390,7 @@ def conditional_curve(
     :func:`conditional_laplace_given_sup` per point: one frozen solve per
     node serves every value.
     """
-    b, x, a = spec.b, spec.x, spec.a
-    nodes = np.linspace(x, a, n_outer)
-    h = (a - x) / (n_outer - 1)
-    iotas, kappas = _functional_grids(model, F, b, nodes, n_inner, guard_step=h)
-    cum = cumulative_simpson(iotas, h)
-    values = np.empty_like(nodes)
-    for i, z in enumerate(nodes):
-        damp = math.exp(-cum[i])
-        if i == n_outer - 1:
-            values[i] = damp
-        else:
-            values[i] = damp * kappas[i] / n_height_tail(model, float(z - b))
-    return nodes, values
+    return _conditional_values(model, F, spec, spec.a, n_outer, n_inner)
 
 
 # ---------------------------------------------------------------------------

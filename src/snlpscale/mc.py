@@ -41,6 +41,10 @@ bridge uniforms, and the reduction runs in fixed chunk order, so estimates
 are bit-identical for a given configuration regardless of scheduling.
 Antithetic mates rerun a chunk on the same substream with negated Gaussian
 increments.
+
+The engine never calls the deterministic solver: it imports only ``ExitSpec``
+from :mod:`generalized`.  :func:`conditional_mc` returns Monte Carlo bins,
+and the caller pairs each bin with its own deterministic curve.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .generalized import ExitSpec, conditional_curve
+from .generalized import ExitSpec
 from .models import Family, LevyModel
 from .potentials import BivariatePotential, UnivariatePotential
 
@@ -459,7 +463,6 @@ class ConditionalBin:
     n: int
     mc_mean: float
     mc_se: float
-    deterministic: float
     empty: bool
 
 
@@ -469,6 +472,19 @@ class ConditionalMCResult:
     up_bin: ConditionalBin
     n_down: int
     n_up: int
+
+
+def _bin(lo: float, hi: float, vals: np.ndarray) -> ConditionalBin:
+    n = vals.size
+    return ConditionalBin(
+        lo=float(lo),
+        hi=float(hi),
+        midpoint=float(0.5 * (lo + hi)),
+        n=int(n),
+        mc_mean=float(vals.mean()) if n else float("nan"),
+        mc_se=float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan"),
+        empty=n == 0,
+    )
 
 
 def conditional_mc(
@@ -481,55 +497,24 @@ def conditional_mc(
     """Bin the down-exit Laplace samples by the supremum at the exit.
 
     Down-exit samples are binned by ``S_T`` over ``[x, a)``; the up-exit
-    samples form the ``S_T = a`` atom bin.  Each bin is paired with the
-    deterministic conditional value at its midpoint (one grid pass serves all
-    midpoints).  Empty bins are flagged rather than dropped.
+    samples form the ``S_T = a`` atom bin.  Empty bins are flagged rather
+    than dropped.  The bins carry Monte Carlo values only: pairing them with
+    the deterministic curve is left to the caller.
     """
     if n_bins < 4:
         raise ValueError("conditional_mc needs n_bins >= 4")
     res = run_exit_mc(model, F, spec, cfg, keep_samples=True)
     smp = res.samples
     edges = np.linspace(spec.x, spec.a, n_bins + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-
-    # deterministic curve on a grid whose nodes contain the bin midpoints
-    n_outer = 16 * n_bins + 1
-    nodes, curve = conditional_curve(model, F, spec, n_outer=n_outer)
-    mid_idx = np.round((mids - spec.x) / (nodes[1] - nodes[0])).astype(int)
 
     lap = np.exp(-smp.functional)
     down = ~smp.exited_up
-    bins = []
     which = np.clip(
         np.searchsorted(edges, smp.s_at_exit[down], side="right") - 1, 0, n_bins - 1
     )
     vals_down = lap[down]
-    for k in range(n_bins):
-        sel = vals_down[which == k]
-        empty = sel.size == 0
-        bins.append(
-            ConditionalBin(
-                lo=float(edges[k]),
-                hi=float(edges[k + 1]),
-                midpoint=float(mids[k]),
-                n=int(sel.size),
-                mc_mean=float(sel.mean()) if not empty else float("nan"),
-                mc_se=float(sel.std(ddof=1) / np.sqrt(sel.size)) if sel.size > 1 else float("nan"),
-                deterministic=float(curve[mid_idx[k]]),
-                empty=bool(empty),
-            )
-        )
-    up_vals = lap[smp.exited_up]
-    up_bin = ConditionalBin(
-        lo=spec.a,
-        hi=spec.a,
-        midpoint=spec.a,
-        n=int(up_vals.size),
-        mc_mean=float(up_vals.mean()) if up_vals.size else float("nan"),
-        mc_se=float(up_vals.std(ddof=1) / np.sqrt(up_vals.size)) if up_vals.size > 1 else float("nan"),
-        deterministic=float(curve[-1]),
-        empty=up_vals.size == 0,
-    )
+    bins = [_bin(edges[k], edges[k + 1], vals_down[which == k]) for k in range(n_bins)]
+    up_bin = _bin(spec.a, spec.a, lap[smp.exited_up])
     return ConditionalMCResult(
         bins=bins, up_bin=up_bin, n_down=int(down.sum()), n_up=int(smp.exited_up.sum())
     )

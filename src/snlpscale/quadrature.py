@@ -1,18 +1,11 @@
-"""Quadrature helpers: composite/cumulative Simpson rules and an adaptive rule.
+"""Quadrature helpers: composite and cumulative Simpson rules.
 
-All routines work on plain floats or 1-d numpy arrays of node values on a
-uniform grid.  The adaptive rule takes a callable and an absolute tolerance.
+Both routines work on 1-d numpy arrays of node values on a uniform grid.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-
-class QuadratureError(RuntimeError):
-    """Raised when an integration routine cannot meet its tolerance."""
 
 
 def composite_simpson(values: np.ndarray, step: float) -> float:
@@ -54,56 +47,3 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
         out[i] = out[i - 1] + seg
     return out
 
-
-def adaptive_simpson(
-    func: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 24,
-) -> float:
-    """Adaptive Simpson integration with absolute tolerance.
-
-    Recursive interval halving with Richardson correction on accepted panels.
-    Panels that still miss their tolerance at the depth limit are accepted
-    with the correction applied: every integrand in this library is bounded,
-    so panels that deep are dominated by evaluation noise that further
-    subdivision cannot remove.  Non-finite integrand values raise
-    :class:`QuadratureError`.
-    """
-    if a == b:
-        return 0.0
-    if b < a:
-        return -adaptive_simpson(func, b, a, tol=tol, max_depth=max_depth)
-
-    evals = 0
-    budget = 300_000  # hard cap against noise-driven refinement runaway
-
-    def fval(t: float) -> float:
-        nonlocal evals
-        evals += 1
-        v = func(t)
-        if not np.isfinite(v):
-            raise QuadratureError(f"adaptive_simpson: integrand not finite at {t}")
-        return v
-
-    def simp(fa: float, fm: float, fb: float, h: float) -> float:
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        flm = fval(0.5 * (lo + mid))
-        frm = fval(0.5 * (mid + hi))
-        left = simp(flo, flm, fmid, mid - lo)
-        right = simp(fmid, frm, fhi, hi - mid)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= eps or depth >= max_depth or evals >= budget:
-            return left + right + err
-        half = 0.5 * eps
-        return recurse(lo, mid, flo, flm, fmid, left, half, depth + 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, half, depth + 1
-        )
-
-    fa, fm, fb = fval(a), fval(0.5 * (a + b)), fval(b)
-    whole = simp(fa, fm, fb, b - a)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from snlpscale import Estimate
@@ -65,6 +66,32 @@ def test_zero_paths_is_a_usage_error(command, capsys):
     argv = [command, *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", "--paths", "0"]
     assert main(argv) == 2
     assert "--paths/--dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exit", *BM_SPEC, "--grid-outer", "4"],
+    ["exit", *BM_SPEC, "--grid-inner", "8"],
+    ["local-time", *BM_SPEC, "--grid-inner", "8"],
+    ["scale-table", "--model", "bm:0,1", "--a", "1", "--grid-inner", "1"],
+    # every outer node lies within ten outer steps of b
+    ["exit", "--model", "bm:0,1", "--b", "0", "--x", "0.01", "--a", "1",
+     "--grid-outer", "5", "--grid-inner", "16"],
+])
+def test_values_the_library_rejects_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_conditional_bins_pair_with_the_documents_curve(capsys):
+    argv = ["conditional", *BM_SPEC, "--potential", "const:0.5",
+            "--grid-outer", "33", "--grid-inner", "256", "--paths", "200", "--seed", "3"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    *bins, up_bin = doc["mc_bins"]
+    for bn in bins:
+        want = np.interp(bn["midpoint"], doc["z"], doc["conditional_laplace"])
+        assert bn["deterministic"] == want
+    assert up_bin["deterministic"] == doc["conditional_laplace"][-1]
 
 
 MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",

@@ -1,0 +1,40 @@
+"""Import layering of the library, read from the source with ``ast``.
+
+The Monte Carlo engine stays independent of the deterministic solver it
+cross-checks, and the runtime dependency is numpy alone.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "snlpscale"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imports(path):
+    """``(module, name)`` for every import; ``name`` is None for ``import m``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                yield module, alias.name
+
+
+def test_mc_imports_only_exit_spec_from_generalized():
+    from_generalized = {
+        (module, name)
+        for module, name in _imports(SRC / "mc.py")
+        if module.endswith("generalized") or name == "generalized"
+    }
+    assert from_generalized == {(".generalized", "ExitSpec")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_does_not_import_scipy(path):
+    assert MODULES
+    assert not [m for m, _ in _imports(path) if m.split(".")[0] == "scipy"]

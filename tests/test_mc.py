@@ -166,3 +166,18 @@ def test_occupation_mc_pairs_antithetic_paths():
     occ = occupation_mc(BM, LEVEL, SPEC, _cfg(antithetic=True), n_levels=9)
     assert occ.time_integral_laplace.n == 1000
     assert occ.occupation_laplace.n == 1000
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_antithetic_mates_mirror_their_primaries(seed):
+    # driftless, started mid-band: each mate is the mirror image of its
+    # primary, so it leaves through the other barrier at the same step
+    cfg = MCConfig(dt=1e-3, n_paths=2000, seed=seed, bridge_correction=False, antithetic=True)
+    spec = ExitSpec(0.0, 0.5, 1.0)
+    res = run_exit_mc(make_brownian(0.0, 1.0), parse_bivariate("const:0.5", 1.0), spec, cfg,
+                      keep_samples=True)
+    half = cfg.n_paths // 2
+    up, functional = res.samples.exited_up, res.samples.functional
+    assert np.all(up[:half] != up[half:])
+    assert np.all(functional[:half] == functional[half:])
+    assert res.p_up.mean == 0.5

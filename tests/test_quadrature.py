@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snlpscale.quadrature import (
-    QuadratureError,
-    adaptive_simpson,
-    composite_simpson,
-    cumulative_simpson,
-)
+from snlpscale.quadrature import composite_simpson, cumulative_simpson
 
 
 def test_composite_simpson_polynomial_exact():
@@ -36,17 +31,3 @@ def test_cumulative_simpson_even_node_count():
     out = cumulative_simpson(np.cos(xs), xs[1] - xs[0])
     assert out[-1] == pytest.approx(math.sin(1.0), abs=1e-5)
 
-
-def test_adaptive_simpson_smooth():
-    val = adaptive_simpson(lambda t: math.exp(-t) * math.sin(3 * t), 0.0, 4.0, tol=1e-12)
-    exact = (3 - math.exp(-4) * (math.sin(12) + 3 * math.cos(12))) / 10.0
-    assert val == pytest.approx(exact, abs=1e-10)
-
-
-def test_adaptive_simpson_orientation():
-    assert adaptive_simpson(lambda t: t, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_adaptive_simpson_rejects_nan():
-    with pytest.raises(QuadratureError):
-        adaptive_simpson(lambda t: float("nan"), 0.0, 1.0)

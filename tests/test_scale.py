@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from snlpscale import (
     InversionError,
@@ -17,7 +18,7 @@ from snlpscale import (
     wq,
     zq,
 )
-from snlpscale.quadrature import adaptive_simpson, composite_simpson
+from snlpscale.quadrature import composite_simpson
 from snlpscale.scale import ScaleTable, _wq_array
 
 from conftest import partial_fraction_w, partial_fraction_w_prime
@@ -55,9 +56,9 @@ class TestWq:
     def test_transform_of_linear_w(self, bm_driftless):
         # independent check of W(x) = 2x: its transform must be 1/psi(beta)
         for beta in (1.0, 2.0, 4.0):
-            val = adaptive_simpson(
+            val, _ = quad(
                 lambda y: math.exp(-beta * y) * wq(bm_driftless, 0.0, y), 0.0, 60.0 / beta,
-                tol=1e-12,
+                epsabs=1e-12, epsrel=0,
             )
             assert val == pytest.approx(1.0 / bm_driftless.psi(beta), rel=1e-8)
 
@@ -227,8 +228,8 @@ class TestExponentialRepresentation:
     def test_ratio_equals_exponential_of_height_tail(self, model):
         b, x, a = 0.0, 0.5, 1.0
         ratio = classical_exit_up(model, 0.0, b, x, a)
-        exponent = adaptive_simpson(
-            lambda s: n_height_tail(model, s - b), x, a, tol=1e-12
+        exponent, _ = quad(
+            lambda s: n_height_tail(model, s - b), x, a, epsabs=1e-12, epsrel=0
         )
         assert ratio == pytest.approx(math.exp(-exponent), abs=1e-8)
 
