@@ -226,7 +226,8 @@ def _simulate_exit_chunk(
     ``acc``; ``observer(x_old, x_new, dt_eff)`` sees every step of the paths
     alive at its start.  The live paths' state sits in dense arrays, in path
     order, with ``pid`` mapping each to its output column.  Without jumps
-    every path takes the full step and ``dt_eff`` is one float.
+    every path takes the full step, so ``dt_eff`` and the elapsed time ``t``
+    are one float each.
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma = model.mu, model.sigma
@@ -239,7 +240,7 @@ def _simulate_exit_chunk(
     pid = np.arange(n)
     x = np.full(n, x0)
     s = np.full(n, x0)
-    t = np.zeros(n)
+    t = np.zeros(n) if jumpy else 0.0
     acc = np.zeros((len(integrands), n))
     jump_in = rng.exponential(1.0 / rate, n) if jumpy else None
     f_prev = [fn(s, x) for fn in integrands]
@@ -324,17 +325,18 @@ def _simulate_exit_chunk(
                 for fp, fn in zip(f_prev, integrands):
                     fp[keep] = fn(s[keep], x[keep])
 
-        tired = ~gone & (t >= t_cap)
-        if np.any(tired):
-            out.censored[pid[tired]] = True
-            gone |= tired
+        if jumpy or t >= t_cap:
+            tired = ~gone & (t >= t_cap)
+            if np.any(tired):
+                out.censored[pid[tired]] = True
+                gone |= tired
 
         if np.any(gone):
             out.acc[:, pid[gone]] = acc[:, gone]
             live = ~gone
-            pid, x, s, t, acc = pid[live], x[live], s[live], t[live], acc[:, live]
+            pid, x, s, acc = pid[live], x[live], s[live], acc[:, live]
             if jumpy:
-                jump_in = jump_in[live]
+                t, jump_in = t[live], jump_in[live]
             f_prev = [fp[live] for fp in f_prev]
     return out
 

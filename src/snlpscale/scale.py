@@ -3,8 +3,11 @@
 ``W^{(q)}`` is the increasing function on ``[0, inf)`` with Laplace transform
 ``1/(psi(beta) - q)`` for ``beta > phi(q)``, extended by zero on the negative
 half line; ``Z^{(q)}(x) = 1 + q * int_0^x W^{(q)}``.  The Brownian family uses
-closed forms; the jump family inverts the transform numerically with a fixed
-Talbot contour shifted to the right of the dominant singularity.
+closed forms; the jump family inverts the transforms numerically with a fixed
+Talbot contour shifted to ``phi(q) + 1``, right of the dominant singularity.
+``Z`` is obtained the same way: ``int_0^x W^{(q)}`` has transform
+``1/(beta (psi(beta) - q))``, so a whole column of ``Z`` values is one
+inversion, with no quadrature over ``W``.
 
 The ratio ``W'(z)/W(z)`` of the 0-scale function is exposed as
 ``n_height_tail``: it equals the excursion-measure mass of excursion heights
@@ -21,7 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .models import Family, LevyModel
-from .quadrature import composite_simpson
+# Unused here; kept importable because bench/spans.py wraps scale.composite_simpson.
+from .quadrature import composite_simpson  # noqa: F401
 
 __all__ = [
     "InversionError",
@@ -36,7 +40,7 @@ __all__ = [
     "make_scale_table",
 ]
 
-_CLAMP = 1e-12  # inversion output below this argument is pinned to W(0) = 0
+_CLAMP = 1e-12  # inversion output below this argument is pinned to W(0) = 0, Z(0) = 1
 
 
 class InversionError(RuntimeError):
@@ -186,20 +190,33 @@ def wq(model: LevyModel, q: float, x: float) -> float:
     return float(_wq_array(model, q, np.asarray([x]))[0])
 
 
+def _zq_array(model: LevyModel, q: float, xs: np.ndarray) -> np.ndarray:
+    """``Z^{(q)}`` on an array of arguments (ones for x <= 0 or q = 0).
+
+    The jump family inverts ``1/(beta (psi(beta) - q))``, the transform of
+    ``int_0^x W^{(q)}``, with the contour of ``_wq_array``: one ``phi`` and
+    one Talbot call per array, and each value independent of the others.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if model.family is Family.BROWNIAN_DRIFT:
+        return _z_brownian(model, q, xs) if q > 0.0 else np.ones_like(xs)
+    out = np.ones_like(xs)
+    pos = xs > _CLAMP
+    if q > 0.0 and np.any(pos):
+        transform = lambda beta: 1.0 / (beta * (model._psi_any(beta) - q))
+        out[pos] += q * _talbot_array(transform, xs[pos], 48, model.phi(q) + 1.0)
+    return out
+
+
 def zq(model: LevyModel, q: float, x: float) -> float:
-    """``Z^{(q)}(x) = 1 + q * int_0^x W^{(q)}``; equals 1 for x <= 0 or q = 0."""
+    """``Z^{(q)}(x) = 1 + q * int_0^x W^{(q)}``; equals 1 for x <= 0 or q = 0.
+
+    The jump family inverts ``1/(beta (psi(beta) - q))`` on the Talbot
+    contour shifted to ``phi(q) + 1`` (see ``_zq_array``).
+    """
     if q < 0.0:
         raise ValueError("zq requires q >= 0")
-    if x <= 0.0 or q == 0.0:
-        return 1.0
-    if model.family is Family.BROWNIAN_DRIFT:
-        return float(_z_brownian(model, q, np.asarray([x]))[0])
-    # Fixed composite Simpson on a fine grid; one vectorized inversion call,
-    # and immune to the small pointwise noise the inversion carries.
-    nodes = 513
-    xs = np.linspace(0.0, float(x), nodes)
-    vals = _wq_array(model, q, xs)
-    return 1.0 + q * composite_simpson(vals, xs[1] - xs[0])
+    return float(_zq_array(model, q, np.asarray([x], dtype=float))[0])
 
 
 def _w_deriv_array(model: LevyModel, q: float, xs: np.ndarray) -> np.ndarray:
@@ -351,7 +368,7 @@ def make_scale_table(
     wp[1:] = _w_deriv_array(model, q, xs[1:])
     z = zp = None
     if with_z:
-        z = np.array([zq(model, q, float(v)) for v in xs])
+        z = _zq_array(model, q, xs)
         zp = q * w
     return ScaleTable(
         grid_lo=0.0,

@@ -28,6 +28,21 @@ def jd_drifting():
     return make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5)
 
 
+def _simple_roots(model, q):
+    """Roots of the cubic ``(psi(beta) - q)(eta + beta)`` with ``psi'`` at each."""
+    eta = model.eta
+    s2 = model.sigma**2
+    coeffs = [
+        s2 / 2.0,
+        model.mu + eta * s2 / 2.0,
+        eta * model.mu - model.jump_rate - q,
+        -q * eta,
+    ]
+    roots = np.roots(coeffs)
+    dpsi = model.mu + s2 * roots - model.jump_rate * eta / (eta + roots) ** 2
+    return roots, dpsi
+
+
 def partial_fraction_w(model, q, x):
     """Independent oracle for the jump family scale function.
 
@@ -36,37 +51,33 @@ def partial_fraction_w(model, q, x):
     Only valid when the roots are simple (fails for oscillating models at
     q = 0, where 0 is a double root).
     """
-    eta = model.eta
-    s2 = model.sigma**2
-    coeffs = [
-        s2 / 2.0,
-        model.mu + eta * s2 / 2.0,
-        eta * model.mu - model.jump_rate - q,
-        -q * eta,
-    ]
-    roots = np.roots(coeffs)
+    roots, dpsi = _simple_roots(model, q)
     total = 0.0 + 0.0j
-    for th in roots:
-        dpsi = model.mu + s2 * th - model.jump_rate * eta / (eta + th) ** 2
-        total += np.exp(th * x) / dpsi
+    for th, d in zip(roots, dpsi):
+        total += np.exp(th * x) / d
     return float(total.real)
 
 
 def partial_fraction_w_prime(model, q, x):
-    eta = model.eta
-    s2 = model.sigma**2
-    coeffs = [
-        s2 / 2.0,
-        model.mu + eta * s2 / 2.0,
-        eta * model.mu - model.jump_rate - q,
-        -q * eta,
-    ]
-    roots = np.roots(coeffs)
+    roots, dpsi = _simple_roots(model, q)
     total = 0.0 + 0.0j
-    for th in roots:
-        dpsi = model.mu + s2 * th - model.jump_rate * eta / (eta + th) ** 2
-        total += th * np.exp(th * x) / dpsi
+    for th, d in zip(roots, dpsi):
+        total += th * np.exp(th * x) / d
     return float(total.real)
+
+
+def partial_fraction_z(model, q, x):
+    """Oracle for ``Z^{(q)} = 1 + q int_0^x W^{(q)}`` from the same simple roots.
+
+    Integrating each exponential of ``partial_fraction_w`` gives
+    ``1 + q * sum expm1(theta x) / (theta psi'(theta))``; needs q > 0, so that
+    no root is 0.
+    """
+    roots, dpsi = _simple_roots(model, q)
+    total = 0.0 + 0.0j
+    for th, d in zip(roots, dpsi):
+        total += np.expm1(th * x) / (th * d)
+    return float(1.0 + q * total.real)
 
 
 def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):

@@ -25,6 +25,7 @@ from snlpscale import (
     parse_univariate,
     run_exit_mc,
 )
+from snlpscale.mc import _chunk_rng, _simulate_exit_chunk
 
 BM = make_brownian(0.3, 1.0)
 JD = make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5)
@@ -152,7 +153,34 @@ class TestClosedForm:
             assert abs(det - est.mean) / est.std_error < 3.0
 
 
+# (censored count, sha256 of the censored mask) at t_cap = 0.2
+CENSOR_GOLDEN = {
+    "bm": (BM, 908, "93c2e44ed7fdb936af3b5953139cb3faa064e7d35c2df221d8e1da2a3934a2e3"),
+    "jd": (JD, 742, "18874245d43a805236b0842eda2628691018953b11f49ce14ee86a24b98407bf"),
+}
+
+
 class TestCensoring:
+    @pytest.mark.parametrize("case", sorted(CENSOR_GOLDEN))
+    def test_censored_paths_are_pinned(self, case):
+        model, count, digest = CENSOR_GOLDEN[case]
+        capped, free = (
+            _simulate_exit_chunk(model, SPEC, _cfg(t_cap=t_cap), _chunk_rng(7, 0), 2000,
+                                 [REFLECTED.eval_pairs])
+            for t_cap in (0.2, None)
+        )
+        assert capped.censored.sum() == count
+        assert hashlib.sha256(capped.censored.tobytes()).hexdigest() == digest
+        assert not free.censored.any()
+        if model is JD:
+            return  # substeps put jump paths past the cap at different steps
+        # without jumps every live path reaches the cap at the same step, so
+        # the others got the same draws as without the cap, and the same record
+        done = ~capped.censored
+        for name in ("up", "s_exit", "x_pre", "x_post"):
+            assert np.array_equal(getattr(capped, name)[done], getattr(free, name)[done])
+        assert np.array_equal(capped.acc[:, done], free.acc[:, done])
+
     def test_exit_mc_raises_on_censoring(self):
         with pytest.raises(RuntimeError, match="censored"):
             run_exit_mc(BM, REFLECTED, SPEC, _cfg(t_cap=1e-3))

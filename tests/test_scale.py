@@ -19,9 +19,9 @@ from snlpscale import (
     zq,
 )
 from snlpscale.quadrature import composite_simpson
-from snlpscale.scale import ScaleTable, _wq_array
+from snlpscale.scale import ScaleTable, _wq_array, _z_brownian
 
-from conftest import partial_fraction_w, partial_fraction_w_prime
+from conftest import partial_fraction_w, partial_fraction_w_prime, partial_fraction_z
 
 
 class TestLaplaceInvert:
@@ -109,6 +109,39 @@ class TestZq:
         assert zq(jd_drifting, 0.5, 1.0) == pytest.approx(oracle, rel=1e-7)
 
 
+class TestZColumn:
+    """The ``Z`` column of ``make_scale_table`` and its agreement with ``zq``."""
+
+    @pytest.mark.parametrize("q", [0.01, 0.5, 5.0])
+    def test_jump_column_against_partial_fractions(self, jd_drifting, q):
+        table = make_scale_table(jd_drifting, q, 4.0, 65)
+        want = [partial_fraction_z(jd_drifting, q, x) for x in table.grid]
+        np.testing.assert_allclose(table.z_values, want, rtol=1e-6, atol=0.0)
+
+    def test_column_does_not_depend_on_row_count(self, jd_drifting):
+        coarse = make_scale_table(jd_drifting, 0.5, 4.0, 3)
+        fine = make_scale_table(jd_drifting, 0.5, 4.0, 4097)
+        assert coarse.grid[1] == fine.grid[2048] == 2.0
+        np.testing.assert_allclose(coarse.z_values, fine.z_values[::2048], rtol=1e-15, atol=0.0)
+
+    def test_point_call_matches_table_entry(self, jd_drifting):
+        table = make_scale_table(jd_drifting, 0.5, 4.0, 9)
+        for k in (1, 4, 8):
+            x = float(table.grid[k])
+            assert zq(jd_drifting, 0.5, x) == pytest.approx(table.z_values[k], rel=1e-15)
+
+    def test_all_ones_without_discount(self, jd_drifting, bm_drift_up):
+        for model in (jd_drifting, bm_drift_up):
+            table = make_scale_table(model, 0.0, 4.0, 17)
+            assert np.all(table.z_values == 1.0)
+            assert np.all(table.z_deriv == 0.0)
+
+    def test_brownian_column_is_closed_form(self, bm_drift_up):
+        table = make_scale_table(bm_drift_up, 0.5, 4.0, 17)
+        want = _z_brownian(bm_drift_up, 0.5, table.grid)
+        np.testing.assert_allclose(table.z_values, want, rtol=1e-15, atol=0.0)
+
+
 class TestWDerivative:
     def test_linear_case(self, bm_driftless):
         assert w_derivative(bm_driftless, 0.0, 1.0) == pytest.approx(2.0, abs=1e-12)
@@ -181,6 +214,17 @@ class TestExitIdentities:
         down = classical_exit_down(jd_unit, q, 0.0, 0.4, 1.0)
         assert 0.0 <= up <= 1.0
         assert 0.0 <= down <= 1.0
+
+    # closer to a the identity is a difference of near-equal terms, and the
+    # relative error of the small result grows with the cancellation
+    @pytest.mark.parametrize("x", [0.1, 0.25, 0.5, 1.0])
+    def test_exit_down_against_partial_fractions(self, jd_drifting, x):
+        q, b, a = 0.5, 0.0, 2.0
+        want = partial_fraction_z(jd_drifting, q, x - b) - partial_fraction_z(
+            jd_drifting, q, a - b
+        ) * partial_fraction_w(jd_drifting, q, x - b) / partial_fraction_w(jd_drifting, q, a - b)
+        got = classical_exit_down(jd_drifting, q, b, x, a)
+        assert got == pytest.approx(want, rel=1e-7)
 
     def test_ordering_violation_rejected(self, bm_driftless):
         with pytest.raises(ValueError):
