@@ -361,6 +361,8 @@ def make_scale_table(
     """
     if hi <= 0.0 or n < 2:
         raise ValueError("make_scale_table requires hi > 0 and n >= 2 nodes")
+    if q < 0.0:
+        raise ValueError("make_scale_table requires q >= 0")
     xs = np.linspace(0.0, hi, n)
     w = _wq_array(model, q, xs)
     wp = np.empty_like(xs)

@@ -294,6 +294,11 @@ class TestScaleTable:
         assert x == 2.0
         assert w == pytest.approx(wq(bm_driftless, 0.5, 2.0), rel=1e-15)
 
+    def test_rejects_negative_discount(self, bm_driftless, jd_drifting):
+        for model in (bm_driftless, jd_drifting):
+            with pytest.raises(ValueError):
+                make_scale_table(model, -0.5, 2.0, 9)
+
     def test_validation_rejects_nonzero_origin(self):
         with pytest.raises(ValueError):
             ScaleTable(
