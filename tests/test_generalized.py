@@ -29,7 +29,7 @@ from snlpscale import (
 )
 from snlpscale.quadrature import composite_simpson
 
-from conftest import route_constancy_ratios
+from conftest import partial_fraction_w, partial_fraction_z, route_constancy_ratios
 
 ZERO = BivariatePotential(lambda s, x: 0.0 * s, bound=0.0, name="zero")
 HALF = BivariatePotential(lambda s, x: 0.5 + 0.0 * s, bound=0.5, name="half")
@@ -129,6 +129,20 @@ class TestExitDown:
         assert got == pytest.approx(
             classical_exit_down(bm_driftless, 0.5, 0.0, 0.5, 1.0), abs=1e-5
         )
+
+
+class TestJumpFamilyExactExit:
+    def test_constant_potential_is_classical_identity(self, jd_drifting):
+        # a constant killing rate q is the classical discounted exit problem,
+        # so the refined generalized values must reproduce the partial-fraction
+        # W^{(q)}/Z^{(q)} identities
+        q, spec = 0.5, ExitSpec(0.0, 0.5, 2.0)
+        res = evaluate_exit(jd_drifting, parse_bivariate("const:0.5", spec.a - spec.b), spec)
+        assert res.diagnostics["converged"]
+        ratio = partial_fraction_w(jd_drifting, q, 0.5) / partial_fraction_w(jd_drifting, q, 2.0)
+        down = partial_fraction_z(jd_drifting, q, 0.5) - partial_fraction_z(jd_drifting, q, 2.0) * ratio
+        assert res.up_laplace == pytest.approx(ratio, rel=1e-6)
+        assert res.down_value == pytest.approx(down, rel=1e-6)
 
 
 class TestSupremumLaw:
