@@ -35,7 +35,6 @@ from .mc import (
 )
 from . import mc as _mc
 from .models import (
-    DriftRegime,
     Family,
     LevyModel,
     RootFindingError,
@@ -74,7 +73,6 @@ _mc.conditional_curve = conditional_curve
 __all__ = [
     "BivariatePotential",
     "ConditionalMCResult",
-    "DriftRegime",
     "Estimate",
     "ExitMCResult",
     "ExitSamples",

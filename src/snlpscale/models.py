@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "Family",
-    "DriftRegime",
     "LevyModel",
     "make_brownian",
     "make_exp_jump_diffusion",
@@ -34,12 +33,6 @@ _ArrayLike = Union[float, np.ndarray]
 class Family(str, enum.Enum):
     BROWNIAN_DRIFT = "brownian_drift"
     EXP_JUMP_DIFFUSION = "exp_jump_diffusion"
-
-
-class DriftRegime(enum.Enum):
-    DRIFTS_TO_PLUS_INFINITY = "drifts_to_plus_infinity"
-    DRIFTS_TO_MINUS_INFINITY = "drifts_to_minus_infinity"
-    OSCILLATES = "oscillates"
 
 
 class RootFindingError(RuntimeError):
@@ -115,94 +108,79 @@ class LevyModel:
         return self.mu - self.jump_rate * self.jump_mean
 
     # ------------------------------------------------------------------
-    # Right inverse of psi
+    # Roots of psi(beta) = q
     # ------------------------------------------------------------------
 
     def phi(self, q: float) -> float:
-        """Largest nonnegative root of ``psi(lam) = q``.
-
-        Brackets the root above the convexity minimum of ``psi``, bisects
-        to near machine precision and finishes with a few Newton steps.
+        """Largest root of ``psi(lam) = q``: the last entry of :meth:`roots`.
 
         Raises:
-            RootFindingError: if the bracketing or bisection fails to
-                converge (the message carries the bracket state).
+            RootFindingError: if the Newton iteration does not settle.
+        """
+        return self.roots(q)[-1]
+
+    def roots(self, q: float) -> tuple:
+        """Real poles of ``1/(psi(beta) - q)``, ascending.
+
+        Without jumps the poles are the roots ``(lo, hi)`` of the quadratic
+        ``psi(beta) - q``.  With jumps they are the roots of the cubic
+        ``(psi(beta) - q)(eta + beta)``, ``(far, lo, hi)`` with ``far < -eta <
+        lo <= 0 <= hi``; the cubic changes sign on each of those intervals,
+        so no root is complex.
+
+        ``hi = phi(q)`` comes from Newton's method on that polynomial, which
+        is convex and increasing right of ``hi``.  The start is the positive
+        root of ``psi'(0) b + sigma^2 b^2/2 = q``: the jump term of ``psi``
+        lies above its tangent at 0, so the start is at or above ``phi(q)``
+        and the iterates fall monotonically onto the root.  ``lo`` and
+        ``far`` follow from the sum and the product of the roots.
+
+        Raises:
+            RootFindingError: if the Newton iteration does not settle.
         """
         if q < 0.0:
-            raise ValueError("phi is defined for q >= 0 only")
-        if q == 0.0 and self.psi_prime_at_zero() >= 0.0:
-            return 0.0
-
-        # psi is strictly convex; beyond its minimizer it is strictly
-        # increasing, so the largest root lives in [lam_min, inf).
-        lam_min = 0.0
-        if self.psi_prime_at_zero() < 0.0:
-            hi = 1.0
-            while self.psi_derivative(hi) <= 0.0:
-                hi *= 2.0
-                if hi > 1e12:
-                    raise RootFindingError(
-                        f"phi: could not bracket the exponent minimum, hi={hi}"
-                    )
-            lo = 0.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if self.psi_derivative(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-15 * max(1.0, hi):
-                    break
-            lam_min = hi
-
-        hi = max(1.0, 2.0 * lam_min)
-        while self._psi_any(hi) <= q:
-            hi *= 2.0
-            if hi > 1e12:
-                raise RootFindingError(
-                    f"phi: bracket expansion failed, q={q}, hi={hi}, "
-                    f"psi(hi)={self._psi_any(hi)}"
-                )
-        lo = lam_min
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self._psi_any(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 * max(1.0, hi):
-                break
+            raise ValueError("phi and roots are defined for q >= 0 only")
+        a2 = 0.5 * self.sigma**2
+        kappa = self.psi_prime_at_zero()
+        eta = self.eta
+        jumps = self.jump_rate > 0.0
+        if jumps:  # (psi(beta) - q)(eta + beta)
+            coeffs = (a2, self.mu + eta * a2, eta * kappa - q, -q * eta)
         else:
-            raise RootFindingError(
-                f"phi: bisection did not converge, bracket=[{lo}, {hi}], q={q}"
-            )
-        root = 0.5 * (lo + hi)
-        for _ in range(4):
-            slope = self.psi_derivative(root)
-            if slope <= 0.0:
-                break
-            step = (self._psi_any(root) - q) / slope
-            root -= step
-            if abs(step) < 1e-16 * max(1.0, root):
-                break
-        return float(max(root, 0.0))
+            coeffs = (a2, self.mu, -q)
+        hi = 0.0
+        if q > 0.0 or kappa < 0.0:
+            disc = np.sqrt(kappa * kappa + 4.0 * a2 * q)
+            hi = 2.0 * q / (kappa + disc) if kappa > 0.0 else (disc - kappa) / (2.0 * a2)
+            for _ in range(200):
+                val = slope = 0.0
+                for c in coeffs:  # Horner, with the derivative alongside
+                    slope = slope * hi + val
+                    val = val * hi + c
+                if not slope > 0.0:
+                    raise RootFindingError(f"phi: left the increasing branch, q={q}, lam={hi}")
+                nxt = hi - val / slope
+                if not nxt < hi:  # at the root, or a step below one ulp
+                    break
+                hi = nxt
+            else:
+                raise RootFindingError(f"phi: Newton did not settle, q={q}, last={hi}")
+        if not jumps:
+            # lo * hi = -q / a2 and lo + hi = -mu / a2
+            out = (-q / (a2 * hi) if hi > 0.0 else -self.mu / a2, hi)
+        else:
+            # far + lo + hi = -(mu / a2 + eta) and far * lo * hi = q eta / a2
+            total = -(self.mu / a2 + eta) - hi
+            prod = eta * (q / hi if hi > 0.0 else kappa) / a2
+            far = 0.5 * (total - np.sqrt(total * total - 4.0 * prod))
+            out = (far, prod / far, hi)
+        if not np.all(np.isfinite(out)):
+            raise RootFindingError(f"phi: non-finite roots {out} at q={q}")
+        return tuple(float(r) for r in out)
 
     # ------------------------------------------------------------------
-    # Qualitative behaviour and measure changes
+    # Measure changes
     # ------------------------------------------------------------------
-
-    def drift_regime(self) -> DriftRegime:
-        """Long-run behaviour determined by the sign of ``psi'(0+)``."""
-        slope = self.psi_prime_at_zero()
-        if slope > 0.0:
-            return DriftRegime.DRIFTS_TO_PLUS_INFINITY
-        if slope < 0.0:
-            return DriftRegime.DRIFTS_TO_MINUS_INFINITY
-        return DriftRegime.OSCILLATES
-
-    def has_unbounded_variation(self) -> bool:
-        """True iff the Gaussian part is nonzero (always, by construction)."""
-        return self.sigma != 0.0
 
     def esscher_tilt(self, c: float) -> "LevyModel":
         """Exponentially tilted model with exponent ``psi(. + c) - psi(c)``.
@@ -237,19 +215,6 @@ class LevyModel:
             out["jump_rate"] = self.jump_rate
             out["jump_mean"] = self.jump_mean
         return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "LevyModel":
-        family = Family(data["family"])
-        if family is Family.BROWNIAN_DRIFT:
-            return LevyModel(family, float(data["mu"]), float(data["sigma"]))
-        return LevyModel(
-            family,
-            float(data["mu"]),
-            float(data["sigma"]),
-            jump_rate=float(data.get("jump_rate", 0.0)),
-            jump_mean=float(data.get("jump_mean", 1.0)),
-        )
 
 
 def make_brownian(mu: float, sigma: float) -> LevyModel:

@@ -2,12 +2,13 @@
 
 ``W^{(q)}`` is the increasing function on ``[0, inf)`` with Laplace transform
 ``1/(psi(beta) - q)`` for ``beta > phi(q)``, extended by zero on the negative
-half line; ``Z^{(q)}(x) = 1 + q * int_0^x W^{(q)}``.  The Brownian family uses
-closed forms; the jump family inverts the transforms numerically with a fixed
-Talbot contour shifted to ``phi(q) + 1``, right of the dominant singularity.
-``Z`` is obtained the same way: ``int_0^x W^{(q)}`` has transform
-``1/(beta (psi(beta) - q))``, so a whole column of ``Z`` values is one
-inversion, with no quadrature over ``W``.
+half line; ``Z^{(q)}(x) = 1 + q * int_0^x W^{(q)}``.  For both model families
+the transform is rational with real poles (``LevyModel.roots``), so ``W``,
+``W'`` and ``Z`` are exact sums of exponentials, built once per ``(model, q)``.
+The two poles next to the origin merge when ``q = 0`` and ``psi'(0) = 0``;
+they enter through a divided difference that stays exact as they meet.
+``laplace_invert`` is a general fixed-Talbot utility; the scale functions do
+not use it.
 
 The ratio ``W'(z)/W(z)`` of the 0-scale function is exposed as
 ``n_height_tail``: it equals the excursion-measure mass of excursion heights
@@ -19,11 +20,11 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .models import Family, LevyModel
+from .models import LevyModel
 # Unused here; kept importable because bench/spans.py wraps scale.composite_simpson.
 from .quadrature import composite_simpson  # noqa: F401
 
@@ -39,8 +40,6 @@ __all__ = [
     "ScaleTable",
     "make_scale_table",
 ]
-
-_CLAMP = 1e-12  # inversion output below this argument is pinned to W(0) = 0, Z(0) = 1
 
 
 class InversionError(RuntimeError):
@@ -124,123 +123,110 @@ def _talbot_array(
 
 
 # ---------------------------------------------------------------------------
-# Brownian closed forms
-# ---------------------------------------------------------------------------
-
-
-def _brownian_params(model: LevyModel, q: float):
-    s2 = model.sigma**2
-    m = model.mu / s2
-    delta = np.sqrt(model.mu**2 + 2.0 * q * s2) / s2
-    return s2, m, delta
-
-
-def _sinhc(delta: float, x: np.ndarray) -> np.ndarray:
-    """sinh(delta*x)/delta, with the exact delta == 0 limit."""
-    if delta == 0.0:
-        return np.asarray(x, dtype=float).copy()
-    return np.sinh(delta * x) / delta
-
-
-def _w_brownian(model: LevyModel, q: float, x: np.ndarray) -> np.ndarray:
-    s2, m, delta = _brownian_params(model, q)
-    x = np.asarray(x, dtype=float)
-    out = (2.0 / s2) * np.exp(-m * x) * _sinhc(delta, x)
-    return np.where(x > 0.0, out, 0.0)
-
-
-def _w_brownian_deriv(model: LevyModel, q: float, x: np.ndarray) -> np.ndarray:
-    s2, m, delta = _brownian_params(model, q)
-    x = np.asarray(x, dtype=float)
-    return (2.0 / s2) * np.exp(-m * x) * (np.cosh(delta * x) - m * _sinhc(delta, x))
-
-
-def _z_brownian(model: LevyModel, q: float, x: np.ndarray) -> np.ndarray:
-    _, m, delta = _brownian_params(model, q)
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-m * x) * (np.cosh(delta * x) + m * _sinhc(delta, x))
-    return np.where(x > 0.0, out, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # Scale functions
 # ---------------------------------------------------------------------------
 
 
+class _ExpSum(NamedTuple):
+    """``W^{(q)}``, ``W^{(q)'}`` and ``Z^{(q)}`` as sums of exponentials.
+
+    Each function is the combination, with the coefficients of its field, of
+    the columns ``e^{far x}``, ``e^{far x} - e^{lo x}``, ``(e^{hi x} - e^{lo x})/(hi -
+    lo)`` and ``e^{lo x}``.  The differences are evaluated without
+    cancellation: the second as ``e^{lo x} expm1((far - lo) x)``, the third as
+    ``e^{hi x} x E(-(hi - lo) x)`` with ``E(u) = expm1(u)/u`` and ``E(0) = 1``,
+    exact as the roots merge and free of overflow short of ``e^{hi x}``.
+    """
+
+    far: float
+    lo: float
+    hi: float
+    w: tuple
+    w_prime: tuple
+    z: tuple
+
+    def column(self, field: str, xs) -> np.ndarray:
+        """``W``, ``W'`` or ``Z`` (by field name) at ``max(xs, 0)``."""
+        xs = np.maximum(np.asarray(xs, dtype=float), 0.0)
+        e_lo = np.exp(self.lo * xs)
+        v = (self.hi - self.lo) * xs
+        e_neg = np.divide(-np.expm1(-v), v, out=np.ones_like(v), where=v != 0.0)
+        cols = (
+            np.exp(self.far * xs),
+            e_lo * np.expm1((self.far - self.lo) * xs),
+            np.exp(self.hi * xs) * (xs * e_neg),
+            e_lo,
+        )
+        return sum(c * col for c, col in zip(getattr(self, field), cols) if c)
+
+
+@lru_cache(maxsize=64)
+def _exp_sum(model: LevyModel, q: float) -> _ExpSum:
+    """Partial fractions of ``1/(psi(beta) - q)`` over ``model.roots(q)``.
+
+    With jumps the transform is ``(2/sigma^2)(eta + beta)/((beta - far)(beta -
+    lo)(beta - hi))``.  Its ``far`` residue is ``c_far``; since the residues
+    sum to zero, the ``lo`` and ``hi`` terms are ``r_hi`` times the divided
+    difference minus ``c_far e^{lo x}``, with ``r_hi`` the ``hi`` residue times
+    ``hi - lo``.  Weighting each residue by ``theta`` (for ``W'``) or by
+    ``psi(theta)/theta = q/theta`` (for ``Z``) and taking divided differences
+    of the weighted ``lo``/``hi`` pair the same way gives the other two
+    functions.  Without jumps the far term is absent and ``r_hi = 2/sigma^2``.
+    """
+    roots = model.roots(q)
+    lo, hi = roots[-2:]
+    r0 = 2.0 / model.sigma**2
+    far, c_far, r_hi, z_far = lo, 0.0, r0, 0.0
+    if len(roots) == 3:
+        far = roots[0]
+        c_far = r0 * (model.eta + far) / ((far - lo) * (far - hi))
+        r_hi = r0 * (model.eta + hi) / (hi - far)
+        z_far = c_far * q / far
+    g_hi = q / hi if q > 0.0 else 0.0  # psi(hi)/hi; at q = 0, Z is 1 without it
+    return _ExpSum(
+        far, lo, hi,
+        w=(0.0, c_far, r_hi, 0.0),
+        w_prime=(c_far * far, 0.0, r_hi * hi, r_hi - c_far * lo),
+        z=(0.0, z_far, g_hi * r_hi, 1.0),
+    )
+
+
 def _wq_array(model: LevyModel, q: float, xs: np.ndarray) -> np.ndarray:
     """``W^{(q)}`` on an array of arguments (zeros for x <= 0)."""
-    xs = np.asarray(xs, dtype=float)
-    if model.family is Family.BROWNIAN_DRIFT:
-        return _w_brownian(model, q, xs)
-    out = np.zeros_like(xs)
-    pos = xs > _CLAMP
-    if np.any(pos):
-        shift = model.phi(q) + 1.0
-        transform = lambda beta: 1.0 / (model._psi_any(beta) - q)
-        out[pos] = _talbot_array(transform, xs[pos], 48, shift)
-    return out
+    return _exp_sum(model, float(q)).column("w", xs)
 
 
 def wq(model: LevyModel, q: float, x: float) -> float:
     """``W^{(q)}(x)``; zero on the negative half line."""
     if q < 0.0:
         raise ValueError("wq requires q >= 0")
-    if x <= _CLAMP:
-        return 0.0
-    return float(_wq_array(model, q, np.asarray([x]))[0])
+    return float(_wq_array(model, q, np.asarray([x], dtype=float))[0])
 
 
 def _zq_array(model: LevyModel, q: float, xs: np.ndarray) -> np.ndarray:
-    """``Z^{(q)}`` on an array of arguments (ones for x <= 0 or q = 0).
-
-    The jump family inverts ``1/(beta (psi(beta) - q))``, the transform of
-    ``int_0^x W^{(q)}``, with the contour of ``_wq_array``: one ``phi`` and
-    one Talbot call per array, and each value independent of the others.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if model.family is Family.BROWNIAN_DRIFT:
-        return _z_brownian(model, q, xs) if q > 0.0 else np.ones_like(xs)
-    out = np.ones_like(xs)
-    pos = xs > _CLAMP
-    if q > 0.0 and np.any(pos):
-        transform = lambda beta: 1.0 / (beta * (model._psi_any(beta) - q))
-        out[pos] += q * _talbot_array(transform, xs[pos], 48, model.phi(q) + 1.0)
-    return out
+    """``Z^{(q)}`` on an array of arguments (ones for x <= 0 or q = 0)."""
+    if q == 0.0:
+        return np.ones_like(np.asarray(xs, dtype=float))
+    return _exp_sum(model, float(q)).column("z", xs)
 
 
 def zq(model: LevyModel, q: float, x: float) -> float:
-    """``Z^{(q)}(x) = 1 + q * int_0^x W^{(q)}``; equals 1 for x <= 0 or q = 0.
-
-    The jump family inverts ``1/(beta (psi(beta) - q))`` on the Talbot
-    contour shifted to ``phi(q) + 1`` (see ``_zq_array``).
-    """
+    """``Z^{(q)}(x) = 1 + q * int_0^x W^{(q)}``; equals 1 for x <= 0 or q = 0."""
     if q < 0.0:
         raise ValueError("zq requires q >= 0")
     return float(_zq_array(model, q, np.asarray([x], dtype=float))[0])
 
 
 def _w_deriv_array(model: LevyModel, q: float, xs: np.ndarray) -> np.ndarray:
-    """Derivative of ``W^{(q)}`` on positive arguments.
-
-    Analytic for the Brownian family.  For inverted families the derivative
-    transform ``beta/(psi(beta)-q)`` is inverted directly (the boundary term
-    vanishes because ``W(0) = 0``); a difference stencil on top of the
-    contour inversion would amplify its small pointwise noise by the inverse
-    step and lose five digits.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if model.family is Family.BROWNIAN_DRIFT:
-        return _w_brownian_deriv(model, q, xs)
-    shift = model.phi(q) + 1.0
-    transform = lambda beta: beta / (model._psi_any(beta) - q)
-    return _talbot_array(transform, xs, 48, shift)
+    """Derivative of ``W^{(q)}`` on positive arguments."""
+    return _exp_sum(model, float(q)).column("w_prime", xs)
 
 
 def w_derivative(model: LevyModel, q: float, x: float) -> float:
     """``d/dx W^{(q)}(x)`` for x > 0."""
     if x <= 0.0:
         raise ValueError("w_derivative requires x > 0")
-    return float(_w_deriv_array(model, q, np.asarray([x]))[0])
+    return float(_w_deriv_array(model, q, np.asarray([x], dtype=float))[0])
 
 
 def n_height_tail(model: LevyModel, z: float) -> float:

@@ -71,13 +71,13 @@ class VolterraSolution:
         return w_end, _trapz_end(kp, self.fvals * self.z, h)
 
 
-def _kernel_arrays(model: LevyModel, n: int, h: float):
-    """0-scale kernel and its derivative on the difference lattice ``k*h``."""
-    lattice = h * np.arange(n + 1)
+def _kernel_arrays(model: LevyModel, n: int, h: np.ndarray):
+    """0-scale kernel and its derivative on each row's difference lattice ``k*h[r]``."""
+    lattice = h[:, None] * np.arange(n + 1)
     k = _wq_array(model, 0.0, lattice)
     kp = np.empty_like(k)
-    kp[0] = w_prime_at_zero(model)
-    kp[1:] = _w_deriv_array(model, 0.0, lattice[1:])
+    kp[:, 0] = w_prime_at_zero(model)
+    kp[:, 1:] = _w_deriv_array(model, 0.0, lattice[:, 1:])
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(kp))):
         raise ArithmeticError("non-finite 0-scale kernel values on the solve lattice")
     return k, kp
@@ -148,8 +148,7 @@ def solve_w_z_f(
     nodes = b + h[:, None] * np.arange(n + 1)
     nodes[:, -1] = his
     fvals = np.array([fr.eval_array(row) for fr, row in zip(fs, nodes)])
-    # one row at a time: an inverted kernel's Talbot arrays grow with the points
-    kernel, kp = map(np.array, zip(*(_kernel_arrays(model, n, hr) for hr in h)))
+    kernel, kp = _kernel_arrays(model, n, h)
 
     inhom = np.empty((n + 1, len(fs), 2))
     inhom[:, :, 0] = kernel.T

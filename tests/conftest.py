@@ -80,6 +80,20 @@ def partial_fraction_z(model, q, x):
     return float(1.0 + q * total.real)
 
 
+def brownian_z(model, q, x):
+    """Closed-form ``Z^{(q)}`` of Brownian motion with drift, for q > 0.
+
+    With ``m = mu/sigma^2`` and ``delta = sqrt(mu^2 + 2 q sigma^2)/sigma^2``,
+    ``Z^{(q)}(x) = e^{-m x} (cosh(delta x) + m sinh(delta x)/delta)`` on x > 0.
+    """
+    s2 = model.sigma**2
+    m = model.mu / s2
+    delta = np.sqrt(model.mu**2 + 2.0 * q * s2) / s2
+    x = np.asarray(x, dtype=float)
+    out = np.exp(-m * x) * (np.cosh(delta * x) + m * np.sinh(delta * x) / delta)
+    return np.where(x > 0.0, out, 1.0)
+
+
 def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
     """Excursion-route over renewal-route ratios for a step potential.
 

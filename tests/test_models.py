@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snlpscale import (
-    DriftRegime,
-    Family,
-    LevyModel,
-    make_brownian,
-    make_exp_jump_diffusion,
-)
+from snlpscale import make_brownian, make_exp_jump_diffusion
 
 
 class TestConstruction:
@@ -53,10 +47,6 @@ class TestConstruction:
     def test_brownian_sqrt2_value(self):
         assert make_brownian(0.0, 1.0).psi(math.sqrt(2.0)) == pytest.approx(1.0)
 
-    def test_serialization_round_trip(self):
-        for m in (make_brownian(0.3, 1.2), make_exp_jump_diffusion(1.0, 1.0, 2.0, 0.5)):
-            assert LevyModel.from_dict(m.to_dict()) == m
-
 
 class TestPhi:
     def test_brownian_inverse(self):
@@ -83,6 +73,14 @@ class TestPhi:
         root = model.phi(q)
         assert model.psi(root) == pytest.approx(q, rel=1e-10, abs=1e-12)
 
+    def test_subnormal_parameters(self):
+        # a plain companion-matrix root solve returned a root with psi = 0.65 here
+        m = make_exp_jump_diffusion(1.1125e-308, 1.0, 1.1125e-308, 0.25)
+        root = m.phi(1.1125e-308)
+        assert root > 0.0
+        assert m.psi(root) == pytest.approx(1.1125e-308, rel=1e-9)
+        assert m.psi_derivative(root) >= 0.0
+
     def test_phi_monotone(self):
         m = make_exp_jump_diffusion(-0.5, 1.0, 2.0, 0.4)
         qs = np.linspace(0.0, 4.0, 25)
@@ -95,18 +93,6 @@ class TestPhi:
 
 
 class TestRegimes:
-    def test_trichotomy(self):
-        assert make_brownian(1.0, 1.0).drift_regime() is DriftRegime.DRIFTS_TO_PLUS_INFINITY
-        assert make_brownian(0.0, 1.0).drift_regime() is DriftRegime.OSCILLATES
-        assert (
-            make_exp_jump_diffusion(1.0, 1.0, 2.0, 1.0).drift_regime()
-            is DriftRegime.DRIFTS_TO_MINUS_INFINITY
-        )
-
-    def test_unbounded_variation(self):
-        assert make_brownian(0.0, 1.0).has_unbounded_variation()
-        assert make_exp_jump_diffusion(1.0, 0.5, 3.0, 2.0).has_unbounded_variation()
-
     def test_psi_prime_analytic(self):
         m = make_exp_jump_diffusion(1.0, 1.0, 2.0, 0.25)
         assert m.psi_prime_at_zero() == pytest.approx(0.5)
@@ -156,7 +142,7 @@ class TestEsscher:
             make_exp_jump_diffusion(-0.5, 1.0, 2.0, 0.4),
         ):
             tilted = m.esscher_tilt(m.phi(q))
-            assert tilted.drift_regime() is not DriftRegime.DRIFTS_TO_MINUS_INFINITY
+            assert tilted.psi_prime_at_zero() >= 0.0
 
     def test_negative_tilt_rejected(self):
         with pytest.raises(ValueError):

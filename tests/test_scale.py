@@ -6,22 +6,31 @@ import pytest
 from scipy.integrate import quad
 
 from snlpscale import (
+    ExitSpec,
     InversionError,
     classical_exit_down,
     classical_exit_up,
+    evaluate_exit,
     laplace_invert,
     make_brownian,
     make_exp_jump_diffusion,
     make_scale_table,
     n_height_tail,
+    parse_bivariate,
     w_derivative,
     wq,
     zq,
 )
+from snlpscale import scale
 from snlpscale.quadrature import composite_simpson
-from snlpscale.scale import ScaleTable, _wq_array, _z_brownian
+from snlpscale.scale import ScaleTable, _wq_array
 
-from conftest import partial_fraction_w, partial_fraction_w_prime, partial_fraction_z
+from conftest import (
+    brownian_z,
+    partial_fraction_w,
+    partial_fraction_w_prime,
+    partial_fraction_z,
+)
 
 
 class TestLaplaceInvert:
@@ -138,8 +147,68 @@ class TestZColumn:
 
     def test_brownian_column_is_closed_form(self, bm_drift_up):
         table = make_scale_table(bm_drift_up, 0.5, 4.0, 17)
-        want = _z_brownian(bm_drift_up, 0.5, table.grid)
+        want = brownian_z(bm_drift_up, 0.5, table.grid)
         np.testing.assert_allclose(table.z_values, want, rtol=1e-15, atol=0.0)
+
+
+class TestDoubleRoot:
+    """``q = 0`` with ``psi'(0) = 0``: the poles ``lo`` and ``hi`` meet at 0."""
+
+    XS = np.linspace(0.1, 2.0, 12)
+
+    def test_jump_family_closed_form(self, jd_unit):
+        # poles {-3, 0, 0}: W = 4/9 + 2x/3 - (4/9) e^{-3x}
+        xs = self.XS
+        assert jd_unit.roots(0.0) == (-3.0, 0.0, 0.0)
+        want_w = 4.0 / 9.0 + 2.0 * xs / 3.0 - 4.0 / 9.0 * np.exp(-3.0 * xs)
+        want_wp = 2.0 / 3.0 + 4.0 / 3.0 * np.exp(-3.0 * xs)
+        for i, x in enumerate(xs):
+            assert wq(jd_unit, 0.0, x) == pytest.approx(want_w[i], rel=1e-14)
+            assert w_derivative(jd_unit, 0.0, x) == pytest.approx(want_wp[i], rel=1e-14)
+            assert zq(jd_unit, 0.0, x) == 1.0
+
+    def test_brownian_closed_form(self, bm_driftless):
+        for x in self.XS:
+            assert wq(bm_driftless, 0.0, x) == pytest.approx(2.0 * x, rel=1e-14)
+            assert w_derivative(bm_driftless, 0.0, x) == pytest.approx(2.0, rel=1e-14)
+            assert zq(bm_driftless, 0.0, x) == 1.0
+
+    @pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-4])
+    def test_continuous_in_q_against_inversion(self, jd_unit, bm_driftless, q):
+        for model in (jd_unit, bm_driftless):
+            shift = model.phi(q) + 1.0
+            for x in self.XS:
+                w = laplace_invert(lambda b: 1.0 / (model._psi_any(b) - q), x, shift=shift)
+                wp = laplace_invert(lambda b: b / (model._psi_any(b) - q), x, shift=shift)
+                int_w = laplace_invert(
+                    lambda b: 1.0 / (b * (model._psi_any(b) - q)), x, shift=shift
+                )
+                assert wq(model, q, x) == pytest.approx(w, rel=1e-7)
+                assert zq(model, q, x) == pytest.approx(1.0 + q * int_w, rel=1e-7)
+                # the derivative transform decays only like 1/beta, and the
+                # contour's own error on it reaches 1.3e-7 here
+                assert w_derivative(model, q, x) == pytest.approx(wp, rel=1e-6)
+
+
+class TestNoInversionOnTheHotPath:
+    def test_scale_functions_and_exit_run_without_talbot(
+        self, monkeypatch, bm_drift_up, jd_drifting
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Talbot inversion reached")
+
+        monkeypatch.setattr(scale, "_talbot_array", refuse)
+        table = make_scale_table(jd_drifting, 0.5, 4.0, 65)
+        assert np.all(np.isfinite(table.z_values))
+        for model in (bm_drift_up, jd_drifting):
+            assert wq(model, 0.5, 1.0) > 0.0
+            assert zq(model, 0.5, 1.0) > 1.0
+            assert w_derivative(model, 0.5, 1.0) > 0.0
+        res = evaluate_exit(
+            jd_drifting, parse_bivariate("const:0.5", 1.0), ExitSpec(0.0, 0.5, 1.0),
+            n_outer=9, n_inner=32, refine=False,
+        )
+        assert 0.0 < res.up_laplace < 1.0
 
 
 class TestWDerivative:
