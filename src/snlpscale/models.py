@@ -136,10 +136,11 @@ class LevyModel:
         ``far`` follow from the sum and the product of the roots.
 
         Raises:
+            ValueError: for q < 0; every scale function checks q here.
             RootFindingError: if the Newton iteration does not settle.
         """
         if q < 0.0:
-            raise ValueError("phi and roots are defined for q >= 0 only")
+            raise ValueError(f"psi(beta) = q needs q >= 0, got q={q}")
         a2 = 0.5 * self.sigma**2
         kappa = self.psi_prime_at_zero()
         eta = self.eta

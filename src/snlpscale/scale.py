@@ -151,13 +151,17 @@ class _ExpSum(NamedTuple):
         e_lo = np.exp(self.lo * xs)
         v = (self.hi - self.lo) * xs
         e_neg = np.divide(-np.expm1(-v), v, out=np.ones_like(v), where=v != 0.0)
-        cols = (
-            np.exp(self.far * xs),
-            e_lo * np.expm1((self.far - self.lo) * xs),
-            np.exp(self.hi * xs) * (xs * e_neg),
-            e_lo,
-        )
-        return sum(c * col for c, col in zip(getattr(self, field), cols) if c)
+        with np.errstate(over="ignore"):
+            cols = (
+                np.exp(self.far * xs),
+                e_lo * np.expm1((self.far - self.lo) * xs),
+                np.exp(self.hi * xs) * (xs * e_neg),
+                e_lo,
+            )
+            out = sum(c * col for c, col in zip(getattr(self, field), cols) if c)
+        if not np.all(np.isfinite(out)):
+            raise OverflowError(f"{field} overflows by x={float(xs.max())!r} (phi(q)={self.hi!r})")
+        return out
 
 
 @lru_cache(maxsize=64)
@@ -198,8 +202,6 @@ def _wq_array(model: LevyModel, q: float, xs: np.ndarray) -> np.ndarray:
 
 def wq(model: LevyModel, q: float, x: float) -> float:
     """``W^{(q)}(x)``; zero on the negative half line."""
-    if q < 0.0:
-        raise ValueError("wq requires q >= 0")
     return float(_wq_array(model, q, np.asarray([x], dtype=float))[0])
 
 
@@ -212,13 +214,11 @@ def _zq_array(model: LevyModel, q: float, xs: np.ndarray) -> np.ndarray:
 
 def zq(model: LevyModel, q: float, x: float) -> float:
     """``Z^{(q)}(x) = 1 + q * int_0^x W^{(q)}``; equals 1 for x <= 0 or q = 0."""
-    if q < 0.0:
-        raise ValueError("zq requires q >= 0")
     return float(_zq_array(model, q, np.asarray([x], dtype=float))[0])
 
 
 def _w_deriv_array(model: LevyModel, q: float, xs: np.ndarray) -> np.ndarray:
-    """Derivative of ``W^{(q)}`` on positive arguments."""
+    """Derivative of ``W^{(q)}`` on arguments >= 0 (the right derivative at 0)."""
     return _exp_sum(model, float(q)).column("w_prime", xs)
 
 
@@ -347,13 +347,9 @@ def make_scale_table(
     """
     if hi <= 0.0 or n < 2:
         raise ValueError("make_scale_table requires hi > 0 and n >= 2 nodes")
-    if q < 0.0:
-        raise ValueError("make_scale_table requires q >= 0")
     xs = np.linspace(0.0, hi, n)
     w = _wq_array(model, q, xs)
-    wp = np.empty_like(xs)
-    wp[0] = w_prime_at_zero(model)
-    wp[1:] = _w_deriv_array(model, q, xs[1:])
+    wp = _w_deriv_array(model, q, xs)
     z = zp = None
     if with_z:
         z = _zq_array(model, q, xs)

@@ -96,6 +96,14 @@ class TestWq:
         with pytest.raises(ValueError):
             wq(bm_driftless, -0.5, 1.0)
 
+    def test_overflow_is_loud(self, jd_unit):
+        # phi(5) x is in the thousands for both models, past the double range
+        for model in (make_brownian(0.0, 0.1), jd_unit):
+            with pytest.raises(OverflowError):
+                wq(model, 5.0, 1000.0)
+            with pytest.raises(OverflowError):
+                make_scale_table(model, 5.0, 1000.0, 9)
+
 
 class TestZq:
     def test_cosh_form(self, bm_driftless):
