@@ -134,8 +134,9 @@ class _ExpSum(NamedTuple):
     the columns ``e^{far x}``, ``e^{far x} - e^{lo x}``, ``(e^{hi x} - e^{lo x})/(hi -
     lo)`` and ``e^{lo x}``.  The differences are evaluated without
     cancellation: the second as ``e^{lo x} expm1((far - lo) x)``, the third as
-    ``e^{hi x} x E(-(hi - lo) x)`` with ``E(u) = expm1(u)/u`` and ``E(0) = 1``,
-    exact as the roots merge and free of overflow short of ``e^{hi x}``.
+    ``e^{hi x} (1 - e^{-(hi - lo) x})/(hi - lo)`` through ``expm1``, which is
+    ``x e^{hi x}`` when the roots merge and free of overflow short of
+    ``e^{hi x}``.
     """
 
     far: float
@@ -148,19 +149,18 @@ class _ExpSum(NamedTuple):
     def column(self, field: str, xs) -> np.ndarray:
         """``W``, ``W'`` or ``Z`` (by field name) at ``max(xs, 0)``."""
         xs = np.maximum(np.asarray(xs, dtype=float), 0.0)
-        e_lo = np.exp(self.lo * xs)
-        v = (self.hi - self.lo) * xs
-        e_neg = np.divide(-np.expm1(-v), v, out=np.ones_like(v), where=v != 0.0)
+        far, lo, hi = self.far, self.lo, self.hi
+        d = hi - lo
+        cols = (  # evaluated only where the coefficient is nonzero
+            lambda: np.exp(far * xs),
+            lambda: np.exp(lo * xs) * np.expm1((far - lo) * xs),
+            lambda: np.exp(hi * xs) * (-np.expm1(-d * xs) / d if d > 0.0 else xs),
+            lambda: np.exp(lo * xs),
+        )
         with np.errstate(over="ignore"):
-            cols = (
-                np.exp(self.far * xs),
-                e_lo * np.expm1((self.far - self.lo) * xs),
-                np.exp(self.hi * xs) * (xs * e_neg),
-                e_lo,
-            )
-            out = sum(c * col for c, col in zip(getattr(self, field), cols) if c)
-        if not np.all(np.isfinite(out)):
-            raise OverflowError(f"{field} overflows by x={float(xs.max())!r} (phi(q)={self.hi!r})")
+            out = sum(c * col() for c, col in zip(getattr(self, field), cols) if c)
+        if not np.isfinite(out).all():
+            raise OverflowError(f"{field} overflows by x={float(xs.max())!r} (phi(q)={hi!r})")
         return out
 
 

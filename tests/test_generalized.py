@@ -349,25 +349,25 @@ EXIT_GOLDEN = {
     ("jd", "const:0.5"): (
         0.7350742979679448, 0.1798724444329659,
         [0.14443698299287577, 0.15425387726192558, 0.16407077153097538, 0.17388766580002518,
-         0.18272236490098953, 0.19068576289985734, 0.19788319193295045, 0.20441132127059664,
+         0.18272236490098953, 0.19068576289985734, 0.1978831919329505, 0.20441132127059664,
          0.21035659077742094],
-        [0.7853762010673451, 0.6352790107876385, 0.5236317443427063, 0.43863081372787044,
-         0.3725710132877332, 0.3202649072163635, 0.2781337880461131, 0.24365912058321193,
+        [0.7853762010673451, 0.6352790107876384, 0.5236317443427063, 0.43863081372787055,
+         0.3725710132877332, 0.3202649072163635, 0.2781337880461132, 0.24365912058321193,
          0.21503843242730997]),
     ("jd", "reflected:0.5"): (
         0.7927465903006216, 0.19104816867938737,
         [0.016384137530102594, 0.019742423081253402, 0.02310070863240421,
          0.026458994183555018, 0.029783075723152697, 0.03305126333409569,
-         0.03624997482028619, 0.03937178512951822, 0.04241365912032072],
-        [0.8052157279842743, 0.6537631467691134, 0.54066615363434, 0.4542061488992017,
-         0.38673207200541093, 0.3330880919609818, 0.28971134514366376, 0.25408864430786743,
-         0.2244162818983211]),
+         0.036249974820286246, 0.03937178512951822, 0.042413659120320774],
+        [0.8052157279842743, 0.6537631467691133, 0.54066615363434, 0.4542061488992018,
+         0.38673207200541093, 0.3330880919609818, 0.28971134514366387, 0.25408864430786743,
+         0.2244162818983212]),
     ("jd", "level:1,0.6"): (
         0.7320429863135992, 0.18919651682825891,
         [0.0, 0.0, 0.054852530803741306, 0.15328521245658883, 0.21388802745384533,
-         0.2664530775443636, 0.3102241551871603, 0.3352767374222839, 0.3574636699898869],
-        [0.8117787164811398, 0.6609100808577762, 0.5478829843747036, 0.458741916013188,
-         0.38849724015587206, 0.33173093196219156, 0.2852771626481336, 0.24851339307650247,
+         0.2664530775443636, 0.31022415518716046, 0.3352767374222839, 0.3574636699898869],
+        [0.8117787164811398, 0.6609100808577761, 0.5478829843747036, 0.4587419160131881,
+         0.38849724015587206, 0.33173093196219156, 0.28527716264813374, 0.24851339307650247,
          0.2178809280181656]),
 }
 
