@@ -134,9 +134,9 @@ class _ExpSum(NamedTuple):
     the columns ``e^{far x}``, ``e^{far x} - e^{lo x}``, ``(e^{hi x} - e^{lo x})/(hi -
     lo)`` and ``e^{lo x}``.  The differences are evaluated without
     cancellation: the second as ``e^{lo x} expm1((far - lo) x)``, the third as
-    ``e^{hi x} (1 - e^{-(hi - lo) x})/(hi - lo)`` through ``expm1``, which is
-    ``x e^{hi x}`` when the roots merge and free of overflow short of
-    ``e^{hi x}``.
+    ``e^{hi x} (1 - e^{-(hi - lo) x})/(hi - lo)`` through ``expm1``, and as
+    ``x e^{hi x}`` when the roots merge.  No column overflows before
+    ``e^{hi x}`` itself does.
     """
 
     far: float
@@ -202,7 +202,7 @@ def _wq_array(model: LevyModel, q: float, xs: np.ndarray) -> np.ndarray:
 
 def wq(model: LevyModel, q: float, x: float) -> float:
     """``W^{(q)}(x)``; zero on the negative half line."""
-    return float(_wq_array(model, q, np.asarray([x], dtype=float))[0])
+    return float(_wq_array(model, q, np.asarray([x]))[0])
 
 
 def _zq_array(model: LevyModel, q: float, xs: np.ndarray) -> np.ndarray:
@@ -226,7 +226,7 @@ def w_derivative(model: LevyModel, q: float, x: float) -> float:
     """``d/dx W^{(q)}(x)`` for x > 0."""
     if x <= 0.0:
         raise ValueError("w_derivative requires x > 0")
-    return float(_w_deriv_array(model, q, np.asarray([x], dtype=float))[0])
+    return float(_w_deriv_array(model, q, np.asarray([x]))[0])
 
 
 def n_height_tail(model: LevyModel, z: float) -> float:
