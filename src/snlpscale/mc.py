@@ -25,10 +25,12 @@ occupation-density profile.
 
 The stepper keeps only the live paths, in dense arrays in path order: the
 position, supremum, time, time to the next jump (jump family only),
-integrand values and accumulators, plus a map to each path's output column.
-Every step keeps the survivors with one boolean mask, and exits and
-censoring write their records through the map, so a step costs in
-proportion to the paths still alive.
+integrand values and one accumulator array per integrand, plus a map to each
+path's output column.  Every step keeps the survivors with one boolean mask,
+and exits and censoring write their records through the map, so a step costs
+in proportion to the paths still alive.  A step's temporaries live in
+scratch arrays allocated once per chunk; only the new position and supremum,
+which the integrands see and may hand back, are fresh arrays each step.
 
 ``_collect_states`` drives the stepper over fixed-size chunks and owns the
 censoring gate for both entry points: paths that reach the time cap are
@@ -36,9 +38,10 @@ censored, a censored fraction above 0.1% raises, and so does any censoring
 in an antithetic run, since it would break the pair alignment.
 
 Chunk ``k`` draws from a counter-derived Philox substream keyed by
-``(seed, k)``, each step draws one ``standard_normal`` batch before its
-bridge uniforms, and the reduction runs in fixed chunk order, so estimates
-are bit-identical for a given configuration regardless of scheduling.
+``(seed, k)``, each step draws one ``standard_normal`` batch of the live
+count before one block of twice that many bridge uniforms, and the reduction
+runs in fixed chunk order, so estimates are bit-identical for a given
+configuration regardless of scheduling.
 Antithetic mates rerun a chunk on the same substream with negated Gaussian
 increments.
 
@@ -228,85 +231,107 @@ def _simulate_exit_chunk(
     order, with ``pid`` mapping each to its output column.  Without jumps
     every path takes the full step, so ``dt_eff`` and the elapsed time ``t``
     are one float each.
+
+    Every step allocates its new position and supremum: the integrands and
+    the observer see them, and an integrand's result may be one of its own
+    inputs (``lambda s, x: s``).  So no step writes into ``x``, ``s`` or an
+    integrand's result after an integrand has seen it, except a jump, which
+    replaces the jumped paths' position and their integrand values together.
+    The step's other temporaries -- the Gaussian draws, the bridge uniforms
+    (one block of ``2 m``, the first half for the maximum), the squared gap,
+    the endpoint sum, the exit masks and the trapezoid increment -- go into
+    per-chunk scratch arrays of length ``n``, sliced to the live count ``m``.
+    Exits are found once per step as an index list; the up/down split, the
+    bridge half step and the exit records work on that list only.
     """
     b, x0, a = spec.b, spec.x, spec.a
-    mu, sigma = model.mu, model.sigma
+    mu, sigma, dt = model.mu, model.sigma, cfg.dt
     rate = model.jump_rate if model.family is Family.EXP_JUMP_DIFFUSION else 0.0
     jumpy = rate > 0.0
     t_cap = cfg.resolved_t_cap(model, spec)
     bridge = cfg.bridge_correction
+    # negating sigma negates each increment exactly, as negating xi would
+    signed_sigma = xi_sign * sigma
 
     out = _ExitState(n, len(integrands))
     pid = np.arange(n)
     x = np.full(n, x0)
     s = np.full(n, x0)
     t = np.zeros(n) if jumpy else 0.0
-    acc = np.zeros((len(integrands), n))
+    acc = [np.zeros(n) for _ in integrands]
     jump_in = rng.exponential(1.0 / rate, n) if jumpy else None
     f_prev = [fn(s, x) for fn in integrands]
+    xi_buf, sum_buf, gap_buf = np.empty(n), np.empty(n), np.empty(n)
+    u_buf = np.empty(2 * n)
+    gone_buf, mask_buf = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
 
     while pid.size:
         m = pid.size
         if jumpy:
-            dt_eff = np.minimum(cfg.dt, jump_in)
-            at_jump = jump_in <= cfg.dt
+            dt_eff = np.minimum(dt, jump_in)
+            at_jump = jump_in <= dt
         else:
-            dt_eff = cfg.dt
+            dt_eff = dt
 
-        xi = rng.standard_normal(m)
-        if xi_sign < 0.0:
-            np.negative(xi, out=xi)
-        x_new = x + mu * dt_eff + sigma * np.sqrt(dt_eff) * xi
+        xi = rng.standard_normal(m, out=xi_buf[:m])
+        np.multiply(xi, signed_sigma * np.sqrt(dt_eff), out=xi)
+        x_new = x + mu * dt_eff
+        x_new += xi
 
         if bridge:
-            var = sigma * sigma * dt_eff
-            gap2 = (x_new - x) ** 2
-            u_hi = rng.random(m)
-            u_lo = rng.random(m)
-            ends = x + x_new
-            m_hi = 0.5 * (ends + np.sqrt(gap2 - 2.0 * var * np.log(u_hi)))
-            m_lo = 0.5 * (ends - np.sqrt(gap2 - 2.0 * var * np.log(u_lo)))
-            up_hit = m_hi >= a
-            dn_hit = ~up_hit & (m_lo <= b)
-            s_new = np.minimum(np.maximum(s, m_hi), a)
-            # bridge kills strictly inside the band get a half step since the
-            # crossing time is interior to the step
-            interior = (up_hit | dn_hit) & (x_new < a) & (x_new >= b)
+            # row 0 gives the bridge maximum, row 1 the minimum
+            ext = rng.random(2 * m, out=u_buf[: 2 * m]).reshape(2, m)
+            np.log(ext, out=ext)
+            ext *= 2.0 * (sigma * sigma * dt_eff)
+            gap2 = np.subtract(x_new, x, out=gap_buf[:m])
+            np.square(gap2, out=gap2)
+            np.subtract(gap2, ext, out=ext)
+            np.sqrt(ext, out=ext)
+            ends = np.add(x, x_new, out=sum_buf[:m])
+            m_hi, m_lo = ext
+            np.add(ends, m_hi, out=m_hi)
+            m_hi *= 0.5
+            np.subtract(ends, m_lo, out=m_lo)
+            m_lo *= 0.5
+            gone = np.greater_equal(m_hi, a, out=gone_buf[:m])
+            gone |= np.less_equal(m_lo, b, out=mask_buf[:m])
+            s_new = np.maximum(s, m_hi)
+            np.minimum(s_new, a, out=s_new)
         else:
-            up_hit = x_new >= a
-            dn_hit = x_new < b
-            s_new = np.maximum(s, np.minimum(x_new, a))
+            gone = np.greater_equal(x_new, a, out=gone_buf[:m])
+            gone |= np.less(x_new, b, out=mask_buf[:m])
+            s_new = np.minimum(x_new, a)
+            np.maximum(s, s_new, out=s_new)
+        hit = np.flatnonzero(gone)
+        x_hit = x_new[hit]
+        up = (m_hi[hit] if bridge else x_hit) >= a
 
-        # trapezoid accumulation
+        # trapezoid accumulation; bridge kills strictly inside the band get a
+        # half step since the crossing time is interior to the step
         f_new = [fn(s_new, x_new) for fn in integrands]
+        interior = hit[(x_hit < a) & (x_hit >= b)] if bridge else hit[:0]
         for row, fp, fq in zip(acc, f_prev, f_new):
-            d_acc = 0.5 * dt_eff * (fp + fq)
-            if bridge:
-                d_acc = np.where(interior, 0.5 * d_acc, d_acc)
+            d_acc = np.add(fp, fq, out=sum_buf[:m])
+            d_acc *= 0.5 * dt_eff
+            d_acc[interior] *= 0.5
             row += d_acc
         if observer is not None:
             observer(x, x_new, dt_eff)
         t += dt_eff
 
-        gone = up_hit | dn_hit
-        if np.any(up_hit):
-            hit = pid[up_hit]
-            out.up[hit] = True
-            out.s_exit[hit] = a
-            end = a if bridge else x_new[up_hit]
-            out.x_pre[hit] = end
-            out.x_post[hit] = end
-        if np.any(dn_hit):
-            hit = pid[dn_hit]
-            out.s_exit[hit] = s_new[dn_hit]
-            end = b if bridge else x_new[dn_hit]
-            out.x_pre[hit] = end
-            out.x_post[hit] = end
+        if hit.size:
+            ids = pid[hit]
+            out.up[ids] = up
+            out.s_exit[ids] = np.where(up, a, s_new[hit])
+            end = np.where(up, a, b) if bridge else x_hit
+            out.x_pre[ids] = end
+            out.x_post[ids] = end
         x, s, f_prev = x_new, s_new, f_new
+        done = hit
 
         # jump events fire exactly at the end of their substep
         if jumpy:
-            jump_in = jump_in - dt_eff
+            jump_in -= dt_eff
             jumps = np.flatnonzero(at_jump & ~gone)
             if jumps.size:
                 sizes = rng.exponential(model.jump_mean, jumps.size)
@@ -315,11 +340,12 @@ def _simulate_exit_chunk(
                 below = x_jumped < b
                 dn = jumps[below]
                 if dn.size:
-                    hit = pid[dn]
-                    out.s_exit[hit] = s[dn]
-                    out.x_pre[hit] = x[dn]
-                    out.x_post[hit] = x_jumped[below]
+                    dn_ids = pid[dn]
+                    out.s_exit[dn_ids] = s[dn]
+                    out.x_pre[dn_ids] = x[dn]
+                    out.x_post[dn_ids] = x_jumped[below]
                     gone[dn] = True
+                    done = np.flatnonzero(gone)
                 keep = jumps[~below]
                 x[keep] = x_jumped[~below]
                 for fp, fn in zip(f_prev, integrands):
@@ -330,14 +356,18 @@ def _simulate_exit_chunk(
             if np.any(tired):
                 out.censored[pid[tired]] = True
                 gone |= tired
+                done = np.flatnonzero(gone)
 
-        if np.any(gone):
-            out.acc[:, pid[gone]] = acc[:, gone]
-            live = ~gone
-            pid, x, s, acc = pid[live], x[live], s[live], acc[:, live]
+        if done.size:
+            done_ids = pid[done]
+            for row, out_row in zip(acc, out.acc):
+                out_row[done_ids] = row[done]
+            live = np.logical_not(gone, out=mask_buf[:m])
+            pid, x, s = pid[live], x[live], s[live]
+            acc = [row[live] for row in acc]
+            f_prev = [fp[live] for fp in f_prev]
             if jumpy:
                 t, jump_in = t[live], jump_in[live]
-            f_prev = [fp[live] for fp in f_prev]
     return out
 
 
