@@ -278,6 +278,13 @@ def test_draw_pattern(model, bridge):
         assert uniforms == (2 * m if bridge else 0)
 
 
+@pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
+def test_nan_potential_raises(model):
+    F = BivariatePotential(lambda s, x: np.where(x > 0.7, np.nan, 0.2), bound=1.0)
+    with pytest.raises(ValueError, match="nan"):
+        run_exit_mc(model, F, SPEC, _cfg())
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
     def test_constant_potential_zscores(self, model):

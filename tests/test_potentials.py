@@ -51,6 +51,18 @@ class TestBivariate:
         with pytest.raises(ValueError):
             F.eval_pairs(np.array([2.0]), np.array([0.0]))
 
+    def test_nan_values_rejected(self):
+        f = UnivariatePotential(lambda x: np.where(x > 0.5, np.nan, 0.1), bound=1.0)
+        with pytest.raises(ValueError, match="nan"):
+            f.eval_array(np.array([0.2, 0.9]))
+        F = BivariatePotential(lambda s, x: np.where(x > 0.5, np.nan, 0.1), bound=1.0)
+        with pytest.raises(ValueError, match="nan"):
+            F.eval_pairs(np.array([1.0, 1.0]), np.array([0.2, 0.9]))
+
+    def test_empty_arrays_pass(self):
+        F = BivariatePotential(lambda s, x: 0.1 + 0.0 * x, bound=1.0)
+        assert F.eval_pairs(np.empty(0), np.empty(0)).size == 0
+
 
 class TestSelectors:
     def test_const(self):
