@@ -90,17 +90,25 @@ class LevyModel:
         return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
 
     def _psi_any(self, beta):
-        """Exponent evaluated without domain checks; accepts complex arrays."""
-        out = self.mu * beta + 0.5 * self.sigma**2 * beta * beta
+        """Exponent evaluated without domain checks; accepts complex arrays.
+
+        Written around ``psi'(0)`` as ``psi'(0) beta + sigma^2 beta^2/2 +
+        rate beta^2/(eta (eta + beta))``, so that no term cancels near 0 when
+        the drift and the mean jump loss balance.
+        """
+        out = self.psi_prime_at_zero() * beta + 0.5 * self.sigma**2 * beta * beta
         if self.jump_rate > 0.0:
-            out = out - self.jump_rate * beta / (self.eta + beta)
+            ratio = beta / (self.eta + beta)
+            out = out + self.jump_rate * self.jump_mean * beta * ratio
         return out
 
     def psi_derivative(self, lam: _ArrayLike) -> _ArrayLike:
+        """``psi'(0) + sigma^2 lam + rate lam (2 eta + lam)/(eta (eta + lam)^2)``."""
         arr = np.asarray(lam, dtype=float)
-        out = self.mu + self.sigma**2 * arr
+        out = self.psi_prime_at_zero() + self.sigma**2 * arr
         if self.jump_rate > 0.0:
-            out = out - self.jump_rate * self.eta / (self.eta + arr) ** 2
+            ratio = arr / (self.eta + arr)
+            out = out + self.jump_rate * self.jump_mean * ratio * (2.0 - ratio)
         return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
 
     def psi_prime_at_zero(self) -> float:

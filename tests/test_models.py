@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ class TestRegimes:
         eps = 1e-7
         fd = (m.psi(eps) - 0.0) / eps
         assert fd == pytest.approx(m.psi_prime_at_zero(), abs=1e-5)
+
+    @pytest.mark.parametrize("lam", [1.4142e-150, 1e-8])
+    def test_psi_near_zero_when_drift_balances_jumps(self, lam):
+        # psi'(0) = 1 - 1 = 0: psi is 3 lam^2/2 near 0, psi' is 3 lam
+        m = make_exp_jump_diffusion(1.0, 1.0, 1.0, 1.0)
+        x = Fraction(lam)
+        psi = x + x * x / 2 - x / (1 + x)
+        dpsi = 1 + x - 1 / (1 + x) ** 2
+        assert m.psi(lam) == pytest.approx(float(psi), rel=1e-13, abs=0.0)
+        assert m.psi_derivative(lam) == pytest.approx(float(dpsi), rel=1e-13, abs=0.0)
 
     def test_convexity_midpoint(self):
         for m in (make_brownian(-1.0, 1.0), make_exp_jump_diffusion(1.0, 1.0, 1.0, 1.0)):
