@@ -73,8 +73,6 @@ OCCUPATION_GOLDEN = {
 }
 
 
-# sha256 of the raw bytes of each per-path record (keep_samples=True); the jd
-# case has jump exits with x_post < b, and without the bridge x_post < b too
 SAMPLE_FIELDS = ("exited_up", "s_at_exit", "x_pre", "x_post", "functional")
 
 
@@ -92,6 +90,9 @@ def _digests(samples):
         for name in SAMPLE_FIELDS
     }
 
+
+# sha256 of the raw bytes of each per-path record (keep_samples=True); the jd
+# case has jump exits with x_post < b, and without the bridge x_post < b too
 SAMPLE_GOLDEN = {
     "bm_bridge": (BM, {"bridge_correction": True}, (
         "35ee6ec078f9ac8a6a42180f5155f2dfbdd8f6fd791755605e100de8414bf464",
