@@ -60,7 +60,7 @@ DEFAULT_OUTER = 129
 DEFAULT_INNER = 1024
 _REFINE_TOL = 1e-6
 _REFINE_CAP = 4
-_ROW_BLOCK = 32  # outer nodes per batched frozen solve
+_ROW_BLOCK = 32  # outer nodes per frozen block solve; bounds its memory
 
 
 class TailNotConverged(RuntimeError):
@@ -175,10 +175,13 @@ def _functional_grids(model, F, b, nodes, n_inner, guard_step, need_kappa=True):
     """iota (and optionally kappa) on outer nodes, guarding the barrier edge.
 
     The frozen solves of the outer nodes are marched in blocks of at most
-    ``_ROW_BLOCK`` rows, which bounds the memory of one block.  Frozen solves
-    for iota on a sliver ``[b, s]`` with ``s - b`` under ten outer steps are
-    skipped: the log-derivative gap there is a difference of two nearly
-    singular terms.  iota is bounded near the barrier, so a linear
+    ``_ROW_BLOCK`` rows.  The march keeps O(1) state per row, but a block
+    holds about a dozen arrays of ``rows x (n_inner + 1)`` (lattice, kernel
+    and its derivative, potential samples, the W and Z columns and their
+    temporaries), so the block size bounds the memory of a solve.  Frozen
+    solves for iota on a sliver ``[b, s]`` with ``s - b`` under ten outer
+    steps are skipped: the log-derivative gap there is a difference of two
+    nearly singular terms.  iota is bounded near the barrier, so a linear
     extrapolation from the two nearest resolved nodes stands in.  kappa has no
     such cancellation and is always evaluated directly.
     """

@@ -80,6 +80,22 @@ def partial_fraction_z(model, q, x):
     return float(1.0 + q * total.real)
 
 
+def product_trapezoid_march(kernel, fvals, h, inhom):
+    """Direct O(n^2) march of ``phi = inhom + int K(u - z) f(z) phi(z) dz``, one row.
+
+    ``phi_i = inhom_i + h (K_i g_0 / 2 + sum_{0<j<i} K_{i-j} g_j)`` with
+    ``g = f phi`` on the lattice ``k h``; ``K_0 = W(0) = 0`` drops the
+    diagonal term, so each node follows from the ones before it.
+    """
+    phi = np.array(inhom, dtype=float)
+    g = np.empty_like(phi)
+    g[0] = fvals[0] * phi[0]
+    for i in range(1, phi.size):
+        phi[i] += h * (0.5 * kernel[i] * g[0] + np.dot(kernel[i - 1 : 0 : -1], g[1:i]))
+        g[i] = fvals[i] * phi[i]
+    return phi
+
+
 def brownian_z(model, q, x):
     """Closed-form ``Z^{(q)}`` of Brownian motion with drift, for q > 0.
 

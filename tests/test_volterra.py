@@ -14,7 +14,10 @@ from snlpscale import (
     wq,
     zq,
 )
-from snlpscale.scale import _wq_array
+from snlpscale.scale import _exp_sum, _wq_array
+from snlpscale.volterra import _march
+
+from conftest import product_trapezoid_march
 
 
 def const_potential(level):
@@ -146,3 +149,42 @@ class TestBlockSolve:
             solve_w_z_f(bm_driftless, [HALF, HALF], 0.0, [1.0], 64)
         with pytest.raises(ValueError):
             solve_w_z_f(bm_driftless, [], 0.0, [], 64)
+
+
+class TestMarchRecursion:
+    @pytest.mark.parametrize("model", [
+        make_brownian(0.0, 1.0),
+        make_brownian(0.3, 0.8),
+        make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5),
+        make_brownian(1e-9, 1.0),
+    ], ids=["double-root", "two-roots", "three-roots", "merging-roots"])
+    def test_matches_direct_product_trapezoid(self, model):
+        # the O(n) recursion is the O(n^2) rule summed in another order
+        n = 512
+        h = np.array([1.0, 1.7, 2.5, 4.0]) / n
+        lattice = h[:, None] * np.arange(n + 1)
+        kernel = _wq_array(model, 0.0, lattice)
+        fvals = 0.5 + 0.4 * np.sin(3.0 * lattice)
+        inhom = np.stack([kernel.T, np.ones_like(kernel.T)], axis=1)
+        phi = _march(_exp_sum(model, 0.0), fvals, h, inhom)
+        for r in range(h.size):
+            for c in range(2):
+                want = product_trapezoid_march(kernel[r], fvals[r], h[r], inhom[:, c, r])
+                assert phi[:, c, r] == pytest.approx(want, rel=1e-13)
+
+    def test_second_order_to_fine_grids(self, bm_driftless):
+        # W^(q) = 2 sinh(x), Z^(q) = cosh(x) for const:1/2; the trapezoid error
+        # stays a clean h^2 term to n = 16384, with no rounding drift on top
+        errors = []
+        for n in (4096, 16384):
+            sol = solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, n)
+            x = sol.nodes[1:]
+            errors.append((
+                np.max(np.abs(sol.w[1:] / (2.0 * np.sinh(x)) - 1.0)),
+                np.max(np.abs(sol.z[1:] / np.cosh(x) - 1.0)),
+            ))
+        h = 1.0 / 16384
+        assert errors[1][0] < 0.2 * h**2
+        assert errors[1][1] < 0.04 * h**2
+        for coarse, fine in zip(*errors):
+            assert coarse / fine == pytest.approx(16.0, rel=1e-2)
