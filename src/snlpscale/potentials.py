@@ -142,8 +142,9 @@ def _split_spec(spec: str, expected: int, flag: str):
 def parse_bivariate(spec: str, domain_width: float, flag: str = "--potential") -> BivariatePotential:
     """Build a named bivariate potential.
 
-    Grammar: ``const:q`` (constant q), ``reflected:c`` (``c*(s-x)``),
-    ``indicator:c,r`` (``c*1{s-x>r}``), ``level:c,r`` (``c*1{x>r}``).
+    Grammar: ``const:q`` (q at every argument, finite or not),
+    ``reflected:c`` (``c*(s-x)``), ``indicator:c,r`` (``c*1{s-x>r}``),
+    ``level:c,r`` (``c*1{x>r}``).
     ``domain_width`` sizes the declared bound of the reflected family.
     """
     name = spec.partition(":")[0]
@@ -151,7 +152,9 @@ def parse_bivariate(spec: str, domain_width: float, flag: str = "--potential") -
         _, (q,) = _split_spec(spec, 1, flag)
         if q < 0:
             raise ValueError(f"{flag}: const level must be >= 0")
-        return BivariatePotential(lambda s, x: q + 0.0 * s + 0.0 * x, bound=q, name=spec)
+        return BivariatePotential(
+            lambda s, x: np.full(np.broadcast(s, x).shape, q), bound=q, name=spec
+        )
     if name == "reflected":
         _, (c,) = _split_spec(spec, 1, flag)
         if c < 0:
@@ -182,7 +185,7 @@ def parse_univariate(spec: str, flag: str = "--potential") -> UnivariatePotentia
         _, (q,) = _split_spec(spec, 1, flag)
         if q < 0:
             raise ValueError(f"{flag}: const level must be >= 0")
-        return UnivariatePotential(lambda x: q + 0.0 * x, bound=q, name=spec)
+        return UnivariatePotential(lambda x: np.full(np.shape(x), q), bound=q, name=spec)
     if name == "level":
         _, (c, r) = _split_spec(spec, 2, flag)
         if c < 0:

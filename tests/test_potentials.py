@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from snlpscale import (
     BivariatePotential,
@@ -104,3 +107,98 @@ class TestSelectors:
         assert np.allclose(parse_g("const:2.5")(z), 2.5)
         with pytest.raises(ValueError):
             parse_g("quadratic")
+
+
+# ---------------------------------------------------------------------------
+# Grammar properties (hypothesis, derandomized like tests/test_properties.py)
+# ---------------------------------------------------------------------------
+
+_SETTINGS = settings(deadline=None, max_examples=80, derandomize=True, database=None)
+_height = st.floats(0.0, 10.0)
+_threshold = st.floats(-3.0, 3.0)
+_FORMS = {  # name: (argument strategies, value at (s, x), bound for a domain width)
+    "const": ((_height,), lambda a, s, x: a[0], lambda a, w: a[0]),
+    "reflected": (
+        (_height,), lambda a, s, x: a[0] * max(s - x, 0.0), lambda a, w: 2.0 * a[0] * max(w, 1e-12)
+    ),
+    "indicator": ((_height, _threshold), lambda a, s, x: a[0] * (s - x > a[1]), lambda a, w: a[0]),
+    "level": ((_height, _threshold), lambda a, s, x: a[0] * (x > a[1]), lambda a, w: a[0]),
+}
+_POSITION_ONLY = ("const", "level")
+
+
+def _spec(name, args):
+    return name + ":" + ",".join(repr(float(a)) for a in args)
+
+
+@st.composite
+def _forms(draw):
+    name = draw(st.sampled_from(sorted(_FORMS)))
+    return name, [draw(arg) for arg in _FORMS[name][0]]
+
+
+_finite_arrays = hnp.arrays(
+    float,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestGrammarProperties:
+    @_SETTINGS
+    @given(_forms(), st.floats(0.0, 5.0), st.floats(-5.0, 5.0), st.floats(-1.0, 1.0))
+    def test_round_trip(self, form, width, x, gap):
+        name, args = form
+        _, value, bound = _FORMS[name]
+        spec = _spec(name, args)
+        s = x + gap * width  # inside the rectangle the reflected bound covers
+        F = parse_bivariate(spec, width)
+        assert (F.name, F.bound) == (spec, bound(args, width))
+        assert F(s, x) == value(args, s, x)
+        if name in _POSITION_ONLY:
+            f = parse_univariate(spec)
+            assert (f.name, f.bound) == (spec, bound(args, width))
+            assert f(x) == value(args, x, x)
+        else:
+            with pytest.raises(ValueError):
+                parse_univariate(spec)
+
+    @_SETTINGS
+    @given(_forms(), st.integers(-1, 2).filter(lambda k: k != 0), st.floats(0.0, 5.0))
+    def test_rejects_bad_arity(self, form, extra, value):
+        name, args = form
+        args = args + [value] * extra if extra > 0 else args[:extra]
+        with pytest.raises(ValueError):
+            parse_bivariate(_spec(name, args), 1.0)
+        with pytest.raises(ValueError):
+            parse_univariate(_spec(name, args))
+
+    @_SETTINGS
+    @given(_forms(), st.floats(1e-300, 1e6))
+    def test_rejects_negative_heights(self, form, height):
+        name, args = form
+        spec = _spec(name, [-height] + args[1:])
+        with pytest.raises(ValueError):
+            parse_bivariate(spec, 1.0)
+        with pytest.raises(ValueError):
+            parse_univariate(spec)
+
+    @_SETTINGS
+    @given(_finite_arrays, st.floats(0.0, 1e6))
+    def test_const_is_exactly_q_on_any_shape(self, xs, q):
+        spec = _spec("const", [q])
+        for out in (
+            parse_bivariate(spec, 1.0).eval_pairs(xs, xs),
+            parse_bivariate(spec, 1.0).eval_pairs(np.float64(0.5), xs),
+            parse_univariate(spec).eval_array(xs),
+        ):
+            assert out.dtype == np.float64 and out.shape == xs.shape
+            assert np.all(out == q)
+
+    def test_const_ignores_non_finite_arguments(self):
+        # the constant never reads its arguments, so no NaN reaches the range check
+        vals = parse_bivariate("const:0.5", 1.0).eval_pairs(
+            np.array([np.nan, np.inf, 0.0]), np.array([0.0, -np.inf, np.nan])
+        )
+        assert np.array_equal(vals, [0.5, 0.5, 0.5])
+        assert np.array_equal(parse_univariate("const:0.5").eval_array([np.nan]), [0.5])
