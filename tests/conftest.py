@@ -48,14 +48,13 @@ def partial_fraction_w(model, q, x):
 
     ``(psi(beta) - q)(eta + beta)`` is a cubic; with simple roots the inverse
     transform is a sum of three exponentials weighted by ``1/psi'(root)``.
-    Only valid when the roots are simple (fails for oscillating models at
-    q = 0, where 0 is a double root).
+    The weights sum to ``W(0) = 0``, so each exponential enters as
+    ``expm1(root x)``: at small x the terms are O(x) like W itself, instead of
+    O(1) terms that cancel.  Only valid when the roots are simple (fails for
+    oscillating models at q = 0, where 0 is a double root).
     """
     roots, dpsi = _simple_roots(model, q)
-    total = 0.0 + 0.0j
-    for th, d in zip(roots, dpsi):
-        total += np.exp(th * x) / d
-    return float(total.real)
+    return float(np.sum(np.expm1(roots * x) / dpsi).real)
 
 
 def partial_fraction_w_prime(model, q, x):
@@ -78,6 +77,20 @@ def partial_fraction_z(model, q, x):
     for th, d in zip(roots, dpsi):
         total += np.expm1(th * x) / (th * d)
     return float(1.0 + q * total.real)
+
+
+def w_mpmath(model, q, x, digits=60):
+    """``W^{(q)}(x)`` of the jump family from the same partial fractions in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        params = (model.mu, model.sigma**2, model.jump_rate, model.eta)
+        mu, s2, rate, eta = (mp.mpf(v) for v in params)
+        q, x = mp.mpf(q), mp.mpf(x)
+        cubic = [s2 / 2, mu + eta * s2 / 2, eta * mu - rate - q, -q * eta]
+        total = 0
+        for th in mp.polyroots(cubic, maxsteps=200, extraprec=2 * digits):
+            total += mp.exp(th * x) / (mu + s2 * th - rate * eta / (eta + th) ** 2)
+        return float(mp.re(total))
 
 
 def product_trapezoid_march(kernel, fvals, h, inhom):

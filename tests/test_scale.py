@@ -30,6 +30,7 @@ from conftest import (
     partial_fraction_w,
     partial_fraction_w_prime,
     partial_fraction_z,
+    w_mpmath,
 )
 
 
@@ -91,6 +92,14 @@ class TestWq:
         got = wq(jd_drifting, q, x)
         want = partial_fraction_w(jd_drifting, q, x)
         assert got == pytest.approx(want, rel=5e-8)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    @pytest.mark.parametrize("x", [1.0 / 2048, 1.0 / 1024, 0.01, 0.5, 3.0])
+    def test_oracle_and_library_keep_digits_near_zero(self, jd_drifting, q, x):
+        # at x = 1/2048, W is 1e-3 while its partial-fraction terms are O(1)
+        want = w_mpmath(jd_drifting, q, x)
+        assert partial_fraction_w(jd_drifting, q, x) == pytest.approx(want, rel=1e-15)
+        assert wq(jd_drifting, q, x) == pytest.approx(want, rel=1e-15)
 
     def test_rejects_negative_q(self, bm_driftless):
         with pytest.raises(ValueError):
