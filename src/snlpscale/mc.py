@@ -59,6 +59,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._csvout import write_csv
 from .generalized import ExitSpec
 from .models import Family, LevyModel
 from .potentials import BivariatePotential, UnivariatePotential
@@ -140,19 +141,21 @@ class ExitSamples:
     functional: np.ndarray
 
     def to_csv(self, target) -> None:
-        own = isinstance(target, (str, bytes))
-        fh = open(target, "w", encoding="utf-8") if own else target
-        try:
-            fh.write("path,exited_up,s_at_exit,x_pre,x_post,functional\n")
-            for i in range(self.exited_up.size):
-                fh.write(
-                    f"{i},{int(self.exited_up[i])},{self.s_at_exit[i]:.17g},"
-                    f"{self.x_pre[i]:.17g},{self.x_post[i]:.17g},"
-                    f"{self.functional[i]:.17g}\n"
-                )
-        finally:
-            if own:
-                fh.close()
+        """Dump one row per path: its index, ``exited_up`` as 0/1, then the
+        four float columns at 17 significant digits.
+
+        ``target`` is a path or an open text stream.  Rows are formatted in
+        blocks of a few thousand by one ``%`` each (``_csvout.write_csv``),
+        so the memory a write takes stays bounded however many paths were
+        kept.
+        """
+        write_csv(
+            target,
+            ["path", "exited_up", "s_at_exit", "x_pre", "x_post", "functional"],
+            ["%d", "%d"] + ["%.17g"] * 4,
+            [range(self.exited_up.size), self.exited_up, self.s_at_exit,
+             self.x_pre, self.x_post, self.functional],
+        )
 
 
 @dataclass

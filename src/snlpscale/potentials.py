@@ -103,10 +103,15 @@ class BivariatePotential:
         return _check_range(vals, self.bound, self.name or "bivariate potential")
 
     def frozen(self, s: float) -> UnivariatePotential:
-        """Slice at a fixed supremum level: ``x -> f(s, x)``."""
+        """Slice at a fixed supremum level: ``x -> f(s, x)``.
+
+        The callable gets ``s`` as an array of the shape of ``x``, so one that
+        returns a scalar for a scalar ``s`` (``lambda s, x: 0.0 * s``) still
+        returns an array of the right shape and stays vectorized.
+        """
         s = float(s)
         return UnivariatePotential(
-            func=lambda x, _s=s, _f=self.func: _f(_s, x),
+            func=lambda x, _s=s, _f=self.func: _f(np.full(np.shape(x), _s), x),
             bound=self.bound,
             name=f"{self.name or 'bivariate'}@s={s:g}",
         )

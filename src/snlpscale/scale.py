@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from ._csvout import write_csv
 from .models import LevyModel
 # Unused here; kept importable because bench/spans.py wraps scale.composite_simpson.
 from .quadrature import composite_simpson  # noqa: F401
@@ -315,21 +316,18 @@ class ScaleTable:
             raise ValueError("z_values must be >= 1 for a nonnegative potential")
 
     def to_csv(self, target) -> None:
-        """Dump the table: header ``x,W,Wprime[,Z,Zprime]``, 17 significant digits."""
-        own = isinstance(target, (str, bytes))
-        fh = open(target, "w", encoding="utf-8") if own else target
-        try:
-            with_z = self.z_values is not None
-            fh.write("x,W,Wprime,Z,Zprime\n" if with_z else "x,W,Wprime\n")
-            xs = self.grid
-            for i in range(self.n):
-                row = [xs[i], self.w_values[i], self.w_deriv[i]]
-                if with_z:
-                    row += [self.z_values[i], self.z_deriv[i]]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        finally:
-            if own:
-                fh.close()
+        """Dump the table: header ``x,W,Wprime[,Z,Zprime]``, 17 significant digits.
+
+        ``target`` is a path or an open text stream.  Rows are formatted in
+        blocks of a few thousand by one ``%`` each (``_csvout.write_csv``),
+        with the same text as one ``f"{v:.17g}"`` per value.
+        """
+        header = ["x", "W", "Wprime"]
+        columns = [self.grid, self.w_values, self.w_deriv]
+        if self.z_values is not None:
+            header += ["Z", "Zprime"]
+            columns += [self.z_values, self.z_deriv]
+        write_csv(target, header, ["%.17g"] * len(columns), columns)
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()

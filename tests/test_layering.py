@@ -34,6 +34,15 @@ def test_mc_imports_only_exit_spec_from_generalized():
     assert from_generalized == {(".generalized", "ExitSpec")}
 
 
+def test_mc_imports_nothing_from_the_solver():
+    solver = {"scale", "volterra"}
+    assert not [
+        (module, name)
+        for module, name in _imports(SRC / "mc.py")
+        if module.split(".")[-1] in solver or name in solver
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_library_does_not_import_scipy(path):
     assert MODULES

@@ -43,6 +43,26 @@ class TestBivariate:
         assert f1(0.5) == pytest.approx(0.2)
         assert f1.bound == 2.0
 
+    def test_frozen_slice_stays_vectorized(self):
+        # a callable that reads only s returns a scalar for a scalar s; the
+        # slice hands it s at the shape of x, so one call covers every point
+        calls = []
+
+        def only_s(s, x):
+            calls.append(np.shape(s))
+            return 0.0 * s
+
+        xs = np.linspace(-1.0, 1.0, 1000)
+        vals = BivariatePotential(only_s, bound=0.0).frozen(0.5).eval_array(xs)
+        assert calls == [(1000,)]
+        assert vals.shape == (1000,) and not vals.any()
+
+    def test_frozen_slice_matches_pairs_bit_for_bit(self):
+        F = parse_bivariate("reflected:0.7", 3.0)
+        xs = np.linspace(-1.0, 1.0, 257)
+        for s in (0.0, 0.3, 1.0):
+            assert np.array_equal(F.frozen(s).eval_array(xs), F.eval_pairs(np.full(257, s), xs))
+
     def test_lift_from_univariate(self):
         f = UnivariatePotential(lambda x: 0.5 * (x > 0.0), bound=0.5)
         F = BivariatePotential.from_univariate(f)
