@@ -43,7 +43,6 @@ import numpy as np
 
 from .generalized import (
     ExitSpec,
-    TailNotConverged,
     conditional_curve,
     evaluate_exit,
     local_time_laplace,
@@ -51,7 +50,7 @@ from .generalized import (
     supremum_density,
 )
 from .mc import MCConfig, conditional_mc, occupation_mc, run_exit_mc
-from .models import Family, LevyModel, RootFindingError
+from .models import Family, LevyModel
 from .potentials import (
     BivariatePotential,
     UnivariatePotential,
@@ -59,17 +58,11 @@ from .potentials import (
     parse_g,
     parse_univariate,
 )
-from .scale import InversionError, make_scale_table
+from .scale import make_scale_table
 
 SCHEMA_VERSION = 1
 
-_NUMERICAL_ERRORS = (
-    InversionError,
-    TailNotConverged,
-    RootFindingError,
-    ArithmeticError,
-    RuntimeError,
-)
+_NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
 
 class UsageError(Exception):
@@ -430,7 +423,8 @@ def _cmd_local_time(args, config) -> dict:
 _BIVARIATE = "const:q | reflected:c | indicator:c,r | level:c,r"
 
 
-def _add_common(p, potential=None, g=False, mc_flags=False):
+def _add_common(p, potential=None, g=False, mc_flags=False,
+                inner="inner renewal-solve grid intervals"):
     """Shared flags; ``potential`` is the help text of ``--potential``, if taken."""
     p.add_argument("--model", help="bm:mu,sigma or jd:mu,sigma,rate,jump_mean")
     p.add_argument("--b", type=float, help="lower barrier")
@@ -438,8 +432,7 @@ def _add_common(p, potential=None, g=False, mc_flags=False):
     p.add_argument("--a", type=float, help="upper barrier")
     p.add_argument("--grid-outer", dest="grid_outer", type=int,
                    help="outer Simpson node count (odd)")
-    p.add_argument("--grid-inner", dest="grid_inner", type=int,
-                   help="inner renewal-solve grid intervals")
+    p.add_argument("--grid-inner", dest="grid_inner", type=int, help=inner)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument("--config", help="flat key = value config file with defaults")
     p.add_argument("--csv", help="write the command's CSV artifact here")
@@ -464,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scale-table", help="sample a q-scale table to CSV")
-    _add_common(p)
+    _add_common(p, inner="table node count on [0, a]")
     p.add_argument("--q", type=float, help="discount rate of the table")
 
     p = sub.add_parser("exit", help="deterministic two-sided exit identities")

@@ -115,8 +115,7 @@ def _frozen_ends(model, F, b, levels, n):
     """
     levels = np.asarray(levels, dtype=float)
     sol = solve_w_z_f(model, [F.frozen(s) for s in levels], b, levels, n)
-    wp, zp = sol.end_derivatives()
-    return sol.w[:, -1], wp, sol.z[:, -1], zp
+    return sol.w[:, -1], sol.w_end_deriv, sol.z[:, -1], sol.z_end_deriv
 
 
 def _iota_values(model, b, levels, w, wp) -> np.ndarray:
@@ -176,22 +175,22 @@ def _functional_grids(model, F, b, nodes, n_inner, guard_step, need_kappa=True):
 
     The frozen solves of the outer nodes are marched in blocks of at most
     ``_ROW_BLOCK`` rows.  The march keeps O(1) state per row, but a block
-    holds about a dozen arrays of ``rows x (n_inner + 1)`` (lattice, kernel
-    and its derivative, potential samples, the W and Z columns and their
-    temporaries), so the block size bounds the memory of a solve.  Frozen
-    solves for iota on a sliver ``[b, s]`` with ``s - b`` under ten outer
-    steps are skipped: the log-derivative gap there is a difference of two
-    nearly singular terms.  iota is bounded near the barrier, so a linear
-    extrapolation from the two nearest resolved nodes stands in.  kappa has no
-    such cancellation and is always evaluated directly.
+    holds about ten arrays of ``rows x (n_inner + 1)`` (nodes, lattice,
+    kernel, potential samples, the W and Z columns and their temporaries),
+    so the block size bounds the memory of a solve.  Frozen solves for iota
+    on a sliver ``[b, s]`` with ``s - b`` under ten outer steps are skipped:
+    the log-derivative gap there is a difference of two nearly singular
+    terms.  iota is bounded near the barrier, so a linear extrapolation from
+    the two nearest resolved nodes stands in; fewer than two is an error.
+    kappa has no such cancellation and is always evaluated directly.
     """
     nodes = np.asarray(nodes, dtype=float)
     iotas = np.empty_like(nodes)
     kappas = np.empty_like(nodes) if need_kappa else None
     valid = (nodes - b) >= 10.0 * guard_step
-    if not np.any(valid):
+    if np.count_nonzero(valid) < 2:
         raise ValueError(
-            "every outer node sits within ten steps of the barrier; "
+            "fewer than two outer nodes sit ten steps clear of the barrier; "
             "refine the outer grid or move x away from b"
         )
     rows = np.flatnonzero(valid | need_kappa)

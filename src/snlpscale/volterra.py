@@ -10,9 +10,10 @@ functions solve convolution equations of the second kind driven by the
 Both are marched on a uniform grid with the trapezoidal product rule: the
 kernel is sampled exactly on the node differences, the unknown enters through
 its node values.  ``W(0) = 0`` (unbounded variation) kills the diagonal
-weight, so the march is explicit.  Derivative columns come from the
-differentiated equations with the same quadrature, never from differencing
-the value columns.
+weight, so the march is explicit.  The slopes ``Wf'`` and ``Zf'`` at each
+row's upper end come from the differentiated equations with the same
+quadrature, never from differencing the value columns; the march reads them
+off the running sums it already keeps.
 
 A solve takes one potential or a block of them.  Each row of a block keeps
 its own interval, lattice, kernel and potential samples; the rows and the two
@@ -21,6 +22,7 @@ equations advance together.  The kernel is an exact sum of exponentials
 running sums per row and equation, the sum-of-exponentials convolution of
 Lubich & Schaedle (SIAM J. Sci. Comput. 24, 2002): a march of ``n`` steps
 costs O(n), each step a handful of array operations over the whole block.
+Only ``W`` is sampled over the lattice; ``W'`` is needed at each row's end.
 """
 
 from __future__ import annotations
@@ -39,15 +41,12 @@ __all__ = ["VolterraSolution", "solve_w_z_f"]
 
 @dataclass
 class VolterraSolution:
-    """Weighted scale function columns on uniform grids from the barrier ``b``.
+    """Weighted scale functions on uniform grids from the barrier ``b``.
 
-    ``w`` and ``z`` hold ``Wf`` and ``Zf`` sampled at ``nodes``.  A block
+    ``w`` and ``z`` hold ``Wf`` and ``Zf`` sampled at ``nodes``; ``w_end_deriv``
+    and ``z_end_deriv`` hold ``Wf'`` and ``Zf'`` at the last node.  A block
     solve gives arrays with a leading row axis and one ``grid_step`` per row;
-    a single solve gives plain columns and a float step.  ``kernel_deriv``
-    (the 0-scale kernel derivative on the lattice) and ``fvals`` (the
-    potential samples) feed the derivatives: the full columns ``w_deriv`` and
-    ``z_deriv`` cost one convolution per row, :meth:`end_derivatives` one dot
-    product per row.
+    a single solve gives plain columns, float slopes and a float step.
     """
 
     b: float
@@ -55,46 +54,32 @@ class VolterraSolution:
     nodes: np.ndarray
     w: np.ndarray
     z: np.ndarray
-    kernel_deriv: np.ndarray
-    fvals: np.ndarray
-
-    @property
-    def w_deriv(self) -> np.ndarray:
-        kp = self.kernel_deriv
-        return kp + _trapz_column(kp, self.fvals * self.w, self.grid_step)
-
-    @property
-    def z_deriv(self) -> np.ndarray:
-        return _trapz_column(self.kernel_deriv, self.fvals * self.z, self.grid_step)
-
-    def end_derivatives(self):
-        """``(Wf', Zf')`` at the last node of each row."""
-        kp, h = self.kernel_deriv, self.grid_step
-        w_end = kp[..., -1] + _trapz_end(kp, self.fvals * self.w, h)
-        return w_end, _trapz_end(kp, self.fvals * self.z, h)
+    w_end_deriv: Union[float, np.ndarray]
+    z_end_deriv: Union[float, np.ndarray]
 
 
 def _kernel_arrays(model: LevyModel, n: int, h: np.ndarray):
-    """0-scale kernel and its derivative on each row's difference lattice ``k*h[r]``."""
+    """0-scale kernel on each row's lattice ``k*h[r]``, and its slope at the row's end."""
     lattice = h[:, None] * np.arange(n + 1)
     k = _wq_array(model, 0.0, lattice)
-    kp = np.empty_like(k)
-    kp[:, 0] = w_prime_at_zero(model)
-    kp[:, 1:] = _w_deriv_array(model, 0.0, lattice[:, 1:])
-    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(kp))):
+    kp_end = _w_deriv_array(model, 0.0, lattice[:, -1])
+    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(kp_end))):
         raise ArithmeticError("non-finite 0-scale kernel values on the solve lattice")
-    return k, kp
+    return k, kp_end
 
 
-def _march(es: _ExpSum, fvals: np.ndarray, h: np.ndarray, inhom: np.ndarray) -> np.ndarray:
+def _march(
+    es: _ExpSum, fvals: np.ndarray, h: np.ndarray, inhom: np.ndarray, w_prime_0: float
+):
     """Explicit product-trapezoid march of a block of renewal equations.
 
     Solves ``phi = inhom + int W(u - z) f(z) phi(z) dz`` for every row and
-    equation, ``W`` being the 0-scale function that ``es`` represents.  Row
-    ``r`` has step ``h[r]`` and potential samples ``fvals[r]`` on its
-    lattice; ``inhom[i, c, r]`` is the inhomogeneous term of equation ``c`` at
-    node ``i`` of row ``r`` (step axis first), and the result has the same
-    layout.
+    equation, ``W`` being the 0-scale function that ``es`` represents and
+    ``w_prime_0 = W'(0)``.  Row ``r`` has step ``h[r]`` and potential samples
+    ``fvals[r]`` on its lattice; ``inhom[i, c, r]`` is the inhomogeneous term
+    of equation ``c`` at node ``i`` of row ``r`` (step axis first).  Returns
+    ``phi`` in the same layout and, at each row's last node, the history of
+    the differentiated equation ``int W'(u - z) f(z) phi(z) dz`` (``[c, r]``).
 
     The history ``h sum_{j<i} w_j W((i-j) h) g_j`` (``g = f phi``, ``w_0 =
     1/2``, else 1) is carried by one running sum per exponential column of
@@ -107,6 +92,11 @@ def _march(es: _ExpSum, fvals: np.ndarray, h: np.ndarray, inhom: np.ndarray) -> 
     ``g`` and each coefficient into its ``d_t``, so the history is the sum of
     the ``D``.  ``W(0) = 0`` kills the diagonal weight and leaves ``W`` no
     plain exponential column.
+
+    Differentiating a column gives ``t`` times it plus ``e^{lo x}``, and the
+    folded coefficients sum to ``W'(0)``, so ``W' = W'(0) e^{lo x} + sum_t t
+    (column t)``: the derivative history is ``W'(0) E + sum_t t D``, plus the
+    diagonal ``W'(0) g_n / 2`` that ``W'(0) != 0`` brings at the last node.
     """
     n1, cols, rows = inhom.shape
     roots, coef = [es.hi], [es.w[2]]
@@ -137,22 +127,8 @@ def _march(es: _ExpSum, fvals: np.ndarray, h: np.ndarray, inhom: np.ndarray) -> 
         out = np.add(inhom[i], first, out=phi[i])
         for other in rest:
             np.add(out, other, out=out)
-    return phi
-
-
-def _trapz_column(kp: np.ndarray, g: np.ndarray, h) -> np.ndarray:
-    """Trapezoid of ``kp(u_i - z) g(z)`` over ``[b, u_i]`` for every node of every row."""
-    n1 = g.shape[-1]
-    conv = np.array(
-        [np.convolve(k, r)[:n1] for k, r in zip(kp.reshape(-1, n1), g.reshape(-1, n1))]
-    ).reshape(g.shape)
-    return np.expand_dims(h, -1) * (conv - 0.5 * kp * g[..., :1] - 0.5 * kp[..., :1] * g)
-
-
-def _trapz_end(kp: np.ndarray, g: np.ndarray, h):
-    """The last node of :func:`_trapz_column`, one dot product per row."""
-    inner = (kp[..., ::-1] * g).sum(axis=-1)
-    return h * (inner - 0.5 * kp[..., -1] * g[..., 0] - 0.5 * kp[..., 0] * g[..., -1])
+    end = w_prime_0 * (e + 0.5 * fh[-1] * phi[-1]) + np.tensordot(roots, diffs, 1)
+    return phi, end
 
 
 def solve_w_z_f(
@@ -182,19 +158,19 @@ def solve_w_z_f(
     nodes = b + h[:, None] * np.arange(n + 1)
     nodes[:, -1] = his
     fvals = np.array([fr.eval_array(row) for fr, row in zip(fs, nodes)])
-    kernel, kp = _kernel_arrays(model, n, h)
+    kernel, kp_end = _kernel_arrays(model, n, h)
 
     inhom = np.empty((n + 1, 2, len(fs)))
     inhom[:, 0] = kernel.T
     inhom[:, 1] = 1.0
-    phi = _march(_exp_sum(model, 0.0), fvals, h, inhom)
+    phi, end = _march(_exp_sum(model, 0.0), fvals, h, inhom, w_prime_at_zero(model))
     w = np.ascontiguousarray(phi[:, 0].T)
     z = np.ascontiguousarray(phi[:, 1].T)
     if not np.all(np.isfinite(w)):
         raise ArithmeticError("renewal march produced non-finite W values")
     if not np.all(np.isfinite(z)):
         raise ArithmeticError("renewal march produced non-finite Z values")
-    parts = (h, nodes, w, z, kp, fvals)
+    parts = (h, nodes, w, z, kp_end + end[0], end[1])
     if single:
         parts = tuple(p[0] for p in parts)
     return VolterraSolution(float(b), *parts)

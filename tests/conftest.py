@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -81,7 +82,6 @@ def partial_fraction_z(model, q, x):
 
 def w_mpmath(model, q, x, digits=60):
     """``W^{(q)}(x)`` of the jump family from the same partial fractions in mpmath."""
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(digits):
         params = (model.mu, model.sigma**2, model.jump_rate, model.eta)
         mu, s2, rate, eta = (mp.mpf(v) for v in params)
@@ -107,6 +107,17 @@ def product_trapezoid_march(kernel, fvals, h, inhom):
         phi[i] += h * (0.5 * kernel[i] * g[0] + np.dot(kernel[i - 1 : 0 : -1], g[1:i]))
         g[i] = fvals[i] * phi[i]
     return phi
+
+
+def product_trapezoid_end(kernel_deriv, fvals, h, phi):
+    """Direct product trapezoid of ``int K'(u_n - z) f(z) phi(z) dz`` at the last node, one row.
+
+    ``h (sum_j K'_{n-j} g_j - K'_n g_0 / 2 - K'_0 g_n / 2)`` with ``g = f phi``;
+    ``K'_0 = W'(0)`` is nonzero, so both end weights are halved.
+    """
+    g = fvals * phi
+    inner = np.dot(kernel_deriv[::-1], g)
+    return h * (inner - 0.5 * kernel_deriv[-1] * g[0] - 0.5 * kernel_deriv[0] * g[-1])
 
 
 def brownian_z(model, q, x):

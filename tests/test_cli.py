@@ -76,10 +76,23 @@ def test_zero_paths_is_a_usage_error(command, capsys):
     # every outer node lies within ten outer steps of b
     ["exit", "--model", "bm:0,1", "--b", "0", "--x", "0.01", "--a", "1",
      "--grid-outer", "5", "--grid-inner", "16"],
+    # one outer node clears the guard, too few to extrapolate iota from
+    ["exit", "--model", "bm:0,1", "--b", "0", "--x", "0.62", "--a", "1",
+     "--potential", "const:0.5", "--grid-outer", "5", "--grid-inner", "16"],
 ])
 def test_values_the_library_rejects_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_numerical_failure_exits_one_with_error_document(capsys):
+    # W^(q)(200) overflows under the strong downward drift
+    argv = ["exit", "--model", "bm:-5,1", "--b", "0", "--x", "150", "--a", "200",
+            "--potential", "const:0.5", "--grid-outer", "5", "--grid-inner", "16"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == "exit"
+    assert doc["error"] == "OverflowError"
 
 
 def test_conditional_bins_pair_with_the_documents_curve(capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from snlpscale import (
-    ScaleTable,
     UnivariatePotential,
     classical_exit_up,
     make_brownian,
@@ -14,10 +13,10 @@ from snlpscale import (
     wq,
     zq,
 )
-from snlpscale.scale import _exp_sum, _wq_array
+from snlpscale.scale import _exp_sum, _w_deriv_array, _wq_array, w_prime_at_zero
 from snlpscale.volterra import _march
 
-from conftest import product_trapezoid_march
+from conftest import product_trapezoid_end, product_trapezoid_march
 
 
 def const_potential(level):
@@ -37,7 +36,7 @@ class TestDegenerate:
     def test_zero_potential_z_is_one(self, bm_driftless):
         sol = solve_w_z_f(bm_driftless, ZERO, 0.0, 1.0, 128)
         assert np.max(np.abs(sol.z - 1.0)) == 0.0
-        assert np.max(np.abs(sol.z_deriv)) == 0.0
+        assert sol.z_end_deriv == 0.0
 
 
 class TestDiscountRecovery:
@@ -51,7 +50,7 @@ class TestDiscountRecovery:
 
     def test_z_derivative_column(self, bm_driftless):
         sol = solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 2000)
-        assert sol.z_deriv[-1] == pytest.approx(math.sinh(1.0), abs=1e-5)
+        assert sol.z_end_deriv == pytest.approx(math.sinh(1.0), abs=1e-5)
 
     def test_exit_ratio_reproduction(self, bm_driftless):
         sol = solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 2000)
@@ -86,22 +85,21 @@ class TestStructure:
         sol = solve_w_z_f(bm_drift_up, HALF, 0.0, 2.0, 400)
         assert np.all(sol.w >= 0.0)
         assert np.all(np.diff(sol.w) > 0.0)
-        ScaleTable(
-            grid_lo=0.0, grid_hi=2.0, n=sol.w.size, w_values=sol.w, w_deriv=sol.w_deriv
-        ).validate()
+        assert sol.w[0] == 0.0
+        assert sol.w_end_deriv > 0.0 and sol.z_end_deriv > 0.0
 
     def test_z_at_least_one(self, bm_drift_up):
         sol = solve_w_z_f(bm_drift_up, HALF, 0.0, 2.0, 400)
         assert np.all(sol.z >= 1.0 - 1e-12)
 
     def test_derivative_column_consistent_with_values(self, bm_driftless):
-        # central differences of the value column agree at O(h^2) away from b
-        sol = solve_w_z_f(bm_driftless, HALF, 0.0, 1.0, 800)
-        h = sol.grid_step
-        interior = slice(50, -1)
-        fd = (sol.w[2:] - sol.w[:-2]) / (2.0 * h)
-        gap = np.abs(fd[interior] - sol.w_deriv[1:-1][interior])
-        assert np.max(gap) < 50.0 * h**2
+        # W^(q)' = 2 cosh(s), Z^(q)' = sinh(s) for const:1/2; each row's end
+        # slope carries the trapezoid's O(h^2) error and no more
+        levels = np.array([0.25, 0.5, 1.0, 1.5, 2.0])
+        sol = solve_w_z_f(bm_driftless, [HALF] * levels.size, 0.0, levels, 800)
+        h2 = sol.grid_step**2
+        assert np.all(np.abs(sol.w_end_deriv - 2.0 * np.cosh(levels)) < h2)
+        assert np.all(np.abs(sol.z_end_deriv - np.sinh(levels)) < h2)
 
     def test_offset_barrier(self, bm_driftless):
         # the march is translation covariant in the barrier
@@ -135,14 +133,13 @@ class TestBlockSolve:
         F = parse_bivariate(pot, 1.0)
         levels = np.linspace(0.55, 1.0, 6)
         block = solve_w_z_f(model, [F.frozen(s) for s in levels], 0.0, levels, 64)
-        w_ends, z_ends = block.end_derivatives()
         for r, s in enumerate(levels):
             one = solve_w_z_f(model, F.frozen(s), 0.0, float(s), 64)
             assert np.array_equal(block.nodes[r], one.nodes)
             assert block.w[r, -1] == pytest.approx(one.w[-1], rel=1e-13)
             assert block.z[r, -1] == pytest.approx(one.z[-1], rel=1e-13)
-            assert w_ends[r] == pytest.approx(one.w_deriv[-1], rel=1e-13)
-            assert z_ends[r] == pytest.approx(one.z_deriv[-1], rel=1e-13)
+            assert block.w_end_deriv[r] == pytest.approx(one.w_end_deriv, rel=1e-13)
+            assert block.z_end_deriv[r] == pytest.approx(one.z_end_deriv, rel=1e-13)
 
     def test_one_upper_end_per_potential(self, bm_driftless):
         with pytest.raises(ValueError):
@@ -151,26 +148,47 @@ class TestBlockSolve:
             solve_w_z_f(bm_driftless, [], 0.0, [], 64)
 
 
+MARCH_MODELS = pytest.mark.parametrize("model", [
+    make_brownian(0.0, 1.0),
+    make_brownian(0.3, 0.8),
+    make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5),
+    make_brownian(1e-9, 1.0),
+], ids=["double-root", "two-roots", "three-roots", "merging-roots"])
+
+
+def march_block(model, n=512):
+    """The march on four rows of differing steps, with its lattice, kernel and inputs."""
+    h = np.array([1.0, 1.7, 2.5, 4.0]) / n
+    lattice = h[:, None] * np.arange(n + 1)
+    kernel = _wq_array(model, 0.0, lattice)
+    fvals = 0.5 + 0.4 * np.sin(3.0 * lattice)
+    inhom = np.stack([kernel.T, np.ones_like(kernel.T)], axis=1)
+    phi, end = _march(_exp_sum(model, 0.0), fvals, h, inhom, w_prime_at_zero(model))
+    return h, lattice, kernel, fvals, inhom, phi, end
+
+
 class TestMarchRecursion:
-    @pytest.mark.parametrize("model", [
-        make_brownian(0.0, 1.0),
-        make_brownian(0.3, 0.8),
-        make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5),
-        make_brownian(1e-9, 1.0),
-    ], ids=["double-root", "two-roots", "three-roots", "merging-roots"])
+    @MARCH_MODELS
     def test_matches_direct_product_trapezoid(self, model):
         # the O(n) recursion is the O(n^2) rule summed in another order
-        n = 512
-        h = np.array([1.0, 1.7, 2.5, 4.0]) / n
-        lattice = h[:, None] * np.arange(n + 1)
-        kernel = _wq_array(model, 0.0, lattice)
-        fvals = 0.5 + 0.4 * np.sin(3.0 * lattice)
-        inhom = np.stack([kernel.T, np.ones_like(kernel.T)], axis=1)
-        phi = _march(_exp_sum(model, 0.0), fvals, h, inhom)
+        h, _, kernel, fvals, inhom, phi, _ = march_block(model)
         for r in range(h.size):
             for c in range(2):
                 want = product_trapezoid_march(kernel[r], fvals[r], h[r], inhom[:, c, r])
                 assert phi[:, c, r] == pytest.approx(want, rel=1e-13)
+
+    @MARCH_MODELS
+    def test_end_history_matches_direct_trapezoid(self, model):
+        # the derivative history read off the running sums is the direct
+        # trapezoid of W' against the direct march's f phi at the last node
+        h, lattice, kernel, fvals, inhom, _, end = march_block(model)
+        kernel_deriv = _w_deriv_array(model, 0.0, lattice)
+        kernel_deriv[:, 0] = w_prime_at_zero(model)
+        for r in range(h.size):
+            for c in range(2):
+                phi = product_trapezoid_march(kernel[r], fvals[r], h[r], inhom[:, c, r])
+                want = product_trapezoid_end(kernel_deriv[r], fvals[r], h[r], phi)
+                assert end[c, r] == pytest.approx(want, rel=1e-13)
 
     def test_second_order_to_fine_grids(self, bm_driftless):
         # W^(q) = 2 sinh(x), Z^(q) = cosh(x) for const:1/2; the trapezoid error
