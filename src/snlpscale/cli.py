@@ -423,15 +423,22 @@ def _cmd_local_time(args, config) -> dict:
 _BIVARIATE = "const:q | reflected:c | indicator:c,r | level:c,r"
 
 
-def _add_common(p, potential=None, g=False, mc_flags=False,
+def _add_common(p, potential=None, g=False, mc_flags=False, exit_problem=True,
                 inner="inner renewal-solve grid intervals"):
-    """Shared flags; ``potential`` is the help text of ``--potential``, if taken."""
+    """Shared flags; ``potential`` is the help text of ``--potential``, if taken.
+
+    Only commands that solve an exit problem (``exit_problem``) take ``--b``,
+    ``--x`` and ``--grid-outer``; anywhere else argparse rejects them.
+    """
     p.add_argument("--model", help="bm:mu,sigma or jd:mu,sigma,rate,jump_mean")
-    p.add_argument("--b", type=float, help="lower barrier")
-    p.add_argument("--x", type=float, help="starting point, b < x < a")
-    p.add_argument("--a", type=float, help="upper barrier")
-    p.add_argument("--grid-outer", dest="grid_outer", type=int,
-                   help="outer Simpson node count (odd)")
+    if exit_problem:
+        p.add_argument("--b", type=float, help="lower barrier")
+        p.add_argument("--x", type=float, help="starting point, b < x < a")
+        p.add_argument("--a", type=float, help="upper barrier")
+        p.add_argument("--grid-outer", dest="grid_outer", type=int,
+                       help="outer Simpson node count (odd)")
+    else:
+        p.add_argument("--a", type=float, help="upper end of the table")
     p.add_argument("--grid-inner", dest="grid_inner", type=int, help=inner)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument("--config", help="flat key = value config file with defaults")
@@ -457,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scale-table", help="sample a q-scale table to CSV")
-    _add_common(p, inner="table node count on [0, a]")
+    _add_common(p, exit_problem=False, inner="table node count on [0, a]")
     p.add_argument("--q", type=float, help="discount rate of the table")
 
     p = sub.add_parser("exit", help="deterministic two-sided exit identities")

@@ -12,7 +12,13 @@ the Brownian bridge between its endpoints::
 
 which detects intra-step barrier crossings with the exact conditional
 probability and keeps the running supremum free of the O(sqrt(dt)) discrete
-maximum bias.
+maximum bias.  The bridge exceeds a level ``L`` above both endpoints with
+probability ``exp(-2 (L-X0)(L-X1) / (sigma^2 dt))``, and falls below a level
+under both with the same law.  So the maximum is drawn only for paths with
+``(S-X0)(S-X1) <= R sigma^2 dt`` and the minimum only for paths with
+``(X0-b)(X1-b) <= R sigma^2 dt``, ``R = _REACH``; every other path keeps its
+supremum and cannot exit.  The crossings skipped that way have probability
+below ``exp(-2R)``, which a double in ``[0, 1)`` cannot resolve.
 
 The stepper takes two hooks.  Each integrand ``(s, x) -> rate`` in its list
 is accumulated per path by the trapezoid rule in time, consistent with the
@@ -39,11 +45,13 @@ in an antithetic run, since it would break the pair alignment.
 
 Chunk ``k`` draws from a counter-derived Philox substream keyed by
 ``(seed, k)``, each step draws one ``standard_normal`` batch of the live
-count before one block of twice that many bridge uniforms, and the reduction
-runs in fixed chunk order, so estimates are bit-identical for a given
-configuration regardless of scheduling.
+count before one block of bridge uniforms, one for each live path within
+reach of its supremum and then one for each within reach of ``b``, each set
+in path order.  The reduction runs in fixed chunk order, so estimates are
+bit-identical for a given configuration regardless of scheduling.
 Antithetic mates rerun a chunk on the same substream with negated Gaussian
-increments.
+increments; once the two runs draw different numbers of bridge uniforms,
+their later increments are no longer mirror images.
 
 The engine never calls the deterministic solver: it imports only ``ExitSpec``
 from :mod:`generalized`.  :func:`conditional_mc` returns Monte Carlo bins,
@@ -79,6 +87,10 @@ __all__ = [
 
 _CHUNK = 1 << 17  # fixed partition; part of the reproducibility contract
 _MAX_CENSORED_FRACTION = 1e-3
+# a path farther than this from S and b crosses neither within a step with
+# probability above exp(-2 * _REACH) ~ 4.2e-18, below the 2**-53 resolution
+# of the uniforms that would sample the crossing
+_REACH = 20.0
 
 
 @dataclass
@@ -216,6 +228,49 @@ class _ExitState:
         self.censored = np.zeros(n, dtype=bool)
 
 
+def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
+    """Bridge extrema of the paths within reach of their supremum or of ``b``.
+
+    ``hi`` indexes the paths with ``(s - x)(s - x_new) <= _REACH var``, which
+    include every ``x_new > s``, and ``lo`` those with ``(x - b)(x_new - b)
+    <= _REACH var``, which include every ``x_new <= b``; both ascend.  One
+    ``random`` block draws a uniform for each, ``hi`` first, and ``ext`` holds
+    the bridge maximum of each ``hi`` path followed by the minimum of each
+    ``lo`` path.  ``var`` is ``sigma^2 dt``, one float or one per path;
+    ``work`` (floats) and ``mask`` (bools) are scratch of twice the live
+    count.
+    """
+    m = x.size
+    prod, tmp = work[:m], work[m:]
+    reach = _REACH * var
+    np.subtract(s, x, out=prod)
+    prod *= np.subtract(s, x_new, out=tmp)
+    np.less_equal(prod, reach, out=mask[:m])
+    np.subtract(x, b, out=prod)
+    prod *= np.subtract(x_new, b, out=tmp)
+    np.less_equal(prod, reach, out=mask[m:])
+    # flags of both reaches in one row, so ``near`` is hi followed by lo + m
+    # and wrap mode maps each flag back to its path
+    near = mask.nonzero()[0]
+    k = np.count_nonzero(mask[:m])
+
+    ends = x.take(near, mode="wrap")
+    gap = x_new.take(near, mode="wrap", out=work[:near.size])
+    ext = ends.copy()
+    ends += gap
+    gap -= ext
+    gap *= gap
+    rng.random(near.size, out=ext)
+    np.log(ext, out=ext)
+    ext *= 2.0 * (var.take(near, mode="wrap") if isinstance(var, np.ndarray) else var)
+    np.subtract(gap, ext, out=ext)
+    np.sqrt(ext, out=ext)
+    ext[k:] *= -1.0
+    ext += ends
+    ext *= 0.5
+    return near[:k], near[k:] - m, ext
+
+
 def _simulate_exit_chunk(
     model: LevyModel,
     spec: ExitSpec,
@@ -235,17 +290,25 @@ def _simulate_exit_chunk(
     every path takes the full step, so ``dt_eff`` and the elapsed time ``t``
     are one float each.
 
+    With the bridge, ``_bridge_extrema`` draws the step's maximum only for
+    the paths within reach of their supremum and its minimum only for those
+    within reach of ``b``: one uniform each, in one block, after the step's
+    Gaussian draws.  A path within reach of neither keeps its supremum and
+    stays alive.  A path whose maximum reaches ``a`` leaves up, even when its
+    minimum reaches ``b`` too.
+
     Every step allocates its new position and supremum: the integrands and
     the observer see them, and an integrand's result may be one of its own
     inputs (``lambda s, x: s``).  So no step writes into ``x``, ``s`` or an
     integrand's result after an integrand has seen it, except a jump, which
     replaces the jumped paths' position and their integrand values together.
-    The step's other temporaries -- the Gaussian draws, the bridge uniforms
-    (one block of ``2 m``, the first half for the maximum), the squared gap,
-    the endpoint sum, the exit masks and the trapezoid increment -- go into
-    per-chunk scratch arrays of length ``n``, sliced to the live count ``m``.
-    Exits are found once per step as an index list; the up/down split, the
-    bridge half step and the exit records work on that list only.
+    The step's other full-width temporaries -- the Gaussian draws, the reach
+    products, the exit masks and the trapezoid increment -- go into per-chunk
+    scratch arrays of length ``n``, sliced to the live count ``m``.  Exits
+    are found once per step as an index list; the up/down split, the bridge
+    half step and the exit records work on that list only.  A live path's
+    supremum stays below ``a``, so a path leaves up exactly when its new
+    supremum is ``a``.
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
@@ -264,9 +327,8 @@ def _simulate_exit_chunk(
     acc = [np.zeros(n) for _ in integrands]
     jump_in = rng.exponential(1.0 / rate, n) if jumpy else None
     f_prev = [fn(s, x) for fn in integrands]
-    xi_buf, sum_buf, gap_buf = np.empty(n), np.empty(n), np.empty(n)
-    u_buf = np.empty(2 * n)
-    gone_buf, mask_buf = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    xi_buf, sum_buf, work_buf = np.empty(n), np.empty(n), np.empty(2 * n)
+    gone_buf, mask_buf = np.empty(n, dtype=bool), np.empty(2 * n, dtype=bool)
 
     while pid.size:
         m = pid.size
@@ -282,24 +344,16 @@ def _simulate_exit_chunk(
         x_new += xi
 
         if bridge:
-            # row 0 gives the bridge maximum, row 1 the minimum
-            ext = rng.random(2 * m, out=u_buf[: 2 * m]).reshape(2, m)
-            np.log(ext, out=ext)
-            ext *= 2.0 * (sigma * sigma * dt_eff)
-            gap2 = np.subtract(x_new, x, out=gap_buf[:m])
-            np.square(gap2, out=gap2)
-            np.subtract(gap2, ext, out=ext)
-            np.sqrt(ext, out=ext)
-            ends = np.add(x, x_new, out=sum_buf[:m])
-            m_hi, m_lo = ext
-            np.add(ends, m_hi, out=m_hi)
-            m_hi *= 0.5
-            np.subtract(ends, m_lo, out=m_lo)
-            m_lo *= 0.5
-            gone = np.greater_equal(m_hi, a, out=gone_buf[:m])
-            gone |= np.less_equal(m_lo, b, out=mask_buf[:m])
-            s_new = np.maximum(s, m_hi)
-            np.minimum(s_new, a, out=s_new)
+            hi, lo, ext = _bridge_extrema(rng, x, x_new, s, b, sigma * sigma * dt_eff,
+                                          work_buf[:2 * m], mask_buf[:2 * m])
+            k = hi.size
+            s_hi = s.take(hi, out=work_buf[:k])
+            np.maximum(s_hi, ext[:k], out=s_hi)
+            np.minimum(s_hi, a, out=s_hi)
+            s_new = s.copy()
+            s_new[hi] = s_hi
+            gone = np.greater_equal(s_new, a, out=gone_buf[:m])
+            gone[lo[ext[k:] <= b]] = True
         else:
             gone = np.greater_equal(x_new, a, out=gone_buf[:m])
             gone |= np.less(x_new, b, out=mask_buf[:m])
@@ -307,7 +361,8 @@ def _simulate_exit_chunk(
             np.maximum(s, s_new, out=s_new)
         hit = np.flatnonzero(gone)
         x_hit = x_new[hit]
-        up = (m_hi[hit] if bridge else x_hit) >= a
+        s_hit = s_new[hit]
+        up = s_hit >= a
 
         # trapezoid accumulation; bridge kills strictly inside the band get a
         # half step since the crossing time is interior to the step
@@ -325,7 +380,7 @@ def _simulate_exit_chunk(
         if hit.size:
             ids = pid[hit]
             out.up[ids] = up
-            out.s_exit[ids] = np.where(up, a, s_new[hit])
+            out.s_exit[ids] = s_hit
             end = np.where(up, a, b) if bridge else x_hit
             out.x_pre[ids] = end
             out.x_post[ids] = end

@@ -20,6 +20,17 @@ def test_bad_mc_flags_are_usage_errors(command, bad_flag, capsys):
     assert "--paths/--dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--b", "5"], ["--x", "9"], ["--grid-outer", "7"]])
+def test_scale_table_rejects_exit_problem_flags(flag, capsys):
+    argv = ["scale-table", "--model", "bm:0,1", "--a", "1", "--grid-inner", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # refinement from 5/16 stalls at last_delta ~ 7e-6 after four doublings
 UNCONVERGED = [
     "--model", "bm:0,1", "--b", "0", "--x", "1.5", "--a", "2",
