@@ -254,6 +254,8 @@ def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
     near = mask.nonzero()[0]
     k = np.count_nonzero(mask[:m])
 
+    # the first step finds every path within reach of S, so the endpoint
+    # gap lives in the scratch and the uniforms overwrite a copy of x
     ends = x.take(near, mode="wrap")
     gap = x_new.take(near, mode="wrap", out=work[:near.size])
     ext = ends.copy()
