@@ -376,7 +376,7 @@ def test_bridge_extrema_match_the_dense_formula(m, seed, var, spread, per_path):
     b = 0.0
     gen = np.random.default_rng(seed)
     x = gen.uniform(b, 1.0, m)
-    s = np.minimum(x + gen.exponential(spread * math.sqrt(var) + 1e-12, m), 1.0)
+    s = np.minimum(x + gen.exponential(spread * math.sqrt(var), m), 1.0)
     x_new = x + spread * math.sqrt(var) * gen.standard_normal(m)
     if per_path:
         var = var * gen.uniform(0.0, 1.0, m)
