@@ -11,7 +11,9 @@ Subcommands
 All commands emit a versioned JSON document (``"schema": 1``) to stdout or
 ``--out``.  A flat ``key = value`` config file provides defaults; explicit
 flags override it, and the ``SNLP_SCALE_SEED`` environment variable backs the
-seed.
+seed.  Its keys are the flag names without the leading ``--`` (``grid-outer`` or
+``grid_outer``), except ``out``, ``csv`` and ``config``; any other key is an
+error.  ``bridge`` takes ``1/true/yes/on`` or ``0/false/no/off``, in any case.
 
 Exit status:
 
@@ -22,9 +24,9 @@ Exit status:
   last two still emit the full document.
 * 2 on usage errors: bad flags, and flag or config values that the library
   rejects (a ``ValueError``).  Among these are Monte Carlo settings that
-  ``MCConfig`` rejects (e.g. ``--paths 0``, ``--paths`` below 100 or
-  ``--dt 0``), grid sizes the solvers cannot use (e.g. an even
-  ``--grid-outer``) and potentials out of range.
+  ``MCConfig`` rejects (e.g. ``--paths 0``, ``--paths`` below 100, or a
+  ``--dt`` that is 0, NaN or infinite), grid sizes the solvers cannot use
+  (e.g. an even ``--grid-outer``) and potentials out of range.
 
 ``conditional`` and ``local-time`` run Monte Carlo only when ``--paths`` or a
 ``paths`` line in the config file asks for it.
@@ -113,7 +115,12 @@ def _load_config(path: str) -> dict:
                         f"--config: line {lineno} of {path} is not 'key = value'"
                     )
                 key, _, value = line.partition("=")
-                out[key.strip().replace("-", "_")] = value.strip()
+                name = key.strip().replace("-", "_")
+                if name not in _CONFIG_KEYS:
+                    raise UsageError(
+                        f"--config: unknown key '{key.strip()}' on line {lineno} of {path}"
+                    )
+                out[name] = value.strip()
     except OSError as exc:
         raise UsageError(f"--config: cannot read {path}: {exc}") from exc
     return out
@@ -132,6 +139,9 @@ _DEFAULTS = {
     "x": None,
     "a": None,
 }
+_CONFIG_KEYS = frozenset(_DEFAULTS) | {"model", "seed"}
+_BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+               **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _resolve(args, config: dict, key: str, cast=float, required=False):
@@ -140,8 +150,8 @@ def _resolve(args, config: dict, key: str, cast=float, required=False):
     if val is None and key in config:
         raw = config[key]
         try:
-            val = cast(raw) if cast is not bool else raw.lower() in ("1", "true", "yes", "on")
-        except ValueError as exc:
+            val = cast(raw)
+        except (KeyError, ValueError) as exc:
             raise UsageError(f"--config: bad value for '{key}': {raw}") from exc
     if val is None:
         val = _DEFAULTS.get(key)
@@ -151,13 +161,9 @@ def _resolve(args, config: dict, key: str, cast=float, required=False):
 
 
 def _resolve_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        try:
-            return int(config["seed"])
-        except ValueError as exc:
-            raise UsageError(f"--config: bad seed '{config['seed']}'") from exc
+    seed = _resolve(args, config, "seed", cast=int)
+    if seed is not None:
+        return seed
     env = os.environ.get("SNLP_SCALE_SEED")
     if env is not None:
         try:
@@ -180,7 +186,9 @@ def _mc_config(args, config, n_paths) -> MCConfig:
             dt=_resolve(args, config, "dt"),
             n_paths=int(n_paths),
             seed=_resolve_seed(args, config),
-            bridge_correction=_resolve(args, config, "bridge", cast=bool),
+            bridge_correction=_resolve(
+                args, config, "bridge", cast=lambda raw: _BOOL_WORDS[raw.lower()]
+            ),
         )
     except ValueError as exc:
         raise UsageError(f"--paths/--dt: {exc}") from exc

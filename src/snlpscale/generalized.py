@@ -155,8 +155,8 @@ def kappa(model: LevyModel, F: BivariatePotential, b: float, z: float, n: int) -
     """Terminal-excursion weight at supremum level ``z > b``.
 
     Reduces to the excursion height tail ``W'(z-b)/W(z-b)`` when ``F == 0``.
-    The overshoot weight is fixed to 1; path-dependent overshoot weights are
-    only available through the Monte Carlo engine.
+    The overshoot weight is 1: neither this solver nor the Monte Carlo engine
+    weights a down exit by its overshoot below ``b``.
     """
     if z <= b:
         raise ValueError(f"kappa requires z > b, got z={z}, b={b}")

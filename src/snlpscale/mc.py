@@ -40,8 +40,7 @@ which the integrands see and may hand back, are fresh arrays each step.
 
 ``_collect_states`` drives the stepper over fixed-size chunks and owns the
 censoring gate for both entry points: paths that reach the time cap are
-censored, a censored fraction above 0.1% raises, and so does any censoring
-in an antithetic run, since it would break the pair alignment.
+censored, and a censored fraction above 0.1% raises.
 
 Chunk ``k`` draws from a counter-derived Philox substream keyed by
 ``(seed, k)``, each step draws one ``standard_normal`` batch of the live
@@ -49,9 +48,6 @@ count before one block of bridge uniforms, one for each live path within
 reach of its supremum and then one for each within reach of ``b``, each set
 in path order.  The reduction runs in fixed chunk order, so estimates are
 bit-identical for a given configuration regardless of scheduling.
-Antithetic mates rerun a chunk on the same substream with negated Gaussian
-increments; once the two runs draw different numbers of bridge uniforms,
-their later increments are no longer mirror images.
 
 The engine never calls the deterministic solver: it imports only ``ExitSpec``
 from :mod:`generalized`.  :func:`conditional_mc` returns Monte Carlo bins,
@@ -99,8 +95,7 @@ class MCConfig:
 
     ``t_cap`` defaults to ``1e4 (a-b)^2 / sigma^2``; paths that exhaust it
     are counted as censored, and a censored fraction above 0.1% fails the
-    run.  ``antithetic`` pairs each path with a mate driven by negated
-    Gaussian increments (pure-Gaussian family only).
+    run.
     """
 
     dt: float
@@ -108,15 +103,14 @@ class MCConfig:
     seed: int = 0
     bridge_correction: bool = True
     t_cap: Optional[float] = None
-    antithetic: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
+        # NaN must fail too: it keeps the clock at NaN, so no path would
+        # ever reach the time cap
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if self.n_paths < 100:
             raise ValueError("n_paths must be >= 100")
-        if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic pairing needs an even n_paths")
 
     def resolved_t_cap(self, model: LevyModel, spec: ExitSpec) -> float:
         if self.t_cap is not None:
@@ -191,17 +185,6 @@ def _as_weight(fn: Optional[Callable]) -> Callable[[np.ndarray], np.ndarray]:
     def wrapped(z):
         z = np.asarray(z, dtype=float)
         return np.broadcast_to(np.asarray(fn(z), dtype=float), z.shape)
-
-    return wrapped
-
-
-def _as_weight2(fn: Optional[Callable]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    if fn is None:
-        return lambda u, v: np.ones_like(np.asarray(u, dtype=float))
-
-    def wrapped(u, v):
-        u = np.asarray(u, dtype=float)
-        return np.broadcast_to(np.asarray(fn(u, np.asarray(v, dtype=float)), dtype=float), u.shape)
 
     return wrapped
 
@@ -281,7 +264,6 @@ def _simulate_exit_chunk(
     n: int,
     integrands: list,
     observer: Optional[Callable] = None,
-    xi_sign: float = 1.0,
 ) -> _ExitState:
     """Run ``n`` paths to exit or censoring.
 
@@ -318,8 +300,6 @@ def _simulate_exit_chunk(
     jumpy = rate > 0.0
     t_cap = cfg.resolved_t_cap(model, spec)
     bridge = cfg.bridge_correction
-    # negating sigma negates each increment exactly, as negating xi would
-    signed_sigma = xi_sign * sigma
 
     out = _ExitState(n, len(integrands))
     pid = np.arange(n)
@@ -341,7 +321,7 @@ def _simulate_exit_chunk(
             dt_eff = dt
 
         xi = rng.standard_normal(m, out=xi_buf[:m])
-        np.multiply(xi, signed_sigma * np.sqrt(dt_eff), out=xi)
+        np.multiply(xi, sigma * np.sqrt(dt_eff), out=xi)
         x_new = x + mu * dt_eff
         x_new += xi
 
@@ -432,43 +412,21 @@ def _simulate_exit_chunk(
 
 
 def _collect_states(model, spec, cfg, integrands, observer=None) -> _ExitState:
-    """Simulate all chunks, honoring the antithetic pairing, and merge them.
-
-    With pairing on, the merged records hold all primary chunks followed by
-    their mates in the same order, so path ``i`` and path ``i + n/2`` form a
-    pair.
+    """Simulate the chunks in order and merge their records.
 
     Raises:
-        RuntimeError: when more than 0.1% of the paths hit the time cap, or
-            when any path of an antithetic run does.
+        RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
-    if cfg.antithetic and model.family is not Family.BROWNIAN_DRIFT:
-        raise ValueError("antithetic pairing supports the Brownian family only")
-    primaries = []
-    mates = []
-    remaining = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    chunk_index = 0
-    while remaining > 0:
-        n = min(_CHUNK, remaining)
-        primaries.append(
-            _simulate_exit_chunk(
-                model, spec, cfg, _chunk_rng(cfg.seed, chunk_index), n, integrands, observer
-            )
+    chunks = [
+        _simulate_exit_chunk(
+            model, spec, cfg, _chunk_rng(cfg.seed, k), min(_CHUNK, cfg.n_paths - start),
+            integrands, observer,
         )
-        if cfg.antithetic:
-            mates.append(
-                _simulate_exit_chunk(
-                    model, spec, cfg, _chunk_rng(cfg.seed, chunk_index), n, integrands,
-                    observer, xi_sign=-1.0,
-                )
-            )
-        remaining -= n
-        chunk_index += 1
-
+        for k, start in enumerate(range(0, cfg.n_paths, _CHUNK))
+    ]
     merged = _ExitState(0, len(integrands))
     for name in _ExitState.__slots__:
-        parts = [getattr(st, name) for st in primaries + mates]
-        setattr(merged, name, np.concatenate(parts, axis=-1))
+        setattr(merged, name, np.concatenate([getattr(st, name) for st in chunks], axis=-1))
     n_total = merged.up.size
     n_censored = int(merged.censored.sum())
     if n_censored > _MAX_CENSORED_FRACTION * n_total:
@@ -476,16 +434,10 @@ def _collect_states(model, spec, cfg, integrands, observer=None) -> _ExitState:
             f"{n_censored} of {n_total} paths were censored at the time cap "
             f"(fraction {n_censored / n_total:.2e} > {_MAX_CENSORED_FRACTION})"
         )
-    if cfg.antithetic and n_censored:
-        raise RuntimeError("censoring breaks antithetic pair alignment; raise t_cap")
     return merged
 
 
-def _estimate(values: np.ndarray, elapsed: float, antithetic: bool) -> Estimate:
-    if antithetic:
-        # mate pairs sit in the two halves of each chunk pair; fold them
-        half = values.size // 2
-        values = 0.5 * (values[:half] + values[half:])
+def _estimate(values: np.ndarray, elapsed: float) -> Estimate:
     n = values.size
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
@@ -498,22 +450,19 @@ def run_exit_mc(
     spec: ExitSpec,
     cfg: MCConfig,
     g: Optional[Callable] = None,
-    h: Optional[Callable] = None,
     keep_samples: bool = False,
 ) -> ExitMCResult:
     """Estimate the two-sided exit functionals by simulation.
 
     Returns estimates of (i) ``E[e^{-int F}; up]``, (ii)
-    ``E[g(S_T) h(X_{T-}, X_T) e^{-int F}; down]`` and (iii) ``P(up)``,
-    plus the raw exit records on request.
+    ``E[g(S_T) e^{-int F}; down]`` and (iii) ``P(up)``, plus the raw exit
+    records on request.
 
     Raises:
-        RuntimeError: when more than 0.1% of the paths hit the time cap, or
-            when any path of an antithetic run does.
+        RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
     cfg.warn_if_coarse(spec)
     g_fn = _as_weight(g)
-    h_fn = _as_weight2(h)
     start = time.perf_counter()
     st = _collect_states(model, spec, cfg, [F.eval_pairs])
     counted = ~st.censored
@@ -521,14 +470,13 @@ def run_exit_mc(
     up_c = st.up[counted]
     lap = np.exp(-acc[counted])
     y_up = np.where(up_c, lap, 0.0)
-    down_weight = g_fn(st.s_exit[counted]) * h_fn(st.x_pre[counted], st.x_post[counted])
-    y_down = np.where(~up_c, down_weight * lap, 0.0)
+    y_down = np.where(~up_c, g_fn(st.s_exit[counted]) * lap, 0.0)
     elapsed = time.perf_counter() - start
 
     result = ExitMCResult(
-        up_laplace=_estimate(y_up, elapsed, cfg.antithetic),
-        down_value=_estimate(y_down, elapsed, cfg.antithetic),
-        p_up=_estimate(up_c.astype(float), elapsed, cfg.antithetic),
+        up_laplace=_estimate(y_up, elapsed),
+        down_value=_estimate(y_down, elapsed),
+        p_up=_estimate(up_c.astype(float), elapsed),
         n_censored=int(st.censored.sum()),
     )
     if keep_samples:
@@ -642,8 +590,7 @@ def occupation_mc(
     through a fine cumulative table, so the A-B discrepancy carries only the
     smoothing error and shrinks like the bandwidth.  ``n_levels`` sets the
     resolution of the returned mean occupation-density profile, which counts
-    every simulated path.  Censored paths are left out of (A) and (B), and
-    ``cfg.antithetic`` pairs paths as in :func:`run_exit_mc`.
+    every simulated path.  Censored paths are left out of (A) and (B).
 
     Raises:
         ValueError: if the bandwidth is unresolvable by the fine table.
@@ -687,8 +634,8 @@ def occupation_mc(
     acc_b = st.acc[1, counted]
     elapsed = time.perf_counter() - start
     return OccupationMCResult(
-        time_integral_laplace=_estimate(np.exp(-acc_a), elapsed, cfg.antithetic),
-        occupation_laplace=_estimate(np.exp(-acc_b), elapsed, cfg.antithetic),
+        time_integral_laplace=_estimate(np.exp(-acc_a), elapsed),
+        occupation_laplace=_estimate(np.exp(-acc_b), elapsed),
         mean_abs_discrepancy=float(np.mean(np.abs(acc_a - acc_b))),
         levels=levels,
         density_profile=density / cfg.n_paths,

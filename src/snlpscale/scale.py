@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -284,17 +284,13 @@ class ScaleTable:
     n: int
     w_values: np.ndarray
     w_deriv: np.ndarray
-    z_values: Optional[np.ndarray] = None
-    z_deriv: Optional[np.ndarray] = None
+    z_values: np.ndarray
+    z_deriv: np.ndarray
     normalization_note: str = ""
 
     def __post_init__(self):
-        self.w_values = np.asarray(self.w_values, dtype=float)
-        self.w_deriv = np.asarray(self.w_deriv, dtype=float)
-        if self.z_values is not None:
-            self.z_values = np.asarray(self.z_values, dtype=float)
-        if self.z_deriv is not None:
-            self.z_deriv = np.asarray(self.z_deriv, dtype=float)
+        for name in ("w_values", "w_deriv", "z_values", "z_deriv"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.w_values.size != self.n:
             raise ValueError("w_values length must equal the node count n")
 
@@ -312,22 +308,22 @@ class ScaleTable:
             raise ValueError("w_values must be nonnegative")
         if np.any(np.diff(w[1:]) <= 0.0):
             raise ValueError("w_values must be strictly increasing beyond the first node")
-        if self.z_values is not None and np.any(self.z_values < 1.0 - tol):
+        if np.any(self.z_values < 1.0 - tol):
             raise ValueError("z_values must be >= 1 for a nonnegative potential")
 
     def to_csv(self, target) -> None:
-        """Dump the table: header ``x,W,Wprime[,Z,Zprime]``, 17 significant digits.
+        """Dump the table: header ``x,W,Wprime,Z,Zprime``, 17 significant digits.
 
         ``target`` is a path or an open text stream.  Rows are formatted in
         blocks of a few thousand by one ``%`` each (``_csvout.write_csv``),
         with the same text as one ``f"{v:.17g}"`` per value.
         """
-        header = ["x", "W", "Wprime"]
-        columns = [self.grid, self.w_values, self.w_deriv]
-        if self.z_values is not None:
-            header += ["Z", "Zprime"]
-            columns += [self.z_values, self.z_deriv]
-        write_csv(target, header, ["%.17g"] * len(columns), columns)
+        write_csv(
+            target,
+            ["x", "W", "Wprime", "Z", "Zprime"],
+            ["%.17g"] * 5,
+            [self.grid, self.w_values, self.w_deriv, self.z_values, self.z_deriv],
+        )
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -335,10 +331,8 @@ class ScaleTable:
         return buf.getvalue()
 
 
-def make_scale_table(
-    model: LevyModel, q: float, hi: float, n: int, with_z: bool = True
-) -> ScaleTable:
-    """Sample ``W^{(q)}`` (and optionally ``Z^{(q)}``) on ``[0, hi]``.
+def make_scale_table(model: LevyModel, q: float, hi: float, n: int) -> ScaleTable:
+    """Sample ``W^{(q)}`` and ``Z^{(q)}`` on ``[0, hi]``.
 
     The derivative columns are analytic relations, not differences of the
     value columns: ``Z^{(q)'} = q W^{(q)}``.
@@ -347,18 +341,13 @@ def make_scale_table(
         raise ValueError("make_scale_table requires hi > 0 and n >= 2 nodes")
     xs = np.linspace(0.0, hi, n)
     w = _wq_array(model, q, xs)
-    wp = _w_deriv_array(model, q, xs)
-    z = zp = None
-    if with_z:
-        z = _zq_array(model, q, xs)
-        zp = q * w
     return ScaleTable(
         grid_lo=0.0,
         grid_hi=float(hi),
         n=int(n),
         w_values=w,
-        w_deriv=wp,
-        z_values=z,
-        z_deriv=zp,
+        w_deriv=_w_deriv_array(model, q, xs),
+        z_values=_zq_array(model, q, xs),
+        z_deriv=q * w,
         normalization_note=f"q-scale table, q={q}, transform 1/(psi(beta)-q)",
     )

@@ -13,7 +13,13 @@ SMALL_GRID = ["--grid-outer", "9", "--grid-inner", "32"]
 
 
 @pytest.mark.parametrize("command", ["conditional", "local-time"])
-@pytest.mark.parametrize("bad_flag", [["--paths", "50"], ["--paths", "200", "--dt", "0"]])
+@pytest.mark.parametrize("bad_flag", [
+    ["--paths", "50"],
+    ["--paths", "200", "--dt", "0"],
+    # a NaN step never exits or censors a path, so the run would not end
+    ["--paths", "200", "--dt", "nan"],
+    ["--paths", "200", "--dt=inf"],
+])
 def test_bad_mc_flags_are_usage_errors(command, bad_flag, capsys):
     argv = [command, *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", *bad_flag]
     assert main(argv) == 2
@@ -145,3 +151,43 @@ def test_seed_precedence(flag, config_seed, want, tmp_path, monkeypatch, capsys)
         argv += ["--config", str(config)]
     main(argv)
     assert json.loads(capsys.readouterr().out)["mc_config"]["seed"] == want
+
+
+def _mc_config_of(argv, capsys, config_text=None, tmp_path=None):
+    """``mc_config`` of an ``mc-verify`` run, with ``config_text`` as its config file."""
+    if config_text is not None:
+        config = tmp_path / "run.cfg"
+        config.write_text(config_text)
+        argv = [*argv, "--config", str(config)]
+    assert main([*MC_VERIFY, "--seed", "3", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["mc_config"]
+
+
+@pytest.mark.parametrize("flag,config_text,want", [
+    ([], None, True),
+    (["--no-bridge"], None, False),
+    ([], "bridge = off\n", False),
+    ([], "bridge = YES\n", True),
+    (["--bridge"], "bridge = off\n", True),
+    (["--no-bridge"], "bridge = on\n", False),
+], ids=["default", "flag-off", "config-off", "config-YES", "flag-over-config-off",
+        "flag-off-over-config-on"])
+def test_bridge_from_flag_or_config(flag, config_text, want, tmp_path, capsys):
+    assert _mc_config_of(flag, capsys, config_text, tmp_path)["bridge"] is want
+
+
+@pytest.mark.parametrize("spelling", ["flase", "", "2", "y"])
+def test_unknown_true_false_spelling_is_a_usage_error(spelling, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"bridge = {spelling}\n")
+    assert main([*MC_VERIFY, "--config", str(config)]) == 2
+    assert "bad value for 'bridge'" in capsys.readouterr().err
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("grid-inner = 32\ngrid_outr = 33\n")
+    assert main(["exit", *BM_SPEC, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'grid_outr'" in err
+    assert "line 2" in err

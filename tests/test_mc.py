@@ -55,9 +55,6 @@ EXIT_GOLDEN = {
     "bm_nobridge": (BM, {"bridge_correction": False}, (
         0.46321639528287134, 0.010904463586876035, 0.3060385828022867,
         0.0069299787041051325, 0.475, 0.011169148353275137, 0)),
-    "bm_antithetic": (BM, {"antithetic": True}, (
-        0.46385711113973366, 0.01077983737177192, 0.30895723593737445,
-        0.006980075680501718, 0.476, 0.011047445227112285, 0)),
     "jd": (JD, {}, (
         0.7105958032059948, 0.009868904802050478, 0.16442280064007656,
         0.006182012681896236, 0.722, 0.010020389418682841, 0)),
@@ -248,14 +245,6 @@ CHUNKED_GOLDEN = {
         "07503667bb01c28356f3d28daaccf96c3f5e001d4c15d990b5dfe52de139e469",
         "63d5ce79e81b6fbaac7a60e3c52de31f03296b4e36e41066d742a47c2654730f",
         "a9f332bdf448e2f8e86e5dc4d49fa552e5a8c05f62e8606b4b012ebe360c4559")),
-    "bm_antithetic": (BM, {"antithetic": True}, 2 * (_CHUNK + 1000), (
-        0.5079264790177306, 0.0009521530152456568, 0.49204191125427565,
-        0.0009521383809256241, 0.5079388515355261, 0.0009521768270151229, 0), (
-        "9c5f193d08e01870645a85a8826f9f5c53577dc69135064e8d2c531a84a0311a",
-        "cd6ce2fe3eb398d9c8fb6dbb6e0537574eb3f022d12a0abcd4e5c3ed79f2d3ef",
-        "18a9f74219d706727c852d10018994bc990fdd5b8afbaf0af2c029d316ed2ad2",
-        "18a9f74219d706727c852d10018994bc990fdd5b8afbaf0af2c029d316ed2ad2",
-        "da45f7caf6b2e372e787472b60684af47da5356e8cc2a2cdaabac3e69a1d8787")),
 }
 
 
@@ -454,22 +443,8 @@ class TestCensoring:
             occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3), n_levels=9)
 
 
-def test_occupation_mc_pairs_antithetic_paths():
-    occ = occupation_mc(BM, LEVEL, SPEC, _cfg(antithetic=True), n_levels=9)
-    assert occ.time_integral_laplace.n == 1000
-    assert occ.occupation_laplace.n == 1000
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_antithetic_mates_mirror_their_primaries(seed):
-    # driftless, started mid-band: each mate is the mirror image of its
-    # primary, so it leaves through the other barrier at the same step
-    cfg = MCConfig(dt=1e-3, n_paths=2000, seed=seed, bridge_correction=False, antithetic=True)
-    spec = ExitSpec(0.0, 0.5, 1.0)
-    res = run_exit_mc(make_brownian(0.0, 1.0), parse_bivariate("const:0.5", 1.0), spec, cfg,
-                      keep_samples=True)
-    half = cfg.n_paths // 2
-    up, functional = res.samples.exited_up, res.samples.functional
-    assert np.all(up[:half] != up[half:])
-    assert np.all(functional[:half] == functional[half:])
-    assert res.p_up.mean == 0.5
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_config_rejects_a_step_that_is_not_finite_and_positive(dt):
+    # a NaN step would keep the clock at NaN, so no path would ever be censored
+    with pytest.raises(ValueError, match="dt must be finite and > 0"):
+        MCConfig(dt=dt, n_paths=2000)

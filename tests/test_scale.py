@@ -390,7 +390,7 @@ class TestScaleTable:
             ScaleTable(
                 grid_lo=0.0, grid_hi=1.0, n=3,
                 w_values=np.array([0.5, 1.0, 2.0]),
-                w_deriv=np.ones(3),
+                w_deriv=np.ones(3), z_values=np.ones(3), z_deriv=np.zeros(3),
             ).validate()
 
     def test_validation_rejects_nonmonotone(self):
@@ -398,5 +398,5 @@ class TestScaleTable:
             ScaleTable(
                 grid_lo=0.0, grid_hi=1.0, n=3,
                 w_values=np.array([0.0, 2.0, 1.0]),
-                w_deriv=np.ones(3),
+                w_deriv=np.ones(3), z_values=np.ones(3), z_deriv=np.zeros(3),
             ).validate()
