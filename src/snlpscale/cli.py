@@ -8,11 +8,13 @@ Subcommands
 ``mc-verify``     deterministic values against Monte Carlo, with z-scores
 ``local-time``    Laplace transform of the potential-weighted local time
 
-All commands emit a versioned JSON document (``"schema": 1``) to stdout or
-``--out``.  A flat ``key = value`` config file provides defaults; explicit
-flags override it, and the ``SNLP_SCALE_SEED`` environment variable backs the
-seed.  Its keys are the flag names without the leading ``--`` (``grid-outer`` or
-``grid_outer``), except ``out``, ``csv`` and ``config``; any other key is an
+All commands emit a versioned JSON document (``"schema": 2``) to stdout or
+``--out``; ``mc-verify`` reports the Monte Carlo run's chunk, step and
+path-step counts under ``diagnostics.mc``.  A flat ``key = value`` config file
+provides defaults; explicit flags override it, and the ``SNLP_SCALE_SEED``
+environment variable backs the seed.  Its keys are the running command's flag
+names without the leading ``--`` (``grid-outer`` or ``grid_outer``), except
+``out``, ``csv`` and ``config``; a key that the command has no flag for is an
 error.  ``bridge`` takes ``1/true/yes/on`` or ``0/false/no/off``, in any case.
 
 Exit status:
@@ -62,7 +64,7 @@ from .potentials import (
 )
 from .scale import make_scale_table
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
@@ -101,8 +103,12 @@ def parse_model(text: str) -> LevyModel:
     raise UsageError(f"--model: unknown family '{fam}' (use bm: or jd:)")
 
 
-def _load_config(path: str) -> dict:
-    """Flat ``key = value`` lines; ``#`` starts a comment."""
+def _load_config(path: str, command: str, keys) -> dict:
+    """Flat ``key = value`` lines; ``#`` starts a comment.
+
+    ``keys`` are the flag names of ``command`` in attribute form
+    (``grid_outer``); any other key is an error that names it and its line.
+    """
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -116,9 +122,10 @@ def _load_config(path: str) -> dict:
                     )
                 key, _, value = line.partition("=")
                 name = key.strip().replace("-", "_")
-                if name not in _CONFIG_KEYS:
+                if name not in keys:
                     raise UsageError(
-                        f"--config: unknown key '{key.strip()}' on line {lineno} of {path}"
+                        f"--config: unknown key '{key.strip()}' on line {lineno} of {path}: "
+                        f"{command} has no --{name.replace('_', '-')} flag"
                     )
                 out[name] = value.strip()
     except OSError as exc:
@@ -139,7 +146,6 @@ _DEFAULTS = {
     "x": None,
     "a": None,
 }
-_CONFIG_KEYS = frozenset(_DEFAULTS) | {"model", "seed"}
 _BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                **dict.fromkeys(("0", "false", "no", "off"), False)}
 
@@ -389,7 +395,10 @@ def _cmd_mc_verify(args, config) -> dict:
         "n_censored": mc.n_censored,
         "report": report["rows"],
         "pass": report["pass"],
-        "diagnostics": det_result.diagnostics,
+        "diagnostics": {
+            **det_result.diagnostics,
+            "mc": {"chunks": mc.chunks, "steps": mc.steps, "path_steps": mc.path_steps},
+        },
     }
     if args.csv:
         mc.samples.to_csv(args.csv)
@@ -502,7 +511,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
+        keys = set(vars(args)) - {"command", "out", "csv", "config"}
+        config = _load_config(args.config, args.command, keys) if args.config else {}
         doc = _COMMANDS[args.command](args, config)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,8 +26,8 @@ first-order path discretization; a bridge kill strictly inside the band gets
 a half step.  An optional observer ``(x_old, x_new, dt_eff)`` sees every step
 of the paths alive at its start; ``dt_eff`` is one float when no path can
 jump.  :func:`run_exit_mc` passes the potential alone; :func:`occupation_mc`
-passes its point and smoothed integrands and a box-count observer for the
-occupation-density profile.
+passes its point and smoothed integrands and, for each chunk, a box-count
+observer for the occupation-density profile.
 
 The stepper keeps only the live paths, in dense arrays in path order: the
 position, supremum, time, time to the next jump (jump family only),
@@ -38,16 +38,23 @@ in proportion to the paths still alive.  A step's temporaries live in
 scratch arrays allocated once per chunk; only the new position and supremum,
 which the integrands see and may hand back, are fresh arrays each step.
 
-``_collect_states`` drives the stepper over fixed-size chunks and owns the
-censoring gate for both entry points: paths that reach the time cap are
-censored, and a censored fraction above 0.1% raises.
+``_collect_states`` splits the paths into chunks of ``_CHUNK`` (50000), the
+last one shorter, and owns the censoring gate for both entry points: paths
+that reach the time cap are censored, and a censored fraction above 0.1%
+raises.  The chunks run in forked worker processes, one per core this
+process may run on and at most one per chunk; the run stays in process,
+with one worker, where the platform has no ``fork`` or no CPU affinity
+mask, or where another Python thread is alive, since a fork copies only the
+calling thread.  Each chunk returns its records, its step counts and its
+own observer, and the parent merges them in chunk order.
 
 Chunk ``k`` draws from a counter-derived Philox substream keyed by
 ``(seed, k)``, each step draws one ``standard_normal`` batch of the live
 count before one block of bridge uniforms, one for each live path within
 reach of its supremum and then one for each within reach of ``b``, each set
-in path order.  The reduction runs in fixed chunk order, so estimates are
-bit-identical for a given configuration regardless of scheduling.
+in path order.  A chunk depends on nothing but its index and the reduction
+runs in fixed chunk order, so estimates are bit-identical for a given
+configuration whatever the worker count.
 
 The engine never calls the deterministic solver: it imports only ``ExitSpec``
 from :mod:`generalized`.  :func:`conditional_mc` returns Monte Carlo bins,
@@ -56,6 +63,9 @@ and the caller pairs each bin with its own deterministic curve.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -81,7 +91,7 @@ __all__ = [
     "occupation_mc",
 ]
 
-_CHUNK = 1 << 17  # fixed partition; part of the reproducibility contract
+_CHUNK = 50000  # fixed partition; part of the reproducibility contract
 _MAX_CENSORED_FRACTION = 1e-3
 # a path farther than this from S and b crosses neither within a step with
 # probability above exp(-2 * _REACH) ~ 4.2e-18, below the 2**-53 resolution
@@ -166,10 +176,16 @@ class ExitSamples:
 
 @dataclass
 class ExitMCResult:
+    """Exit estimates, with how the simulation went: its chunk count, its
+    steps summed over the chunks and its live paths summed over those steps."""
+
     up_laplace: Estimate
     down_value: Estimate
     p_up: Estimate
     n_censored: int
+    chunks: int
+    steps: int
+    path_steps: int
     samples: Optional[ExitSamples] = None
 
 
@@ -195,12 +211,15 @@ def _as_weight(fn: Optional[Callable]) -> Callable[[np.ndarray], np.ndarray]:
 
 
 class _ExitState:
-    """Terminal records of simulated paths, one column per path.
+    """Terminal records of simulated paths, one column per path, and the
+    work that produced them.
 
-    ``acc`` holds one row per integrand.
+    ``acc`` holds one row per integrand; ``steps`` counts the steps and
+    ``path_steps`` the live paths summed over them.
     """
 
-    __slots__ = ("up", "s_exit", "x_pre", "x_post", "acc", "censored")
+    RECORDS = ("up", "s_exit", "x_pre", "x_post", "acc", "censored")
+    __slots__ = RECORDS + ("steps", "path_steps")
 
     def __init__(self, n: int, n_integrands: int):
         self.up = np.zeros(n, dtype=bool)
@@ -209,6 +228,8 @@ class _ExitState:
         self.x_post = np.full(n, np.nan)
         self.acc = np.zeros((n_integrands, n))
         self.censored = np.zeros(n, dtype=bool)
+        self.steps = 0
+        self.path_steps = 0
 
 
 def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
@@ -220,11 +241,11 @@ def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
     ``random`` block draws a uniform for each, ``hi`` first, and ``ext`` holds
     the bridge maximum of each ``hi`` path followed by the minimum of each
     ``lo`` path.  ``var`` is ``sigma^2 dt``, one float or one per path;
-    ``work`` (floats) and ``mask`` (bools) are scratch of twice the live
-    count.
+    ``work`` (floats) is scratch of four times the live count and ``mask``
+    (bools) of twice.
     """
     m = x.size
-    prod, tmp = work[:m], work[m:]
+    prod, tmp = work[:m], work[m:2 * m]
     reach = _REACH * var
     np.subtract(s, x, out=prod)
     prod *= np.subtract(s, x_new, out=tmp)
@@ -238,8 +259,8 @@ def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
     k = np.count_nonzero(mask[:m])
 
     # the first step finds every path within reach of S, so the endpoint
-    # gap lives in the scratch and the uniforms overwrite a copy of x
-    ends = x.take(near, mode="wrap")
+    # sum and gap live in the scratch and the uniforms overwrite a copy of x
+    ends = x.take(near, mode="wrap", out=work[2 * m:2 * m + near.size])
     gap = x_new.take(near, mode="wrap", out=work[:near.size])
     ext = ends.copy()
     ends += gap
@@ -287,8 +308,9 @@ def _simulate_exit_chunk(
     integrand's result after an integrand has seen it, except a jump, which
     replaces the jumped paths' position and their integrand values together.
     The step's other full-width temporaries -- the Gaussian draws, the reach
-    products, the exit masks and the trapezoid increment -- go into per-chunk
-    scratch arrays of length ``n``, sliced to the live count ``m``.  Exits
+    products, the bridge endpoints, the exit masks and the trapezoid
+    increment -- go into per-chunk scratch arrays, sliced to the live count
+    ``m``.  The records carry the step count and the path-step count.  Exits
     are found once per step as an index list; the up/down split, the bridge
     half step and the exit records work on that list only.  A live path's
     supremum stays below ``a``, so a path leaves up exactly when its new
@@ -309,11 +331,16 @@ def _simulate_exit_chunk(
     acc = [np.zeros(n) for _ in integrands]
     jump_in = rng.exponential(1.0 / rate, n) if jumpy else None
     f_prev = [fn(s, x) for fn in integrands]
-    xi_buf, sum_buf, work_buf = np.empty(n), np.empty(n), np.empty(2 * n)
+    # the Gaussian draws and the trapezoid sums share the upper half of the
+    # bridge scratch: neither is live while ``_bridge_extrema`` runs
+    work_buf = np.empty(4 * n)
+    xi_buf, sum_buf = work_buf[2 * n:3 * n], work_buf[3 * n:]
     gone_buf, mask_buf = np.empty(n, dtype=bool), np.empty(2 * n, dtype=bool)
 
     while pid.size:
         m = pid.size
+        out.steps += 1
+        out.path_steps += m
         if jumpy:
             dt_eff = np.minimum(dt, jump_in)
             at_jump = jump_in <= dt
@@ -327,7 +354,7 @@ def _simulate_exit_chunk(
 
         if bridge:
             hi, lo, ext = _bridge_extrema(rng, x, x_new, s, b, sigma * sigma * dt_eff,
-                                          work_buf[:2 * m], mask_buf[:2 * m])
+                                          work_buf[:4 * m], mask_buf[:2 * m])
             k = hi.size
             s_hi = s.take(hi, out=work_buf[:k])
             np.maximum(s_hi, ext[:k], out=s_hi)
@@ -411,22 +438,86 @@ def _simulate_exit_chunk(
     return out
 
 
-def _collect_states(model, spec, cfg, integrands, observer=None) -> _ExitState:
-    """Simulate the chunks in order and merge their records.
+def _chunk(model, spec, cfg, integrands, make_observer, k):
+    """Simulate chunk ``k``; returns its records and its observer, if any."""
+    observer = make_observer() if make_observer is not None else None
+    n = min(_CHUNK, cfg.n_paths - k * _CHUNK)
+    state = _simulate_exit_chunk(model, spec, cfg, _chunk_rng(cfg.seed, k), n, integrands,
+                                 observer)
+    return state, observer
+
+
+_job = None  # the chunk runner of a worker process, set as the worker starts
+
+
+def _start_worker(job):
+    global _job
+    _job = job
+
+
+def _run_chunk(k):
+    return _job(k)
+
+
+def _worker_count(n_chunks: int) -> int:
+    """Processes to run ``n_chunks`` chunks on: one per core this process may
+    run on, at most one per chunk.
+
+    One, in process, where the platform cannot ``fork`` or has no CPU
+    affinity mask, or where another Python thread is alive: a fork copies
+    only the calling thread, so a lock that another thread holds would stay
+    locked in the child.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_chunks)
+
+
+def _collect_states(model, spec, cfg, integrands, make_observer=None):
+    """Simulate the chunks and merge their records in chunk order.
+
+    The ``n_paths`` paths form chunks of ``_CHUNK``, the last one shorter,
+    and chunk ``k`` draws from the substream ``(seed, k)`` alone.  The chunks
+    run on ``_worker_count`` forked processes, or in process when that is
+    one; either way each chunk sees the same draws, so the merged records
+    are bit-identical for any worker count.  ``make_observer``, when given,
+    builds a fresh observer for each chunk, which the chunk returns, so it
+    must pickle.  The step counts are summed in chunk order.  A worker that
+    raises raises the same error here, and one that dies raises
+    ``BrokenProcessPool``, a ``RuntimeError``; no worker outlives the call.
+
+    Returns:
+        The merged records and the chunks' observers (``None`` each without
+        ``make_observer``), one per chunk, in chunk order.
 
     Raises:
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
-    chunks = [
-        _simulate_exit_chunk(
-            model, spec, cfg, _chunk_rng(cfg.seed, k), min(_CHUNK, cfg.n_paths - start),
-            integrands, observer,
-        )
-        for k, start in enumerate(range(0, cfg.n_paths, _CHUNK))
-    ]
+    job = functools.partial(_chunk, model, spec, cfg, integrands, make_observer)
+    n_chunks = -(-cfg.n_paths // _CHUNK)
+    workers = _worker_count(n_chunks)
+    if workers == 1:
+        runs = list(map(job, range(n_chunks)))
+    else:
+        # imported here, so that a run in process pays nothing for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a forked worker inherits ``job`` as it is, closures included; only
+        # the chunk indices and the chunks' results are pickled.  Unlike
+        # ``multiprocessing.Pool``, the executor fails a call whose worker
+        # died instead of waiting on it forever.
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 _start_worker, (job,)) as pool:
+            runs = list(pool.map(_run_chunk, range(n_chunks)))
+    states = [state for state, _ in runs]
     merged = _ExitState(0, len(integrands))
-    for name in _ExitState.__slots__:
-        setattr(merged, name, np.concatenate([getattr(st, name) for st in chunks], axis=-1))
+    for name in _ExitState.RECORDS:
+        setattr(merged, name, np.concatenate([getattr(st, name) for st in states], axis=-1))
+    merged.steps = sum(st.steps for st in states)
+    merged.path_steps = sum(st.path_steps for st in states)
     n_total = merged.up.size
     n_censored = int(merged.censored.sum())
     if n_censored > _MAX_CENSORED_FRACTION * n_total:
@@ -434,7 +525,7 @@ def _collect_states(model, spec, cfg, integrands, observer=None) -> _ExitState:
             f"{n_censored} of {n_total} paths were censored at the time cap "
             f"(fraction {n_censored / n_total:.2e} > {_MAX_CENSORED_FRACTION})"
         )
-    return merged
+    return merged, [observer for _, observer in runs]
 
 
 def _estimate(values: np.ndarray, elapsed: float) -> Estimate:
@@ -464,7 +555,7 @@ def run_exit_mc(
     cfg.warn_if_coarse(spec)
     g_fn = _as_weight(g)
     start = time.perf_counter()
-    st = _collect_states(model, spec, cfg, [F.eval_pairs])
+    st, observers = _collect_states(model, spec, cfg, [F.eval_pairs])
     counted = ~st.censored
     acc = st.acc[0]
     up_c = st.up[counted]
@@ -478,6 +569,9 @@ def run_exit_mc(
         down_value=_estimate(y_down, elapsed),
         p_up=_estimate(up_c.astype(float), elapsed),
         n_censored=int(st.censored.sum()),
+        chunks=len(observers),
+        steps=st.steps,
+        path_steps=st.path_steps,
     )
     if keep_samples:
         result.samples = ExitSamples(
@@ -565,6 +659,20 @@ def conditional_mc(
 # ---------------------------------------------------------------------------
 
 
+class _BoxCount:
+    """Occupation-density observer of one chunk: box-counts the step
+    midpoints at ``levels`` with half-width ``w`` into ``density``."""
+
+    def __init__(self, levels: np.ndarray, w: float):
+        self.levels, self.w = levels, w
+        self.density = np.zeros(levels.size)
+
+    def __call__(self, x_old, x_new, dt_eff):
+        x_mid = 0.5 * (x_old + x_new)
+        hits = np.abs(x_mid[:, None] - self.levels[None, :]) < self.w
+        self.density += (hits * np.expand_dims(dt_eff, -1)).sum(axis=0) / (2.0 * self.w)
+
+
 @dataclass
 class OccupationMCResult:
     time_integral_laplace: Estimate
@@ -590,7 +698,9 @@ def occupation_mc(
     through a fine cumulative table, so the A-B discrepancy carries only the
     smoothing error and shrinks like the bandwidth.  ``n_levels`` sets the
     resolution of the returned mean occupation-density profile, which counts
-    every simulated path.  Censored paths are left out of (A) and (B).
+    every simulated path; each chunk counts into its own profile, and the
+    profiles are added in chunk order.  Censored paths are left out of (A)
+    and (B).
 
     Raises:
         ValueError: if the bandwidth is unresolvable by the fine table.
@@ -619,16 +729,10 @@ def occupation_mc(
         return (np.interp(xs + w, fine, cum) - np.interp(xs - w, fine, cum)) / (2.0 * w)
 
     levels = np.linspace(b, a, n_levels)
-    density = np.zeros(n_levels)
-
-    def box_count(x_old, x_new, dt_eff):
-        # occupation-density profile: box-count the step midpoints
-        x_mid = 0.5 * (x_old + x_new)
-        hits = np.abs(x_mid[:, None] - levels[None, :]) < w
-        density[:] += (hits * np.expand_dims(dt_eff, -1)).sum(axis=0) / (2.0 * w)
-
     start = time.perf_counter()
-    st = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], box_count)
+    st, boxes = _collect_states(model, spec, cfg, [point_rate, smoothed_rate],
+                                functools.partial(_BoxCount, levels, w))
+    density = sum(box.density for box in boxes)
     counted = ~st.censored
     acc_a = st.acc[0, counted]
     acc_b = st.acc[1, counted]

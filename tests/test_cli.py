@@ -131,8 +131,13 @@ MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
 def test_mc_verify_passes_with_exit_zero(capsys):
     assert main([*MC_VERIFY, "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == 2
     assert doc["pass"] is True
     assert doc["diagnostics"]["converged"] is True
+    counts = doc["diagnostics"]["mc"]
+    assert sorted(counts) == ["chunks", "path_steps", "steps"]
+    assert counts["chunks"] == 1
+    assert 0 < counts["steps"] and 200 * counts["steps"] >= counts["path_steps"] >= 200
 
 
 @pytest.mark.parametrize("flag,config_seed,want", [
@@ -191,3 +196,19 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key 'grid_outr'" in err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("text,key,line", [
+    ("grid-inner = 32\npaths = 200\n", "paths", 2),
+    ("q = 0.5\n", "q", 1),
+])
+def test_config_key_without_a_flag_of_the_command_is_a_usage_error(text, key, line, tmp_path,
+                                                                   capsys):
+    # exit runs no Monte Carlo and solves at q = 0: a key it would ignore fails
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    assert main(["exit", *BM_SPEC, *SMALL_GRID, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key '{key}'" in err
+    assert f"line {line}" in err
+    assert f"exit has no --{key} flag" in err

@@ -1,10 +1,13 @@
 """Import layering of the library, read from the source with ``ast``.
 
 The Monte Carlo engine stays independent of the deterministic solver it
-cross-checks, and the runtime dependency is numpy alone.
+cross-checks, and the runtime dependency is numpy alone.  The process-pool
+machinery is imported only by a Monte Carlo run that starts workers.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +53,12 @@ def test_library_imports_only_numpy_and_the_standard_library(path):
     allowed = {"numpy", "snlpscale", ""} | set(sys.stdlib_module_names)
     # a relative import's top-level name is "", the package itself
     assert not [m for m, _ in _imports(path) if m.split(".")[0] not in allowed]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = ("import sys, snlpscale.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,17 +1,24 @@
-"""Monte Carlo engine: seeded reproducibility, closed-form z-scores, censoring.
+"""Monte Carlo engine: seeded reproducibility, closed-form z-scores, censoring,
+and the worker processes that run the chunks.
 
 The golden values pin every estimate bit for bit for a given ``(seed,
-config)``: chunk ``k`` draws from the Philox substream keyed by ``(seed, k)``
-and the draw order inside a step is fixed: ``standard_normal`` of the live
-count, then, with the bridge, one ``random`` block with a uniform for each
-live path within reach of its supremum and then for each within reach of
-``b``.  A change to the path engine that moves any draw, or any
-floating-point operation of the accumulation, shows up here as a failed
-``==``.
+config)``: the paths form chunks of ``_CHUNK`` (50000), chunk ``k`` draws
+from the Philox substream keyed by ``(seed, k)`` and the draw order inside a
+step is fixed: ``standard_normal`` of the live count, then, with the bridge,
+one ``random`` block with a uniform for each live path within reach of its
+supremum and then for each within reach of ``b``.  A change to the path
+engine that moves any draw, or any floating-point operation of the
+accumulation, shows up here as a failed ``==``.  The same values must come
+out whatever the number of worker processes, and no worker may outlive the
+call that started it, whether the call returns or raises.
 """
 
 import hashlib
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -45,6 +52,19 @@ LEVEL = parse_univariate("level:1,0.6")
 
 def _cfg(**kw):
     return MCConfig(dt=1e-3, n_paths=2000, seed=7, **kw)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_a_test():
+    threads = threading.active_count()
+    yield
+    assert multiprocessing.active_children() == []
+    # a thread left behind would keep every later run in process
+    assert threading.active_count() == threads
+
+
+def _use_workers(monkeypatch, workers):
+    monkeypatch.setattr(mc, "_worker_count", lambda n_chunks: workers)
 
 
 # (up mean, up se, down mean, down se, p_up mean, p_up se, n_censored)
@@ -230,21 +250,21 @@ NARROW = ExitSpec(0.0, 0.05, 0.1)
 # (model, config keywords, n_paths, estimates, digests)
 CHUNKED_GOLDEN = {
     "bm": (BM, {}, _CHUNK + 2000, (
-        0.5073747198980569, 0.0013704727352290545, 0.4925938313837994,
-        0.0013704524581778707, 0.5073869784778166, 0.0013705058454301195, 0), (
-        "004bbfe58c42f712f5a6c3d6b0f94c3c1e7bfcab9e3e7f52a3df0e1b2be36b0a",
-        "626873f75db4a5dc85e936a8a2cab65f4076da418b2519a5b5ddc56d59412c42",
-        "ea344ffb8a174fd10cae56b6eff59828346a4b239223981dd2c2f2ffcde0b588",
-        "ea344ffb8a174fd10cae56b6eff59828346a4b239223981dd2c2f2ffcde0b588",
-        "102cde56c6a26d334a7bad6c3f4bc1c31abcd9ae815e64d7817ee3a3cf87fb7b")),
+        0.5061415174416047, 0.0021924466519654554, 0.4938269304900648,
+        0.002192414711984195, 0.5061538461538462, 0.002192500053653188, 0), (
+        "38454b669ea5b8377015445f45119cd22b1a041ea2584ae6a79dd7681dde4a9e",
+        "50f23b1f26b681c00ee26a78cefa02c78eaa5fb1c98fdf894e963d6966f46e97",
+        "087e975e4ec98f9e624e310d86b7a8a05e0a1563a4807855ba0bb82f9d5fc3fc",
+        "087e975e4ec98f9e624e310d86b7a8a05e0a1563a4807855ba0bb82f9d5fc3fc",
+        "556678fa1c55593b908dbae3ac492b21a8d824b585cebeb670684a2af5f19857")),
     "jd": (JD, {}, _CHUNK + 2000, (
-        0.5480060019712221, 0.0013642871347868653, 0.45196332999567557,
-        0.0013642668036616837, 0.5480191174702417, 0.0013643197847847885, 0), (
-        "77f0522e86f355b7507697d90bfe6ec13e980f26e28d300f660def0dab2388f4",
-        "2e9f4abd12228f1b408b83b87851e841041116e8cb986f151d416c9c5c7c4e3d",
-        "07503667bb01c28356f3d28daaccf96c3f5e001d4c15d990b5dfe52de139e469",
-        "63d5ce79e81b6fbaac7a60e3c52de31f03296b4e36e41066d742a47c2654730f",
-        "a9f332bdf448e2f8e86e5dc4d49fa552e5a8c05f62e8606b4b012ebe360c4559")),
+        0.547717533533791, 0.002182599746461188, 0.4522516486701661,
+        0.002182567638315455, 0.5477307692307692, 0.0021826524867010425, 0), (
+        "3e13a970a25f6ed5ce690c8fe8a745dd48c55b328dca252494b1802985763f8e",
+        "d32e9f968537183029ffd5e606fafffcb6ab22ffb44618a0d1d711904792a1d3",
+        "823c560a4c44681f2cdec6ccfa6368f8c431552e3ae779783a9f57750aaf2e86",
+        "45b7c467216c7badbde74136a36b5faf2ca3f2362f3d62389d05398b084a87fb",
+        "4d85f60c2d21a2875433e82eeb695b667d193b3f416015c7d5a06de141d73f12")),
 }
 
 
@@ -265,6 +285,101 @@ class TestPinnedEdgeCases:
         res = run_exit_mc(model, F, NARROW, cfg, keep_samples=True)
         assert _estimates(res) == want
         assert _digests(res.samples) == dict(zip(SAMPLE_FIELDS, digests))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_estimates_do_not_depend_on_the_worker_count(workers, monkeypatch):
+    _use_workers(monkeypatch, workers)
+    F = parse_bivariate("reflected:0.5", NARROW.a - NARROW.b)
+    for model, kw, n_paths, want, digests in CHUNKED_GOLDEN.values():
+        cfg = MCConfig(dt=1e-4, n_paths=n_paths, seed=7, **kw)
+        res = run_exit_mc(model, F, NARROW, cfg, keep_samples=True)
+        assert _estimates(res) == want
+        assert _digests(res.samples) == dict(zip(SAMPLE_FIELDS, digests))
+        assert res.chunks == 2
+
+    # three chunks of the occupation profile, each counted by its own observer
+    monkeypatch.setattr(mc, "_CHUNK", 700)
+    f_x, cfg = parse_univariate("level:1,0.06"), MCConfig(dt=1e-4, n_paths=2000, seed=7)
+    occ = occupation_mc(BM, f_x, NARROW, cfg, n_levels=9)
+    _use_workers(monkeypatch, 1)
+    ref = occupation_mc(BM, f_x, NARROW, cfg, n_levels=9)
+    for name in ("time_integral_laplace", "occupation_laplace"):
+        got, want = getattr(occ, name), getattr(ref, name)
+        assert (got.mean, got.std_error) == (want.mean, want.std_error)
+    assert occ.mean_abs_discrepancy == ref.mean_abs_discrepancy
+    assert np.array_equal(occ.density_profile, ref.density_profile)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_counts_sum_over_the_chunks(workers, monkeypatch):
+    _use_workers(monkeypatch, workers)
+    monkeypatch.setattr(mc, "_CHUNK", 700)
+    F = parse_bivariate("reflected:0.5", NARROW.a - NARROW.b)
+    cfg = MCConfig(dt=1e-4, n_paths=2000, seed=7)
+    res = run_exit_mc(JD, F, NARROW, cfg)
+    chunks = [
+        _simulate_exit_chunk(JD, NARROW, cfg, _chunk_rng(7, k), n, [F.eval_pairs])
+        for k, n in enumerate((700, 700, 600))
+    ]
+    assert res.chunks == 3
+    assert res.steps == sum(st.steps for st in chunks)
+    assert res.path_steps == sum(st.path_steps for st in chunks)
+
+
+def test_worker_count_rule():
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert mc._worker_count(1) == 1
+    assert 1 <= mc._worker_count(8) <= min(8, cores)
+    # a fork copies only the calling thread, so another live thread keeps
+    # the run in process
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert mc._worker_count(8) == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+class TestWorkerFailures:
+    """Two worker processes, one chunk each; every error reaches the caller."""
+
+    @pytest.fixture(autouse=True)
+    def two_chunks(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK", 1200)
+        _use_workers(monkeypatch, 2)
+
+    @pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
+    def test_nan_in_the_second_chunk_raises(self, model):
+        # chunk 1 holds the last 800 paths; only its first call sees 800
+        # paths, all at the start
+        def func(s, x):
+            first_of_chunk_1 = x.size == 800 and np.all(x == SPEC.x)
+            return np.full(x.shape, np.nan if first_of_chunk_1 else 0.2)
+
+        F = BivariatePotential(func, bound=1.0)
+        with pytest.raises(ValueError, match="nan"):
+            run_exit_mc(model, F, SPEC, _cfg())
+
+    def test_censoring_raises_in_the_parent(self):
+        with pytest.raises(RuntimeError, match="censored"):
+            run_exit_mc(BM, REFLECTED, SPEC, _cfg(t_cap=1e-3))
+        with pytest.raises(RuntimeError, match="censored"):
+            occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3), n_levels=9)
+
+    def test_a_worker_that_dies_fails_the_call(self):
+        parent = os.getpid()
+
+        def func(s, x):
+            if os.getpid() != parent:
+                os._exit(1)
+            return np.full(x.shape, 0.2)
+
+        with pytest.raises(BrokenProcessPool):
+            run_exit_mc(BM, BivariatePotential(func, bound=1.0), SPEC, _cfg())
 
 
 class _RecordingRng:
@@ -325,13 +440,14 @@ def test_draw_pattern(model, bridge):
         events.append(("f", s.copy(), x.copy()))
         return REFLECTED.eval_pairs(s, x)
 
-    _simulate_exit_chunk(model, SPEC, _cfg(bridge_correction=bridge), rng, n, [integrand],
-                         lambda x_old, x_new, dt: events.append(
-                             ("obs", x_old.copy(), x_new.copy(), np.copy(dt))))
+    st = _simulate_exit_chunk(model, SPEC, _cfg(bridge_correction=bridge), rng, n, [integrand],
+                              lambda x_old, x_new, dt: events.append(
+                                  ("obs", x_old.copy(), x_new.copy(), np.copy(dt))))
     live = [e[1].size for e in events if e[0] == "obs"]
     steps = [i for i, (name, _) in enumerate(rng.calls) if name == "standard_normal"]
     sizes = [rng.calls[i][1] for i in steps]
     assert sizes == live
+    assert (st.steps, st.path_steps) == (len(sizes), sum(sizes))
     assert sizes[0] == n
     assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
     assert all(name != "random" for name, _ in rng.calls[:steps[0]])
@@ -370,7 +486,7 @@ def test_bridge_extrema_match_the_dense_formula(m, seed, var, spread, per_path):
     if per_path:
         var = var * gen.uniform(0.0, 1.0, m)
     hi, lo, ext = _bridge_extrema(
-        _chunk_rng(seed, 0), x, x_new, s, b, var, np.empty(2 * m), np.empty(2 * m, dtype=bool)
+        _chunk_rng(seed, 0), x, x_new, s, b, var, np.empty(4 * m), np.empty(2 * m, dtype=bool)
     )
     reach = _REACH * var
     assert np.array_equal(hi, np.flatnonzero((s - x) * (s - x_new) <= reach))
