@@ -270,10 +270,6 @@ def _cmd_scale_table(args, config) -> dict:
     q = _resolve(args, config, "q")
     hi = _resolve(args, config, "a", required=True)
     n = int(_resolve(args, config, "grid_inner", cast=int))
-    if q < 0:
-        raise UsageError("--q: must be >= 0")
-    if hi <= 0:
-        raise UsageError("--a: table upper limit must be > 0")
     table = make_scale_table(model, q, hi, n)
     table.validate()
     doc = {
@@ -412,7 +408,7 @@ def _cmd_local_time(args, config) -> dict:
     value = local_time_laplace(p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner)
     doc = {**p.header("local-time"), "laplace": value}
     if cfg is not None:
-        occ = occupation_mc(p.model, p.F, p.spec, cfg, n_levels=33)
+        occ = occupation_mc(p.model, p.F, p.spec, cfg)
         report = verify_report(
             {"local_time_laplace": value}, {"local_time_laplace": occ.time_integral_laplace}
         )

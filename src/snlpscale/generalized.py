@@ -76,9 +76,9 @@ class ExitSpec:
     a: float
 
     def __post_init__(self):
-        if not (self.b < self.x < self.a):
+        if not -np.inf < self.b < self.x < self.a < np.inf:
             raise ValueError(
-                f"exit spec requires b < x < a, got b={self.b}, x={self.x}, a={self.a}"
+                f"exit spec requires finite b < x < a, got b={self.b}, x={self.x}, a={self.a}"
             )
 
 

@@ -20,14 +20,11 @@ under both with the same law.  So the maximum is drawn only for paths with
 supremum and cannot exit.  The crossings skipped that way have probability
 below ``exp(-2R)``, which a double in ``[0, 1)`` cannot resolve.
 
-The stepper takes two hooks.  Each integrand ``(s, x) -> rate`` in its list
-is accumulated per path by the trapezoid rule in time, consistent with the
-first-order path discretization; a bridge kill strictly inside the band gets
-a half step.  An optional observer ``(x_old, x_new, dt_eff)`` sees every step
-of the paths alive at its start; ``dt_eff`` is one float when no path can
-jump.  :func:`run_exit_mc` passes the potential alone; :func:`occupation_mc`
-passes its point and smoothed integrands and, for each chunk, a box-count
-observer for the occupation-density profile.
+The stepper accumulates each integrand ``(s, x) -> rate`` in its list per
+path by the trapezoid rule in time, consistent with the first-order path
+discretization; a bridge kill strictly inside the band gets a half step.
+:func:`run_exit_mc` passes the potential alone; :func:`occupation_mc` passes
+its point and smoothed integrands.
 
 The stepper keeps only the live paths, in dense arrays in path order: the
 position, supremum, time, time to the next jump (jump family only),
@@ -45,8 +42,8 @@ raises.  The chunks run in forked worker processes, one per core this
 process may run on and at most one per chunk; the run stays in process,
 with one worker, where the platform has no ``fork`` or no CPU affinity
 mask, or where another Python thread is alive, since a fork copies only the
-calling thread.  Each chunk returns its records, its step counts and its
-own observer, and the parent merges them in chunk order.
+calling thread.  Each chunk returns its records and its step counts, and
+the parent merges them in chunk order.
 
 Chunk ``k`` draws from a counter-derived Philox substream keyed by
 ``(seed, k)``, each step draws one ``standard_normal`` batch of the live
@@ -194,17 +191,6 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _as_weight(fn: Optional[Callable]) -> Callable[[np.ndarray], np.ndarray]:
-    if fn is None:
-        return lambda z: np.ones_like(np.asarray(z, dtype=float))
-
-    def wrapped(z):
-        z = np.asarray(z, dtype=float)
-        return np.broadcast_to(np.asarray(fn(z), dtype=float), z.shape)
-
-    return wrapped
-
-
 # ---------------------------------------------------------------------------
 # Core path loop
 # ---------------------------------------------------------------------------
@@ -214,12 +200,13 @@ class _ExitState:
     """Terminal records of simulated paths, one column per path, and the
     work that produced them.
 
-    ``acc`` holds one row per integrand; ``steps`` counts the steps and
-    ``path_steps`` the live paths summed over them.
+    ``acc`` holds one row per integrand; ``chunks`` counts the chunks,
+    ``steps`` the steps and ``path_steps`` the live paths summed over them.
     """
 
     RECORDS = ("up", "s_exit", "x_pre", "x_post", "acc", "censored")
-    __slots__ = RECORDS + ("steps", "path_steps")
+    COUNTS = ("chunks", "steps", "path_steps")
+    __slots__ = RECORDS + COUNTS
 
     def __init__(self, n: int, n_integrands: int):
         self.up = np.zeros(n, dtype=bool)
@@ -228,6 +215,7 @@ class _ExitState:
         self.x_post = np.full(n, np.nan)
         self.acc = np.zeros((n_integrands, n))
         self.censored = np.zeros(n, dtype=bool)
+        self.chunks = 1
         self.steps = 0
         self.path_steps = 0
 
@@ -284,16 +272,14 @@ def _simulate_exit_chunk(
     rng: np.random.Generator,
     n: int,
     integrands: list,
-    observer: Optional[Callable] = None,
 ) -> _ExitState:
     """Run ``n`` paths to exit or censoring.
 
     Each integrand ``(s, x) -> rate`` is accumulated per path into its row of
-    ``acc``; ``observer(x_old, x_new, dt_eff)`` sees every step of the paths
-    alive at its start.  The live paths' state sits in dense arrays, in path
-    order, with ``pid`` mapping each to its output column.  Without jumps
-    every path takes the full step, so ``dt_eff`` and the elapsed time ``t``
-    are one float each.
+    ``acc``.  The live paths' state sits in dense arrays, in path order, with
+    ``pid`` mapping each to its output column.  Without jumps every path
+    takes the full step, so ``dt_eff`` and the elapsed time ``t`` are one
+    float each.
 
     With the bridge, ``_bridge_extrema`` draws the step's maximum only for
     the paths within reach of their supremum and its minimum only for those
@@ -302,11 +288,11 @@ def _simulate_exit_chunk(
     stays alive.  A path whose maximum reaches ``a`` leaves up, even when its
     minimum reaches ``b`` too.
 
-    Every step allocates its new position and supremum: the integrands and
-    the observer see them, and an integrand's result may be one of its own
-    inputs (``lambda s, x: s``).  So no step writes into ``x``, ``s`` or an
-    integrand's result after an integrand has seen it, except a jump, which
-    replaces the jumped paths' position and their integrand values together.
+    Every step allocates its new position and supremum: the integrands see
+    them, and an integrand's result may be one of its own inputs (``lambda
+    s, x: s``).  So no step writes into ``x``, ``s`` or an integrand's result
+    after an integrand has seen it, except a jump, which replaces the jumped
+    paths' position and their integrand values together.
     The step's other full-width temporaries -- the Gaussian draws, the reach
     products, the bridge endpoints, the exit masks and the trapezoid
     increment -- go into per-chunk scratch arrays, sliced to the live count
@@ -382,8 +368,6 @@ def _simulate_exit_chunk(
             d_acc *= 0.5 * dt_eff
             d_acc[interior] *= 0.5
             row += d_acc
-        if observer is not None:
-            observer(x, x_new, dt_eff)
         t += dt_eff
 
         if hit.size:
@@ -438,13 +422,10 @@ def _simulate_exit_chunk(
     return out
 
 
-def _chunk(model, spec, cfg, integrands, make_observer, k):
-    """Simulate chunk ``k``; returns its records and its observer, if any."""
-    observer = make_observer() if make_observer is not None else None
+def _chunk(model, spec, cfg, integrands, k):
+    """Simulate chunk ``k`` and return its records."""
     n = min(_CHUNK, cfg.n_paths - k * _CHUNK)
-    state = _simulate_exit_chunk(model, spec, cfg, _chunk_rng(cfg.seed, k), n, integrands,
-                                 observer)
-    return state, observer
+    return _simulate_exit_chunk(model, spec, cfg, _chunk_rng(cfg.seed, k), n, integrands)
 
 
 _job = None  # the chunk runner of a worker process, set as the worker starts
@@ -475,31 +456,26 @@ def _worker_count(n_chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_chunks)
 
 
-def _collect_states(model, spec, cfg, integrands, make_observer=None):
-    """Simulate the chunks and merge their records in chunk order.
+def _collect_states(model, spec, cfg, integrands):
+    """Simulate the chunks and return their records merged in chunk order.
 
     The ``n_paths`` paths form chunks of ``_CHUNK``, the last one shorter,
     and chunk ``k`` draws from the substream ``(seed, k)`` alone.  The chunks
     run on ``_worker_count`` forked processes, or in process when that is
     one; either way each chunk sees the same draws, so the merged records
-    are bit-identical for any worker count.  ``make_observer``, when given,
-    builds a fresh observer for each chunk, which the chunk returns, so it
-    must pickle.  The step counts are summed in chunk order.  A worker that
-    raises raises the same error here, and one that dies raises
-    ``BrokenProcessPool``, a ``RuntimeError``; no worker outlives the call.
-
-    Returns:
-        The merged records and the chunks' observers (``None`` each without
-        ``make_observer``), one per chunk, in chunk order.
+    are bit-identical for any worker count.  The chunk and step counts are
+    summed in chunk order.  A worker that raises raises the same error here,
+    and one that dies raises ``BrokenProcessPool``, a ``RuntimeError``; no
+    worker outlives the call.
 
     Raises:
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
-    job = functools.partial(_chunk, model, spec, cfg, integrands, make_observer)
+    job = functools.partial(_chunk, model, spec, cfg, integrands)
     n_chunks = -(-cfg.n_paths // _CHUNK)
     workers = _worker_count(n_chunks)
     if workers == 1:
-        runs = list(map(job, range(n_chunks)))
+        states = list(map(job, range(n_chunks)))
     else:
         # imported here, so that a run in process pays nothing for them
         import multiprocessing
@@ -511,13 +487,12 @@ def _collect_states(model, spec, cfg, integrands, make_observer=None):
         # died instead of waiting on it forever.
         with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                  _start_worker, (job,)) as pool:
-            runs = list(pool.map(_run_chunk, range(n_chunks)))
-    states = [state for state, _ in runs]
+            states = list(pool.map(_run_chunk, range(n_chunks)))
     merged = _ExitState(0, len(integrands))
     for name in _ExitState.RECORDS:
         setattr(merged, name, np.concatenate([getattr(st, name) for st in states], axis=-1))
-    merged.steps = sum(st.steps for st in states)
-    merged.path_steps = sum(st.path_steps for st in states)
+    for name in _ExitState.COUNTS:
+        setattr(merged, name, sum(getattr(st, name) for st in states))
     n_total = merged.up.size
     n_censored = int(merged.censored.sum())
     if n_censored > _MAX_CENSORED_FRACTION * n_total:
@@ -525,7 +500,7 @@ def _collect_states(model, spec, cfg, integrands, make_observer=None):
             f"{n_censored} of {n_total} paths were censored at the time cap "
             f"(fraction {n_censored / n_total:.2e} > {_MAX_CENSORED_FRACTION})"
         )
-    return merged, [observer for _, observer in runs]
+    return merged
 
 
 def _estimate(values: np.ndarray, elapsed: float) -> Estimate:
@@ -553,15 +528,16 @@ def run_exit_mc(
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
     cfg.warn_if_coarse(spec)
-    g_fn = _as_weight(g)
     start = time.perf_counter()
-    st, observers = _collect_states(model, spec, cfg, [F.eval_pairs])
+    st = _collect_states(model, spec, cfg, [F.eval_pairs])
     counted = ~st.censored
     acc = st.acc[0]
     up_c = st.up[counted]
     lap = np.exp(-acc[counted])
     y_up = np.where(up_c, lap, 0.0)
-    y_down = np.where(~up_c, g_fn(st.s_exit[counted]) * lap, 0.0)
+    y_down = np.where(
+        ~up_c, lap if g is None else np.asarray(g(st.s_exit[counted]), float) * lap, 0.0
+    )
     elapsed = time.perf_counter() - start
 
     result = ExitMCResult(
@@ -569,7 +545,7 @@ def run_exit_mc(
         down_value=_estimate(y_down, elapsed),
         p_up=_estimate(up_c.astype(float), elapsed),
         n_censored=int(st.censored.sum()),
-        chunks=len(observers),
+        chunks=st.chunks,
         steps=st.steps,
         path_steps=st.path_steps,
     )
@@ -659,28 +635,11 @@ def conditional_mc(
 # ---------------------------------------------------------------------------
 
 
-class _BoxCount:
-    """Occupation-density observer of one chunk: box-counts the step
-    midpoints at ``levels`` with half-width ``w`` into ``density``."""
-
-    def __init__(self, levels: np.ndarray, w: float):
-        self.levels, self.w = levels, w
-        self.density = np.zeros(levels.size)
-
-    def __call__(self, x_old, x_new, dt_eff):
-        x_mid = 0.5 * (x_old + x_new)
-        hits = np.abs(x_mid[:, None] - self.levels[None, :]) < self.w
-        self.density += (hits * np.expand_dims(dt_eff, -1)).sum(axis=0) / (2.0 * self.w)
-
-
 @dataclass
 class OccupationMCResult:
     time_integral_laplace: Estimate
     occupation_laplace: Estimate
     mean_abs_discrepancy: float
-    levels: np.ndarray
-    density_profile: np.ndarray
-    bandwidth: float
 
 
 def occupation_mc(
@@ -688,7 +647,6 @@ def occupation_mc(
     f_x: UnivariatePotential,
     spec: ExitSpec,
     cfg: MCConfig,
-    n_levels: int,
 ) -> OccupationMCResult:
     """Cross-check the occupation formula by simulation.
 
@@ -696,18 +654,13 @@ def occupation_mc(
     (B) the integral of ``f`` against the box-kernel occupation density with
     bandwidth ``2 sqrt(dt)``.  (B) integrates ``f`` exactly against each box
     through a fine cumulative table, so the A-B discrepancy carries only the
-    smoothing error and shrinks like the bandwidth.  ``n_levels`` sets the
-    resolution of the returned mean occupation-density profile, which counts
-    every simulated path; each chunk counts into its own profile, and the
-    profiles are added in chunk order.  Censored paths are left out of (A)
-    and (B).
+    smoothing error and shrinks like the bandwidth.  Censored paths are left
+    out of (A) and (B).
 
     Raises:
         ValueError: if the bandwidth is unresolvable by the fine table.
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
-    if n_levels < 8:
-        raise ValueError("occupation_mc needs n_levels >= 8")
     b, a = spec.b, spec.a
     w = 2.0 * np.sqrt(cfg.dt)
     fine_n = 4096
@@ -728,11 +681,8 @@ def occupation_mc(
     def smoothed_rate(s, xs):
         return (np.interp(xs + w, fine, cum) - np.interp(xs - w, fine, cum)) / (2.0 * w)
 
-    levels = np.linspace(b, a, n_levels)
     start = time.perf_counter()
-    st, boxes = _collect_states(model, spec, cfg, [point_rate, smoothed_rate],
-                                functools.partial(_BoxCount, levels, w))
-    density = sum(box.density for box in boxes)
+    st = _collect_states(model, spec, cfg, [point_rate, smoothed_rate])
     counted = ~st.censored
     acc_a = st.acc[0, counted]
     acc_b = st.acc[1, counted]
@@ -741,7 +691,4 @@ def occupation_mc(
         time_integral_laplace=_estimate(np.exp(-acc_a), elapsed),
         occupation_laplace=_estimate(np.exp(-acc_b), elapsed),
         mean_abs_discrepancy=float(np.mean(np.abs(acc_a - acc_b))),
-        levels=levels,
-        density_profile=density / cfg.n_paths,
-        bandwidth=w,
     )

@@ -58,6 +58,9 @@ class LevyModel:
     jump_mean: float = 1.0
 
     def __post_init__(self):
+        for name in ("mu", "sigma", "jump_rate", "jump_mean"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma <= 0.0:
             raise ValueError(
                 "sigma must be > 0: a vanishing Gaussian part would give paths "
@@ -144,11 +147,12 @@ class LevyModel:
         ``far`` follow from the sum and the product of the roots.
 
         Raises:
-            ValueError: for q < 0; every scale function checks q here.
+            ValueError: for q outside ``[0, inf)``, NaN included; every
+                scale function checks q here.
             RootFindingError: if the Newton iteration does not settle.
         """
-        if q < 0.0:
-            raise ValueError(f"psi(beta) = q needs q >= 0, got q={q}")
+        if not 0.0 <= q < np.inf:
+            raise ValueError(f"psi(beta) = q needs finite q >= 0, got q={q}")
         a2 = 0.5 * self.sigma**2
         kappa = self.psi_prime_at_zero()
         eta = self.eta

@@ -139,9 +139,12 @@ def _split_spec(spec: str, expected: int, flag: str):
             f"{flag}: '{name}' takes {expected} argument(s), got '{spec}'"
         )
     try:
-        return name, [float(a) for a in args]
+        vals = [float(a) for a in args]
     except ValueError as exc:
         raise ValueError(f"{flag}: non-numeric argument in '{spec}'") from exc
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{flag}: non-finite argument in '{spec}'")
+    return name, vals
 
 
 def parse_bivariate(spec: str, domain_width: float, flag: str = "--potential") -> BivariatePotential:

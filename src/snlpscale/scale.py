@@ -337,8 +337,8 @@ def make_scale_table(model: LevyModel, q: float, hi: float, n: int) -> ScaleTabl
     The derivative columns are analytic relations, not differences of the
     value columns: ``Z^{(q)'} = q W^{(q)}``.
     """
-    if hi <= 0.0 or n < 2:
-        raise ValueError("make_scale_table requires hi > 0 and n >= 2 nodes")
+    if not 0.0 < hi < np.inf or n < 2:
+        raise ValueError("make_scale_table requires a finite hi > 0 and n >= 2 nodes")
     xs = np.linspace(0.0, hi, n)
     w = _wq_array(model, q, xs)
     return ScaleTable(

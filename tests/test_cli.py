@@ -96,6 +96,19 @@ def test_zero_paths_is_a_usage_error(command, capsys):
     # one outer node clears the guard, too few to extrapolate iota from
     ["exit", "--model", "bm:0,1", "--b", "0", "--x", "0.62", "--a", "1",
      "--potential", "const:0.5", "--grid-outer", "5", "--grid-inner", "16"],
+    # the library alone checks q and the table limit; NaN passes ``q < 0``
+    ["scale-table", "--model", "bm:0,1", "--q", "nan", "--a", "1"],
+    ["scale-table", "--model", "bm:0,1", "--q", "-1", "--a", "1"],
+    ["scale-table", "--model", "bm:0,1", "--a", "nan"],
+    ["scale-table", "--model", "bm:0,1", "--a", "0"],
+    ["exit", "--model", "bm:nan,1", "--b", "0", "--x", "0.5", "--a", "1"],
+    ["exit", "--model", "bm:0,inf", "--b", "0", "--x", "0.5", "--a", "1"],
+    ["exit", "--model", "jd:0,1,1,inf", "--b", "0", "--x", "0.5", "--a", "1"],
+    ["exit", "--model", "bm:0,1", "--b=-inf", "--x", "0.5", "--a", "1"],
+    # a NaN threshold would act as the zero potential
+    ["exit", *BM_SPEC, "--potential", "level:1,nan"],
+    ["exit", *BM_SPEC, "--potential", "indicator:1,nan"],
+    ["exit", *BM_SPEC, "--g", "const:nan"],
 ])
 def test_values_the_library_rejects_are_usage_errors(argv, capsys):
     assert main(argv) == 2

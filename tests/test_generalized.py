@@ -372,6 +372,12 @@ EXIT_GOLDEN = {
 }
 
 
+def test_exit_spec_rejects_an_infinite_barrier():
+    # an infinite a makes the default time cap infinite, so no path is censored
+    with pytest.raises(ValueError, match="finite"):
+        ExitSpec(0.0, 0.5, math.inf)
+
+
 @pytest.mark.parametrize("case", sorted(EXIT_GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}")
 def test_exit_values_are_pinned(case):
     model_name, pot = case

@@ -84,16 +84,10 @@ EXIT_GOLDEN = {
 OCCUPATION_GOLDEN = {
     "bm": (BM, (
         0.9359005787372375, 0.0017136902372665258, 0.9357017622008925,
-        0.0017024054976638263, 0.001982910490993183,
-        [0.018610004030091054, 0.14061858185353368, 0.28713481154328363,
-         0.4374932085901395, 0.40169227262996093, 0.3222993391243586,
-         0.21997198688838457, 0.10947409974795504, 0.01575209559471372])),
+        0.0017024054976638263, 0.001982910490993183)),
     "jd": (JD, (
         0.9326482687535234, 0.0013749308050461852, 0.9326732667012493,
-        0.0013642398978203991, 0.0019023575545885957,
-        [0.007435942708372206, 0.0677911855267271, 0.1674843761102126,
-         0.3130770308019333, 0.3302567562896951, 0.2845668206876365,
-         0.2237096310860477, 0.14087703240949342, 0.022277705150803483])),
+        0.0013642398978203991, 0.0019023575545885957)),
 }
 
 
@@ -170,14 +164,13 @@ class TestReproducibility:
     @pytest.mark.parametrize("case", sorted(OCCUPATION_GOLDEN))
     def test_occupation_estimates_are_pinned(self, case):
         model, want = OCCUPATION_GOLDEN[case]
-        occ = occupation_mc(model, LEVEL, SPEC, _cfg(), n_levels=9)
+        occ = occupation_mc(model, LEVEL, SPEC, _cfg())
         got = (
             occ.time_integral_laplace.mean, occ.time_integral_laplace.std_error,
             occ.occupation_laplace.mean, occ.occupation_laplace.std_error,
             occ.mean_abs_discrepancy,
         )
-        assert got == want[:5]
-        assert np.array_equal(occ.density_profile, np.array(want[5]))
+        assert got == want
 
     @pytest.mark.parametrize("case", sorted(SAMPLE_GOLDEN))
     def test_per_path_records_are_pinned(self, case):
@@ -298,17 +291,16 @@ def test_estimates_do_not_depend_on_the_worker_count(workers, monkeypatch):
         assert _digests(res.samples) == dict(zip(SAMPLE_FIELDS, digests))
         assert res.chunks == 2
 
-    # three chunks of the occupation profile, each counted by its own observer
+    # three chunks of the occupation estimates
     monkeypatch.setattr(mc, "_CHUNK", 700)
     f_x, cfg = parse_univariate("level:1,0.06"), MCConfig(dt=1e-4, n_paths=2000, seed=7)
-    occ = occupation_mc(BM, f_x, NARROW, cfg, n_levels=9)
+    occ = occupation_mc(BM, f_x, NARROW, cfg)
     _use_workers(monkeypatch, 1)
-    ref = occupation_mc(BM, f_x, NARROW, cfg, n_levels=9)
+    ref = occupation_mc(BM, f_x, NARROW, cfg)
     for name in ("time_integral_laplace", "occupation_laplace"):
         got, want = getattr(occ, name), getattr(ref, name)
         assert (got.mean, got.std_error) == (want.mean, want.std_error)
     assert occ.mean_abs_discrepancy == ref.mean_abs_discrepancy
-    assert np.array_equal(occ.density_profile, ref.density_profile)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -368,7 +360,7 @@ class TestWorkerFailures:
         with pytest.raises(RuntimeError, match="censored"):
             run_exit_mc(BM, REFLECTED, SPEC, _cfg(t_cap=1e-3))
         with pytest.raises(RuntimeError, match="censored"):
-            occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3), n_levels=9)
+            occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3))
 
     def test_a_worker_that_dies_fails_the_call(self):
         parent = os.getpid()
@@ -400,67 +392,49 @@ class _RecordingRng:
         return draw
 
 
-def _reach_counts(model, events):
-    """Per step, how many live paths are within reach of their supremum or of b.
-
-    ``events`` interleaves the integrand's ``("f", s, x)`` calls with the
-    observer's ``("obs", x_old, x_new, dt)``.  Each step calls the integrand
-    on its new state before the observer, and a jump calls it on the jumped
-    paths' new position after; so the supremum of each path alive at a step
-    is the one paired with its position in the calls before that step.
-    """
-    counts, prev, cur = [], [], []
-    for kind, *data in events:
-        if kind == "f":
-            cur.append(data)
-            continue
-        *jumped, step = cur
-        s_of = {xv: sv for s, x in prev + jumped for sv, xv in zip(s.tolist(), x.tolist())}
-        x_old, x_new, dt = data
-        s = np.array([s_of[v] for v in x_old.tolist()])
-        reach = _REACH * (model.sigma * model.sigma * dt)
-        near_s = (s - x_old) * (s - x_new) <= reach
-        near_b = (x_old - SPEC.b) * (x_new - SPEC.b) <= reach
-        assert np.all(near_s[x_new > s]) and np.all(near_b[x_new <= SPEC.b])
-        counts.append(int(near_s.sum() + near_b.sum()))
-        prev, cur = [step], []
-    return counts
-
-
 @pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
 @pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "nobridge"])
-def test_draw_pattern(model, bridge):
+def test_draw_pattern(model, bridge, monkeypatch):
     # the traced benchmark counts steps and path-steps from the size passed
     # to standard_normal, so each step must draw standard_normal(live count)
     n = 2000
     rng = _RecordingRng(_chunk_rng(7, 0))
-    events = []
+    reach_counts = []
 
     def integrand(s, x):
-        events.append(("f", s.copy(), x.copy()))
+        rng.calls.append(("f", x.size))
         return REFLECTED.eval_pairs(s, x)
 
-    st = _simulate_exit_chunk(model, SPEC, _cfg(bridge_correction=bridge), rng, n, [integrand],
-                              lambda x_old, x_new, dt: events.append(
-                                  ("obs", x_old.copy(), x_new.copy(), np.copy(dt))))
-    live = [e[1].size for e in events if e[0] == "obs"]
+    def recording_bridge(rng_, x, x_new, s, b, var, *scratch):
+        # the paths within reach, counted from the step's state alone
+        reach = _REACH * var
+        near_s = (s - x) * (s - x_new) <= reach
+        near_b = (x - b) * (x_new - b) <= reach
+        assert np.all(near_s[x_new > s]) and np.all(near_b[x_new <= b])
+        reach_counts.append(int(near_s.sum() + near_b.sum()))
+        return _bridge_extrema(rng_, x, x_new, s, b, var, *scratch)
+
+    monkeypatch.setattr(mc, "_bridge_extrema", recording_bridge)
+    st = _simulate_exit_chunk(model, SPEC, _cfg(bridge_correction=bridge), rng, n, [integrand])
     steps = [i for i, (name, _) in enumerate(rng.calls) if name == "standard_normal"]
     sizes = [rng.calls[i][1] for i in steps]
+    # a step's first integrand call sees every path alive at its start
+    live = [next(size for name, size in rng.calls[i + 1:] if name == "f") for i in steps]
     assert sizes == live
     assert (st.steps, st.path_steps) == (len(sizes), sum(sizes))
     assert sizes[0] == n
     assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
     assert all(name != "random" for name, _ in rng.calls[:steps[0]])
-    uniforms = [
-        sum(size for name, size in rng.calls[start + 1:stop] if name == "random")
+    blocks = [
+        [size for name, size in rng.calls[start + 1:stop] if name == "random"]
         for start, stop in zip(steps, steps[1:] + [len(rng.calls)])
     ]
     if not bridge:
-        assert sum(uniforms) == 0
+        assert not any(blocks) and not reach_counts
         return
-    assert uniforms == _reach_counts(model, events)
-    assert all(k <= 2 * m for k, m in zip(uniforms, sizes))
-    assert sum(uniforms) < sum(sizes)
+    assert blocks == [[k] for k in reach_counts]
+    assert all(k <= 2 * m for k, m in zip(reach_counts, sizes))
+    assert sum(reach_counts) < sum(sizes)
 
 
 def test_skipped_crossings_are_below_uniform_resolution():
@@ -556,7 +530,7 @@ class TestCensoring:
 
     def test_occupation_mc_raises_on_censoring(self):
         with pytest.raises(RuntimeError, match="censored"):
-            occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3), n_levels=9)
+            occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3))
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])

@@ -19,6 +19,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_exp_jump_diffusion(1.0, 0.0, 1.0, 1.0)
 
+    def test_non_finite_parameters_rejected(self):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            make_brownian(math.nan, 1.0)
+
     def test_jump_parameter_domains(self):
         with pytest.raises(ValueError):
             make_exp_jump_diffusion(1.0, 1.0, -0.5, 1.0)
@@ -91,6 +95,11 @@ class TestPhi:
     def test_phi_rejects_negative_q(self):
         with pytest.raises(ValueError):
             make_brownian(0.0, 1.0).phi(-1.0)
+
+    def test_roots_reject_nan_q(self):
+        # NaN fails every comparison, so a ``q < 0`` test would let it through
+        with pytest.raises(ValueError):
+            make_brownian(0.0, 1.0).roots(math.nan)
 
 
 class TestRegimes:

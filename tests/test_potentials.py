@@ -119,6 +119,9 @@ class TestSelectors:
             parse_bivariate("const:abc", 1.0)
         with pytest.raises(ValueError):
             parse_univariate("reflected:0.4")
+        # a NaN threshold would compare false everywhere: the zero potential
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_bivariate("level:1,nan", 1.0)
 
     def test_g_weights(self):
         z = np.array([0.5, 1.0])
