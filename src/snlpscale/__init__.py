@@ -11,10 +11,7 @@ from .generalized import (
     GeneralizedScaleResult,
     TailNotConverged,
     conditional_curve,
-    conditional_laplace_given_sup,
     evaluate_exit,
-    exit_down_functional,
-    exit_up_laplace,
     iota,
     kappa,
     local_time_laplace,
@@ -23,6 +20,7 @@ from .generalized import (
     z_f_truncated,
 )
 from .mc import (
+    ConditionalBin,
     ConditionalMCResult,
     Estimate,
     ExitMCResult,
@@ -72,6 +70,7 @@ _mc.conditional_curve = conditional_curve
 
 __all__ = [
     "BivariatePotential",
+    "ConditionalBin",
     "ConditionalMCResult",
     "Estimate",
     "ExitMCResult",
@@ -91,11 +90,8 @@ __all__ = [
     "classical_exit_down",
     "classical_exit_up",
     "conditional_curve",
-    "conditional_laplace_given_sup",
     "conditional_mc",
     "evaluate_exit",
-    "exit_down_functional",
-    "exit_up_laplace",
     "iota",
     "kappa",
     "laplace_invert",

@@ -8,22 +8,24 @@ Subcommands
 ``mc-verify``     deterministic values against Monte Carlo, with z-scores
 ``local-time``    Laplace transform of the potential-weighted local time
 
-All commands emit a versioned JSON document (``"schema": 2``) to stdout or
-``--out``; ``mc-verify`` reports the Monte Carlo run's chunk, step and
-path-step counts under ``diagnostics.mc``.  A flat ``key = value`` config file
-provides defaults; explicit flags override it, and the ``SNLP_SCALE_SEED``
-environment variable backs the seed.  Its keys are the running command's flag
-names without the leading ``--`` (``grid-outer`` or ``grid_outer``), except
-``out``, ``csv`` and ``config``; a key that the command has no flag for is an
-error.  ``bridge`` takes ``1/true/yes/on`` or ``0/false/no/off``, in any case.
+All commands emit a versioned JSON document (``"schema": 3``) to stdout or
+``--out``.  ``exit``, ``mc-verify`` and ``local-time`` carry the refinement
+diagnostics under ``diagnostics``; ``mc-verify`` adds the Monte Carlo run's
+chunk, step and path-step counts under ``diagnostics.mc``.  A flat
+``key = value`` config file provides defaults; explicit flags override it, and
+the ``SNLP_SCALE_SEED`` environment variable backs the seed.  Its keys are the
+running command's flag names without the leading ``--`` (``grid-outer`` or
+``grid_outer``), except ``out``, ``csv`` and ``config``; a key that the
+command has no flag for is an error.  ``bridge`` takes ``1/true/yes/on`` or
+``0/false/no/off``, in any case.
 
 Exit status:
 
 * 0 on success.
 * 1 on numerical failure (an error document on stdout), on a failed z-score
-  gate of ``mc-verify``/``local-time``, and when the refinement of ``exit`` or
-  ``mc-verify`` did not converge (``diagnostics.converged`` is false); the
-  last two still emit the full document.
+  gate of ``mc-verify``/``local-time``, and when the refinement of ``exit``,
+  ``mc-verify`` or ``local-time`` did not converge (``diagnostics.converged``
+  is false); the last two still emit the full document.
 * 2 on usage errors: bad flags, and flag or config values that the library
   rejects (a ``ValueError``).  Among these are Monte Carlo settings that
   ``MCConfig`` rejects (e.g. ``--paths 0``, ``--paths`` below 100, or a
@@ -64,7 +66,7 @@ from .potentials import (
 )
 from .scale import make_scale_table
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
@@ -405,8 +407,10 @@ def _cmd_mc_verify(args, config) -> dict:
 def _cmd_local_time(args, config) -> dict:
     p = _problem_from(args, config, position_only=True)
     cfg = _optional_mc_config(args, config)
-    value = local_time_laplace(p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner)
-    doc = {**p.header("local-time"), "laplace": value}
+    value, diagnostics = local_time_laplace(
+        p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner
+    )
+    doc = {**p.header("local-time"), "laplace": value, "diagnostics": diagnostics}
     if cfg is not None:
         occ = occupation_mc(p.model, p.F, p.spec, cfg)
         report = verify_report(

@@ -18,11 +18,14 @@ All exit quantities follow from these two ingredients:
 * down-exit functional:      ``int_x^a g(z) R(x, z) kappa(z) dz`` with
   ``R(x, z) = (W(x-b)/W(z-b)) * exp(-int_x^z iota)``
 
-Outer integrals use composite Simpson with node-wise cumulative sums.  Each
-outer node needs one frozen renewal solve on its own interval ``[b, s]``;
-the solves of a grid are marched together in blocks of rows, and only the
-last node of each row feeds iota and kappa.  A doubling loop refines both the
-outer and inner grids until two successive levels agree.
+Each value has one public route (:func:`evaluate_exit`,
+:func:`conditional_curve`, :func:`z_f_truncated`, :func:`local_time_laplace`)
+and all share one outer pass: iota and kappa on the Simpson nodes of a level
+interval, and the cumulative Simpson integral of iota.  Each outer node needs
+one frozen renewal solve on its own interval ``[b, s]``; the solves of a grid
+are marched together in blocks of rows, and only the last node of each row
+feeds iota and kappa.  :func:`evaluate_exit` doubles both the outer and inner
+grids until two successive levels agree.
 """
 
 from __future__ import annotations
@@ -45,12 +48,9 @@ __all__ = [
     "TailNotConverged",
     "iota",
     "kappa",
-    "exit_up_laplace",
-    "exit_down_functional",
     "evaluate_exit",
     "supremum_density",
     "supremum_atom",
-    "conditional_laplace_given_sup",
     "conditional_curve",
     "z_f_truncated",
     "local_time_laplace",
@@ -210,15 +210,24 @@ def _functional_grids(model, F, b, nodes, n_inner, guard_step, need_kappa=True):
     return iotas, kappas
 
 
-def _exit_values(model, F, g, spec, n_outer, n_inner):
-    """One evaluation pass at a fixed resolution."""
-    b, x, a = spec.b, spec.x, spec.a
+def _level_pass(model, F, b, lo, hi, n_outer, n_inner):
+    """iota and kappa on ``n_outer`` Simpson nodes spanning ``[lo, hi]``.
+
+    Returns ``(nodes, step, iotas, kappas, cum)`` with ``cum`` the running
+    integral of iota from ``lo`` at each node.
+    """
     if n_outer < 5 or n_outer % 2 == 0:
         raise ValueError("n_outer must be an odd node count >= 5")
-    nodes = np.linspace(x, a, n_outer)
-    h = (a - x) / (n_outer - 1)
+    nodes = np.linspace(lo, hi, n_outer)
+    h = (hi - lo) / (n_outer - 1)
     iotas, kappas = _functional_grids(model, F, b, nodes, n_inner, guard_step=h)
-    cum = cumulative_simpson(iotas, h)
+    return nodes, h, iotas, kappas, cumulative_simpson(iotas, h)
+
+
+def _exit_values(model, F, g, spec, n_outer, n_inner):
+    """One evaluation pass at a fixed resolution."""
+    b, x = spec.b, spec.x
+    nodes, h, iotas, kappas, cum = _level_pass(model, F, b, x, spec.a, n_outer, n_inner)
 
     w_x = wq(model, 0.0, x - b)
     w_nodes = np.array([wq(model, 0.0, float(s - b)) for s in nodes])
@@ -288,31 +297,6 @@ def evaluate_exit(
     )
 
 
-def exit_up_laplace(
-    model: LevyModel,
-    F: BivariatePotential,
-    spec: ExitSpec,
-    n_outer: int = DEFAULT_OUTER,
-    n_inner: int = DEFAULT_INNER,
-    refine: bool = True,
-) -> float:
-    """``E_x[exp(-int_0^T F(S_t, X_t) dt); exit above]``."""
-    return evaluate_exit(model, F, spec, None, n_outer, n_inner, refine).up_laplace
-
-
-def exit_down_functional(
-    model: LevyModel,
-    F: BivariatePotential,
-    g: Optional[Callable],
-    spec: ExitSpec,
-    n_outer: int = DEFAULT_OUTER,
-    n_inner: int = DEFAULT_INNER,
-    refine: bool = True,
-) -> float:
-    """``E_x[g(S_T) exp(-int_0^T F(S_t, X_t) dt); exit below]`` (unit overshoot weight)."""
-    return evaluate_exit(model, F, spec, g, n_outer, n_inner, refine).down_value
-
-
 # ---------------------------------------------------------------------------
 # The law of the supremum at the exit time
 # ---------------------------------------------------------------------------
@@ -338,46 +322,6 @@ def supremum_density(model: LevyModel, spec: ExitSpec, z: float) -> float:
     return ratio * n_height_tail(model, z - b) / p_down
 
 
-def _conditional_values(model, F, spec, z, n_outer, n_inner):
-    """Conditional Laplace values on ``n_outer`` nodes spanning ``[x, z]``.
-
-    The W-ratio of the statement cancels against the one inside the
-    frozen-scale ratio, leaving the exponential damping alone.  Below ``a``
-    the last excursion enters through ``kappa / (W'/W)``; the last node is
-    the up exit, which has no terminal excursion, only when ``z == a``.
-    """
-    b, x, a = spec.b, spec.x, spec.a
-    nodes = np.linspace(x, z, n_outer)
-    h = (z - x) / (n_outer - 1)
-    iotas, kappas = _functional_grids(model, F, b, nodes, n_inner, guard_step=h)
-    values = np.array([math.exp(-c) for c in cumulative_simpson(iotas, h)])
-    down = n_outer - 1 if abs(z - a) <= 1e-12 * max(1.0, abs(a)) else n_outer
-    tails = np.array([n_height_tail(model, float(s - b)) for s in nodes[:down]])
-    values[:down] = values[:down] * kappas[:down] / tails
-    return nodes, values
-
-
-def conditional_laplace_given_sup(
-    model: LevyModel,
-    F: BivariatePotential,
-    spec: ExitSpec,
-    z: float,
-    n_outer: int = DEFAULT_OUTER,
-    n_inner: int = DEFAULT_INNER,
-) -> float:
-    """``E_x[exp(-int_0^T F dt) | S_T = z]`` for ``z`` in ``[x, a]``.
-
-    At ``z = a`` (up exit) the terminal excursion is absent and the value is
-    the conditional contribution of the passage to ``a``.
-    """
-    b, x, a = spec.b, spec.x, spec.a
-    if not (x <= z <= a):
-        raise ValueError(f"conditional value needs z in [x, a], got z={z}")
-    if z <= x:
-        return kappa(model, F, b, x, n_inner) / n_height_tail(model, x - b)
-    return float(_conditional_values(model, F, spec, z, n_outer, n_inner)[1][-1])
-
-
 def conditional_curve(
     model: LevyModel,
     F: BivariatePotential,
@@ -385,14 +329,20 @@ def conditional_curve(
     n_outer: int = DEFAULT_OUTER,
     n_inner: int = DEFAULT_INNER,
 ):
-    """Conditional Laplace values on the whole outer grid in one pass.
+    """``E_x[exp(-int_0^T F dt) | S_T = z]`` on ``n_outer`` nodes spanning ``[x, a]``.
 
-    Returns ``(nodes, values)`` where ``nodes`` spans ``[x, a]``; the final
-    node carries the up-exit conditional value.  Much cheaper than calling
-    :func:`conditional_laplace_given_sup` per point: one frozen solve per
-    node serves every value.
+    Returns ``(nodes, values)``; one frozen solve per node serves every value.
+    The W-ratio of the statement cancels against the one inside the
+    frozen-scale ratio, leaving the exponential damping alone.  Below ``a``
+    the last excursion enters through ``kappa / (W'/W)``.  The final node is
+    the up exit: it has no terminal excursion and carries the damping alone.
     """
-    return _conditional_values(model, F, spec, spec.a, n_outer, n_inner)
+    b = spec.b
+    nodes, _, _, kappas, cum = _level_pass(model, F, b, spec.x, spec.a, n_outer, n_inner)
+    values = np.array([math.exp(-c) for c in cum])
+    tails = np.array([n_height_tail(model, float(s - b)) for s in nodes[:-1]])
+    values[:-1] = values[:-1] * kappas[:-1] / tails
+    return nodes, values
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +397,8 @@ def z_f_truncated(
     cum_lo = cum_bx  # int_b^lo iota
     last = math.inf
     for _ in range(max_doublings):
-        seg_nodes = np.linspace(lo, hi, n_outer)
-        h_seg = (hi - lo) / (n_outer - 1)
-        iotas, kappas = _functional_grids(
-            model, F, b, seg_nodes, n_inner, guard_step=h_seg
-        )
-        cum = cum_lo + cumulative_simpson(iotas, h_seg)
+        seg_nodes, h_seg, _, kappas, cum = _level_pass(model, F, b, lo, hi, n_outer, n_inner)
+        cum = cum_lo + cum
         wf_nodes = np.array(
             [wq(model, 0.0, float(s - b)) for s in seg_nodes]
         ) * np.exp(cum)
@@ -475,13 +421,15 @@ def local_time_laplace(
     spec: ExitSpec,
     n_outer: int = DEFAULT_OUTER,
     n_inner: int = DEFAULT_INNER,
-) -> float:
+) -> tuple:
     """Laplace transform of the potential-weighted local time at the exit.
 
     By the occupation formula the weighted local-time integral equals the
     time integral of ``f(X_t)``, so the value is the sum of the up and down
-    exit identities for the lifted potential ``F(s, x) := f(x)``.
+    exit identities for the lifted potential ``F(s, x) := f(x)``.  Returns
+    ``(value, diagnostics)``, the second being the refinement diagnostics of
+    :func:`evaluate_exit`; check ``diagnostics["converged"]``.
     """
     lifted = BivariatePotential.from_univariate(f_x)
     result = evaluate_exit(model, lifted, spec, g=None, n_outer=n_outer, n_inner=n_inner)
-    return result.up_laplace + result.down_value
+    return result.up_laplace + result.down_value, result.diagnostics

@@ -1,4 +1,4 @@
-"""Spectrally negative Levy models: Laplace exponents, inverses, tilts.
+"""Spectrally negative Levy models: Laplace exponents and their inverses.
 
 Two families are supported, both with a nonzero Gaussian part (so the paths
 have unbounded variation):
@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "Family",
     "LevyModel",
+    "RootFindingError",
     "make_brownian",
     "make_exp_jump_diffusion",
 ]
@@ -105,15 +106,6 @@ class LevyModel:
             out = out + self.jump_rate * self.jump_mean * beta * ratio
         return out
 
-    def psi_derivative(self, lam: _ArrayLike) -> _ArrayLike:
-        """``psi'(0) + sigma^2 lam + rate lam (2 eta + lam)/(eta (eta + lam)^2)``."""
-        arr = np.asarray(lam, dtype=float)
-        out = self.psi_prime_at_zero() + self.sigma**2 * arr
-        if self.jump_rate > 0.0:
-            ratio = arr / (self.eta + arr)
-            out = out + self.jump_rate * self.jump_mean * ratio * (2.0 - ratio)
-        return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
-
     def psi_prime_at_zero(self) -> float:
         """Right derivative of the exponent at 0, computed analytically."""
         return self.mu - self.jump_rate * self.jump_mean
@@ -190,33 +182,6 @@ class LevyModel:
         if not np.all(np.isfinite(out)):
             raise RootFindingError(f"phi: non-finite roots {out} at q={q}")
         return tuple(float(r) for r in out)
-
-    # ------------------------------------------------------------------
-    # Measure changes
-    # ------------------------------------------------------------------
-
-    def esscher_tilt(self, c: float) -> "LevyModel":
-        """Exponentially tilted model with exponent ``psi(. + c) - psi(c)``.
-
-        The tilt stays inside the family: the drift becomes
-        ``mu + c*sigma^2`` and, for the jump family, the jump intensity and
-        mean become ``jump_rate*eta/(eta+c)`` and ``1/(eta+c)``.
-        """
-        if c < 0.0:
-            raise ValueError("esscher_tilt requires c >= 0")
-        if c == 0.0:
-            return self
-        mu = self.mu + c * self.sigma**2
-        if self.family is Family.BROWNIAN_DRIFT:
-            return LevyModel(Family.BROWNIAN_DRIFT, mu, self.sigma)
-        eta = self.eta
-        return LevyModel(
-            Family.EXP_JUMP_DIFFUSION,
-            mu,
-            self.sigma,
-            jump_rate=self.jump_rate * eta / (eta + c),
-            jump_mean=1.0 / (eta + c),
-        )
 
     # ------------------------------------------------------------------
     # Serialization

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from snlpscale import make_brownian, make_exp_jump_diffusion
+from snlpscale import Family, make_brownian, make_exp_jump_diffusion
 
 
 @pytest.fixture
@@ -27,6 +27,36 @@ def jd_drifting():
     # psi'(0+) = 2 - 0.5 > 0, so the q = 0 transform has simple poles and the
     # partial-fraction oracle below applies at q = 0 too
     return make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5)
+
+
+def psi_derivative(model, lam):
+    """``psi'(lam) = psi'(0) + sigma^2 lam + rate lam (2 eta + lam)/(eta (eta + lam)^2)``."""
+    arr = np.asarray(lam, dtype=float)
+    out = model.psi_prime_at_zero() + model.sigma**2 * arr
+    if model.jump_rate > 0.0:
+        ratio = arr / (model.eta + arr)
+        out = out + model.jump_rate * model.jump_mean * ratio * (2.0 - ratio)
+    return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
+
+
+def esscher_tilt(model, c):
+    """Exponentially tilted model with exponent ``psi(. + c) - psi(c)``.
+
+    The tilt stays inside the family: the drift becomes ``mu + c*sigma^2``
+    and, for the jump family, the jump intensity and mean become
+    ``jump_rate*eta/(eta+c)`` and ``1/(eta+c)``.
+    """
+    if c < 0.0:
+        raise ValueError("esscher_tilt requires c >= 0")
+    if c == 0.0:
+        return model
+    mu = model.mu + c * model.sigma**2
+    if model.family is Family.BROWNIAN_DRIFT:
+        return make_brownian(mu, model.sigma)
+    eta = model.eta
+    return make_exp_jump_diffusion(
+        mu, model.sigma, model.jump_rate * eta / (eta + c), 1.0 / (eta + c)
+    )
 
 
 def _simple_roots(model, q):

@@ -37,22 +37,29 @@ def test_scale_table_rejects_exit_problem_flags(flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+FAR_SPEC = ["--model", "bm:0,1", "--b", "0", "--x", "1.5", "--a", "2"]
 # refinement from 5/16 stalls at last_delta ~ 7e-6 after four doublings
-UNCONVERGED = [
-    "--model", "bm:0,1", "--b", "0", "--x", "1.5", "--a", "2",
-    "--potential", "reflected:0.5", "--grid-outer", "5", "--grid-inner", "16",
-]
+UNCONVERGED = [*FAR_SPEC, "--potential", "reflected:0.5",
+               "--grid-outer", "5", "--grid-inner", "16"]
 
 
-@pytest.mark.parametrize("command,extra", [
-    ("exit", []),
-    ("mc-verify", ["--paths", "200", "--dt", "1e-3", "--seed", "3"]),
-])
-def test_unconverged_refinement_exits_one_with_document(command, extra, capsys):
-    assert main([command, *UNCONVERGED, *extra]) == 1
+@pytest.mark.parametrize("command,argv", [
+    ("exit", UNCONVERGED),
+    ("mc-verify", [*UNCONVERGED, "--paths", "200", "--dt", "1e-3", "--seed", "3"]),
+    # the jump at 1.7 stalls refinement from 9/16 at last_delta ~ 1.9e-4
+    ("local-time", [*FAR_SPEC, "--potential", "level:1,1.7", "--grid-outer", "9",
+                    "--grid-inner", "16"]),
+], ids=["exit", "mc-verify", "local-time"])
+def test_unconverged_refinement_exits_one_with_document(command, argv, capsys):
+    assert main([command, *argv]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == command
     assert doc["diagnostics"]["converged"] is False
+
+
+def test_converged_local_time_exits_zero_with_diagnostics(capsys):
+    assert main(["local-time", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["converged"] is True
 
 
 def test_zero_standard_error_row_fails_without_zscore():
@@ -87,6 +94,8 @@ def test_zero_paths_is_a_usage_error(command, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["exit", *BM_SPEC, "--grid-outer", "4"],
+    ["conditional", *BM_SPEC, "--grid-outer", "4"],
+    ["conditional", *BM_SPEC, "--grid-outer", "8"],
     ["exit", *BM_SPEC, "--grid-inner", "8"],
     ["local-time", *BM_SPEC, "--grid-inner", "8"],
     ["scale-table", "--model", "bm:0,1", "--a", "1", "--grid-inner", "1"],
@@ -144,7 +153,7 @@ MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
 def test_mc_verify_passes_with_exit_zero(capsys):
     assert main([*MC_VERIFY, "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["pass"] is True
     assert doc["diagnostics"]["converged"] is True
     counts = doc["diagnostics"]["mc"]

@@ -12,10 +12,7 @@ from snlpscale import (
     classical_exit_down,
     classical_exit_up,
     conditional_curve,
-    conditional_laplace_given_sup,
     evaluate_exit,
-    exit_down_functional,
-    exit_up_laplace,
     iota,
     kappa,
     local_time_laplace,
@@ -85,46 +82,48 @@ class TestKappa:
 
 class TestExitUp:
     def test_zero_potential_is_classical(self, bm_driftless):
-        val = exit_up_laplace(bm_driftless, ZERO, SPEC, refine=False)
+        val = evaluate_exit(bm_driftless, ZERO, SPEC, refine=False).up_laplace
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_potential_sinh_ratio(self, bm_driftless):
         want = math.sinh(0.5) / math.sinh(1.0)
-        assert exit_up_laplace(bm_driftless, HALF, SPEC) == pytest.approx(want, abs=1e-5)
+        val = evaluate_exit(bm_driftless, HALF, SPEC).up_laplace
+        assert val == pytest.approx(want, abs=1e-5)
 
     def test_supremum_dependent_potential_in_range(self, bm_driftless):
         F = BivariatePotential(
             lambda s, x: np.minimum(0.4 * (np.asarray(s) - np.asarray(x)), 2.0),
             bound=2.0, name="reflected",
         )
-        val = exit_up_laplace(bm_driftless, F, SPEC, refine=False)
+        val = evaluate_exit(bm_driftless, F, SPEC, refine=False).up_laplace
         assert 0.0 < val < 0.5
 
     def test_damping_monotonicity(self, bm_driftless):
         quarter = BivariatePotential(lambda s, x: 0.25 + 0.0 * s, bound=0.25, name="q")
-        v0 = exit_up_laplace(bm_driftless, ZERO, SPEC, refine=False)
-        v1 = exit_up_laplace(bm_driftless, quarter, SPEC, refine=False)
-        v2 = exit_up_laplace(bm_driftless, HALF, SPEC, refine=False)
+        v0, v1, v2 = (
+            evaluate_exit(bm_driftless, F, SPEC, refine=False).up_laplace
+            for F in (ZERO, quarter, HALF)
+        )
         assert v0 > v1 > v2
 
 
 class TestExitDown:
     def test_zero_potential_unit_weight(self, bm_driftless):
-        val = exit_down_functional(bm_driftless, ZERO, None, SPEC, refine=False)
+        val = evaluate_exit(bm_driftless, ZERO, SPEC, refine=False).down_value
         assert val == pytest.approx(0.5, abs=1e-9)
 
     def test_supremum_at_ruin_identity(self, bm_driftless):
         # E[S_T; down] for driftless unit BM: int z (x/z)(1/z) dz = x ln(a/x)
-        val = exit_down_functional(
-            bm_driftless, ZERO, lambda z: np.asarray(z), SPEC, refine=False
-        )
+        val = evaluate_exit(
+            bm_driftless, ZERO, SPEC, g=lambda z: np.asarray(z), refine=False
+        ).down_value
         assert val == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
 
     def test_constant_potential_csch_integral(self, bm_driftless):
         # sinh(0.5) * (coth(0.5) - coth(1)), which also equals the classical
         # down identity at q = 0.5
         want = math.sinh(0.5) * (1.0 / math.tanh(0.5) - 1.0 / math.tanh(1.0))
-        got = exit_down_functional(bm_driftless, HALF, None, SPEC)
+        got = evaluate_exit(bm_driftless, HALF, SPEC).down_value
         assert got == pytest.approx(want, abs=1e-5)
         assert got == pytest.approx(
             classical_exit_down(bm_driftless, 0.5, 0.0, 0.5, 1.0), abs=1e-5
@@ -176,22 +175,21 @@ class TestSupremumLaw:
 
 class TestConditionalLaplace:
     def test_zero_potential_everywhere_one(self, bm_driftless):
-        for z in (0.5, 0.62, 0.85, 1.0):
-            val = conditional_laplace_given_sup(bm_driftless, ZERO, SPEC, z)
-            assert val == pytest.approx(1.0, abs=1e-9)
+        _, curve = conditional_curve(bm_driftless, ZERO, SPEC)
+        assert curve == pytest.approx(np.ones_like(curve), abs=1e-9)
 
-    def test_upper_barrier_value(self, bm_driftless):
-        want = 2.0 * math.sinh(0.5) / math.sinh(1.0)
-        val = conditional_laplace_given_sup(bm_driftless, HALF, SPEC, 1.0)
-        assert val == pytest.approx(want, abs=1e-5)
-
-    def test_curve_matches_pointwise_values(self, bm_driftless):
-        nodes, curve = conditional_curve(bm_driftless, HALF, SPEC, n_outer=33, n_inner=512)
-        for idx in (8, 16, 32):
-            val = conditional_laplace_given_sup(
-                bm_driftless, HALF, SPEC, float(nodes[idx]), n_outer=33, n_inner=512
-            )
-            assert curve[idx] == pytest.approx(val, rel=1e-6)
+    @pytest.mark.parametrize("n_outer,n_inner", [(129, 1024), (33, 512)])
+    def test_constant_potential_closed_form(self, bm_driftless, n_outer, n_inner):
+        # driftless unit BM at F = 1/2: iota(s) = coth(s) - 1/s, kappa(z) =
+        # 1/sinh(z) and W'/W = 1/z, so below a the value is
+        # z^2 sinh(x) / (x sinh(z)^2); at a it is (a sinh(x)) / (x sinh(a))
+        nodes, curve = conditional_curve(
+            bm_driftless, HALF, SPEC, n_outer=n_outer, n_inner=n_inner
+        )
+        z = nodes[:-1]
+        below = z**2 * math.sinh(0.5) / (0.5 * np.sinh(z) ** 2)
+        assert curve[:-1] == pytest.approx(below, rel=1e-6)
+        assert curve[-1] == pytest.approx(2.0 * math.sinh(0.5) / math.sinh(1.0), rel=1e-6)
 
     def test_law_of_total_expectation(self, bm_driftless):
         # the conditional value jumps at z = a: the down-branch limit keeps
@@ -214,10 +212,6 @@ class TestConditionalLaplace:
         res = evaluate_exit(bm_driftless, HALF, SPEC)
         rhs = res.up_laplace + res.down_value
         assert lhs == pytest.approx(rhs, abs=1e-5)
-
-    def test_domain_validation(self, bm_driftless):
-        with pytest.raises(ValueError):
-            conditional_laplace_given_sup(bm_driftless, HALF, SPEC, 1.2)
 
 
 class TestRepresentationInvariant:
@@ -282,11 +276,13 @@ class TestZfTruncated:
 class TestLocalTime:
     def test_zero_potential(self, bm_driftless):
         f0 = UnivariatePotential(lambda x: 0.0 * x, bound=0.0, name="zero")
-        assert local_time_laplace(bm_driftless, f0, SPEC) == pytest.approx(1.0, abs=1e-9)
+        value, diagnostics = local_time_laplace(bm_driftless, f0, SPEC)
+        assert value == pytest.approx(1.0, abs=1e-9)
+        assert diagnostics["converged"]
 
     def test_constant_potential_matches_classical_sum(self, bm_driftless):
         fh = UnivariatePotential(lambda x: 0.5 + 0.0 * x, bound=0.5, name="half")
-        val = local_time_laplace(bm_driftless, fh, SPEC)
+        val, _ = local_time_laplace(bm_driftless, fh, SPEC)
         want = 2.0 * math.sinh(0.5) / math.sinh(1.0)
         assert val == pytest.approx(want, abs=1e-5)
         classical = classical_exit_up(
@@ -296,10 +292,11 @@ class TestLocalTime:
 
     def test_grid_arguments_reach_the_solve(self, bm_driftless):
         step = UnivariatePotential(lambda x: 0.5 * (x > 0.7), bound=0.5, name="step")
-        val = local_time_laplace(bm_driftless, step, SPEC, n_outer=9, n_inner=32)
+        val, diagnostics = local_time_laplace(bm_driftless, step, SPEC, n_outer=9, n_inner=32)
         lifted = BivariatePotential.from_univariate(step)
         res = evaluate_exit(bm_driftless, lifted, SPEC, n_outer=9, n_inner=32)
         assert val == res.up_laplace + res.down_value
+        assert diagnostics == res.diagnostics
 
 
 class TestDiagnostics:

@@ -1,11 +1,14 @@
-"""Import layering of the library, read from the source with ``ast``.
+"""Import layering and export lists of the library.
 
 The Monte Carlo engine stays independent of the deterministic solver it
-cross-checks, and the runtime dependency is numpy alone.  The process-pool
-machinery is imported only by a Monte Carlo run that starts workers.
+cross-checks, and the runtime dependency is numpy alone; both are read from
+the source with ``ast``.  The process-pool machinery is imported only by a
+Monte Carlo run that starts workers.  Every name a submodule exports is
+re-exported by the package.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -62,3 +65,20 @@ def test_importing_the_cli_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"],
+                         ids=lambda p: p.name)
+def test_submodule_exports_resolve_and_reach_the_package(path):
+    import snlpscale
+
+    module = importlib.import_module(f"snlpscale.{path.stem}")
+    exports = getattr(module, "__all__", ())
+    assert [name for name in exports if not hasattr(module, name)] == []
+    assert [name for name in exports if name not in snlpscale.__all__] == []
+
+
+def test_package_exports_resolve():
+    import snlpscale
+
+    assert [name for name in snlpscale.__all__ if not hasattr(snlpscale, name)] == []

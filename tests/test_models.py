@@ -6,6 +6,8 @@ import pytest
 
 from snlpscale import make_brownian, make_exp_jump_diffusion
 
+from conftest import esscher_tilt, psi_derivative
+
 
 class TestConstruction:
     def test_brownian_psi_values(self):
@@ -84,7 +86,7 @@ class TestPhi:
         root = m.phi(1.1125e-308)
         assert root > 0.0
         assert m.psi(root) == pytest.approx(1.1125e-308, rel=1e-9)
-        assert m.psi_derivative(root) >= 0.0
+        assert psi_derivative(m, root) >= 0.0
 
     def test_phi_monotone(self):
         m = make_exp_jump_diffusion(-0.5, 1.0, 2.0, 0.4)
@@ -118,7 +120,7 @@ class TestRegimes:
         psi = x + x * x / 2 - x / (1 + x)
         dpsi = 1 + x - 1 / (1 + x) ** 2
         assert m.psi(lam) == pytest.approx(float(psi), rel=1e-13, abs=0.0)
-        assert m.psi_derivative(lam) == pytest.approx(float(dpsi), rel=1e-13, abs=0.0)
+        assert psi_derivative(m, lam) == pytest.approx(float(dpsi), rel=1e-13, abs=0.0)
 
     def test_convexity_midpoint(self):
         for m in (make_brownian(-1.0, 1.0), make_exp_jump_diffusion(1.0, 1.0, 1.0, 1.0)):
@@ -132,16 +134,16 @@ class TestRegimes:
 
 class TestEsscher:
     def test_brownian_complete_square(self):
-        tilted = make_brownian(0.0, 1.0).esscher_tilt(1.0)
+        tilted = esscher_tilt(make_brownian(0.0, 1.0), 1.0)
         assert tilted == make_brownian(1.0, 1.0)
 
     def test_zero_tilt_is_identity(self):
         for m in (make_brownian(0.3, 2.0), make_exp_jump_diffusion(1.0, 1.0, 1.0, 1.0)):
-            assert m.esscher_tilt(0.0) == m
+            assert esscher_tilt(m, 0.0) == m
 
     def test_jump_parameters_and_exponent_identity(self):
         m = make_exp_jump_diffusion(1.0, 1.0, 1.0, 1.0)
-        t = m.esscher_tilt(1.0)
+        t = esscher_tilt(m, 1.0)
         assert t.jump_rate == pytest.approx(0.5)
         assert t.jump_mean == pytest.approx(0.5)
         for lam in (0.5, 1.0, 2.0):
@@ -149,8 +151,8 @@ class TestEsscher:
 
     def test_tilt_composition(self):
         m = make_exp_jump_diffusion(-0.5, 1.3, 2.0, 0.4)
-        once = m.esscher_tilt(0.7).esscher_tilt(0.4)
-        direct = m.esscher_tilt(1.1)
+        once = esscher_tilt(esscher_tilt(m, 0.7), 0.4)
+        direct = esscher_tilt(m, 1.1)
         assert once.mu == pytest.approx(direct.mu, abs=1e-12)
         assert once.jump_rate == pytest.approx(direct.jump_rate, abs=1e-12)
         assert once.jump_mean == pytest.approx(direct.jump_mean, abs=1e-12)
@@ -161,9 +163,9 @@ class TestEsscher:
             make_brownian(-2.0, 1.0),
             make_exp_jump_diffusion(-0.5, 1.0, 2.0, 0.4),
         ):
-            tilted = m.esscher_tilt(m.phi(q))
+            tilted = esscher_tilt(m, m.phi(q))
             assert tilted.psi_prime_at_zero() >= 0.0
 
     def test_negative_tilt_rejected(self):
         with pytest.raises(ValueError):
-            make_brownian(0.0, 1.0).esscher_tilt(-0.1)
+            esscher_tilt(make_brownian(0.0, 1.0), -0.1)

@@ -27,6 +27,7 @@ from snlpscale.scale import ScaleTable, _wq_array
 
 from conftest import (
     brownian_z,
+    esscher_tilt,
     partial_fraction_w,
     partial_fraction_w_prime,
     partial_fraction_z,
@@ -343,7 +344,7 @@ class TestEsscherIdentity:
     )
     def test_tilt_removes_discount(self, model, q):
         phiq = model.phi(q)
-        tilted = model.esscher_tilt(phiq)
+        tilted = esscher_tilt(model, phiq)
         for x in (0.25, 0.5, 1.0, 2.0):
             lhs = wq(model, q, x)
             rhs = math.exp(phiq * x) * wq(tilted, 0.0, x)
