@@ -8,10 +8,11 @@ Subcommands
 ``mc-verify``     deterministic values against Monte Carlo, with z-scores
 ``local-time``    Laplace transform of the potential-weighted local time
 
-All commands emit a versioned JSON document (``"schema": 3``) to stdout or
+All commands emit a versioned JSON document (``"schema": 4``) to stdout or
 ``--out``.  ``exit``, ``mc-verify`` and ``local-time`` carry the refinement
 diagnostics under ``diagnostics``; ``mc-verify`` adds the Monte Carlo run's
-chunk, step and path-step counts under ``diagnostics.mc``.  A flat
+chunk, pass, step and path-step counts under ``diagnostics.mc``, and solves
+the deterministic side while its worker processes step the paths.  A flat
 ``key = value`` config file provides defaults; explicit flags override it, and
 the ``SNLP_SCALE_SEED`` environment variable backs the seed.  Its keys are the
 running command's flag names without the leading ``--`` (``grid-outer`` or
@@ -66,7 +67,7 @@ from .potentials import (
 )
 from .scale import make_scale_table
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
@@ -371,15 +372,20 @@ def _cmd_mc_verify(args, config) -> dict:
     g = parse_g(g_spec)
     cfg = _mc_config(args, config, _resolve(args, config, "paths", cast=int))
 
-    det_result = evaluate_exit(
-        p.model, p.F, p.spec, g=g, n_outer=p.n_outer, n_inner=p.n_inner
+    solved = []
+    # the deterministic side is solved while the worker processes step the paths
+    mc = run_exit_mc(
+        p.model, p.F, p.spec, cfg, g=g, keep_samples=bool(args.csv),
+        meanwhile=lambda: solved.append(
+            evaluate_exit(p.model, p.F, p.spec, g=g, n_outer=p.n_outer, n_inner=p.n_inner)
+        ),
     )
+    (det_result,) = solved
     det = {
         "up_laplace": det_result.up_laplace,
         "down_value": det_result.down_value,
         "p_up": supremum_atom(p.model, p.spec),
     }
-    mc = run_exit_mc(p.model, p.F, p.spec, cfg, g=g, keep_samples=bool(args.csv))
     report = verify_report(
         det, {"up_laplace": mc.up_laplace, "down_value": mc.down_value, "p_up": mc.p_up}
     )
@@ -395,7 +401,8 @@ def _cmd_mc_verify(args, config) -> dict:
         "pass": report["pass"],
         "diagnostics": {
             **det_result.diagnostics,
-            "mc": {"chunks": mc.chunks, "steps": mc.steps, "path_steps": mc.path_steps},
+            "mc": {"chunks": mc.chunks, "passes": mc.passes, "steps": mc.steps,
+                   "path_steps": mc.path_steps},
         },
     }
     if args.csv:

@@ -14,11 +14,14 @@ which detects intra-step barrier crossings with the exact conditional
 probability and keeps the running supremum free of the O(sqrt(dt)) discrete
 maximum bias.  The bridge exceeds a level ``L`` above both endpoints with
 probability ``exp(-2 (L-X0)(L-X1) / (sigma^2 dt))``, and falls below a level
-under both with the same law.  So the maximum is drawn only for paths with
-``(S-X0)(S-X1) <= R sigma^2 dt`` and the minimum only for paths with
-``(X0-b)(X1-b) <= R sigma^2 dt``, ``R = _REACH``; every other path keeps its
-supremum and cannot exit.  The crossings skipped that way have probability
-below ``exp(-2R)``, which a double in ``[0, 1)`` cannot resolve.
+under both with the same law.  So the maximum is drawn only for steps with
+``(L-X0)(L-X1) <= R sigma^2 dt`` and the minimum only for steps with
+``(X0-b)(X1-b) <= R sigma^2 dt``, ``R = _REACH``; every other step keeps the
+supremum and cannot exit.  ``L`` is the discrete running maximum of the
+pass's start supremum and positions, which is below the true supremum: the
+crossing probability falls as the level rises, so every step that can pass
+the supremum is drawn.  The crossings skipped have probability below
+``exp(-2R)``, which a double in ``[0, 1)`` cannot resolve.
 
 The stepper accumulates each integrand ``(s, x) -> rate`` in its list per
 path by the trapezoid rule in time, consistent with the first-order path
@@ -26,14 +29,14 @@ discretization; a bridge kill strictly inside the band gets a half step.
 :func:`run_exit_mc` passes the potential alone; :func:`occupation_mc` passes
 its point and smoothed integrands.
 
-The stepper keeps only the live paths, in dense arrays in path order: the
-position, supremum, time, time to the next jump (jump family only),
-integrand values and one accumulator array per integrand, plus a map to each
-path's output column.  Every step keeps the survivors with one boolean mask,
-and exits and censoring write their records through the map, so a step costs
-in proportion to the paths still alive.  A step's temporaries live in
-scratch arrays allocated once per chunk; only the new position and supremum,
-which the integrands see and may hand back, are fresh arrays each step.
+One loop runs passes.  A pass of ``m`` live paths advances each of them
+``K = min(_MAX_ROWS, max(1, _PASS_ENTRIES // m))`` steps at once, in ``(K,
+m)`` blocks, so ``K`` is 1 in the bulk and reaches ``_MAX_ROWS`` in the thin
+tail; a path's block ends at its first exit, jump or time cap.  The live
+paths sit in slots ``0 .. m-1`` of the state arrays, with a map to each
+path's output column.  When ``d`` paths finish, the live paths of the last
+``d`` slots move into their holes, so a pass costs in proportion to the live
+paths times ``K`` plus the finished ones, and slots are not in path order.
 
 ``_collect_states`` splits the paths into chunks of ``_CHUNK`` (50000), the
 last one shorter, and owns the censoring gate for both entry points: paths
@@ -42,16 +45,22 @@ raises.  The chunks run in forked worker processes, one per core this
 process may run on and at most one per chunk; the run stays in process,
 with one worker, where the platform has no ``fork`` or no CPU affinity
 mask, or where another Python thread is alive, since a fork copies only the
-calling thread.  Each chunk returns its records and its step counts, and
-the parent merges them in chunk order.
+calling thread.  The caller's ``meanwhile`` work runs in the parent while
+the workers step.  Each chunk returns its records and its counts, and the
+parent merges them in chunk order.
 
 Chunk ``k`` draws from a counter-derived Philox substream keyed by
-``(seed, k)``, each step draws one ``standard_normal`` batch of the live
-count before one block of bridge uniforms, one for each live path within
-reach of its supremum and then one for each within reach of ``b``, each set
-in path order.  A chunk depends on nothing but its index and the reduction
-runs in fixed chunk order, so estimates are bit-identical for a given
-configuration whatever the worker count.
+``(seed, k)``.  Each pass draws one flat ``standard_normal(K * m)``, row
+``j`` of the block for step ``j``, then, for the paths that jump in it,
+their jump sizes and next waits.  The bridge uniforms come from a second
+stream, ``_chunk_rng(seed, k).bit_generator.jumped()``: one ``random``
+block a pass, with a uniform for each ``(row, slot)`` entry within reach of
+its level and then one for each within reach of ``b``, each set in
+row-major order.  Entries after a path's event draw too, as the block is
+drawn before its events are known; their values are never read.  A chunk
+depends on nothing but its index and the reduction runs in fixed chunk
+order, so estimates are bit-identical for a given configuration whatever
+the worker count.
 
 The engine never calls the deterministic solver: it imports only ``ExitSpec``
 from :mod:`generalized`.  :func:`conditional_mc` returns Monte Carlo bins,
@@ -94,6 +103,13 @@ _MAX_CENSORED_FRACTION = 1e-3
 # probability above exp(-2 * _REACH) ~ 4.2e-18, below the 2**-53 resolution
 # of the uniforms that would sample the crossing
 _REACH = 20.0
+# a pass of m live paths advances K = min(_MAX_ROWS, max(1, _PASS_ENTRIES // m))
+# steps, so K is 1 in the bulk; part of the reproducibility contract
+_PASS_ENTRIES = 16384
+_MAX_ROWS = 256
+# blocks with rows at least this long run their cumulative sums and maxima
+# as a loop over rows
+_LONG_ROW = 256
 
 
 @dataclass
@@ -102,7 +118,7 @@ class MCConfig:
 
     ``t_cap`` defaults to ``1e4 (a-b)^2 / sigma^2``; paths that exhaust it
     are counted as censored, and a censored fraction above 0.1% fails the
-    run.
+    run.  A given ``t_cap`` must be finite and positive.
     """
 
     dt: float
@@ -116,6 +132,10 @@ class MCConfig:
         # ever reach the time cap
         if not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        # NaN and inf would turn the cap off, and a cap at 0 or below would
+        # censor every path
+        if self.t_cap is not None and not 0.0 < self.t_cap < np.inf:
+            raise ValueError(f"t_cap must be finite and > 0, got {self.t_cap!r}")
         if self.n_paths < 100:
             raise ValueError("n_paths must be >= 100")
 
@@ -173,14 +193,16 @@ class ExitSamples:
 
 @dataclass
 class ExitMCResult:
-    """Exit estimates, with how the simulation went: its chunk count, its
-    steps summed over the chunks and its live paths summed over those steps."""
+    """Exit estimates, with how the simulation went, summed over the chunks:
+    the chunk count, the stepper's passes, the steps the chunks advanced and
+    the live path-steps."""
 
     up_laplace: Estimate
     down_value: Estimate
     p_up: Estimate
     n_censored: int
     chunks: int
+    passes: int
     steps: int
     path_steps: int
     samples: Optional[ExitSamples] = None
@@ -205,7 +227,7 @@ class _ExitState:
     """
 
     RECORDS = ("up", "s_exit", "x_pre", "x_post", "acc", "censored")
-    COUNTS = ("chunks", "steps", "path_steps")
+    COUNTS = ("chunks", "passes", "steps", "path_steps")
     __slots__ = RECORDS + COUNTS
 
     def __init__(self, n: int, n_integrands: int):
@@ -216,20 +238,22 @@ class _ExitState:
         self.acc = np.zeros((n_integrands, n))
         self.censored = np.zeros(n, dtype=bool)
         self.chunks = 1
+        self.passes = 0
         self.steps = 0
         self.path_steps = 0
 
 
 def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
-    """Bridge extrema of the paths within reach of their supremum or of ``b``.
+    """Bridge extrema of the steps within reach of their level or of ``b``.
 
-    ``hi`` indexes the paths with ``(s - x)(s - x_new) <= _REACH var``, which
-    include every ``x_new > s``, and ``lo`` those with ``(x - b)(x_new - b)
-    <= _REACH var``, which include every ``x_new <= b``; both ascend.  One
-    ``random`` block draws a uniform for each, ``hi`` first, and ``ext`` holds
-    the bridge maximum of each ``hi`` path followed by the minimum of each
-    ``lo`` path.  ``var`` is ``sigma^2 dt``, one float or one per path;
-    ``work`` (floats) is scratch of four times the live count and ``mask``
+    The steps run from ``x`` to ``x_new``, entry by entry.  ``hi`` indexes
+    the entries with ``(s - x)(s - x_new) <= _REACH var``, which include
+    every ``x_new > s``, and ``lo`` those with ``(x - b)(x_new - b) <= _REACH
+    var``, which include every ``x_new <= b``; both ascend.  One ``random``
+    block draws a uniform for each, ``hi`` first, and ``ext`` holds the
+    bridge maximum of each ``hi`` entry followed by the minimum of each
+    ``lo`` entry.  ``var`` is ``sigma^2 dt``, one float or one per entry;
+    ``work`` (floats) is scratch of four times the entry count and ``mask``
     (bools) of twice.
     """
     m = x.size
@@ -237,32 +261,69 @@ def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
     reach = _REACH * var
     np.subtract(s, x, out=prod)
     prod *= np.subtract(s, x_new, out=tmp)
-    np.less_equal(prod, reach, out=mask[:m])
-    np.subtract(x, b, out=prod)
-    prod *= np.subtract(x_new, b, out=tmp)
-    np.less_equal(prod, reach, out=mask[m:])
-    # flags of both reaches in one row, so ``near`` is hi followed by lo + m
-    # and wrap mode maps each flag back to its path
-    near = mask.nonzero()[0]
-    k = np.count_nonzero(mask[:m])
+    hi = np.less_equal(prod, reach, out=mask[:m]).nonzero()[0]
+    # few steps come near b: a step is within reach of b only if its lower
+    # end is within sqrt(reach) of b, so the product is taken on those alone
+    np.minimum(x, x_new, out=prod)
+    prod -= b
+    per_entry = isinstance(reach, np.ndarray)
+    near_b = np.sqrt(reach.max() if per_entry else reach) * (1.0 + 1e-9)
+    lo = np.less_equal(prod, near_b, out=mask[m:]).nonzero()[0]
+    lo = lo[(x[lo] - b) * (x_new[lo] - b) <= (reach[lo] if per_entry else reach)]
+    near = np.concatenate((hi, lo))
 
-    # the first step finds every path within reach of S, so the endpoint
+    # the first step finds every entry within reach of S, so the endpoint
     # sum and gap live in the scratch and the uniforms overwrite a copy of x
-    ends = x.take(near, mode="wrap", out=work[2 * m:2 * m + near.size])
-    gap = x_new.take(near, mode="wrap", out=work[:near.size])
+    ends = x.take(near, out=work[2 * m:2 * m + near.size])
+    gap = x_new.take(near, out=work[:near.size])
     ext = ends.copy()
     ends += gap
     gap -= ext
     gap *= gap
     rng.random(near.size, out=ext)
     np.log(ext, out=ext)
-    ext *= 2.0 * (var.take(near, mode="wrap") if isinstance(var, np.ndarray) else var)
+    ext *= 2.0 * (var.take(near) if per_entry else var)
     np.subtract(gap, ext, out=ext)
     np.sqrt(ext, out=ext)
-    ext[k:] *= -1.0
+    ext[hi.size:] *= -1.0
     ext += ends
     ext *= 0.5
-    return near[:k], near[k:] - m, ext
+    return hi, lo, ext
+
+
+def _accumulate(op, block):
+    """Run ``op`` down the rows of ``block`` in place: row ``j`` becomes
+    ``op(row j-1, row j)``, in row order.
+
+    A loop over rows when they are long, ``op.accumulate`` when they are
+    short: numpy's accumulate costs a few ns per entry, a row operation about
+    a microsecond plus half a ns per entry.  Both apply ``op`` in the same
+    order, so the result does not depend on the route.
+    """
+    if block.shape[-1] >= _LONG_ROW:
+        rows = np.moveaxis(block, -2, 0)
+        for j in range(1, rows.shape[0]):
+            op(rows[j - 1], rows[j], out=rows[j])
+    else:
+        op.accumulate(block, axis=-2, out=block)
+
+
+def _first_exits(up, down, m):
+    """First exit of each column among the flat ``(row, column)`` entries
+    ``up`` and ``down`` of an ``m``-column block.
+
+    Returns the columns, ascending, their first exit rows, and whether each
+    leaves up; at one entry in both lists the path leaves up.
+    """
+    flat = np.concatenate((up, down))
+    cols = flat % m
+    # by column, then by entry; the sort is stable, so up comes first
+    order = np.lexsort((flat, cols))
+    cols = cols[order]
+    first = np.ones(cols.size, dtype=bool)
+    np.not_equal(cols[1:], cols[:-1], out=first[1:])
+    pick = order[first]
+    return cols[first], flat[pick] // m, pick < up.size
 
 
 def _simulate_exit_chunk(
@@ -276,31 +337,45 @@ def _simulate_exit_chunk(
     """Run ``n`` paths to exit or censoring.
 
     Each integrand ``(s, x) -> rate`` is accumulated per path into its row of
-    ``acc``.  The live paths' state sits in dense arrays, in path order, with
-    ``pid`` mapping each to its output column.  Without jumps every path
-    takes the full step, so ``dt_eff`` and the elapsed time ``t`` are one
-    float each.
+    ``acc``.  The ``m`` live paths sit in slots ``0 .. m-1`` of the state
+    arrays, with ``pid`` mapping each slot to its output column.  One loop
+    runs passes: a pass advances every live path ``K`` steps, with ``K =
+    min(_MAX_ROWS, max(1, _PASS_ENTRIES // m))``, so ``K`` is 1 in the bulk
+    and rises as the paths thin out.  A pass holds ``(K, m)`` blocks, row
+    ``j`` for the state after step ``j``:
 
-    With the bridge, ``_bridge_extrema`` draws the step's maximum only for
-    the paths within reach of their supremum and its minimum only for those
-    within reach of ``b``: one uniform each, in one block, after the step's
-    Gaussian draws.  A path within reach of neither keeps its supremum and
-    stays alive.  A path whose maximum reaches ``a`` leaves up, even when its
-    minimum reaches ``b`` too.
+    - positions, by ``cumsum`` of the Gaussian increments with the start
+      folded into row 0, from one flat ``standard_normal(K * m)``;
+    - with jumps, the time to the next jump by ``cumsum`` of ``-dt``, and
+      each step's length ``min(dt, time left)``, 0 after the jump; a path's
+      block ends at its next jump;
+    - with the bridge, ``_bridge_extrema`` tests each step's reach against
+      the running maximum of the pass's start supremum ``S`` and the
+      positions before the step, which is below the true supremum, so every
+      step whose maximum may pass the supremum is drawn: the crossing
+      probability falls as the level rises.  The drawn maxima, capped at
+      ``a``, then give the supremum by a running maximum;
+    - the integrands, and the trapezoid sums by ``cumsum`` with ``acc``
+      folded into row 0.
 
-    Every step allocates its new position and supremum: the integrands see
-    them, and an integrand's result may be one of its own inputs (``lambda
-    s, x: s``).  So no step writes into ``x``, ``s`` or an integrand's result
-    after an integrand has seen it, except a jump, which replaces the jumped
-    paths' position and their integrand values together.
-    The step's other full-width temporaries -- the Gaussian draws, the reach
-    products, the bridge endpoints, the exit masks and the trapezoid
-    increment -- go into per-chunk scratch arrays, sliced to the live count
-    ``m``.  The records carry the step count and the path-step count.  Exits
-    are found once per step as an index list; the up/down split, the bridge
-    half step and the exit records work on that list only.  A live path's
-    supremum stays below ``a``, so a path leaves up exactly when its new
-    supremum is ``a``.
+    A path's first event row -- exit, jump or time cap -- ends its block:
+    exits take precedence over a jump in the same row, and a jump over the
+    cap.  The integrands see each path's ``(s, x)`` frozen after its event
+    row, and its records are read at that row.  A path within reach of
+    neither barrier keeps its supremum; a path whose maximum reaches ``a``
+    leaves up, even when its minimum reaches ``b`` too, and a bridge kill
+    strictly inside the band gets a half step.
+
+    The live state after a pass is row ``K - 1`` of the blocks, read as
+    views; only finished paths are gathered.  When ``d`` paths finish, the
+    live paths in the last ``d`` slots move into the holes, so each state
+    array is a prefix view of length ``m - d`` and slots are not in path
+    order.  An integrand's result may be one of its inputs (``lambda s, x:
+    s``), so a pass reads every result into its sums and into the chunk's
+    own ``f_prev`` before it writes into an array the integrands saw.
+
+    The records carry the pass count, the steps the chunk advanced and the
+    live path-steps; rows after a path's event do not count.
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
@@ -308,117 +383,191 @@ def _simulate_exit_chunk(
     jumpy = rate > 0.0
     t_cap = cfg.resolved_t_cap(model, spec)
     bridge = cfg.bridge_correction
+    uniforms = np.random.Generator(rng.bit_generator.jumped())
 
     out = _ExitState(n, len(integrands))
     pid = np.arange(n)
     x = np.full(n, x0)
     s = np.full(n, x0)
     t = np.zeros(n) if jumpy else 0.0
-    acc = [np.zeros(n) for _ in integrands]
+    acc = np.zeros((len(integrands), n))
     jump_in = rng.exponential(1.0 / rate, n) if jumpy else None
-    f_prev = [fn(s, x) for fn in integrands]
-    # the Gaussian draws and the trapezoid sums share the upper half of the
-    # bridge scratch: neither is live while ``_bridge_extrema`` runs
-    work_buf = np.empty(4 * n)
-    xi_buf, sum_buf = work_buf[2 * n:3 * n], work_buf[3 * n:]
-    gone_buf, mask_buf = np.empty(n, dtype=bool), np.empty(2 * n, dtype=bool)
+    f_prev = np.empty((len(integrands), n))
+    for row, fn in zip(f_prev, integrands):
+        row[:] = fn(s, x)
+    size = min(max(n, _PASS_ENTRIES), _MAX_ROWS * n)
+    work_buf, mask_buf = np.empty(4 * size), np.empty(2 * size, dtype=bool)
 
     while pid.size:
         m = pid.size
-        out.steps += 1
-        out.path_steps += m
+        K = min(_MAX_ROWS, max(1, _PASS_ENTRIES // m))
+        out.passes += 1
+        pos = np.empty((K + 1, m))
+        X = pos[1:]
+        rng.standard_normal(K * m, out=X.reshape(-1))
         if jumpy:
-            dt_eff = np.minimum(dt, jump_in)
-            at_jump = jump_in <= dt
+            wait = np.empty((K + 1, m))
+            wait[0] = jump_in
+            wait[1:] = -dt
+            _accumulate(np.add, wait)
+            h = np.clip(wait[:K], 0.0, dt)
+            X *= sigma * np.sqrt(h)
+            X += mu * h
+            clock = h.copy()
+            clock[0] += t
+            _accumulate(np.add, clock)
+            jump_row = np.count_nonzero(wait[:K] > dt, axis=0)
+            cap_row = np.count_nonzero(clock < t_cap, axis=0)
+            stop = np.minimum(jump_row, cap_row)
         else:
-            dt_eff = dt
-
-        xi = rng.standard_normal(m, out=xi_buf[:m])
-        np.multiply(xi, sigma * np.sqrt(dt_eff), out=xi)
-        x_new = x + mu * dt_eff
-        x_new += xi
+            h = dt
+            X *= sigma * np.sqrt(dt)
+            X += mu * dt
+            cap_row = K
+            for j in range(K):
+                t += dt
+                if t >= t_cap and cap_row == K:
+                    cap_row = j
+        if K == 1:
+            X += x
+            prev = x[None]
+        else:
+            pos[0] = x
+            _accumulate(np.add, pos)
+            prev = pos[:K]
 
         if bridge:
-            hi, lo, ext = _bridge_extrema(rng, x, x_new, s, b, sigma * sigma * dt_eff,
-                                          work_buf[:4 * m], mask_buf[:2 * m])
+            # the level starts at the supremum; a one-step pass updates the
+            # supremum array in place, as the last pass's integrands are done
+            # with it
+            if K == 1:
+                sup = s[None]
+            else:
+                sup = np.empty((K, m))
+                sup[0] = s
+                sup[1:] = X[:-1]
+                _accumulate(np.maximum, sup)
+            hi, lo, ext = _bridge_extrema(
+                uniforms, prev.reshape(-1), X.reshape(-1), sup.reshape(-1), b,
+                (sigma * sigma * h).reshape(-1) if jumpy else sigma * sigma * dt,
+                work_buf[:4 * K * m], mask_buf[:2 * K * m])
             k = hi.size
-            s_hi = s.take(hi, out=work_buf[:k])
-            np.maximum(s_hi, ext[:k], out=s_hi)
-            np.minimum(s_hi, a, out=s_hi)
-            s_new = s.copy()
-            s_new[hi] = s_hi
-            gone = np.greater_equal(s_new, a, out=gone_buf[:m])
-            gone[lo[ext[k:] <= b]] = True
+            top = np.minimum(ext[:k], a, out=ext[:k])
+            np.maximum.at(sup.reshape(-1), hi, top)
+            if K > 1:
+                _accumulate(np.maximum, sup)
+            cols, rows, up = _first_exits(hi[top >= a], lo[ext[k:] <= b], m)
         else:
-            gone = np.greater_equal(x_new, a, out=gone_buf[:m])
-            gone |= np.less(x_new, b, out=mask_buf[:m])
-            s_new = np.minimum(x_new, a)
-            np.maximum(s, s_new, out=s_new)
-        hit = np.flatnonzero(gone)
-        x_hit = x_new[hit]
-        s_hit = s_new[hit]
-        up = s_hit >= a
+            sup = np.minimum(X, a)
+            np.maximum(sup[0], s, out=sup[0])
+            if K > 1:
+                _accumulate(np.maximum, sup)
+            cols, rows, up = _first_exits(np.flatnonzero(X >= a), np.flatnonzero(X < b), m)
 
-        # trapezoid accumulation; bridge kills strictly inside the band get a
-        # half step since the crossing time is interior to the step
-        f_new = [fn(s_new, x_new) for fn in integrands]
-        interior = hit[(x_hit < a) & (x_hit >= b)] if bridge else hit[:0]
-        for row, fp, fq in zip(acc, f_prev, f_new):
-            d_acc = np.add(fp, fq, out=sum_buf[:m])
-            d_acc *= 0.5 * dt_eff
-            d_acc[interior] *= 0.5
-            row += d_acc
-        t += dt_eff
-
-        if hit.size:
-            ids = pid[hit]
-            out.up[ids] = up
-            out.s_exit[ids] = s_hit
-            end = np.where(up, a, b) if bridge else x_hit
-            out.x_pre[ids] = end
-            out.x_post[ids] = end
-        x, s, f_prev = x_new, s_new, f_new
-        done = hit
-
-        # jump events fire exactly at the end of their substep
+        # each path's event row, K for a path that runs the whole pass
         if jumpy:
-            jump_in -= dt_eff
-            jumps = np.flatnonzero(at_jump & ~gone)
-            if jumps.size:
-                sizes = rng.exponential(model.jump_mean, jumps.size)
-                jump_in[jumps] = rng.exponential(1.0 / rate, jumps.size)
-                x_jumped = x[jumps] - sizes
-                below = x_jumped < b
-                dn = jumps[below]
-                if dn.size:
-                    dn_ids = pid[dn]
-                    out.s_exit[dn_ids] = s[dn]
-                    out.x_pre[dn_ids] = x[dn]
-                    out.x_post[dn_ids] = x_jumped[below]
-                    gone[dn] = True
-                    done = np.flatnonzero(gone)
-                keep = jumps[~below]
-                x[keep] = x_jumped[~below]
-                for fp, fn in zip(f_prev, integrands):
-                    fp[keep] = fn(s[keep], x[keep])
+            keep = rows <= stop[cols]
+            cols, rows, up = cols[keep], rows[keep], up[keep]
+            event = stop.copy()
+            event[cols] = rows
+        elif cap_row < K:
+            keep = rows <= cap_row
+            cols, rows, up = cols[keep], rows[keep], up[keep]
+            event = np.full(m, cap_row)
+            event[cols] = rows
+        else:
+            event = None
+        if event is None:
+            ev_cols, ev_rows = cols, rows
+        else:
+            ev_cols = np.flatnonzero(event < K)
+            ev_rows = event[ev_cols]
+        out.path_steps += K * m - int((K - 1 - ev_rows).sum())
+        out.steps += K if ev_cols.size < m else int(ev_rows.max()) + 1
 
-        if jumpy or t >= t_cap:
-            tired = ~gone & (t >= t_cap)
-            if np.any(tired):
-                out.censored[pid[tired]] = True
-                gone |= tired
-                done = np.flatnonzero(gone)
+        # the integrands see each path frozen after its event row
+        if K > 1 and ev_cols.size:
+            held = np.minimum(np.arange(K)[:, None], ev_rows)
+            for block in (X, sup):
+                block[:, ev_cols] = np.take_along_axis(block[:, ev_cols], held, axis=0)
+        sums = np.empty((len(integrands), K, m))
+        for row, f_row, fn in zip(sums, f_prev, integrands):
+            f = fn(sup, X)
+            np.add(f_row, f[0], out=row[0])
+            if K > 1:
+                np.add(f[:-1], f[1:], out=row[1:])
+            f_row[:] = f[-1]
+        sums *= 0.5 * h
+        x_end = X[rows, cols]
+        if bridge:
+            inner = (x_end < a) & (x_end >= b)
+            sums[:, rows[inner], cols[inner]] *= 0.5
+        sums[:, 0] += acc
+        if K > 1:
+            _accumulate(np.add, sums)
 
-        if done.size:
-            done_ids = pid[done]
-            for row, out_row in zip(acc, out.acc):
-                out_row[done_ids] = row[done]
-            live = np.logical_not(gone, out=mask_buf[:m])
-            pid, x, s = pid[live], x[live], s[live]
-            acc = [row[live] for row in acc]
-            f_prev = [fp[live] for fp in f_prev]
+        ids = pid[cols]
+        out.up[ids] = up
+        out.s_exit[ids] = sup[rows, cols]
+        end = np.where(up, a, b) if bridge else x_end
+        out.x_pre[ids] = end
+        out.x_post[ids] = end
+        out.acc[:, ids] = sums[:, rows, cols]
+        done = [cols]
+
+        x, s, acc = pos[K], sup[K - 1], sums[:, K - 1]
+        tired = cols[:0]
+        if event is not None:
+            # the paths that did not exit at their event row jump there, or
+            # reach the time cap there, or both
+            running = event < K
+            running[cols] = False
             if jumpy:
-                t, jump_in = t[live], jump_in[live]
+                t, jump_in = clock[K - 1], wait[K]
+                # jump events fire exactly at the end of their substep
+                jumps = np.flatnonzero(running & (jump_row == event))
+                if jumps.size:
+                    r = jump_row[jumps]
+                    sizes = rng.exponential(model.jump_mean, jumps.size)
+                    jump_in[jumps] = rng.exponential(1.0 / rate, jumps.size)
+                    x_jumped = X[r, jumps] - sizes
+                    below = x_jumped < b
+                    dn, r_dn = jumps[below], r[below]
+                    dn_ids = pid[dn]
+                    out.s_exit[dn_ids] = sup[r_dn, dn]
+                    out.x_pre[dn_ids] = X[r_dn, dn]
+                    out.x_post[dn_ids] = x_jumped[below]
+                    out.acc[:, dn_ids] = sums[:, r_dn, dn]
+                    running[dn] = False
+                    done.append(dn)
+                    kept = jumps[~below]
+                    x[kept] = x_jumped[~below]
+                    for f_row, fn in zip(f_prev, integrands):
+                        f_row[kept] = fn(s[kept], x[kept])
+            tired = np.flatnonzero(running & (cap_row == event))
+        if tired.size:
+            r = event[tired]
+            out.censored[pid[tired]] = True
+            out.acc[:, pid[tired]] = sums[:, r, tired]
+            done.append(tired)
+
+        finished = np.sort(np.concatenate(done)) if len(done) > 1 else cols
+        d = finished.size
+        if d:
+            # move the live paths of the last d slots into the holes
+            m -= d
+            holes = finished[finished < m]
+            tail = np.ones(d, dtype=bool)
+            tail[finished[finished >= m] - m] = False
+            movers = m + np.flatnonzero(tail)
+            state = [pid, x, s] + ([t, jump_in] if jumpy else [])
+            for arr in state:
+                arr[holes] = arr[movers]
+            for arr in (acc, f_prev):
+                arr[:, holes] = arr[:, movers]
+        pid, x, s, acc, f_prev = pid[:m], x[:m], s[:m], acc[:, :m], f_prev[:, :m]
+        if jumpy:
+            t, jump_in = t[:m], jump_in[:m]
     return out
 
 
@@ -456,17 +605,20 @@ def _worker_count(n_chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_chunks)
 
 
-def _collect_states(model, spec, cfg, integrands):
+def _collect_states(model, spec, cfg, integrands, meanwhile=None):
     """Simulate the chunks and return their records merged in chunk order.
 
     The ``n_paths`` paths form chunks of ``_CHUNK``, the last one shorter,
     and chunk ``k`` draws from the substream ``(seed, k)`` alone.  The chunks
     run on ``_worker_count`` forked processes, or in process when that is
     one; either way each chunk sees the same draws, so the merged records
-    are bit-identical for any worker count.  The chunk and step counts are
-    summed in chunk order.  A worker that raises raises the same error here,
-    and one that dies raises ``BrokenProcessPool``, a ``RuntimeError``; no
-    worker outlives the call.
+    are bit-identical for any worker count.  The counts are summed in chunk
+    order.  ``meanwhile``, a callable without arguments, runs in this
+    process after the workers start and before their results are read; in
+    process it runs before the first chunk.  A worker that raises raises the
+    same error here, and one that dies raises ``BrokenProcessPool``, a
+    ``RuntimeError``; an error in ``meanwhile`` cancels the chunks that have
+    not started.  No worker outlives the call.
 
     Raises:
         RuntimeError: when more than 0.1% of the paths hit the time cap.
@@ -475,6 +627,8 @@ def _collect_states(model, spec, cfg, integrands):
     n_chunks = -(-cfg.n_paths // _CHUNK)
     workers = _worker_count(n_chunks)
     if workers == 1:
+        if meanwhile is not None:
+            meanwhile()
         states = list(map(job, range(n_chunks)))
     else:
         # imported here, so that a run in process pays nothing for them
@@ -487,7 +641,14 @@ def _collect_states(model, spec, cfg, integrands):
         # died instead of waiting on it forever.
         with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                  _start_worker, (job,)) as pool:
-            states = list(pool.map(_run_chunk, range(n_chunks)))
+            futures = [pool.submit(_run_chunk, k) for k in range(n_chunks)]
+            try:
+                if meanwhile is not None:
+                    meanwhile()
+                states = [future.result() for future in futures]
+            finally:
+                for future in futures:
+                    future.cancel()
     merged = _ExitState(0, len(integrands))
     for name in _ExitState.RECORDS:
         setattr(merged, name, np.concatenate([getattr(st, name) for st in states], axis=-1))
@@ -517,19 +678,22 @@ def run_exit_mc(
     cfg: MCConfig,
     g: Optional[Callable] = None,
     keep_samples: bool = False,
+    meanwhile: Optional[Callable[[], None]] = None,
 ) -> ExitMCResult:
     """Estimate the two-sided exit functionals by simulation.
 
     Returns estimates of (i) ``E[e^{-int F}; up]``, (ii)
     ``E[g(S_T) e^{-int F}; down]`` and (iii) ``P(up)``, plus the raw exit
-    records on request.
+    records on request.  ``meanwhile`` runs in this process while the worker
+    processes step the chunks, or first when the run stays in process; the
+    estimates' ``elapsed`` is the wall time of the whole call.
 
     Raises:
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
     cfg.warn_if_coarse(spec)
     start = time.perf_counter()
-    st = _collect_states(model, spec, cfg, [F.eval_pairs])
+    st = _collect_states(model, spec, cfg, [F.eval_pairs], meanwhile)
     counted = ~st.censored
     acc = st.acc[0]
     up_c = st.up[counted]
@@ -546,6 +710,7 @@ def run_exit_mc(
         p_up=_estimate(up_c.astype(float), elapsed),
         n_censored=int(st.censored.sum()),
         chunks=st.chunks,
+        passes=st.passes,
         steps=st.steps,
         path_steps=st.path_steps,
     )

@@ -48,7 +48,7 @@ def _check_range(vals: np.ndarray, bound: float, label: str) -> np.ndarray:
     tol = 1e-12 * max(1.0, bound)
     # NaN fails both comparisons, so it is rejected with the values out of range
     if vals.size and not (vals.min() >= -tol and vals.max() <= bound + tol):
-        bad = float(vals[np.argmax(np.abs(vals - np.clip(vals, 0.0, bound)))])
+        bad = float(vals.flat[np.argmax(np.abs(vals - np.clip(vals, 0.0, bound)))])
         raise ValueError(
             f"{label}: value {bad} outside the declared range [0, {bound}]"
         )

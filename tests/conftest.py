@@ -210,3 +210,158 @@ def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
         ]
         ratios.append(excursion / renewal)
     return np.asarray(ratios)
+
+
+def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rule, reach):
+    """Plain per-step loop of the Monte Carlo stepper over one chunk.
+
+    It replays the stepper's passes one step at a time, over the paths still
+    stepping, with the random numbers the stepper drew:
+
+    - ``main``: the arrays of the chunk's main stream in call order: the
+      first waits for the jumps (jump family), then for each pass the flat
+      normals of its ``(K, m)`` block and, when paths jump, their jump sizes
+      and next waits;
+    - ``bridge``: for each pass with the bridge, the flat ``(row, slot)``
+      entries that drew a maximum, those that drew a minimum, and the
+      uniforms, the maxima's first.
+
+    ``rows_rule(m)`` is ``K`` for ``m`` live paths.  A step tests its reach
+    against the running maximum of the pass's start supremum and its
+    positions, takes the uniform of its own entry (which must have been
+    drawn), and ends the path's pass at an exit, a jump or the time cap.
+    Slots follow the stepper's rule: the live paths of the last ``d`` slots
+    move, in slot order, into the ``d`` finished paths' holes.  Returns the
+    records and the pass, step and path-step counts.
+    """
+    b, x0, a = spec.b, spec.x, spec.a
+    mu, sigma, dt = model.mu, model.sigma, cfg.dt
+    rate = model.jump_rate if model.family is Family.EXP_JUMP_DIFFUSION else 0.0
+    jumpy = rate > 0.0
+    t_cap = cfg.resolved_t_cap(model, spec)
+    main, bridge = iter(main), iter(bridge)
+    rec = {
+        "up": np.zeros(n, dtype=bool), "s_exit": np.full(n, np.nan),
+        "x_pre": np.full(n, np.nan), "x_post": np.full(n, np.nan),
+        "acc": np.zeros((len(integrands), n)), "censored": np.zeros(n, dtype=bool),
+        "passes": 0, "steps": 0, "path_steps": 0,
+    }
+    x, s = np.full(n, x0), np.full(n, x0)
+    acc = np.zeros((len(integrands), n))
+    f = np.array([fn(s, x) for fn in integrands])
+    t = np.zeros(n) if jumpy else 0.0
+    wait = next(main) if jumpy else None
+    slots = list(range(n))
+
+    def finish(p, acc_p, up=None, s_end=None, x_pre=None, x_post=None):
+        rec["acc"][:, p] = acc_p
+        if up is None:
+            rec["censored"][p] = True
+            return
+        rec["up"][p], rec["s_exit"][p] = up, s_end
+        rec["x_pre"][p], rec["x_post"][p] = x_pre, x_post
+
+    while slots:
+        m = len(slots)
+        K = rows_rule(m)
+        rec["passes"] += 1
+        z = next(main).reshape(K, m)
+        u_hi, u_lo = np.full(K * m, np.nan), np.full(K * m, np.nan)
+        if cfg.bridge_correction:
+            hi, lo, u = next(bridge)
+            u_hi[hi], u_lo[lo] = u[:hi.size], u[hi.size:]
+        u_hi, u_lo = u_hi.reshape(K, m), u_lo.reshape(K, m)
+        ids = np.array(slots)
+        level = s[ids].copy()
+        stepping = np.ones(m, dtype=bool)
+        ran = np.zeros(m, dtype=int)
+        jumped, tired_at_jump, finished = [], [], []
+        for j in range(K):
+            sl = np.flatnonzero(stepping)
+            if not sl.size:
+                break
+            p = ids[sl]
+            ran[sl] += 1
+            h = np.minimum(dt, wait[p]) if jumpy else dt
+            x_new = x[p] + (z[j, sl] * (sigma * np.sqrt(h)) + mu * h)
+            up = np.zeros(sl.size, dtype=bool)
+            down = np.zeros(sl.size, dtype=bool)
+            if cfg.bridge_correction:
+                var = sigma * sigma * h
+                lim = reach * var
+                near_hi = (level[sl] - x[p]) * (level[sl] - x_new) <= lim
+                near_lo = (x[p] - b) * (x_new - b) <= lim
+
+                def extreme(near, u, sign):
+                    assert not np.isnan(u).any()  # the stepper drew this entry
+                    x_a, x_b = x[p][near], x_new[near]
+                    v = var[near] if jumpy else var
+                    root = np.sqrt((x_b - x_a) * (x_b - x_a) - np.log(u) * (2.0 * v))
+                    return (sign * root + (x_a + x_b)) * 0.5
+
+                top = np.minimum(extreme(near_hi, u_hi[j, sl[near_hi]], 1.0), a)
+                s_new = s[p].copy()
+                s_new[near_hi] = np.maximum(s_new[near_hi], top)
+                up[near_hi] = top >= a
+                down[near_lo] = extreme(near_lo, u_lo[j, sl[near_lo]], -1.0) <= b
+            else:
+                s_new = np.maximum(s[p], np.minimum(x_new, a))
+                up, down = x_new >= a, x_new < b
+            level[sl] = np.maximum(level[sl], x_new)
+            gone = up | down
+            f_new = np.array([fn(s_new, x_new) for fn in integrands])
+            inc = (f[:, p] + f_new) * (0.5 * h)
+            if cfg.bridge_correction:
+                inc[:, gone & (x_new < a) & (x_new >= b)] *= 0.5
+            acc[:, p] = acc[:, p] + inc
+            f[:, p], x[p], s[p] = f_new, x_new, s_new
+            if jumpy:
+                at_jump = wait[p] <= dt
+                t[p] = t[p] + h
+                wait[p] = wait[p] - h
+                tired = t[p] >= t_cap
+            else:
+                at_jump = np.zeros(sl.size, dtype=bool)
+                t = t + dt
+                tired = np.full(sl.size, t >= t_cap)
+            for q in np.flatnonzero(gone):
+                end = (a if up[q] else b) if cfg.bridge_correction else x_new[q]
+                finish(p[q], acc[:, p[q]], up[q], s_new[q], end, end)
+                finished.append(sl[q])
+            for q in np.flatnonzero(at_jump & ~gone):
+                jumped.append(sl[q])
+                tired_at_jump.append(tired[q])
+            for q in np.flatnonzero(tired & ~at_jump & ~gone):
+                finish(p[q], acc[:, p[q]])
+                finished.append(sl[q])
+            stepping[sl[gone | at_jump | tired]] = False
+            rec["path_steps"] += sl.size
+        rec["steps"] += int(ran.max())
+
+        # jumps fire at the end of their step, in slot order
+        order = np.argsort(jumped)
+        jumped = np.array(jumped, dtype=int)[order]
+        tired_at_jump = np.array(tired_at_jump, dtype=bool)[order]
+        if jumped.size:
+            sizes, waits = next(main), next(main)
+            p = ids[jumped]
+            x_jumped = x[p] - sizes
+            for q in np.flatnonzero(x_jumped < b):
+                finish(p[q], acc[:, p[q]], False, s[p[q]], x[p[q]], x_jumped[q])
+                finished.append(jumped[q])
+            kept = x_jumped >= b
+            x[p[kept]], wait[p[kept]] = x_jumped[kept], waits[kept]
+            for k, fn in enumerate(integrands):
+                f[k, p[kept]] = fn(s[p[kept]], x[p[kept]])
+            for q in np.flatnonzero(kept & tired_at_jump):
+                finish(p[q], acc[:, p[q]])
+                finished.append(jumped[q])
+
+        finished = sorted(finished)
+        live = m - len(finished)
+        holes = [q for q in finished if q < live]
+        movers = [q for q in range(live, m) if q not in set(finished)]
+        for hole, mover in zip(holes, movers):
+            slots[hole] = slots[mover]
+        del slots[live:]
+    return rec

@@ -1,6 +1,8 @@
 """CLI exit codes and report rows."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -153,13 +155,36 @@ MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
 def test_mc_verify_passes_with_exit_zero(capsys):
     assert main([*MC_VERIFY, "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert doc["pass"] is True
     assert doc["diagnostics"]["converged"] is True
     counts = doc["diagnostics"]["mc"]
-    assert sorted(counts) == ["chunks", "path_steps", "steps"]
+    assert sorted(counts) == ["chunks", "passes", "path_steps", "steps"]
     assert counts["chunks"] == 1
-    assert 0 < counts["steps"] and 200 * counts["steps"] >= counts["path_steps"] >= 200
+    assert 0 < counts["passes"] < counts["steps"]
+    assert 200 * counts["steps"] >= counts["path_steps"] >= 200
+
+
+def test_mc_verify_solves_while_the_workers_step(monkeypatch, capsys):
+    # the deterministic side runs in the parent after the workers start, and
+    # the document is the one of a run in process
+    from snlpscale import cli, mc
+
+    solve, seen, docs = cli.evaluate_exit, [], []
+
+    def watched(*args, **kwargs):
+        seen.append((os.getpid(), len(multiprocessing.active_children())))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_exit", watched)
+    for workers in (2, 1):
+        monkeypatch.setattr(mc, "_worker_count", lambda n_chunks: workers)
+        assert main([*MC_VERIFY, "--seed", "3"]) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
+    assert seen[0][0] == seen[1][0] == os.getpid()
+    assert seen[0][1] > 0 and seen[1][1] == 0
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("flag,config_seed,want", [

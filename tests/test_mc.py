@@ -2,13 +2,20 @@
 and the worker processes that run the chunks.
 
 The golden values pin every estimate bit for bit for a given ``(seed,
-config)``: the paths form chunks of ``_CHUNK`` (50000), chunk ``k`` draws
-from the Philox substream keyed by ``(seed, k)`` and the draw order inside a
-step is fixed: ``standard_normal`` of the live count, then, with the bridge,
-one ``random`` block with a uniform for each live path within reach of its
-supremum and then for each within reach of ``b``.  A change to the path
-engine that moves any draw, or any floating-point operation of the
-accumulation, shows up here as a failed ``==``.  The same values must come
+config)``: the paths form chunks of ``_CHUNK`` (50000), and chunk ``k`` draws
+from the Philox substream keyed by ``(seed, k)``.  The stepper runs passes:
+a pass of ``m`` live paths advances ``K = min(_MAX_ROWS, max(1,
+_PASS_ENTRIES // m))`` steps, and the live paths sit in slots that a finished
+path's hole reuses, the last slots' paths moving first.  A pass draws one
+flat ``standard_normal(K * m)`` from the main stream, row ``j`` for step
+``j`` (then, for the paths that jump, their jump sizes and next waits), and,
+with the bridge, one ``random`` block from the main stream's jumped
+substream: a uniform for each ``(row, slot)`` entry within reach of the
+running maximum, then for each within reach of ``b``, each set in row-major
+order.  ``reference_exit_chunk`` in ``conftest.py`` replays the passes one
+step at a time.  A change to the path engine that moves any draw, or any
+floating-point operation of the accumulation, shows up here as a failed
+``==``.  The same values must come
 out whatever the number of worker processes, and no worker may outlive the
 call that started it, whether the call returns or raises.
 """
@@ -39,8 +46,12 @@ from snlpscale import (
     run_exit_mc,
 )
 from snlpscale import mc
-from snlpscale.mc import _CHUNK, _REACH, _bridge_extrema, _chunk_rng, _simulate_exit_chunk
+from snlpscale.mc import (
+    _CHUNK, _REACH, _ExitState, _bridge_extrema, _chunk_rng, _simulate_exit_chunk,
+)
 from snlpscale.potentials import BivariatePotential
+
+from conftest import reference_exit_chunk
 
 BM = make_brownian(0.3, 1.0)
 JD = make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5)
@@ -70,24 +81,24 @@ def _use_workers(monkeypatch, workers):
 # (up mean, up se, down mean, down se, p_up mean, p_up se, n_censored)
 EXIT_GOLDEN = {
     "bm_bridge": (BM, {"bridge_correction": True}, (
-        0.45295075553809533, 0.010878417459702024, 0.317178067457908,
-        0.007031423540932499, 0.465, 0.011155703691943023, 0)),
+        0.4577906230955397, 0.01090454503857189, 0.31520297406791753,
+        0.007021226290559068, 0.469, 0.011161621338114266, 0)),
     "bm_nobridge": (BM, {"bridge_correction": False}, (
-        0.46321639528287134, 0.010904463586876035, 0.3060385828022867,
-        0.0069299787041051325, 0.475, 0.011169148353275137, 0)),
+        0.4633751793524149, 0.010907412788813065, 0.30575287903092907,
+        0.006928712591615463, 0.475, 0.011169148353275137, 0)),
     "jd": (JD, {}, (
-        0.7105958032059948, 0.009868904802050478, 0.16442280064007656,
-        0.006182012681896236, 0.722, 0.010020389418682841, 0)),
+        0.7233852607627062, 0.009710612461016125, 0.15869616499707068,
+        0.006176798318035034, 0.7355, 0.009865015674956302, 0)),
 }
 
-# (time-integral mean, se, occupation mean, se, mean |A-B|, density profile)
+# (time-integral mean, se, occupation mean, se, mean |A-B|)
 OCCUPATION_GOLDEN = {
     "bm": (BM, (
-        0.9359005787372375, 0.0017136902372665258, 0.9357017622008925,
-        0.0017024054976638263, 0.001982910490993183)),
+        0.9376835150365138, 0.0016465557277356864, 0.9372808050162835,
+        0.0016381253303428328, 0.0019347772773214023)),
     "jd": (JD, (
-        0.9326482687535234, 0.0013749308050461852, 0.9326732667012493,
-        0.0013642398978203991, 0.0019023575545885957)),
+        0.9292661032789592, 0.0014273039281818781, 0.9293728966568822,
+        0.0014155661891607938, 0.0019446482451897006)),
 }
 
 
@@ -113,44 +124,47 @@ def _digests(samples):
 # case has jump exits with x_post < b, and without the bridge x_post < b too
 SAMPLE_GOLDEN = {
     "bm_bridge": (BM, {"bridge_correction": True}, (
-        "1bb7967a206f35dc763e85d8f59a9688a6b8249fdaf7e65095ec1f31d553b548",
-        "c20fc12475ec684005c8fa0b8e873c28cbb4ed36af04c56951646dfc8136d586",
-        "a359271125cc7656d67ee9162ba9fcec6223ed2f9d188aa2b28621107e1add79",
-        "a359271125cc7656d67ee9162ba9fcec6223ed2f9d188aa2b28621107e1add79",
-        "bd557cca284e1aa7085438f3ca0aa05cefe63c7032c35d759b9ee52fc3e6b8f5")),
+        "f54afb587d2ce55423496c56e478d37746613cddaa4d56e6bea9461ff8692df2",
+        "35ee83ab5a4cbd9c0810925c944f5e6ed7f4da4cf5a0b95e5724b78b21046a36",
+        "65f1d0b0d963c78f241ec0e6a18a8ed75647d27b9a240b39575855d66cf14d4a",
+        "65f1d0b0d963c78f241ec0e6a18a8ed75647d27b9a240b39575855d66cf14d4a",
+        "180b937b55c03846a4b4b9e621fd2603728d541066c788959a94a2311b26d6c5")),
     "bm_nobridge": (BM, {"bridge_correction": False}, (
-        "064451065ae4b8a3b0e7c4f036917a740e58a01e545b4f204f0067944e067eb3",
-        "40ceac2faf99721e6cd54e58cea15cca37e3e93d26262023c89327d3856d0293",
-        "5a1e0f192a96176d2614d6b3b7d1d86e1587d6525aa196603fbba06c72ebd6f8",
-        "5a1e0f192a96176d2614d6b3b7d1d86e1587d6525aa196603fbba06c72ebd6f8",
-        "7ea00337d40f20923d13a58634d149809cccf76143711261043e6ec066b027b4")),
+        "cf283d6979acd6ac8e3a07b774cebbdcf634e8f5f0cd7f8eaa5cf03b5c3833b2",
+        "5b681fb070538ab6d3299d9612ab0a8d168547a654c6c3b07160481976b02a42",
+        "130dfbb54708ccab5d667094e13bc3d91a15623811cba2481cf9dd452f01e687",
+        "130dfbb54708ccab5d667094e13bc3d91a15623811cba2481cf9dd452f01e687",
+        "d42db620557b059625e0214a7c2cbad5f236ff551882497a7082512280eb107c")),
     "jd": (JD, {}, (
-        "ab2d734fb587ea20fc9da36b8aa2b637085697f2c2dc8e6baf51dfbce7443103",
-        "9c8c668c90b4c5bedee29fa9538987cb88b0848c6831e43ad747478880cda1ff",
-        "147279d1a7ff870fb0d907da968f0ed5882ba8783084cccbd1c81b8c08981603",
-        "57f2488dffdcbb2631a8b0d1b26c86ba997f4ed591b276217e85178092e42df3",
-        "7b599124c76e12ea77c9a56d5ebc952af57d2e7c1512b0d57765b5b76a2ec5f9")),
+        "805c13d601c33b056a57c6487d08cb85e92c99b0bbaa396aba9e784801f162e8",
+        "e4ee623c75bc9fbe5ea9ce5514e21ac98401c2a35e77092143cd93d66c12f24f",
+        "d2059373b6dc174028eedf30472b207dbd114ac1bcbd50419822c1d1ad0dfe39",
+        "81cc0c517a1be92302ed57bf25989fe4e333aac30b3af342ff809d25150d7133",
+        "d9ec563864c0363704662467782b990205a8d97c8d709bf29ee462f31497b1b4")),
 }
 
-# the same runs from a sampler that draws both extrema of every live path
-# each step; the sparse draws reach these values when every path is in reach
+# The same runs with every step of every live path within reach, so that
+# each draws both extrema, as a dense sampler does.  The largest float, not
+# inf, stands for the unbounded reach: the rows after a jump in a pass have
+# steps of length 0, and inf * 0 is NaN.
+UNBOUNDED = np.finfo(float).max
 DENSE_GOLDEN = {
     "bm": (BM, (
-        0.46387146108667265, 0.010907250961886824, 0.30897260319312564,
-        0.006985878524818834, 0.4755, 0.011169702598013252, 0), (
-        "35ee6ec078f9ac8a6a42180f5155f2dfbdd8f6fd791755605e100de8414bf464",
-        "9410789052eb101a0cc372e52a81407fd6335d851e1df22d844ef4997e36f047",
-        "f0bc3ff4f6363338160de55703e85beae3a419a8a9d897942fa3203b95f26102",
-        "f0bc3ff4f6363338160de55703e85beae3a419a8a9d897942fa3203b95f26102",
-        "6dc9a741efc3eb181145b4b021d3b2ef0616a74c17821e68cda1e74ef4e4f642")),
+        0.4621274013542272, 0.010918764690489337, 0.3102247570584684,
+        0.00695581719037013, 0.473, 0.011166819105029964, 0), (
+        "dd6bab19a54cb600ed6ef0363f0cd479e63fbfa890c8cba96bfbae1ff9049a92",
+        "0c4654671f4eb3c9fc0998289f5456f98ec4971c43967300bd63b7fee7ab1d54",
+        "3096b53f82fc9e17253de89a7880c6b22132043ff451b20c086598db16e0e6ec",
+        "3096b53f82fc9e17253de89a7880c6b22132043ff451b20c086598db16e0e6ec",
+        "73ce3490c709573f893f9e8f53c15a0daea44012a9d1008c8c5b3f750413ac92")),
     "jd": (JD, (
-        0.7211092103054254, 0.00974208660536517, 0.1554825025902819,
-        0.0059993787567866105, 0.733, 0.00989466786840837, 0), (
-        "cc2947049ba6a5857a5ca69cb3954682ebaade63fff1be4941c62c9cd9d65908",
-        "3277d9876f21c756f968e3c6a7e686584904e42aa7d0795a60b6dd0535909da9",
-        "b1479105e7e328925d9a960a1d16c413e6c802fb0140454ca5a938c9e247d87e",
-        "53dd1d80a5f94deece882bb3c6b0a970bd1a8f1e4e6fe5e6e4d53efe90e7cc5c",
-        "4aabfd7272bb8b727e15261a99c3718927b4a8555cf11e729e6df72f84e32e98")),
+        0.7253673222551724, 0.009698762745264383, 0.15800929777501335,
+        0.006164106964553784, 0.737, 0.009847029094655681, 0), (
+        "1353d1898a680a0b4ef12105f03c5b5ca7a4a8dcf34cbd44851917f589c23f9b",
+        "f68d6c496713fa31d6c46e41a2e14a0b9d4624ff57563931e29e1264d4a29e4c",
+        "d7440009c13fd08ce18d23385b3c1ae82e1c568a6fa55a0b46f7438b17d2a71a",
+        "993d8603586d149c9588debcdd250f32351f711cfe5ed22e244aba7796ff48e7",
+        "662ef47b3f84090377c8890e1f31539425d230d3f09980833def3cd3a876decf")),
 }
 
 
@@ -181,14 +195,22 @@ class TestReproducibility:
             assert np.any(res.samples.x_post < SPEC.b)
 
     @pytest.mark.parametrize("case", sorted(DENSE_GOLDEN))
-    def test_infinite_reach_is_the_dense_sampler(self, case, monkeypatch):
-        # with every path within reach, a step draws 2m uniforms, the maxima
-        # first, and computes each extremum as the dense sampler did
-        monkeypatch.setattr(mc, "_REACH", math.inf)
+    def test_unbounded_reach_draws_both_extrema_of_every_step(self, case, monkeypatch):
+        # a pass of bm draws 2 K m uniforms, every entry's maximum, then
+        # every entry's minimum; test_passes_match_the_per_step_reference
+        # checks each extremum against the per-step formula
+        monkeypatch.setattr(mc, "_REACH", UNBOUNDED)
         model, want, digests = DENSE_GOLDEN[case]
         res = run_exit_mc(model, REFLECTED, SPEC, _cfg(), g=IDENTITY, keep_samples=True)
         assert _estimates(res) == want
         assert _digests(res.samples) == dict(zip(SAMPLE_FIELDS, digests))
+        if model is BM:
+            _, main, blocks = _record_chunk(model, _cfg(), 2000, [REFLECTED.eval_pairs],
+                                            monkeypatch)
+            normals = [d.size for name, d in main if name == "standard_normal"]
+            for size, (hi, lo, _) in zip(normals, blocks, strict=True):
+                assert np.array_equal(hi, np.arange(size))
+                assert np.array_equal(lo, np.arange(size))
 
     def test_same_seed_same_samples(self):
         one = run_exit_mc(JD, REFLECTED, SPEC, _cfg(), keep_samples=True)
@@ -204,37 +226,37 @@ class TestReproducibility:
 # overshoot past ``a``.  (model, potential, spec, bound, estimates, digests)
 ALIAS_GOLDEN = {
     "bm_s": (BM, lambda s, x: s, SPEC, 1.0, (
-        0.3813979036812848, 0.00934683001138395, 0.4714787583147166,
-        0.009985902151353207, 0.465, 0.011155703691943023, 0), (
-        "1bb7967a206f35dc763e85d8f59a9688a6b8249fdaf7e65095ec1f31d553b548",
-        "c20fc12475ec684005c8fa0b8e873c28cbb4ed36af04c56951646dfc8136d586",
-        "a359271125cc7656d67ee9162ba9fcec6223ed2f9d188aa2b28621107e1add79",
-        "a359271125cc7656d67ee9162ba9fcec6223ed2f9d188aa2b28621107e1add79",
-        "b723005c68f15b6cc8994fa62d08e0ef44555d37385c1a4a801e9dcb8dee2708")),
+        0.3888850474235684, 0.00942437463380263, 0.4630608450629599,
+        0.009947972865481424, 0.469, 0.011161621338114266, 0), (
+        "f54afb587d2ce55423496c56e478d37746613cddaa4d56e6bea9461ff8692df2",
+        "35ee83ab5a4cbd9c0810925c944f5e6ed7f4da4cf5a0b95e5724b78b21046a36",
+        "65f1d0b0d963c78f241ec0e6a18a8ed75647d27b9a240b39575855d66cf14d4a",
+        "65f1d0b0d963c78f241ec0e6a18a8ed75647d27b9a240b39575855d66cf14d4a",
+        "2f8297d7da965148a541913fc213d9635fa556ac1a0785358905d8d585805668")),
     "bm_x": (BM, lambda s, x: x, ExitSpec(1.0, 1.4, 2.0), 3.0, (
-        0.31200548432171876, 0.007937065303691036, 0.4129921409320988,
-        0.009010607747722357, 0.465, 0.011155703691943023, 0), (
-        "1bb7967a206f35dc763e85d8f59a9688a6b8249fdaf7e65095ec1f31d553b548",
-        "8d6ac089f313251a743901b4e56e3a50a6644468b0299cf755f5d02bac734030",
-        "6e47454fabb57c08c84d6586d28c84d246af729471d61f45463ace9bef3f4330",
-        "6e47454fabb57c08c84d6586d28c84d246af729471d61f45463ace9bef3f4330",
-        "8e6821f1066f896c15d9ae59cd385b9e1e672cd120d668af1e0665f9cb9ef681")),
+        0.32028627072102267, 0.00803016045626829, 0.4041604074930961,
+        0.008992018128122779, 0.469, 0.011161621338114266, 0), (
+        "f54afb587d2ce55423496c56e478d37746613cddaa4d56e6bea9461ff8692df2",
+        "2f3af96c50c4acbadc81acd95a74fd24211f2ab444d236814b2d7d4951c481ee",
+        "37e9baef42d8904e79c06c9d970c01c4251ef31edf84916c5c16cb25282bce92",
+        "37e9baef42d8904e79c06c9d970c01c4251ef31edf84916c5c16cb25282bce92",
+        "9824e70814faef65d0c50ea15e38382cff0d3dde1db23960498ac901ed087cf5")),
     "jd_s": (JD, lambda s, x: s, SPEC, 1.0, (
-        0.6241156607076043, 0.008826046457998072, 0.2531386496137478,
-        0.00917722467725858, 0.722, 0.010020389418682841, 0), (
-        "ab2d734fb587ea20fc9da36b8aa2b637085697f2c2dc8e6baf51dfbce7443103",
-        "9c8c668c90b4c5bedee29fa9538987cb88b0848c6831e43ad747478880cda1ff",
-        "147279d1a7ff870fb0d907da968f0ed5882ba8783084cccbd1c81b8c08981603",
-        "57f2488dffdcbb2631a8b0d1b26c86ba997f4ed591b276217e85178092e42df3",
-        "f3c81830303d1a24c2c9d16ee15a761642ec5a7f91e9e755c12a4ee233cd648d")),
+        0.6337546558423292, 0.008683149868325364, 0.24099148756053992,
+        0.009046272560282684, 0.7355, 0.009865015674956302, 0), (
+        "805c13d601c33b056a57c6487d08cb85e92c99b0bbaa396aba9e784801f162e8",
+        "e4ee623c75bc9fbe5ea9ce5514e21ac98401c2a35e77092143cd93d66c12f24f",
+        "d2059373b6dc174028eedf30472b207dbd114ac1bcbd50419822c1d1ad0dfe39",
+        "81cc0c517a1be92302ed57bf25989fe4e333aac30b3af342ff809d25150d7133",
+        "8af7dc71a302554fa1449faf3bd6ace8d28eae830d80144ac11a240adb5fae2a")),
     "jd_x": (JD, lambda s, x: x, ExitSpec(1.0, 1.4, 2.0), 3.0, (
-        0.5311224808833652, 0.007825929006219132, 0.2276100925606051,
-        0.008355970663919805, 0.722, 0.010020389418682841, 0), (
-        "ab2d734fb587ea20fc9da36b8aa2b637085697f2c2dc8e6baf51dfbce7443103",
-        "6c94a1c44d283f117d443f401963e5517266192d96e6b2bf92022a15e85374fa",
-        "3f1fd03c255e0b0d0ebd6ebb9b9840c11d49e94fb828df28de6f27e506e25f6e",
-        "af20234b8b2459b72fe6c6655cc25083e44c9c5b750c0ff8df16148c0766066b",
-        "19d7493f014792abf8525d93e1f57c272767ed0a91ce5bb9d9cbec0d400a3796")),
+        0.5382786142689543, 0.007709069416794236, 0.21680379089539925,
+        0.00824359909410696, 0.7355, 0.009865015674956302, 0), (
+        "805c13d601c33b056a57c6487d08cb85e92c99b0bbaa396aba9e784801f162e8",
+        "0ebfb492e4aa6ba3e68b474f3230acd4429dd157bfe520a1c75514f6f7e9a072",
+        "5fcfc2c80aa725e0e7d63cb459fcf33fdd8d1447a30592f20c932a7e844e29b8",
+        "afd660aebec88317dc5e471a70395b120fc81d5a1ec57e3f093a25ee148d7acd",
+        "c00e65cb8007030e58957e467c79ea9533a85b4444f7ebd33b4106173930fd1a")),
 }
 
 # More than one chunk: chunk k draws from substream (seed, k) and the records
@@ -243,21 +265,21 @@ NARROW = ExitSpec(0.0, 0.05, 0.1)
 # (model, config keywords, n_paths, estimates, digests)
 CHUNKED_GOLDEN = {
     "bm": (BM, {}, _CHUNK + 2000, (
-        0.5061415174416047, 0.0021924466519654554, 0.4938269304900648,
-        0.002192414711984195, 0.5061538461538462, 0.002192500053653188, 0), (
-        "38454b669ea5b8377015445f45119cd22b1a041ea2584ae6a79dd7681dde4a9e",
-        "50f23b1f26b681c00ee26a78cefa02c78eaa5fb1c98fdf894e963d6966f46e97",
-        "087e975e4ec98f9e624e310d86b7a8a05e0a1563a4807855ba0bb82f9d5fc3fc",
-        "087e975e4ec98f9e624e310d86b7a8a05e0a1563a4807855ba0bb82f9d5fc3fc",
-        "556678fa1c55593b908dbae3ac492b21a8d824b585cebeb670684a2af5f19857")),
+        0.5072761368274868, 0.002192379899863554, 0.49269235326898564,
+        0.0021923477972746698, 0.5072884615384615, 0.002192433163140446, 0), (
+        "0e3da577888f96cba21faea9c069cffb4dcb542622eb0dcca9e36c5e6d16d32c",
+        "19b595f66ec3da7ec9e50a11b8141c6148a1d346332fa0b62ed0845343561581",
+        "9a870648b3a4aa45e83d5ba0e916abf81040c51c5166fa3f64d59968c19fe41e",
+        "9a870648b3a4aa45e83d5ba0e916abf81040c51c5166fa3f64d59968c19fe41e",
+        "6da6650b4bbce49bf27bfab662410d7f4b1189f0982a81c636a533f633349b0c")),
     "jd": (JD, {}, _CHUNK + 2000, (
-        0.547717533533791, 0.002182599746461188, 0.4522516486701661,
-        0.002182567638315455, 0.5477307692307692, 0.0021826524867010425, 0), (
-        "3e13a970a25f6ed5ce690c8fe8a745dd48c55b328dca252494b1802985763f8e",
-        "d32e9f968537183029ffd5e606fafffcb6ab22ffb44618a0d1d711904792a1d3",
-        "823c560a4c44681f2cdec6ccfa6368f8c431552e3ae779783a9f57750aaf2e86",
-        "45b7c467216c7badbde74136a36b5faf2ca3f2362f3d62389d05398b084a87fb",
-        "4d85f60c2d21a2875433e82eeb695b667d193b3f416015c7d5a06de141d73f12")),
+        0.5480061229326422, 0.0021824786035163574, 0.45196327843177936,
+        0.002182446346921693, 0.5480192307692308, 0.002182530803893293, 0), (
+        "40635691a52b9afdfe481770e80708382e98971552cda265bd01ae776627292b",
+        "2df42f985cbf4bb6a27516dc9428be8f7c70c44d28c0af25f06b294b6bed051d",
+        "a976f8d09e3aa6d4c4250cda729868e062d4f595d4c6ee3bd45352a7b05b2ebc",
+        "49f872097314d3997ca536aaee3172e1ba86f55cbe23eea6d0e07b9185c784a1",
+        "d31b8ec83e423b4f0d7cbd6aa3d10c446f33c5d1bfddb21edfa61b54e7e9c877")),
 }
 
 
@@ -315,6 +337,7 @@ def test_counts_sum_over_the_chunks(workers, monkeypatch):
         for k, n in enumerate((700, 700, 600))
     ]
     assert res.chunks == 3
+    assert res.passes == sum(st.passes for st in chunks)
     assert res.steps == sum(st.steps for st in chunks)
     assert res.path_steps == sum(st.path_steps for st in chunks)
 
@@ -362,6 +385,13 @@ class TestWorkerFailures:
         with pytest.raises(RuntimeError, match="censored"):
             occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3))
 
+    def test_an_error_meanwhile_cancels_the_chunks(self):
+        def solve():
+            raise KeyError("solve")
+
+        with pytest.raises(KeyError, match="solve"):
+            run_exit_mc(BM, REFLECTED, SPEC, _cfg(), meanwhile=solve)
+
     def test_a_worker_that_dies_fails_the_call(self):
         parent = os.getpid()
 
@@ -374,67 +404,151 @@ class TestWorkerFailures:
             run_exit_mc(BM, BivariatePotential(func, bound=1.0), SPEC, _cfg())
 
 
-class _RecordingRng:
-    """Forwards to a Generator and logs each draw as ``(method, size)``."""
+class _Recorder:
+    """Forwards to a Generator and keeps ``(method, copy of the result)`` of
+    each draw; other attributes (``bit_generator``) pass through."""
 
     def __init__(self, rng):
         self._rng = rng
-        self.calls = []
+        self.draws = []
 
     def __getattr__(self, name):
         method = getattr(self._rng, name)
+        if not callable(method):
+            return method
 
         def draw(*args, **kwargs):
-            size = args[-1] if args else kwargs.get("size")
-            self.calls.append((name, size))
-            return method(*args, **kwargs)
+            out = method(*args, **kwargs)
+            self.draws.append((name, np.array(out, copy=True)))
+            return out
 
         return draw
+
+
+def _rows(m):
+    return min(mc._MAX_ROWS, max(1, mc._PASS_ENTRIES // m))
+
+
+def _record_chunk(model, cfg, n, integrands, monkeypatch, spec=SPEC):
+    """Run one chunk and return its records with every draw it made: the main
+    stream's, and each pass's bridge entries and uniforms."""
+    rng = _Recorder(_chunk_rng(cfg.seed, 0))
+    bridge, real = [], _bridge_extrema
+
+    def recording(uniforms, *args):
+        rec = _Recorder(uniforms)
+        hi, lo, ext = real(rec, *args)
+        ((name, u),) = rec.draws
+        assert name == "random"
+        bridge.append((hi.copy(), lo.copy(), u))
+        return hi, lo, ext
+
+    monkeypatch.setattr(mc, "_bridge_extrema", recording)
+    st = _simulate_exit_chunk(model, spec, cfg, rng, n, integrands)
+    return st, rng.draws, bridge
+
+
+class _CountedWrites(np.ndarray):
+    """A record array that counts the writes into each of its columns."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        np.add.at(self.writes, np.arange(self.shape[-1])[key[-1]], 1)
+
+
+def _count_record_writes(monkeypatch):
+    init = mc._ExitState.__init__
+
+    def counting(self, n, n_integrands):
+        init(self, n, n_integrands)
+        self.acc = self.acc.view(_CountedWrites)
+        self.acc.writes = np.zeros(n, dtype=int)
+
+    monkeypatch.setattr(mc._ExitState, "__init__", counting)
+
+
+# (model, config keywords, integrands, reach)
+REFERENCE_CASES = {
+    "bm": (BM, {}, [REFLECTED.eval_pairs], _REACH),
+    "bm_nobridge": (BM, {"bridge_correction": False}, [REFLECTED.eval_pairs], _REACH),
+    "bm_cap": (BM, {"t_cap": 0.2}, [REFLECTED.eval_pairs], _REACH),
+    "bm_dense": (BM, {}, [REFLECTED.eval_pairs], UNBOUNDED),
+    "jd_dense": (JD, {}, [REFLECTED.eval_pairs], UNBOUNDED),
+    "bm_alias": (BM, {}, [BivariatePotential(lambda s, x: s, bound=1.0).eval_pairs], _REACH),
+    "jd": (JD, {}, [REFLECTED.eval_pairs], _REACH),
+    "jd_nobridge": (JD, {"bridge_correction": False}, [REFLECTED.eval_pairs], _REACH),
+    "jd_cap": (JD, {"t_cap": 0.2}, [REFLECTED.eval_pairs], _REACH),
+    "jd_two": (JD, {}, [REFLECTED.eval_pairs,
+                        BivariatePotential(lambda s, x: x * x, bound=4.0).eval_pairs], _REACH),
+}
+
+
+@pytest.mark.parametrize("entries", [None, 1000], ids=["default", "bulk"])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_passes_match_the_per_step_reference(case, entries, monkeypatch):
+    # the blocked passes give, bit for bit, the records of a plain loop that
+    # steps each path once per row with the same draws; with 1000 entries a
+    # pass, the 2000 paths start in passes of one step each.  Every path's
+    # record is written once, whichever slots it moved through.
+    model, kw, integrands, reach = REFERENCE_CASES[case]
+    if entries is not None:
+        monkeypatch.setattr(mc, "_PASS_ENTRIES", entries)
+    monkeypatch.setattr(mc, "_REACH", reach)
+    _count_record_writes(monkeypatch)
+    cfg = _cfg(**kw)
+    st, main, bridge = _record_chunk(model, cfg, 2000, integrands, monkeypatch)
+    assert {name for name, _ in main} <= {"standard_normal", "exponential"}
+    ref = reference_exit_chunk(model, SPEC, cfg, 2000, integrands, [d for _, d in main],
+                               bridge, _rows, reach)
+    for name in _ExitState.RECORDS:
+        assert np.array_equal(getattr(st, name), ref[name], equal_nan=True), name
+    assert (st.passes, st.steps, st.path_steps) == (ref["passes"], ref["steps"], ref["path_steps"])
+    assert np.all(st.acc.writes == 1)
+    if "cap" in case:
+        assert st.censored.any()
+    normals = [d.size for name, d in main if name == "standard_normal"]
+    assert normals[0] == _rows(2000) * 2000 == (2000 if entries else 16000)
 
 
 @pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
 @pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "nobridge"])
 def test_draw_pattern(model, bridge, monkeypatch):
-    # the traced benchmark counts steps and path-steps from the size passed
-    # to standard_normal, so each step must draw standard_normal(live count)
+    # the main stream draws K * m normals a pass, as one flat block: the
+    # traced benchmark counts path-steps from that integer size.  The
+    # uniforms come from the main stream's jumped substream, one for each
+    # step of each path within reach, in one block a pass.
     n = 2000
-    rng = _RecordingRng(_chunk_rng(7, 0))
-    reach_counts = []
+    shapes = []
 
     def integrand(s, x):
-        rng.calls.append(("f", x.size))
+        shapes.append(x.shape)
         return REFLECTED.eval_pairs(s, x)
 
-    def recording_bridge(rng_, x, x_new, s, b, var, *scratch):
-        # the paths within reach, counted from the step's state alone
-        reach = _REACH * var
-        near_s = (s - x) * (s - x_new) <= reach
-        near_b = (x - b) * (x_new - b) <= reach
-        assert np.all(near_s[x_new > s]) and np.all(near_b[x_new <= b])
-        reach_counts.append(int(near_s.sum() + near_b.sum()))
-        return _bridge_extrema(rng_, x, x_new, s, b, var, *scratch)
-
-    monkeypatch.setattr(mc, "_bridge_extrema", recording_bridge)
-    st = _simulate_exit_chunk(model, SPEC, _cfg(bridge_correction=bridge), rng, n, [integrand])
-    steps = [i for i, (name, _) in enumerate(rng.calls) if name == "standard_normal"]
-    sizes = [rng.calls[i][1] for i in steps]
-    # a step's first integrand call sees every path alive at its start
-    live = [next(size for name, size in rng.calls[i + 1:] if name == "f") for i in steps]
-    assert sizes == live
-    assert (st.steps, st.path_steps) == (len(sizes), sum(sizes))
-    assert sizes[0] == n
-    assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
-    assert all(name != "random" for name, _ in rng.calls[:steps[0]])
-    blocks = [
-        [size for name, size in rng.calls[start + 1:stop] if name == "random"]
-        for start, stop in zip(steps, steps[1:] + [len(rng.calls)])
-    ]
+    cfg = _cfg(bridge_correction=bridge)
+    st, main, blocks = _record_chunk(model, cfg, n, [integrand], monkeypatch)
+    normals = [d.size for name, d in main if name == "standard_normal"]
+    # a pass's first integrand call sees its whole (K, m) block
+    passes = [shape for shape in shapes if len(shape) == 2]
+    assert shapes[0] == (n,)
+    assert [k * m for k, m in passes] == normals
+    assert all(k == _rows(m) for k, m in passes)
+    assert passes[0] == (_rows(n), n)
+    assert all(later[1] <= earlier[1] for earlier, later in zip(passes, passes[1:]))
+    assert st.passes == len(passes)
+    assert sum(k for k, _ in passes) >= st.steps > sum(k for k, _ in passes[:-1])
+    assert st.path_steps <= sum(normals)
+    if model is JD:
+        assert main[0][0] == "exponential" and main[0][1].size == n
     if not bridge:
-        assert not any(blocks) and not reach_counts
+        assert not blocks
         return
-    assert blocks == [[k] for k in reach_counts]
-    assert all(k <= 2 * m for k, m in zip(reach_counts, sizes))
-    assert sum(reach_counts) < sum(sizes)
+    assert len(blocks) == len(passes)
+    uniforms = np.random.Generator(_chunk_rng(cfg.seed, 0).bit_generator.jumped())
+    for (k, m), (hi, lo, u) in zip(passes, blocks):
+        assert np.array_equal(u, uniforms.random(hi.size + lo.size))
+        assert np.all(np.diff(hi) > 0) and np.all(np.diff(lo) > 0)
+        assert hi.size + lo.size <= 2 * k * m
+    assert sum(hi.size + lo.size for hi, lo, _ in blocks) < sum(normals)
 
 
 def test_skipped_crossings_are_below_uniform_resolution():
@@ -498,8 +612,8 @@ class TestClosedForm:
 
 # (censored count, sha256 of the censored mask) at t_cap = 0.2
 CENSOR_GOLDEN = {
-    "bm": (BM, 923, "370a7867efb884a32c41bd4a1c088832e84cd3724ec4e40729c4ba5c375b1ef8"),
-    "jd": (JD, 722, "f0a4e4b7f71b150f410c1b2cbd2cccb0e59efd9b791ce03ad3578e758cf8d13f"),
+    "bm": (BM, 954, "c84905378677036f1d484a3042ecb0608cfaa964dd728b98c73684f767e69b9a"),
+    "jd": (JD, 742, "1810630da426435316afe01a7c55177ecc2097327be14d1cc75ba5428d5800f9"),
 }
 
 
@@ -538,3 +652,10 @@ def test_config_rejects_a_step_that_is_not_finite_and_positive(dt):
     # a NaN step would keep the clock at NaN, so no path would ever be censored
     with pytest.raises(ValueError, match="dt must be finite and > 0"):
         MCConfig(dt=dt, n_paths=2000)
+
+
+@pytest.mark.parametrize("t_cap", [0.0, -1.0, math.nan, math.inf])
+def test_config_rejects_a_time_cap_that_is_not_finite_and_positive(t_cap):
+    # NaN or inf would quietly turn the cap off; 0 or less censors every path
+    with pytest.raises(ValueError, match="t_cap must be finite and > 0"):
+        MCConfig(dt=1e-3, n_paths=2000, t_cap=t_cap)

@@ -82,6 +82,16 @@ class TestBivariate:
         with pytest.raises(ValueError, match="nan"):
             F.eval_pairs(np.array([1.0, 1.0]), np.array([0.2, 0.9]))
 
+    def test_blocks_report_the_value_out_of_range(self):
+        # the path engine evaluates (steps, paths) blocks
+        F = BivariatePotential(lambda s, x: s - x, bound=0.5)
+        s = np.ones((3, 4))
+        x = np.full((3, 4), 0.75)
+        x[2, 1] = -1.0
+        assert F.eval_pairs(s[:2], x[:2]).shape == (2, 4)
+        with pytest.raises(ValueError, match="value 2.0 outside"):
+            F.eval_pairs(s, x)
+
     def test_empty_arrays_pass(self):
         F = BivariatePotential(lambda s, x: 0.1 + 0.0 * x, bound=1.0)
         assert F.eval_pairs(np.empty(0), np.empty(0)).size == 0
