@@ -263,7 +263,9 @@ def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
     prod *= np.subtract(s, x_new, out=tmp)
     hi = np.less_equal(prod, reach, out=mask[:m]).nonzero()[0]
     # few steps come near b: a step is within reach of b only if its lower
-    # end is within sqrt(reach) of b, so the product is taken on those alone
+    # end is within sqrt(reach) of b, so the product is taken on those alone;
+    # the margin keeps every step the product admits among them despite
+    # rounding
     np.minimum(x, x_new, out=prod)
     prod -= b
     per_entry = isinstance(reach, np.ndarray)

@@ -230,9 +230,10 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
     against the running maximum of the pass's start supremum and its
     positions, takes the uniform of its own entry (which must have been
     drawn), and ends the path's pass at an exit, a jump or the time cap.
-    Slots follow the stepper's rule: the live paths of the last ``d`` slots
-    move, in slot order, into the ``d`` finished paths' holes.  Returns the
-    records and the pass, step and path-step counts.
+    Slots follow the stepper's rule: when ``d`` paths finish, the live paths
+    of the last ``d`` slots move, in slot order, into the holes the finished
+    paths leave in the first ``m - d`` slots.  Returns the records and the
+    pass, step and path-step counts.
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma, dt = model.mu, model.sigma, cfg.dt

@@ -429,7 +429,7 @@ def _rows(m):
     return min(mc._MAX_ROWS, max(1, mc._PASS_ENTRIES // m))
 
 
-def _record_chunk(model, cfg, n, integrands, monkeypatch, spec=SPEC):
+def _record_chunk(model, cfg, n, integrands, monkeypatch):
     """Run one chunk and return its records with every draw it made: the main
     stream's, and each pass's bridge entries and uniforms."""
     rng = _Recorder(_chunk_rng(cfg.seed, 0))
@@ -444,7 +444,7 @@ def _record_chunk(model, cfg, n, integrands, monkeypatch, spec=SPEC):
         return hi, lo, ext
 
     monkeypatch.setattr(mc, "_bridge_extrema", recording)
-    st = _simulate_exit_chunk(model, spec, cfg, rng, n, integrands)
+    st = _simulate_exit_chunk(model, SPEC, cfg, rng, n, integrands)
     return st, rng.draws, bridge
 
 
