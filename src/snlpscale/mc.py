@@ -107,9 +107,6 @@ _REACH = 20.0
 # steps, so K is 1 in the bulk; part of the reproducibility contract
 _PASS_ENTRIES = 16384
 _MAX_ROWS = 256
-# blocks with rows at least this long run their cumulative sums and maxima
-# as a loop over rows
-_LONG_ROW = 256
 
 
 @dataclass
@@ -195,7 +192,12 @@ class ExitSamples:
 class ExitMCResult:
     """Exit estimates, with how the simulation went, summed over the chunks:
     the chunk count, the stepper's passes, the steps the chunks advanced and
-    the live path-steps."""
+    the live path-steps.
+
+    The estimates' ``elapsed`` is the wall time of the whole
+    :func:`run_exit_mc` call, its ``meanwhile`` work included, so it is not
+    the simulation's time alone when the caller passed such work.
+    """
 
     up_laplace: Estimate
     down_value: Estimate
@@ -297,17 +299,12 @@ def _accumulate(op, block):
     """Run ``op`` down the rows of ``block`` in place: row ``j`` becomes
     ``op(row j-1, row j)``, in row order.
 
-    A loop over rows when they are long, ``op.accumulate`` when they are
-    short: numpy's accumulate costs a few ns per entry, a row operation about
-    a microsecond plus half a ns per entry.  Both apply ``op`` in the same
-    order, so the result does not depend on the route.
+    A loop over rows: ``op.accumulate`` down the rows runs one inner loop
+    per column, which costs several times as much when the rows are long.
     """
-    if block.shape[-1] >= _LONG_ROW:
-        rows = np.moveaxis(block, -2, 0)
-        for j in range(1, rows.shape[0]):
-            op(rows[j - 1], rows[j], out=rows[j])
-    else:
-        op.accumulate(block, axis=-2, out=block)
+    rows = np.moveaxis(block, -2, 0)
+    for j in range(1, rows.shape[0]):
+        op(rows[j - 1], rows[j], out=rows[j])
 
 
 def _first_exits(up, down, m):
@@ -348,9 +345,12 @@ def _simulate_exit_chunk(
 
     - positions, by ``cumsum`` of the Gaussian increments with the start
       folded into row 0, from one flat ``standard_normal(K * m)``;
-    - with jumps, the time to the next jump by ``cumsum`` of ``-dt``, and
-      each step's length ``min(dt, time left)``, 0 after the jump; a path's
-      block ends at its next jump;
+    - with jumps, each path's time to the next jump and clock advance ``K``
+      full steps; only the candidates, the paths whose time left reaches 0
+      (the jump falls in the pass) or whose clock reaches ``t_cap``, get
+      rows: the time left by ``cumsum`` of ``-dt``, each step's length
+      ``min(dt, time left)``, 0 after the jump, and the clock.  Every other
+      step is ``dt`` long, and a path's block ends at its next jump;
     - with the bridge, ``_bridge_extrema`` tests each step's reach against
       the running maximum of the pass's start supremum ``S`` and the
       positions before the step, which is below the true supremum, so every
@@ -408,28 +408,43 @@ def _simulate_exit_chunk(
         X = pos[1:]
         rng.standard_normal(K * m, out=X.reshape(-1))
         if jumpy:
-            wait = np.empty((K + 1, m))
-            wait[0] = jump_in
+            # advanced by full steps, the time to the next jump reaches 0
+            # exactly when the jump falls in the pass, and the clock reaches
+            # t_cap whenever the cap does; those candidate columns alone get
+            # their rows, and every other step is dt long
+            wait_end, t_end = jump_in - dt, t + dt
+            for _ in range(K - 1):
+                wait_end -= dt
+                t_end += dt
+            cand = np.flatnonzero((wait_end <= 0.0) | (t_end >= t_cap))
+            wait = np.empty((K + 1, cand.size))
+            wait[0] = jump_in[cand]
             wait[1:] = -dt
             _accumulate(np.add, wait)
             h = np.clip(wait[:K], 0.0, dt)
-            X *= sigma * np.sqrt(h)
-            X += mu * h
             clock = h.copy()
-            clock[0] += t
+            clock[0] += t[cand]
             _accumulate(np.add, clock)
             jump_row = np.count_nonzero(wait[:K] > dt, axis=0)
             cap_row = np.count_nonzero(clock < t_cap, axis=0)
             stop = np.minimum(jump_row, cap_row)
+            wait_end[cand], t_end[cand] = wait[K], clock[K - 1]
+            jump_in, t = wait_end, t_end
+            xi = X[:, cand]
+            xi *= sigma * np.sqrt(h)
+            xi += mu * h
         else:
-            h = dt
-            X *= sigma * np.sqrt(dt)
-            X += mu * dt
             cap_row = K
             for j in range(K):
                 t += dt
                 if t >= t_cap and cap_row == K:
                     cap_row = j
+            cand = np.arange(m if cap_row < K else 0)
+            stop = np.full(cand.size, cap_row)
+        X *= sigma * np.sqrt(dt)
+        X += mu * dt
+        if jumpy:
+            X[:, cand] = xi
         if K == 1:
             X += x
             prev = x[None]
@@ -449,9 +464,13 @@ def _simulate_exit_chunk(
                 sup[0] = s
                 sup[1:] = X[:-1]
                 _accumulate(np.maximum, sup)
+            var = sigma * sigma * dt
+            if jumpy and cand.size:
+                var = np.full((K, m), var)
+                var[:, cand] = sigma * sigma * h
+                var = var.reshape(-1)
             hi, lo, ext = _bridge_extrema(
-                uniforms, prev.reshape(-1), X.reshape(-1), sup.reshape(-1), b,
-                (sigma * sigma * h).reshape(-1) if jumpy else sigma * sigma * dt,
+                uniforms, prev.reshape(-1), X.reshape(-1), sup.reshape(-1), b, var,
                 work_buf[:4 * K * m], mask_buf[:2 * K * m])
             k = hi.size
             top = np.minimum(ext[:k], a, out=ext[:k])
@@ -466,24 +485,18 @@ def _simulate_exit_chunk(
                 _accumulate(np.maximum, sup)
             cols, rows, up = _first_exits(np.flatnonzero(X >= a), np.flatnonzero(X < b), m)
 
-        # each path's event row, K for a path that runs the whole pass
-        if jumpy:
-            keep = rows <= stop[cols]
+        # each path's event row, K for a path that runs the whole pass; only
+        # the candidates can jump or reach the time cap in it
+        if cand.size:
+            event = np.full(m, K)
+            event[cand] = stop
+            keep = rows <= event[cols]
             cols, rows, up = cols[keep], rows[keep], up[keep]
-            event = stop.copy()
             event[cols] = rows
-        elif cap_row < K:
-            keep = rows <= cap_row
-            cols, rows, up = cols[keep], rows[keep], up[keep]
-            event = np.full(m, cap_row)
-            event[cols] = rows
-        else:
-            event = None
-        if event is None:
-            ev_cols, ev_rows = cols, rows
-        else:
-            ev_cols = np.flatnonzero(event < K)
+            ev_cols = np.union1d(cols, cand[stop < K])
             ev_rows = event[ev_cols]
+        else:
+            ev_cols, ev_rows = cols, rows
         out.path_steps += K * m - int((K - 1 - ev_rows).sum())
         out.steps += K if ev_cols.size < m else int(ev_rows.max()) + 1
 
@@ -499,7 +512,12 @@ def _simulate_exit_chunk(
             if K > 1:
                 np.add(f[:-1], f[1:], out=row[1:])
             f_row[:] = f[-1]
-        sums *= 0.5 * h
+        if jumpy:
+            scaled = sums[:, :, cand]
+            scaled *= 0.5 * h
+        sums *= 0.5 * dt
+        if jumpy:
+            sums[:, :, cand] = scaled
         x_end = X[rows, cols]
         if bridge:
             inner = (x_end < a) & (x_end >= b)
@@ -519,17 +537,15 @@ def _simulate_exit_chunk(
 
         x, s, acc = pos[K], sup[K - 1], sums[:, K - 1]
         tired = cols[:0]
-        if event is not None:
-            # the paths that did not exit at their event row jump there, or
-            # reach the time cap there, or both
-            running = event < K
-            running[cols] = False
+        if cand.size:
+            # the candidates that did not exit at their event row jump there,
+            # or reach the time cap there, or both
+            running = (stop < K) & ~np.isin(cand, cols, assume_unique=True)
             if jumpy:
-                t, jump_in = clock[K - 1], wait[K]
                 # jump events fire exactly at the end of their substep
-                jumps = np.flatnonzero(running & (jump_row == event))
-                if jumps.size:
-                    r = jump_row[jumps]
+                at_jump = np.flatnonzero(running & (jump_row == stop))
+                if at_jump.size:
+                    jumps, r = cand[at_jump], stop[at_jump]
                     sizes = rng.exponential(model.jump_mean, jumps.size)
                     jump_in[jumps] = rng.exponential(1.0 / rate, jumps.size)
                     x_jumped = X[r, jumps] - sizes
@@ -540,13 +556,13 @@ def _simulate_exit_chunk(
                     out.x_pre[dn_ids] = X[r_dn, dn]
                     out.x_post[dn_ids] = x_jumped[below]
                     out.acc[:, dn_ids] = sums[:, r_dn, dn]
-                    running[dn] = False
+                    running[at_jump[below]] = False
                     done.append(dn)
                     kept = jumps[~below]
                     x[kept] = x_jumped[~below]
                     for f_row, fn in zip(f_prev, integrands):
                         f_row[kept] = fn(s[kept], x[kept])
-            tired = np.flatnonzero(running & (cap_row == event))
+            tired = cand[running & (cap_row == stop)]
         if tired.size:
             r = event[tired]
             out.censored[pid[tired]] = True

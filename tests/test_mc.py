@@ -25,6 +25,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -385,12 +386,27 @@ class TestWorkerFailures:
         with pytest.raises(RuntimeError, match="censored"):
             occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3))
 
-    def test_an_error_meanwhile_cancels_the_chunks(self):
+    def test_an_error_meanwhile_cancels_the_chunks_not_started(self, monkeypatch, tmp_path):
+        # five chunks: the two workers take chunks 0 and 1 and the executor
+        # hands them at most two more, so chunk 4 waits in the parent until
+        # a chunk ends, and each chunk takes at least 0.2 s
+        monkeypatch.setattr(mc, "_CHUNK", 400)
+        chunk = mc._chunk
+
+        def marked(model, spec, cfg, integrands, k):
+            (tmp_path / f"chunk{k}").touch()
+            time.sleep(0.2)
+            return chunk(model, spec, cfg, integrands, k)
+
+        monkeypatch.setattr(mc, "_chunk", marked)
+
         def solve():
             raise KeyError("solve")
 
         with pytest.raises(KeyError, match="solve"):
             run_exit_mc(BM, REFLECTED, SPEC, _cfg(), meanwhile=solve)
+        assert (tmp_path / "chunk0").exists()
+        assert not (tmp_path / "chunk4").exists()
 
     def test_a_worker_that_dies_fails_the_call(self):
         parent = os.getpid()
