@@ -8,10 +8,11 @@ Subcommands
 ``mc-verify``     deterministic values against Monte Carlo, with z-scores
 ``local-time``    Laplace transform of the potential-weighted local time
 
-All commands emit a versioned JSON document (``"schema": 4``) to stdout or
+All commands emit a versioned JSON document (``"schema": 5``) to stdout or
 ``--out``.  ``exit``, ``mc-verify`` and ``local-time`` carry the refinement
 diagnostics under ``diagnostics``; ``mc-verify`` adds the Monte Carlo run's
-chunk, pass, step and path-step counts under ``diagnostics.mc``, and solves
+chunk, pass, step, path-step and bridge-uniform counts under
+``diagnostics.mc``, with whether it tracked the supremum, and solves
 the deterministic side while its worker processes step the paths.  A flat
 ``key = value`` config file provides defaults; explicit flags override it, and
 the ``SNLP_SCALE_SEED`` environment variable backs the seed.  Its keys are the
@@ -67,7 +68,7 @@ from .potentials import (
 )
 from .scale import make_scale_table
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
@@ -402,7 +403,8 @@ def _cmd_mc_verify(args, config) -> dict:
         "diagnostics": {
             **det_result.diagnostics,
             "mc": {"chunks": mc.chunks, "passes": mc.passes, "steps": mc.steps,
-                   "path_steps": mc.path_steps},
+                   "path_steps": mc.path_steps, "uniforms": mc.uniforms,
+                   "sup_tracked": mc.sup_tracked},
         },
     }
     if args.csv:

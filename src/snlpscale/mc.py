@@ -1,4 +1,5 @@
-"""Monte Carlo engine for two-sided exit problems with supremum tracking.
+"""Monte Carlo engine for two-sided exit problems, tracking the supremum
+where something reads it.
 
 One stepper, ``_simulate_exit_chunk``, runs every path.  Paths follow Euler
 steps with exact Gaussian increments; the jump family adds downward
@@ -15,13 +16,22 @@ probability and keeps the running supremum free of the O(sqrt(dt)) discrete
 maximum bias.  The bridge exceeds a level ``L`` above both endpoints with
 probability ``exp(-2 (L-X0)(L-X1) / (sigma^2 dt))``, and falls below a level
 under both with the same law.  So the maximum is drawn only for steps with
-``(L-X0)(L-X1) <= R sigma^2 dt`` and the minimum only for steps with
-``(X0-b)(X1-b) <= R sigma^2 dt``, ``R = _REACH``; every other step keeps the
+``(L-X0)(L-X1) < R sigma^2 dt`` and the minimum only for steps with
+``(X0-b)(X1-b) < R sigma^2 dt``, ``R = _REACH``; every other step keeps the
 supremum and cannot exit.  ``L`` is the discrete running maximum of the
 pass's start supremum and positions, which is below the true supremum: the
 crossing probability falls as the level rises, so every step that can pass
 the supremum is drawn.  The crossings skipped have probability below
 ``exp(-2R)``, which a double in ``[0, 1)`` cannot resolve.
+
+A run tracks the supremum ``S`` only when something reads it: a potential
+that declares ``reads_sup``, a weight of ``S`` at the down-exit, or the kept
+samples.  When the functional does not depend on ``S``, the generalized
+scale functions reduce to the classical ones of Li & Palmowski (2018), and
+the path engine likewise drops ``S``: the level ``L`` is the barrier ``a``,
+so the maximum is drawn only for the steps within reach of ``a``, a path
+leaves up when it reaches ``a``, the integrands get the positions as ``s``,
+and the supremum at exit is NaN.
 
 The stepper accumulates each integrand ``(s, x) -> rate`` in its list per
 path by the trapezoid rule in time, consistent with the first-order path
@@ -49,14 +59,14 @@ calling thread.  The caller's ``meanwhile`` work runs in the parent while
 the workers step.  Each chunk returns its records and its counts, and the
 parent merges them in chunk order.
 
-Chunk ``k`` draws from a counter-derived Philox substream keyed by
-``(seed, k)``.  Each pass draws one flat ``standard_normal(K * m)``, row
-``j`` of the block for step ``j``, then, for the paths that jump in it,
-their jump sizes and next waits.  The bridge uniforms come from a second
-stream, ``_chunk_rng(seed, k).bit_generator.jumped()``: one ``random``
-block a pass, with a uniform for each ``(row, slot)`` entry within reach of
-its level and then one for each within reach of ``b``, each set in
-row-major order.  Entries after a path's event draw too, as the block is
+Chunk ``k`` draws from an SFC64 stream seeded from ``SeedSequence((seed mod
+2^64, k))``.  Each pass draws one flat ``standard_normal(K * m)``, row ``j``
+of the block for step ``j``, then, for the paths that jump in it, their jump
+sizes and next waits.  The bridge uniforms come from a second SFC64 stream,
+seeded from the first child that ``spawn`` gives of that seed sequence: one
+``random`` block a pass, with a uniform for each ``(row, slot)`` entry
+within reach of its level and then one for each within reach of ``b``, each
+set in row-major order.  Entries after a path's event draw too, as the block is
 drawn before its events are known; their values are never read.  A chunk
 depends on nothing but its index and the reduction runs in fixed chunk
 order, so estimates are bit-identical for a given configuration whatever
@@ -191,8 +201,9 @@ class ExitSamples:
 @dataclass
 class ExitMCResult:
     """Exit estimates, with how the simulation went, summed over the chunks:
-    the chunk count, the stepper's passes, the steps the chunks advanced and
-    the live path-steps.
+    the chunk count, the stepper's passes, the steps the chunks advanced, the
+    live path-steps and the bridge uniforms drawn; ``sup_tracked`` says
+    whether the run tracked the supremum.
 
     The estimates' ``elapsed`` is the wall time of the whole
     :func:`run_exit_mc` call, its ``meanwhile`` work included, so it is not
@@ -207,12 +218,27 @@ class ExitMCResult:
     passes: int
     steps: int
     path_steps: int
+    uniforms: int
+    sup_tracked: bool
     samples: Optional[ExitSamples] = None
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed % (1 << 64), chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The main stream of chunk ``chunk_index``: SFC64 seeded from
+    ``SeedSequence((seed mod 2^64, chunk_index))``."""
+    seq = np.random.SeedSequence((seed % (1 << 64), chunk_index))
+    return np.random.Generator(np.random.SFC64(seq))
+
+
+def _uniform_rng(rng: np.random.Generator) -> np.random.Generator:
+    """The bridge uniforms' stream beside the main stream ``rng``: SFC64
+    seeded from the first child that ``spawn`` gives of ``rng``'s seed
+    sequence, built here without spawning, so that it does not depend on
+    what was spawned before."""
+    seq = rng.bit_generator.seed_seq
+    child = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (0,),
+                                   pool_size=seq.pool_size)
+    return np.random.Generator(np.random.SFC64(child))
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +251,12 @@ class _ExitState:
     work that produced them.
 
     ``acc`` holds one row per integrand; ``chunks`` counts the chunks,
-    ``steps`` the steps and ``path_steps`` the live paths summed over them.
+    ``steps`` the steps, ``path_steps`` the live paths summed over them and
+    ``uniforms`` the bridge uniforms drawn.
     """
 
     RECORDS = ("up", "s_exit", "x_pre", "x_post", "acc", "censored")
-    COUNTS = ("chunks", "passes", "steps", "path_steps")
+    COUNTS = ("chunks", "passes", "steps", "path_steps", "uniforms")
     __slots__ = RECORDS + COUNTS
 
     def __init__(self, n: int, n_integrands: int):
@@ -243,15 +270,19 @@ class _ExitState:
         self.passes = 0
         self.steps = 0
         self.path_steps = 0
+        self.uniforms = 0
 
 
 def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
     """Bridge extrema of the steps within reach of their level or of ``b``.
 
-    The steps run from ``x`` to ``x_new``, entry by entry.  ``hi`` indexes
-    the entries with ``(s - x)(s - x_new) <= _REACH var``, which include
-    every ``x_new > s``, and ``lo`` those with ``(x - b)(x_new - b) <= _REACH
-    var``, which include every ``x_new <= b``; both ascend.  One ``random``
+    The steps run from ``x`` to ``x_new``, entry by entry.  ``s`` is the
+    level of the maxima: one per entry (the running supremum), or one float
+    (the barrier ``a``, when the supremum is not tracked).  ``hi`` indexes
+    the entries with ``(s - x)(s - x_new) < _REACH var`` and ``lo`` those
+    with ``(x - b)(x_new - b) < _REACH var``; both ascend.  For a step of
+    positive length they include every ``x_new > s`` and every ``x_new <=
+    b``; a step of length 0 has no bridge and draws nothing.  One ``random``
     block draws a uniform for each, ``hi`` first, and ``ext`` holds the
     bridge maximum of each ``hi`` entry followed by the minimum of each
     ``lo`` entry.  ``var`` is ``sigma^2 dt``, one float or one per entry;
@@ -259,21 +290,27 @@ def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
     (bools) of twice.
     """
     m = x.size
-    prod, tmp = work[:m], work[m:2 * m]
+    prod = work[:m]
     reach = _REACH * var
-    np.subtract(s, x, out=prod)
-    prod *= np.subtract(s, x_new, out=tmp)
-    hi = np.less_equal(prod, reach, out=mask[:m]).nonzero()[0]
-    # few steps come near b: a step is within reach of b only if its lower
-    # end is within sqrt(reach) of b, so the product is taken on those alone;
-    # the margin keeps every step the product admits among them despite
-    # rounding
-    np.minimum(x, x_new, out=prod)
-    prod -= b
     per_entry = isinstance(reach, np.ndarray)
-    near_b = np.sqrt(reach.max() if per_entry else reach) * (1.0 + 1e-9)
-    lo = np.less_equal(prod, near_b, out=mask[m:]).nonzero()[0]
-    lo = lo[(x[lo] - b) * (x_new[lo] - b) <= (reach[lo] if per_entry else reach)]
+    # a step is within reach of a fixed level only if its nearer end is
+    # within sqrt(reach) of it, and few are, so the product is taken on
+    # those alone; that distance is one of the product's factors, so the
+    # margin keeps every step the product admits among them despite rounding
+    span = np.sqrt(reach.max() if per_entry else reach) * (1.0 + 1e-9)
+
+    def within(level, gap, flags):
+        idx = np.less_equal(gap, span, out=flags).nonzero()[0]
+        return idx[(x[idx] - level) * (x_new[idx] - level)
+                   < (reach[idx] if per_entry else reach)]
+
+    if np.ndim(s):
+        np.subtract(s, x, out=prod)
+        prod *= np.subtract(s, x_new, out=work[m:2 * m])
+        hi = np.less(prod, reach, out=mask[:m]).nonzero()[0]
+    else:
+        hi = within(s, np.subtract(s, np.maximum(x, x_new, out=prod), out=prod), mask[:m])
+    lo = within(b, np.subtract(np.minimum(x, x_new, out=prod), b, out=prod), mask[m:])
     near = np.concatenate((hi, lo))
 
     # the first step finds every entry within reach of S, so the endpoint
@@ -332,15 +369,19 @@ def _simulate_exit_chunk(
     rng: np.random.Generator,
     n: int,
     integrands: list,
+    track: bool = True,
 ) -> _ExitState:
     """Run ``n`` paths to exit or censoring.
 
     Each integrand ``(s, x) -> rate`` is accumulated per path into its row of
-    ``acc``.  The ``m`` live paths sit in slots ``0 .. m-1`` of the state
-    arrays, with ``pid`` mapping each slot to its output column.  One loop
-    runs passes: a pass advances every live path ``K`` steps, with ``K =
-    min(_MAX_ROWS, max(1, _PASS_ENTRIES // m))``, so ``K`` is 1 in the bulk
-    and rises as the paths thin out.  A pass holds ``(K, m)`` blocks, row
+    ``acc``.  ``track`` says whether the supremum is tracked; without it the
+    integrands get the positions as ``s``, the bridge maxima are drawn only
+    for the steps within reach of ``a``, and ``s_exit`` stays NaN.  The
+    ``m`` live paths sit in slots ``0 .. m-1`` of the state arrays, with
+    ``pid`` mapping each slot to its output column.  One loop runs passes:
+    a pass advances every live path ``K`` steps, with ``K = min(_MAX_ROWS,
+    max(1, _PASS_ENTRIES // m))``, so ``K`` is 1 in the bulk and rises as
+    the paths thin out.  A pass holds ``(K, m)`` blocks, row
     ``j`` for the state after step ``j``:
 
     - positions, by ``cumsum`` of the Gaussian increments with the start
@@ -356,7 +397,8 @@ def _simulate_exit_chunk(
       positions before the step, which is below the true supremum, so every
       step whose maximum may pass the supremum is drawn: the crossing
       probability falls as the level rises.  The drawn maxima, capped at
-      ``a``, then give the supremum by a running maximum;
+      ``a``, then give the supremum by a running maximum.  Untracked, the
+      level is ``a`` itself;
     - the integrands, and the trapezoid sums by ``cumsum`` with ``acc``
       folded into row 0.
 
@@ -376,8 +418,9 @@ def _simulate_exit_chunk(
     s``), so a pass reads every result into its sums and into the chunk's
     own ``f_prev`` before it writes into an array the integrands saw.
 
-    The records carry the pass count, the steps the chunk advanced and the
-    live path-steps; rows after a path's event do not count.
+    The records carry the pass count, the steps the chunk advanced, the
+    live path-steps, where rows after a path's event do not count, and the
+    bridge uniforms drawn.
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
@@ -385,12 +428,13 @@ def _simulate_exit_chunk(
     jumpy = rate > 0.0
     t_cap = cfg.resolved_t_cap(model, spec)
     bridge = cfg.bridge_correction
-    uniforms = np.random.Generator(rng.bit_generator.jumped())
+    uniforms = _uniform_rng(rng)
 
     out = _ExitState(n, len(integrands))
     pid = np.arange(n)
     x = np.full(n, x0)
-    s = np.full(n, x0)
+    # untracked, s is the positions' memory under another view
+    s = np.full(n, x0) if track else x
     t = np.zeros(n) if jumpy else 0.0
     acc = np.zeros((len(integrands), n))
     jump_in = rng.exponential(1.0 / rate, n) if jumpy else None
@@ -453,36 +497,45 @@ def _simulate_exit_chunk(
             _accumulate(np.add, pos)
             prev = pos[:K]
 
+        # untracked, the integrands get the positions as the supremum
+        sup = X
         if bridge:
-            # the level starts at the supremum; a one-step pass updates the
-            # supremum array in place, as the last pass's integrands are done
-            # with it
-            if K == 1:
-                sup = s[None]
+            # tracked, the level starts at the supremum, and a one-step pass
+            # updates the supremum array in place, as the last pass's
+            # integrands are done with it; untracked, the level is a
+            if not track:
+                level = a
             else:
-                sup = np.empty((K, m))
-                sup[0] = s
-                sup[1:] = X[:-1]
-                _accumulate(np.maximum, sup)
+                if K == 1:
+                    sup = s[None]
+                else:
+                    sup = np.empty((K, m))
+                    sup[0] = s
+                    sup[1:] = X[:-1]
+                    _accumulate(np.maximum, sup)
+                level = sup.reshape(-1)
             var = sigma * sigma * dt
             if jumpy and cand.size:
                 var = np.full((K, m), var)
                 var[:, cand] = sigma * sigma * h
                 var = var.reshape(-1)
             hi, lo, ext = _bridge_extrema(
-                uniforms, prev.reshape(-1), X.reshape(-1), sup.reshape(-1), b, var,
+                uniforms, prev.reshape(-1), X.reshape(-1), level, b, var,
                 work_buf[:4 * K * m], mask_buf[:2 * K * m])
+            out.uniforms += ext.size
             k = hi.size
-            top = np.minimum(ext[:k], a, out=ext[:k])
-            np.maximum.at(sup.reshape(-1), hi, top)
-            if K > 1:
-                _accumulate(np.maximum, sup)
-            cols, rows, up = _first_exits(hi[top >= a], lo[ext[k:] <= b], m)
+            if track:
+                top = np.minimum(ext[:k], a, out=ext[:k])
+                np.maximum.at(level, hi, top)
+                if K > 1:
+                    _accumulate(np.maximum, sup)
+            cols, rows, up = _first_exits(hi[ext[:k] >= a], lo[ext[k:] <= b], m)
         else:
-            sup = np.minimum(X, a)
-            np.maximum(sup[0], s, out=sup[0])
-            if K > 1:
-                _accumulate(np.maximum, sup)
+            if track:
+                sup = np.minimum(X, a)
+                np.maximum(sup[0], s, out=sup[0])
+                if K > 1:
+                    _accumulate(np.maximum, sup)
             cols, rows, up = _first_exits(np.flatnonzero(X >= a), np.flatnonzero(X < b), m)
 
         # each path's event row, K for a path that runs the whole pass; only
@@ -503,7 +556,7 @@ def _simulate_exit_chunk(
         # the integrands see each path frozen after its event row
         if K > 1 and ev_cols.size:
             held = np.minimum(np.arange(K)[:, None], ev_rows)
-            for block in (X, sup):
+            for block in (X, sup) if track else (X,):
                 block[:, ev_cols] = np.take_along_axis(block[:, ev_cols], held, axis=0)
         sums = np.empty((len(integrands), K, m))
         for row, f_row, fn in zip(sums, f_prev, integrands):
@@ -528,7 +581,8 @@ def _simulate_exit_chunk(
 
         ids = pid[cols]
         out.up[ids] = up
-        out.s_exit[ids] = sup[rows, cols]
+        if track:
+            out.s_exit[ids] = sup[rows, cols]
         end = np.where(up, a, b) if bridge else x_end
         out.x_pre[ids] = end
         out.x_post[ids] = end
@@ -552,7 +606,8 @@ def _simulate_exit_chunk(
                     below = x_jumped < b
                     dn, r_dn = jumps[below], r[below]
                     dn_ids = pid[dn]
-                    out.s_exit[dn_ids] = sup[r_dn, dn]
+                    if track:
+                        out.s_exit[dn_ids] = sup[r_dn, dn]
                     out.x_pre[dn_ids] = X[r_dn, dn]
                     out.x_post[dn_ids] = x_jumped[below]
                     out.acc[:, dn_ids] = sums[:, r_dn, dn]
@@ -578,7 +633,7 @@ def _simulate_exit_chunk(
             tail = np.ones(d, dtype=bool)
             tail[finished[finished >= m] - m] = False
             movers = m + np.flatnonzero(tail)
-            state = [pid, x, s] + ([t, jump_in] if jumpy else [])
+            state = [pid, x] + ([s] if track else []) + ([t, jump_in] if jumpy else [])
             for arr in state:
                 arr[holes] = arr[movers]
             for arr in (acc, f_prev):
@@ -589,10 +644,11 @@ def _simulate_exit_chunk(
     return out
 
 
-def _chunk(model, spec, cfg, integrands, k):
+def _chunk(model, spec, cfg, integrands, track, k):
     """Simulate chunk ``k`` and return its records."""
     n = min(_CHUNK, cfg.n_paths - k * _CHUNK)
-    return _simulate_exit_chunk(model, spec, cfg, _chunk_rng(cfg.seed, k), n, integrands)
+    return _simulate_exit_chunk(model, spec, cfg, _chunk_rng(cfg.seed, k), n, integrands,
+                                track)
 
 
 _job = None  # the chunk runner of a worker process, set as the worker starts
@@ -623,7 +679,7 @@ def _worker_count(n_chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_chunks)
 
 
-def _collect_states(model, spec, cfg, integrands, meanwhile=None):
+def _collect_states(model, spec, cfg, integrands, track, meanwhile=None):
     """Simulate the chunks and return their records merged in chunk order.
 
     The ``n_paths`` paths form chunks of ``_CHUNK``, the last one shorter,
@@ -641,7 +697,7 @@ def _collect_states(model, spec, cfg, integrands, meanwhile=None):
     Raises:
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
-    job = functools.partial(_chunk, model, spec, cfg, integrands)
+    job = functools.partial(_chunk, model, spec, cfg, integrands, track)
     n_chunks = -(-cfg.n_paths // _CHUNK)
     workers = _worker_count(n_chunks)
     if workers == 1:
@@ -706,12 +762,16 @@ def run_exit_mc(
     processes step the chunks, or first when the run stays in process; the
     estimates' ``elapsed`` is the wall time of the whole call.
 
+    The supremum is tracked only when something reads it: ``F.reads_sup``, a
+    weight ``g``, or the kept samples' ``s_at_exit``.
+
     Raises:
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
     cfg.warn_if_coarse(spec)
     start = time.perf_counter()
-    st = _collect_states(model, spec, cfg, [F.eval_pairs], meanwhile)
+    track = F.reads_sup or g is not None or keep_samples
+    st = _collect_states(model, spec, cfg, [F.eval_pairs], track, meanwhile)
     counted = ~st.censored
     acc = st.acc[0]
     up_c = st.up[counted]
@@ -731,6 +791,8 @@ def run_exit_mc(
         passes=st.passes,
         steps=st.steps,
         path_steps=st.path_steps,
+        uniforms=st.uniforms,
+        sup_tracked=track,
     )
     if keep_samples:
         result.samples = ExitSamples(
@@ -865,7 +927,7 @@ def occupation_mc(
         return (np.interp(xs + w, fine, cum) - np.interp(xs - w, fine, cum)) / (2.0 * w)
 
     start = time.perf_counter()
-    st = _collect_states(model, spec, cfg, [point_rate, smoothed_rate])
+    st = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], track=False)
     counted = ~st.censored
     acc_a = st.acc[0, counted]
     acc_b = st.acc[1, counted]

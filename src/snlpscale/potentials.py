@@ -83,11 +83,16 @@ class BivariatePotential:
     ``s`` is the running supremum coordinate and ``x`` the position; on paths
     of the process ``s >= x`` always holds, but the map must be defined on the
     full rectangle that solvers sweep (``x`` down to the lower barrier).
+
+    ``reads_sup`` declares whether the values depend on ``s``.  A map that
+    declares False must not: the path engine then does not track the
+    supremum and passes the position as ``s``.
     """
 
     func: Callable[[float, float], float]
     bound: float
     name: str = ""
+    reads_sup: bool = True
 
     def __post_init__(self):
         if self.bound < 0.0:
@@ -123,6 +128,7 @@ class BivariatePotential:
             func=lambda s, x, _f=f.func: _f(x) + 0.0 * s,
             bound=f.bound,
             name=f.name,
+            reads_sup=False,
         )
 
 
@@ -152,8 +158,9 @@ def parse_bivariate(spec: str, domain_width: float, flag: str = "--potential") -
 
     Grammar: ``const:q`` (q at every argument, finite or not),
     ``reflected:c`` (``c*(s-x)``), ``indicator:c,r`` (``c*1{s-x>r}``),
-    ``level:c,r`` (``c*1{x>r}``).
-    ``domain_width`` sizes the declared bound of the reflected family.
+    ``level:c,r`` (``c*1{x>r}``).  ``const`` and ``level`` declare
+    ``reads_sup=False``.  ``domain_width`` sizes the declared bound of the
+    reflected family.
     """
     name = spec.partition(":")[0]
     if name == "const":
@@ -161,7 +168,8 @@ def parse_bivariate(spec: str, domain_width: float, flag: str = "--potential") -
         if q < 0:
             raise ValueError(f"{flag}: const level must be >= 0")
         return BivariatePotential(
-            lambda s, x: np.full(np.broadcast(s, x).shape, q), bound=q, name=spec
+            lambda s, x: np.full(np.broadcast(s, x).shape, q), bound=q, name=spec,
+            reads_sup=False,
         )
     if name == "reflected":
         _, (c,) = _split_spec(spec, 1, flag)
@@ -182,7 +190,9 @@ def parse_bivariate(spec: str, domain_width: float, flag: str = "--potential") -
         _, (c, r) = _split_spec(spec, 2, flag)
         if c < 0:
             raise ValueError(f"{flag}: level height must be >= 0")
-        return BivariatePotential(lambda s, x: c * (x > r) + 0.0 * s, bound=c, name=spec)
+        return BivariatePotential(
+            lambda s, x: c * (x > r) + 0.0 * s, bound=c, name=spec, reads_sup=False
+        )
     raise ValueError(f"{flag}: unknown potential '{name}' in '{spec}'")
 
 
@@ -204,11 +214,15 @@ def parse_univariate(spec: str, flag: str = "--potential") -> UnivariatePotentia
     )
 
 
-def parse_g(spec: str, flag: str = "--g") -> Callable[[np.ndarray], np.ndarray]:
-    """Bounded weight of the supremum at the down-exit: ``one``, ``identity``, ``const:c``."""
+def parse_g(spec: str, flag: str = "--g") -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """Bounded weight of the supremum at the down-exit: ``one``, ``identity``, ``const:c``.
+
+    ``one`` gives ``None``, which every solver reads as the weight 1, so a
+    run weighted by it need not know the supremum.
+    """
     name = spec.partition(":")[0]
     if name == "one":
-        return lambda z: np.ones_like(np.asarray(z, dtype=float))
+        return None
     if name == "identity":
         return lambda z: np.asarray(z, dtype=float)
     if name == "const":

@@ -212,7 +212,8 @@ def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
     return np.asarray(ratios)
 
 
-def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rule, reach):
+def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rule, reach,
+                         track=True):
     """Plain per-step loop of the Monte Carlo stepper over one chunk.
 
     It replays the stepper's passes one step at a time, over the paths still
@@ -228,8 +229,11 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
 
     ``rows_rule(m)`` is ``K`` for ``m`` live paths.  A step tests its reach
     against the running maximum of the pass's start supremum and its
-    positions, takes the uniform of its own entry (which must have been
-    drawn), and ends the path's pass at an exit, a jump or the time cap.
+    positions, takes the uniform of its own entry (the stepper must have
+    drawn one exactly for the live steps within reach), and ends the path's
+    pass at an exit, a jump or the time cap.
+    Without ``track`` the supremum is not kept: the level is ``a``, the
+    integrands get the positions as ``s``, and ``s_exit`` stays NaN.
     Slots follow the stepper's rule: when ``d`` paths finish, the live paths
     of the last ``d`` slots move, in slot order, into the holes the finished
     paths leave in the first ``m - d`` slots.  Returns the records and the
@@ -273,7 +277,7 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
             u_hi[hi], u_lo[lo] = u[:hi.size], u[hi.size:]
         u_hi, u_lo = u_hi.reshape(K, m), u_lo.reshape(K, m)
         ids = np.array(slots)
-        level = s[ids].copy()
+        level = s[ids].copy() if track else np.full(m, a)
         stepping = np.ones(m, dtype=bool)
         ran = np.zeros(m, dtype=int)
         jumped, tired_at_jump, finished = [], [], []
@@ -290,25 +294,30 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
             if cfg.bridge_correction:
                 var = sigma * sigma * h
                 lim = reach * var
-                near_hi = (level[sl] - x[p]) * (level[sl] - x_new) <= lim
-                near_lo = (x[p] - b) * (x_new - b) <= lim
+                near_hi = (level[sl] - x[p]) * (level[sl] - x_new) < lim
+                near_lo = (x[p] - b) * (x_new - b) < lim
+                # the stepper drew a uniform for a live step exactly where it
+                # is within reach
+                assert np.array_equal(~np.isnan(u_hi[j, sl]), near_hi)
+                assert np.array_equal(~np.isnan(u_lo[j, sl]), near_lo)
 
                 def extreme(near, u, sign):
-                    assert not np.isnan(u).any()  # the stepper drew this entry
                     x_a, x_b = x[p][near], x_new[near]
                     v = var[near] if jumpy else var
                     root = np.sqrt((x_b - x_a) * (x_b - x_a) - np.log(u) * (2.0 * v))
                     return (sign * root + (x_a + x_b)) * 0.5
 
                 top = np.minimum(extreme(near_hi, u_hi[j, sl[near_hi]], 1.0), a)
-                s_new = s[p].copy()
-                s_new[near_hi] = np.maximum(s_new[near_hi], top)
+                s_new = s[p].copy() if track else x_new
+                if track:
+                    s_new[near_hi] = np.maximum(s_new[near_hi], top)
                 up[near_hi] = top >= a
                 down[near_lo] = extreme(near_lo, u_lo[j, sl[near_lo]], -1.0) <= b
             else:
-                s_new = np.maximum(s[p], np.minimum(x_new, a))
+                s_new = np.maximum(s[p], np.minimum(x_new, a)) if track else x_new
                 up, down = x_new >= a, x_new < b
-            level[sl] = np.maximum(level[sl], x_new)
+            if track:
+                level[sl] = np.maximum(level[sl], x_new)
             gone = up | down
             f_new = np.array([fn(s_new, x_new) for fn in integrands])
             inc = (f[:, p] + f_new) * (0.5 * h)
@@ -327,7 +336,7 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
                 tired = np.full(sl.size, t >= t_cap)
             for q in np.flatnonzero(gone):
                 end = (a if up[q] else b) if cfg.bridge_correction else x_new[q]
-                finish(p[q], acc[:, p[q]], up[q], s_new[q], end, end)
+                finish(p[q], acc[:, p[q]], up[q], s_new[q] if track else np.nan, end, end)
                 finished.append(sl[q])
             for q in np.flatnonzero(at_jump & ~gone):
                 jumped.append(sl[q])
@@ -348,10 +357,13 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
             p = ids[jumped]
             x_jumped = x[p] - sizes
             for q in np.flatnonzero(x_jumped < b):
-                finish(p[q], acc[:, p[q]], False, s[p[q]], x[p[q]], x_jumped[q])
+                s_end = s[p[q]] if track else np.nan
+                finish(p[q], acc[:, p[q]], False, s_end, x[p[q]], x_jumped[q])
                 finished.append(jumped[q])
             kept = x_jumped >= b
             x[p[kept]], wait[p[kept]] = x_jumped[kept], waits[kept]
+            if not track:
+                s[p[kept]] = x[p[kept]]
             for k, fn in enumerate(integrands):
                 f[k, p[kept]] = fn(s[p[kept]], x[p[kept]])
             for q in np.flatnonzero(kept & tired_at_jump):

@@ -155,14 +155,30 @@ MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
 def test_mc_verify_passes_with_exit_zero(capsys):
     assert main([*MC_VERIFY, "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 4
+    assert doc["schema"] == 5
     assert doc["pass"] is True
     assert doc["diagnostics"]["converged"] is True
     counts = doc["diagnostics"]["mc"]
-    assert sorted(counts) == ["chunks", "passes", "path_steps", "steps"]
+    assert sorted(counts) == ["chunks", "passes", "path_steps", "steps", "sup_tracked",
+                              "uniforms"]
     assert counts["chunks"] == 1
     assert 0 < counts["passes"] < counts["steps"]
     assert 200 * counts["steps"] >= counts["path_steps"] >= 200
+    # nothing reads the supremum of const:0.5 with the weight one
+    assert counts["sup_tracked"] is False
+    assert 0 < counts["uniforms"] < counts["path_steps"]
+
+
+def test_mc_verify_tracks_the_supremum_for_a_weight_of_it(capsys):
+    # a tracked run also draws the maxima of the steps within reach of the
+    # supremum, so it draws more uniforms than the untracked one
+    uniforms = {}
+    for g in ("one", "identity"):
+        assert main([*MC_VERIFY, "--seed", "3", "--g", g]) == 0
+        counts = json.loads(capsys.readouterr().out)["diagnostics"]["mc"]
+        assert counts["sup_tracked"] is (g == "identity")
+        uniforms[g] = counts["uniforms"]
+    assert 0 < uniforms["one"] < uniforms["identity"]
 
 
 def test_mc_verify_solves_while_the_workers_step(monkeypatch, capsys):

@@ -3,17 +3,18 @@ and the worker processes that run the chunks.
 
 The golden values pin every estimate bit for bit for a given ``(seed,
 config)``: the paths form chunks of ``_CHUNK`` (50000), and chunk ``k`` draws
-from the Philox substream keyed by ``(seed, k)``.  The stepper runs passes:
-a pass of ``m`` live paths advances ``K = min(_MAX_ROWS, max(1,
+from an SFC64 stream seeded from ``SeedSequence((seed, k))``.  The stepper
+runs passes: a pass of ``m`` live paths advances ``K = min(_MAX_ROWS, max(1,
 _PASS_ENTRIES // m))`` steps, and the live paths sit in slots that a finished
 path's hole reuses, the last slots' paths moving first.  A pass draws one
 flat ``standard_normal(K * m)`` from the main stream, row ``j`` for step
 ``j`` (then, for the paths that jump, their jump sizes and next waits), and,
-with the bridge, one ``random`` block from the main stream's jumped
-substream: a uniform for each ``(row, slot)`` entry within reach of the
-running maximum, then for each within reach of ``b``, each set in row-major
-order.  ``reference_exit_chunk`` in ``conftest.py`` replays the passes one
-step at a time.  A change to the path engine that moves any draw, or any
+with the bridge, one ``random`` block from the SFC64 stream of the seed
+sequence's first spawned child: a uniform for each ``(row, slot)`` entry
+within reach of the running maximum (of ``a``, when the supremum is not
+tracked), then for each within reach of ``b``, each set in row-major order.
+``reference_exit_chunk`` in ``conftest.py`` replays the passes one step at a
+time.  A change to the path engine that moves any draw, or any
 floating-point operation of the accumulation, shows up here as a failed
 ``==``.  The same values must come
 out whatever the number of worker processes, and no worker may outlive the
@@ -82,24 +83,24 @@ def _use_workers(monkeypatch, workers):
 # (up mean, up se, down mean, down se, p_up mean, p_up se, n_censored)
 EXIT_GOLDEN = {
     "bm_bridge": (BM, {"bridge_correction": True}, (
-        0.4577906230955397, 0.01090454503857189, 0.31520297406791753,
-        0.007021226290559068, 0.469, 0.011161621338114266, 0)),
+        0.4777531647473785, 0.010892492906635399, 0.2986298870543354,
+        0.006945488984627063, 0.491, 0.01118132420626031, 0)),
     "bm_nobridge": (BM, {"bridge_correction": False}, (
-        0.4633751793524149, 0.010907412788813065, 0.30575287903092907,
-        0.006928712591615463, 0.475, 0.011169148353275137, 0)),
+        0.4825478791209066, 0.010925880778995326, 0.2894494301741485,
+        0.006804588524768425, 0.4945, 0.01118245942086756, 0)),
     "jd": (JD, {}, (
-        0.7233852607627062, 0.009710612461016125, 0.15869616499707068,
-        0.006176798318035034, 0.7355, 0.009865015674956302, 0)),
+        0.7288651795238156, 0.009646054773534505, 0.15445111565789613,
+        0.006092787444637943, 0.741, 0.009798341887884702, 0)),
 }
 
 # (time-integral mean, se, occupation mean, se, mean |A-B|)
 OCCUPATION_GOLDEN = {
     "bm": (BM, (
-        0.9376835150365138, 0.0016465557277356864, 0.9372808050162835,
-        0.0016381253303428328, 0.0019347772773214023)),
+        0.9337854305111757, 0.0017065375804107324, 0.9335900668042968,
+        0.0016946355100047076, 0.0019285003260281167)),
     "jd": (JD, (
-        0.9292661032789592, 0.0014273039281818781, 0.9293728966568822,
-        0.0014155661891607938, 0.0019446482451897006)),
+        0.9322765669657554, 0.0013432782103311215, 0.932435427395778,
+        0.0013313107203147473, 0.0018396569517964262)),
 }
 
 
@@ -125,23 +126,23 @@ def _digests(samples):
 # case has jump exits with x_post < b, and without the bridge x_post < b too
 SAMPLE_GOLDEN = {
     "bm_bridge": (BM, {"bridge_correction": True}, (
-        "f54afb587d2ce55423496c56e478d37746613cddaa4d56e6bea9461ff8692df2",
-        "35ee83ab5a4cbd9c0810925c944f5e6ed7f4da4cf5a0b95e5724b78b21046a36",
-        "65f1d0b0d963c78f241ec0e6a18a8ed75647d27b9a240b39575855d66cf14d4a",
-        "65f1d0b0d963c78f241ec0e6a18a8ed75647d27b9a240b39575855d66cf14d4a",
-        "180b937b55c03846a4b4b9e621fd2603728d541066c788959a94a2311b26d6c5")),
+        "bf511e8f53a591919fc461918840bf2e7ec4adec0f26cd4961acc81c537547c8",
+        "543d8a334a80dd6351f11a8de45da60508f5beba119a3a815e83e36984f20a66",
+        "3e383500c7c9d0d4b33a2c69c389a9e87a84986e72c7172a71c93e8443198933",
+        "3e383500c7c9d0d4b33a2c69c389a9e87a84986e72c7172a71c93e8443198933",
+        "335d4b3c9c007ab91aa6680c7663d3afb8e28ac43369734b86b37a0606ce8515")),
     "bm_nobridge": (BM, {"bridge_correction": False}, (
-        "cf283d6979acd6ac8e3a07b774cebbdcf634e8f5f0cd7f8eaa5cf03b5c3833b2",
-        "5b681fb070538ab6d3299d9612ab0a8d168547a654c6c3b07160481976b02a42",
-        "130dfbb54708ccab5d667094e13bc3d91a15623811cba2481cf9dd452f01e687",
-        "130dfbb54708ccab5d667094e13bc3d91a15623811cba2481cf9dd452f01e687",
-        "d42db620557b059625e0214a7c2cbad5f236ff551882497a7082512280eb107c")),
+        "d56759d7f7054cf6206f4183dde5cf89b229a3c498ee6097f8859ba677156455",
+        "b74f25790425bf22b7b56cc211aed3d4220e57422599e4eda0db2e58fa810a1a",
+        "a0b0d29c3f717c77a9308702d4c259e455936b4c75d12db8158d2dcaa5e2235d",
+        "a0b0d29c3f717c77a9308702d4c259e455936b4c75d12db8158d2dcaa5e2235d",
+        "e4cab00d553e92e8c575c01bb530d9f8107ec77bad3778f6d50e725c576a26ae")),
     "jd": (JD, {}, (
-        "805c13d601c33b056a57c6487d08cb85e92c99b0bbaa396aba9e784801f162e8",
-        "e4ee623c75bc9fbe5ea9ce5514e21ac98401c2a35e77092143cd93d66c12f24f",
-        "d2059373b6dc174028eedf30472b207dbd114ac1bcbd50419822c1d1ad0dfe39",
-        "81cc0c517a1be92302ed57bf25989fe4e333aac30b3af342ff809d25150d7133",
-        "d9ec563864c0363704662467782b990205a8d97c8d709bf29ee462f31497b1b4")),
+        "38cbaca0a451103e880d21ac3f96b39e0ca4d426d05dd3d7b4b4b3fe19f6d3e7",
+        "262865951943370ba3058cc31310bf0d37a75061cde0c118b72da9c51b8344b2",
+        "10ba3f2055cd7932a06c8137a3a13c044813e61ed382a7a4a885ce1e0deb4b45",
+        "4016e56021508073de7c5247ae3051c9db0c29f0aa49d1bae33ef75c43e93835",
+        "a62c0aa7d1234de4e32a9a75c1abbeaaaed0e198e4733a722a446d1b2d3478e4")),
 }
 
 # The same runs with every step of every live path within reach, so that
@@ -151,21 +152,21 @@ SAMPLE_GOLDEN = {
 UNBOUNDED = np.finfo(float).max
 DENSE_GOLDEN = {
     "bm": (BM, (
-        0.4621274013542272, 0.010918764690489337, 0.3102247570584684,
-        0.00695581719037013, 0.473, 0.011166819105029964, 0), (
-        "dd6bab19a54cb600ed6ef0363f0cd479e63fbfa890c8cba96bfbae1ff9049a92",
-        "0c4654671f4eb3c9fc0998289f5456f98ec4971c43967300bd63b7fee7ab1d54",
-        "3096b53f82fc9e17253de89a7880c6b22132043ff451b20c086598db16e0e6ec",
-        "3096b53f82fc9e17253de89a7880c6b22132043ff451b20c086598db16e0e6ec",
-        "73ce3490c709573f893f9e8f53c15a0daea44012a9d1008c8c5b3f750413ac92")),
+        0.47468246538440406, 0.010918138653428248, 0.29877337834373313,
+        0.006888688753570568, 0.4865, 0.011179059024816898, 0), (
+        "aa587906a16aeff0754f6c1e6c0e58d1473541590157fa7c00f993eb89429815",
+        "b3949b8118861e0652b05f1032c388dd33f8dc4870d9100d88b2a293a781ac80",
+        "3ec86b8d24c16da2bb8efb10423da2c0f1a8d2486516b8515051e475bad23541",
+        "3ec86b8d24c16da2bb8efb10423da2c0f1a8d2486516b8515051e475bad23541",
+        "701ca240dd9b50b46ecc255c03e55f0b5d430c52d37f45ba372978462d48ce1a")),
     "jd": (JD, (
-        0.7253673222551724, 0.009698762745264383, 0.15800929777501335,
-        0.006164106964553784, 0.737, 0.009847029094655681, 0), (
-        "1353d1898a680a0b4ef12105f03c5b5ca7a4a8dcf34cbd44851917f589c23f9b",
-        "f68d6c496713fa31d6c46e41a2e14a0b9d4624ff57563931e29e1264d4a29e4c",
-        "d7440009c13fd08ce18d23385b3c1ae82e1c568a6fa55a0b46f7438b17d2a71a",
-        "993d8603586d149c9588debcdd250f32351f711cfe5ed22e244aba7796ff48e7",
-        "662ef47b3f84090377c8890e1f31539425d230d3f09980833def3cd3a876decf")),
+        0.7220699714877837, 0.00973017183770481, 0.15849378570345135,
+        0.006149313477478421, 0.734, 0.009882855630722774, 0), (
+        "700f949e91148d14cfc0052eb7b14f3aa2e5603e7b2a151588375657be6c1fb2",
+        "f9fc2b2793c2387de8ea40f87191ecd7477fc0d9bb832fbf7ddf7477dffdf95e",
+        "c01f3b96472bce3433b438345a3bacea77e49156f0f2fbcbafd3ae417d3c5834",
+        "548c2bba889a3e5d341df1f3a774f78dcaa63788643dd853cd1b82d7622069d8",
+        "b7673ce4f74b6b41d9d6468ea2b4beac26005ccc3d2e8bcd3d9dbbd8af3ce8b8")),
 }
 
 
@@ -227,37 +228,37 @@ class TestReproducibility:
 # overshoot past ``a``.  (model, potential, spec, bound, estimates, digests)
 ALIAS_GOLDEN = {
     "bm_s": (BM, lambda s, x: s, SPEC, 1.0, (
-        0.3888850474235684, 0.00942437463380263, 0.4630608450629599,
-        0.009947972865481424, 0.469, 0.011161621338114266, 0), (
-        "f54afb587d2ce55423496c56e478d37746613cddaa4d56e6bea9461ff8692df2",
-        "35ee83ab5a4cbd9c0810925c944f5e6ed7f4da4cf5a0b95e5724b78b21046a36",
-        "65f1d0b0d963c78f241ec0e6a18a8ed75647d27b9a240b39575855d66cf14d4a",
-        "65f1d0b0d963c78f241ec0e6a18a8ed75647d27b9a240b39575855d66cf14d4a",
-        "2f8297d7da965148a541913fc213d9635fa556ac1a0785358905d8d585805668")),
+        0.4001702208778163, 0.00932988122371463, 0.44896466180896377,
+        0.010028230810122553, 0.491, 0.01118132420626031, 0), (
+        "bf511e8f53a591919fc461918840bf2e7ec4adec0f26cd4961acc81c537547c8",
+        "543d8a334a80dd6351f11a8de45da60508f5beba119a3a815e83e36984f20a66",
+        "3e383500c7c9d0d4b33a2c69c389a9e87a84986e72c7172a71c93e8443198933",
+        "3e383500c7c9d0d4b33a2c69c389a9e87a84986e72c7172a71c93e8443198933",
+        "0301c79261b24461334e15e50749c79735bef45109b0aa8ab411b02571a0830d")),
     "bm_x": (BM, lambda s, x: x, ExitSpec(1.0, 1.4, 2.0), 3.0, (
-        0.32028627072102267, 0.00803016045626829, 0.4041604074930961,
-        0.008992018128122779, 0.469, 0.011161621338114266, 0), (
-        "f54afb587d2ce55423496c56e478d37746613cddaa4d56e6bea9461ff8692df2",
-        "2f3af96c50c4acbadc81acd95a74fd24211f2ab444d236814b2d7d4951c481ee",
-        "37e9baef42d8904e79c06c9d970c01c4251ef31edf84916c5c16cb25282bce92",
-        "37e9baef42d8904e79c06c9d970c01c4251ef31edf84916c5c16cb25282bce92",
-        "9824e70814faef65d0c50ea15e38382cff0d3dde1db23960498ac901ed087cf5")),
+        0.32547709341456443, 0.007913338690889437, 0.3944587736982021,
+        0.009067245024616833, 0.491, 0.01118132420626031, 0), (
+        "bf511e8f53a591919fc461918840bf2e7ec4adec0f26cd4961acc81c537547c8",
+        "be91827fe758d851d25ccef407f82b8c7e38d0e39f0b676ee2f8aa8ba6711901",
+        "6f475c4856d85b49fcc949d196a7d61f0bd5879a84b10ad5e6fe5b30307da9dc",
+        "6f475c4856d85b49fcc949d196a7d61f0bd5879a84b10ad5e6fe5b30307da9dc",
+        "a088efcba6ed1a0fb8f13746e113e6747434a8274c542a387abd9bec8f57606a")),
     "jd_s": (JD, lambda s, x: s, SPEC, 1.0, (
-        0.6337546558423292, 0.008683149868325364, 0.24099148756053992,
-        0.009046272560282684, 0.7355, 0.009865015674956302, 0), (
-        "805c13d601c33b056a57c6487d08cb85e92c99b0bbaa396aba9e784801f162e8",
-        "e4ee623c75bc9fbe5ea9ce5514e21ac98401c2a35e77092143cd93d66c12f24f",
-        "d2059373b6dc174028eedf30472b207dbd114ac1bcbd50419822c1d1ad0dfe39",
-        "81cc0c517a1be92302ed57bf25989fe4e333aac30b3af342ff809d25150d7133",
-        "8af7dc71a302554fa1449faf3bd6ace8d28eae830d80144ac11a240adb5fae2a")),
+        0.6393477633189121, 0.008633903153314075, 0.2365403709294687,
+        0.009004583425917225, 0.741, 0.009798341887884702, 0), (
+        "38cbaca0a451103e880d21ac3f96b39e0ca4d426d05dd3d7b4b4b3fe19f6d3e7",
+        "262865951943370ba3058cc31310bf0d37a75061cde0c118b72da9c51b8344b2",
+        "10ba3f2055cd7932a06c8137a3a13c044813e61ed382a7a4a885ce1e0deb4b45",
+        "4016e56021508073de7c5247ae3051c9db0c29f0aa49d1bae33ef75c43e93835",
+        "1d40285e35766f3bc1879bbe5f8b552795e56d849d8dcf0f900b031674e7873d")),
     "jd_x": (JD, lambda s, x: x, ExitSpec(1.0, 1.4, 2.0), 3.0, (
-        0.5382786142689543, 0.007709069416794236, 0.21680379089539925,
-        0.00824359909410696, 0.7355, 0.009865015674956302, 0), (
-        "805c13d601c33b056a57c6487d08cb85e92c99b0bbaa396aba9e784801f162e8",
-        "0ebfb492e4aa6ba3e68b474f3230acd4429dd157bfe520a1c75514f6f7e9a072",
-        "5fcfc2c80aa725e0e7d63cb459fcf33fdd8d1447a30592f20c932a7e844e29b8",
-        "afd660aebec88317dc5e471a70395b120fc81d5a1ec57e3f093a25ee148d7acd",
-        "c00e65cb8007030e58957e467c79ea9533a85b4444f7ebd33b4106173930fd1a")),
+        0.542964635815818, 0.007666559714883421, 0.2132418064556607,
+        0.008222819668186845, 0.741, 0.009798341887884702, 0), (
+        "38cbaca0a451103e880d21ac3f96b39e0ca4d426d05dd3d7b4b4b3fe19f6d3e7",
+        "14f30a4ac633e285c7bec83507985cd79058e937d1f9aadc4328883eecf41a01",
+        "4fcc905ccbe19b2378deeadbc4a89588faa8e9b0f1aff31bbe96f44ba3a9afe0",
+        "bc1efc646d8508eb454dd1ee603f9872907c3aa2598cbb8513b346f61b03b29e",
+        "b547a639e1012651f1046dba1417482efb36b6d9a3491f9e2bae1efb95771e5a")),
 }
 
 # More than one chunk: chunk k draws from substream (seed, k) and the records
@@ -266,21 +267,21 @@ NARROW = ExitSpec(0.0, 0.05, 0.1)
 # (model, config keywords, n_paths, estimates, digests)
 CHUNKED_GOLDEN = {
     "bm": (BM, {}, _CHUNK + 2000, (
-        0.5072761368274868, 0.002192379899863554, 0.49269235326898564,
-        0.0021923477972746698, 0.5072884615384615, 0.002192433163140446, 0), (
-        "0e3da577888f96cba21faea9c069cffb4dcb542622eb0dcca9e36c5e6d16d32c",
-        "19b595f66ec3da7ec9e50a11b8141c6148a1d346332fa0b62ed0845343561581",
-        "9a870648b3a4aa45e83d5ba0e916abf81040c51c5166fa3f64d59968c19fe41e",
-        "9a870648b3a4aa45e83d5ba0e916abf81040c51c5166fa3f64d59968c19fe41e",
-        "6da6650b4bbce49bf27bfab662410d7f4b1189f0982a81c636a533f633349b0c")),
+        0.5066034799702447, 0.0021924226893322114, 0.4933654528061513,
+        0.0021923890561021354, 0.5066153846153846, 0.002192474206626356, 0), (
+        "bf98d5ceadb14b9016a5910057416603e04a36b11248206444150dbab34daf1a",
+        "3537488cd9c853ccfdb13f772c906607393db9121f5cbb1ea7e630425bd1d7ed",
+        "26e737067404eec2e9eb872bd59771a95ab91c49075df050570ac4c5e4d35053",
+        "26e737067404eec2e9eb872bd59771a95ab91c49075df050570ac4c5e4d35053",
+        "530add9ce334d7e6437d2369dd3852be60eda78264cee2921353bb1f7797664c")),
     "jd": (JD, {}, _CHUNK + 2000, (
-        0.5480061229326422, 0.0021824786035163574, 0.45196327843177936,
-        0.002182446346921693, 0.5480192307692308, 0.002182530803893293, 0), (
-        "40635691a52b9afdfe481770e80708382e98971552cda265bd01ae776627292b",
-        "2df42f985cbf4bb6a27516dc9428be8f7c70c44d28c0af25f06b294b6bed051d",
-        "a976f8d09e3aa6d4c4250cda729868e062d4f595d4c6ee3bd45352a7b05b2ebc",
-        "49f872097314d3997ca536aaee3172e1ba86f55cbe23eea6d0e07b9185c784a1",
-        "d31b8ec83e423b4f0d7cbd6aa3d10c446f33c5d1bfddb21edfa61b54e7e9c877")),
+        0.548121564481373, 0.002182429961983382, 0.45184775371350483,
+        0.002182396770233602, 0.5481346153846154, 0.0021824819235709333, 0), (
+        "21a0db8964f7b2914fc333dea0604acc1df4be7ce9e11530d64bcbc76a34943d",
+        "7f87bed6eb1a9d630a6a80e361ffe42bd73f87175b2d230dbe73eea194af3539",
+        "3f192dfdfcae0edfcb60f260ea2f482a6f6708be35201cad960532f5ccde8d55",
+        "4bc500d57a98448699bd10e508945f0b9cd0bf6521c0db3002aa9123d61114b2",
+        "a23dfdd03e59dd93f1bfac6c8bf529dcb7306b89f162c00c3b88b8388ac686c1")),
 }
 
 
@@ -393,10 +394,10 @@ class TestWorkerFailures:
         monkeypatch.setattr(mc, "_CHUNK", 400)
         chunk = mc._chunk
 
-        def marked(model, spec, cfg, integrands, k):
-            (tmp_path / f"chunk{k}").touch()
+        def marked(*args):
+            (tmp_path / f"chunk{args[-1]}").touch()
             time.sleep(0.2)
-            return chunk(model, spec, cfg, integrands, k)
+            return chunk(*args)
 
         monkeypatch.setattr(mc, "_chunk", marked)
 
@@ -445,7 +446,7 @@ def _rows(m):
     return min(mc._MAX_ROWS, max(1, mc._PASS_ENTRIES // m))
 
 
-def _record_chunk(model, cfg, n, integrands, monkeypatch):
+def _record_chunk(model, cfg, n, integrands, monkeypatch, track=True):
     """Run one chunk and return its records with every draw it made: the main
     stream's, and each pass's bridge entries and uniforms."""
     rng = _Recorder(_chunk_rng(cfg.seed, 0))
@@ -460,7 +461,7 @@ def _record_chunk(model, cfg, n, integrands, monkeypatch):
         return hi, lo, ext
 
     monkeypatch.setattr(mc, "_bridge_extrema", recording)
-    st = _simulate_exit_chunk(model, SPEC, cfg, rng, n, integrands)
+    st = _simulate_exit_chunk(model, SPEC, cfg, rng, n, integrands, track)
     return st, rng.draws, bridge
 
 
@@ -483,19 +484,34 @@ def _count_record_writes(monkeypatch):
     monkeypatch.setattr(mc._ExitState, "__init__", counting)
 
 
-# (model, config keywords, integrands, reach)
+# Integrands that do not read the supremum, for the untracked runs: the
+# level sits inside the band, so its jump is crossed both ways.
+CONST = parse_bivariate("const:0.5", SPEC.a - SPEC.b)
+LEVEL_S = parse_bivariate("level:1,0.6", SPEC.a - SPEC.b)
+# (model, config keywords, integrands, reach, track)
 REFERENCE_CASES = {
-    "bm": (BM, {}, [REFLECTED.eval_pairs], _REACH),
-    "bm_nobridge": (BM, {"bridge_correction": False}, [REFLECTED.eval_pairs], _REACH),
-    "bm_cap": (BM, {"t_cap": 0.2}, [REFLECTED.eval_pairs], _REACH),
-    "bm_dense": (BM, {}, [REFLECTED.eval_pairs], UNBOUNDED),
-    "jd_dense": (JD, {}, [REFLECTED.eval_pairs], UNBOUNDED),
-    "bm_alias": (BM, {}, [BivariatePotential(lambda s, x: s, bound=1.0).eval_pairs], _REACH),
-    "jd": (JD, {}, [REFLECTED.eval_pairs], _REACH),
-    "jd_nobridge": (JD, {"bridge_correction": False}, [REFLECTED.eval_pairs], _REACH),
-    "jd_cap": (JD, {"t_cap": 0.2}, [REFLECTED.eval_pairs], _REACH),
+    "bm": (BM, {}, [REFLECTED.eval_pairs], _REACH, True),
+    "bm_nobridge": (BM, {"bridge_correction": False}, [REFLECTED.eval_pairs], _REACH, True),
+    "bm_cap": (BM, {"t_cap": 0.2}, [REFLECTED.eval_pairs], _REACH, True),
+    "bm_dense": (BM, {}, [REFLECTED.eval_pairs], UNBOUNDED, True),
+    "jd_dense": (JD, {}, [REFLECTED.eval_pairs], UNBOUNDED, True),
+    "bm_alias": (BM, {}, [BivariatePotential(lambda s, x: s, bound=1.0).eval_pairs], _REACH,
+                 True),
+    "jd": (JD, {}, [REFLECTED.eval_pairs], _REACH, True),
+    "jd_nobridge": (JD, {"bridge_correction": False}, [REFLECTED.eval_pairs], _REACH, True),
+    "jd_cap": (JD, {"t_cap": 0.2}, [REFLECTED.eval_pairs], _REACH, True),
     "jd_two": (JD, {}, [REFLECTED.eval_pairs,
-                        BivariatePotential(lambda s, x: x * x, bound=4.0).eval_pairs], _REACH),
+                        BivariatePotential(lambda s, x: x * x, bound=4.0).eval_pairs], _REACH,
+               True),
+    "bm_untracked": (BM, {}, [LEVEL_S.eval_pairs], _REACH, False),
+    "bm_nobridge_untracked": (BM, {"bridge_correction": False}, [LEVEL_S.eval_pairs], _REACH,
+                              False),
+    "jd_untracked": (JD, {}, [CONST.eval_pairs, LEVEL_S.eval_pairs], _REACH, False),
+    "jd_cap_untracked": (JD, {"t_cap": 0.2}, [LEVEL_S.eval_pairs], _REACH, False),
+    # no potential that declares reads_sup=False reads s; this one pins what
+    # an untracked run passes as s, through the jumps too
+    "jd_s_untracked": (JD, {}, [BivariatePotential(lambda s, x: np.abs(s), bound=2.0).eval_pairs],
+                       _REACH, False),
 }
 
 
@@ -506,24 +522,47 @@ def test_passes_match_the_per_step_reference(case, entries, monkeypatch):
     # steps each path once per row with the same draws; with 1000 entries a
     # pass, the 2000 paths start in passes of one step each.  Every path's
     # record is written once, whichever slots it moved through.
-    model, kw, integrands, reach = REFERENCE_CASES[case]
+    model, kw, integrands, reach, track = REFERENCE_CASES[case]
     if entries is not None:
         monkeypatch.setattr(mc, "_PASS_ENTRIES", entries)
     monkeypatch.setattr(mc, "_REACH", reach)
     _count_record_writes(monkeypatch)
     cfg = _cfg(**kw)
-    st, main, bridge = _record_chunk(model, cfg, 2000, integrands, monkeypatch)
+    st, main, bridge = _record_chunk(model, cfg, 2000, integrands, monkeypatch, track)
     assert {name for name, _ in main} <= {"standard_normal", "exponential"}
     ref = reference_exit_chunk(model, SPEC, cfg, 2000, integrands, [d for _, d in main],
-                               bridge, _rows, reach)
+                               bridge, _rows, reach, track)
     for name in _ExitState.RECORDS:
         assert np.array_equal(getattr(st, name), ref[name], equal_nan=True), name
     assert (st.passes, st.steps, st.path_steps) == (ref["passes"], ref["steps"], ref["path_steps"])
+    assert st.uniforms == sum(u.size for _, _, u in bridge)
     assert np.all(st.acc.writes == 1)
     if "cap" in case:
         assert st.censored.any()
+    if not track:
+        assert np.isnan(st.s_exit).all()
     normals = [d.size for name, d in main if name == "standard_normal"]
     assert normals[0] == _rows(2000) * 2000 == (2000 if entries else 16000)
+
+
+@pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
+def test_skipping_the_supremum_changes_no_exit_and_no_sum(model, monkeypatch):
+    # with unbounded reach both runs draw a uniform for every entry, maxima
+    # first, in the same order, so the untracked level a moves no draw: the
+    # records match bit for bit but for the supremum at exit
+    monkeypatch.setattr(mc, "_REACH", UNBOUNDED)
+    integrands = [CONST.eval_pairs, LEVEL_S.eval_pairs]
+    tracked, untracked = (
+        _simulate_exit_chunk(model, SPEC, _cfg(), _chunk_rng(7, 0), 2000, integrands, track)
+        for track in (True, False)
+    )
+    for name in _ExitState.RECORDS:
+        if name != "s_exit":
+            assert np.array_equal(getattr(tracked, name), getattr(untracked, name)), name
+    for name in _ExitState.COUNTS:
+        assert getattr(tracked, name) == getattr(untracked, name), name
+    assert np.isfinite(tracked.s_exit).all() and np.isnan(untracked.s_exit).all()
+    assert tracked.acc[1].min() < tracked.acc[1].max()  # the level potential was crossed
 
 
 @pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
@@ -531,8 +570,9 @@ def test_passes_match_the_per_step_reference(case, entries, monkeypatch):
 def test_draw_pattern(model, bridge, monkeypatch):
     # the main stream draws K * m normals a pass, as one flat block: the
     # traced benchmark counts path-steps from that integer size.  The
-    # uniforms come from the main stream's jumped substream, one for each
-    # step of each path within reach, in one block a pass.
+    # uniforms come from the SFC64 stream of the first child spawned from
+    # the chunk's seed sequence, one for each step of each path within
+    # reach, in one block a pass.
     n = 2000
     shapes = []
 
@@ -553,18 +593,65 @@ def test_draw_pattern(model, bridge, monkeypatch):
     assert st.passes == len(passes)
     assert sum(k for k, _ in passes) >= st.steps > sum(k for k, _ in passes[:-1])
     assert st.path_steps <= sum(normals)
+    seq = np.random.SeedSequence((cfg.seed, 0))
+    main_rng = np.random.Generator(np.random.SFC64(seq))
     if model is JD:
-        assert main[0][0] == "exponential" and main[0][1].size == n
+        assert main[0][0] == "exponential"
+        assert np.array_equal(main[0][1], main_rng.exponential(1.0 / JD.jump_rate, n))
+    first = next(d for name, d in main if name == "standard_normal")
+    assert np.array_equal(first, main_rng.standard_normal(first.size))
     if not bridge:
         assert not blocks
         return
     assert len(blocks) == len(passes)
-    uniforms = np.random.Generator(_chunk_rng(cfg.seed, 0).bit_generator.jumped())
+    uniforms = np.random.Generator(np.random.SFC64(seq.spawn(1)[0]))
     for (k, m), (hi, lo, u) in zip(passes, blocks):
         assert np.array_equal(u, uniforms.random(hi.size + lo.size))
         assert np.all(np.diff(hi) > 0) and np.all(np.diff(lo) > 0)
         assert hi.size + lo.size <= 2 * k * m
     assert sum(hi.size + lo.size for hi, lo, _ in blocks) < sum(normals)
+    assert st.uniforms == sum(hi.size + lo.size for hi, lo, _ in blocks)
+
+
+def _watch_tracking(monkeypatch):
+    """Record ``(track, merged records)`` of every run's chunks."""
+    runs, collect = [], mc._collect_states
+
+    def watched(model, spec, cfg, integrands, track, meanwhile=None):
+        st = collect(model, spec, cfg, integrands, track, meanwhile)
+        runs.append((track, st))
+        return st
+
+    monkeypatch.setattr(mc, "_collect_states", watched)
+    return runs
+
+
+CONST_RUNS = {  # each reads the supremum through something other than F
+    "keep_samples": lambda: run_exit_mc(BM, CONST, SPEC, _cfg(), keep_samples=True),
+    "g_identity": lambda: run_exit_mc(JD, CONST, SPEC, _cfg(), g=IDENTITY),
+    "conditional_mc": lambda: mc.conditional_mc(BM, CONST, SPEC, _cfg(), 4),
+    "reflected": lambda: run_exit_mc(JD, REFLECTED, SPEC, _cfg()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONST_RUNS))
+def test_a_run_that_reads_the_supremum_tracks_it(case, monkeypatch):
+    runs = _watch_tracking(monkeypatch)
+    res = CONST_RUNS[case]()
+    ((track, st),) = runs
+    assert track
+    assert np.isfinite(st.s_exit[~st.censored]).all()
+    if isinstance(res, mc.ExitMCResult):
+        assert res.sup_tracked
+
+
+def test_runs_that_read_no_supremum_do_not_track_it(monkeypatch):
+    runs = _watch_tracking(monkeypatch)
+    res = run_exit_mc(JD, LEVEL_S, SPEC, _cfg())
+    occupation_mc(JD, LEVEL, SPEC, _cfg())
+    assert not res.sup_tracked
+    assert [track for track, _ in runs] == [False, False]
+    assert all(np.isnan(st.s_exit).all() for _, st in runs)
 
 
 def test_skipped_crossings_are_below_uniform_resolution():
@@ -578,14 +665,18 @@ def test_skipped_crossings_are_below_uniform_resolution():
     var=st.floats(1e-8, 1e-1),
     spread=st.floats(0.0, 30.0),
     per_path=st.booleans(),
+    untracked=st.booleans(),
 )
-def test_bridge_extrema_match_the_dense_formula(m, seed, var, spread, per_path):
+def test_bridge_extrema_match_the_dense_formula(m, seed, var, spread, per_path, untracked):
     # one step on [b, a] = [0, 1]: the paths within reach get the dense
-    # sampler's extremum bit for bit, for the uniform drawn in their slot
+    # sampler's extremum bit for bit, for the uniform drawn in their slot.
+    # Untracked, the level of the maxima is the one float a.
     b = 0.0
     gen = np.random.default_rng(seed)
     x = gen.uniform(b, 1.0, m)
     s = np.minimum(x + gen.exponential(spread * math.sqrt(var), m), 1.0)
+    if untracked:
+        s = 1.0
     x_new = x + spread * math.sqrt(var) * gen.standard_normal(m)
     if per_path:
         var = var * gen.uniform(0.0, 1.0, m)
@@ -593,8 +684,8 @@ def test_bridge_extrema_match_the_dense_formula(m, seed, var, spread, per_path):
         _chunk_rng(seed, 0), x, x_new, s, b, var, np.empty(4 * m), np.empty(2 * m, dtype=bool)
     )
     reach = _REACH * var
-    assert np.array_equal(hi, np.flatnonzero((s - x) * (s - x_new) <= reach))
-    assert np.array_equal(lo, np.flatnonzero((x - b) * (x_new - b) <= reach))
+    assert np.array_equal(hi, np.flatnonzero((s - x) * (s - x_new) < reach))
+    assert np.array_equal(lo, np.flatnonzero((x - b) * (x_new - b) < reach))
 
     near = np.concatenate((hi, lo))
     u = _chunk_rng(seed, 0).random(near.size)
@@ -628,8 +719,8 @@ class TestClosedForm:
 
 # (censored count, sha256 of the censored mask) at t_cap = 0.2
 CENSOR_GOLDEN = {
-    "bm": (BM, 954, "c84905378677036f1d484a3042ecb0608cfaa964dd728b98c73684f767e69b9a"),
-    "jd": (JD, 742, "1810630da426435316afe01a7c55177ecc2097327be14d1cc75ba5428d5800f9"),
+    "bm": (BM, 942, "37c0b82f8b62895385d556fb2e67029cb61f34947e6227eec8440761a6944083"),
+    "jd": (JD, 744, "09b7f988d45c5624ce1054f78b5d75209ee24c5c8cbf20f1abf600231d897224"),
 }
 
 

@@ -135,11 +135,36 @@ class TestSelectors:
 
     def test_g_weights(self):
         z = np.array([0.5, 1.0])
-        assert np.allclose(parse_g("one")(z), 1.0)
+        # every solver reads None as the weight 1
+        assert parse_g("one") is None
         assert np.allclose(parse_g("identity")(z), z)
         assert np.allclose(parse_g("const:2.5")(z), 2.5)
         with pytest.raises(ValueError):
             parse_g("quadratic")
+
+
+class TestReadsSup:
+    """``reads_sup`` declares whether a potential's values depend on ``s``;
+    the path engine skips the supremum where none does."""
+
+    @pytest.mark.parametrize("spec", ["const:0.5", "level:1,0.6", "level:2,-0.5",
+                                      "reflected:0.5", "indicator:1,0.3"])
+    def test_a_potential_that_declares_no_sup_ignores_it(self, spec):
+        b, a = 0.0, 2.0
+        F = parse_bivariate(spec, a - b)
+        assert F.reads_sup == (spec.partition(":")[0] in ("reflected", "indicator"))
+        if F.reads_sup:
+            return
+        for x in np.linspace(b, a, 41):
+            s = np.linspace(x, a, 33)
+            vals = F.eval_pairs(s, np.full(s.shape, x))
+            assert np.all(vals == vals[0])
+            assert vals[0] == F.eval_pairs(np.array([x]), np.array([x]))[0]
+
+    def test_declarations(self):
+        assert BivariatePotential(lambda s, x: 0.0 * x, bound=1.0).reads_sup
+        lifted = BivariatePotential.from_univariate(parse_univariate("level:1,0.6"))
+        assert not lifted.reads_sup
 
 
 # ---------------------------------------------------------------------------
