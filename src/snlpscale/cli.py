@@ -8,7 +8,7 @@ Subcommands
 ``mc-verify``     deterministic values against Monte Carlo, with z-scores
 ``local-time``    Laplace transform of the potential-weighted local time
 
-All commands emit a versioned JSON document (``"schema": 5``) to stdout or
+All commands emit a versioned JSON document (``"schema": 6``) to stdout or
 ``--out``.  ``exit``, ``mc-verify`` and ``local-time`` carry the refinement
 diagnostics under ``diagnostics``; ``mc-verify`` adds the Monte Carlo run's
 chunk, pass, step, path-step and bridge-uniform counts under
@@ -18,8 +18,7 @@ the deterministic side while its worker processes step the paths.  A flat
 the ``SNLP_SCALE_SEED`` environment variable backs the seed.  Its keys are the
 running command's flag names without the leading ``--`` (``grid-outer`` or
 ``grid_outer``), except ``out``, ``csv`` and ``config``; a key that the
-command has no flag for is an error.  ``bridge`` takes ``1/true/yes/on`` or
-``0/false/no/off``, in any case.
+command has no flag for is an error.
 
 Exit status:
 
@@ -68,7 +67,7 @@ from .potentials import (
 )
 from .scale import make_scale_table
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
@@ -143,15 +142,12 @@ _DEFAULTS = {
     "g": "one",
     "paths": 100000,
     "dt": 1e-4,
-    "bridge": True,
     "grid_outer": 129,
     "grid_inner": 1024,
     "b": None,
     "x": None,
     "a": None,
 }
-_BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-               **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _resolve(args, config: dict, key: str, cast=float, required=False):
@@ -161,7 +157,7 @@ def _resolve(args, config: dict, key: str, cast=float, required=False):
         raw = config[key]
         try:
             val = cast(raw)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise UsageError(f"--config: bad value for '{key}': {raw}") from exc
     if val is None:
         val = _DEFAULTS.get(key)
@@ -196,9 +192,6 @@ def _mc_config(args, config, n_paths) -> MCConfig:
             dt=_resolve(args, config, "dt"),
             n_paths=int(n_paths),
             seed=_resolve_seed(args, config),
-            bridge_correction=_resolve(
-                args, config, "bridge", cast=lambda raw: _BOOL_WORDS[raw.lower()]
-            ),
         )
     except ValueError as exc:
         raise UsageError(f"--paths/--dt: {exc}") from exc
@@ -393,10 +386,7 @@ def _cmd_mc_verify(args, config) -> dict:
     doc = {
         **p.header("mc-verify"),
         "g": g_spec,
-        "mc_config": {
-            "dt": cfg.dt, "paths": cfg.n_paths, "seed": cfg.seed,
-            "bridge": cfg.bridge_correction,
-        },
+        "mc_config": {"dt": cfg.dt, "paths": cfg.n_paths, "seed": cfg.seed},
         "n_censored": mc.n_censored,
         "report": report["rows"],
         "pass": report["pass"],
@@ -477,8 +467,6 @@ def _add_common(p, potential=None, g=False, mc_flags=False, exit_problem=True,
         p.add_argument("--paths", type=int, help="Monte Carlo path count")
         p.add_argument("--dt", type=float, help="Euler step")
         p.add_argument("--seed", type=int, help="RNG seed (SNLP_SCALE_SEED fallback)")
-        p.add_argument("--bridge", action=argparse.BooleanOptionalAction, default=None,
-                       help="Brownian-bridge barrier correction")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -61,6 +61,7 @@ DEFAULT_INNER = 1024
 _REFINE_TOL = 1e-6
 _REFINE_CAP = 4
 _ROW_BLOCK = 32  # outer nodes per frozen block solve; bounds its memory
+_MAX_DOUBLINGS = 24  # horizon doublings of z_f_truncated before TailNotConverged
 
 
 class TailNotConverged(RuntimeError):
@@ -359,7 +360,6 @@ def z_f_truncated(
     tail_tol: float,
     n_outer: int = DEFAULT_OUTER,
     n_inner: int = DEFAULT_INNER,
-    max_doublings: int = 24,
 ) -> float:
     """Companion scale value ``Wf(x,b) * (1 + int_x^inf kappa(z)/Wf(z,b) dz)``.
 
@@ -370,9 +370,9 @@ def z_f_truncated(
     and differences of these values are contract-level outputs.
 
     Raises:
-        TailNotConverged: when the doubling cap is hit first (slowly growing
-            scale functions, e.g. oscillating models, decay too slowly for a
-            practical horizon).
+        TailNotConverged: when ``_MAX_DOUBLINGS`` (24) doublings are not
+            enough (slowly growing scale functions, e.g. oscillating models,
+            decay too slowly for a practical horizon).
     """
     if x <= b:
         raise ValueError("z_f_truncated requires x > b")
@@ -396,7 +396,7 @@ def z_f_truncated(
     hi = a_max
     cum_lo = cum_bx  # int_b^lo iota
     last = math.inf
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         seg_nodes, h_seg, _, kappas, cum = _level_pass(model, F, b, lo, hi, n_outer, n_inner)
         cum = cum_lo + cum
         wf_nodes = np.array(
@@ -411,7 +411,7 @@ def z_f_truncated(
             return wf_x * (1.0 + total)
     raise TailNotConverged(
         f"tail integral still contributes {last:.3e} > {tail_tol:.3e} "
-        f"after {max_doublings} horizon doublings (horizon {lo})"
+        f"after {_MAX_DOUBLINGS} horizon doublings (horizon {lo})"
     )
 
 

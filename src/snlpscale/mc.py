@@ -4,9 +4,8 @@ where something reads it.
 One stepper, ``_simulate_exit_chunk``, runs every path.  Paths follow Euler
 steps with exact Gaussian increments; the jump family adds downward
 exponential jumps at exact exponential event times, with diffusion substeps
-between events and barrier checks at every substep.  With the bridge
-correction enabled, each diffusion substep samples the conditional extrema of
-the Brownian bridge between its endpoints::
+between events and barrier checks at every substep.  Each diffusion substep
+samples the conditional extrema of the Brownian bridge between its endpoints::
 
     M = (X0 + X1 + sqrt((X1-X0)^2 - 2 sigma^2 dt ln U)) / 2   (maximum)
     m = (X0 + X1 - sqrt((X1-X0)^2 - 2 sigma^2 dt ln U')) / 2  (minimum)
@@ -117,39 +116,30 @@ _REACH = 20.0
 # steps, so K is 1 in the bulk; part of the reproducibility contract
 _PASS_ENTRIES = 16384
 _MAX_ROWS = 256
+# a path still inside the band at time _T_CAP_SCALE (a-b)^2 / sigma^2 is censored
+_T_CAP_SCALE = 1e4
 
 
 @dataclass
 class MCConfig:
     """Path-engine configuration.
 
-    ``t_cap`` defaults to ``1e4 (a-b)^2 / sigma^2``; paths that exhaust it
-    are counted as censored, and a censored fraction above 0.1% fails the
-    run.  A given ``t_cap`` must be finite and positive.
+    Every path runs to exit or to the time cap ``_T_CAP_SCALE (a-b)^2 /
+    sigma^2`` (``1e4 (a-b)^2 / sigma^2``); paths that reach the cap are
+    counted as censored, and a censored fraction above 0.1% fails the run.
     """
 
     dt: float
     n_paths: int
     seed: int = 0
-    bridge_correction: bool = True
-    t_cap: Optional[float] = None
 
     def __post_init__(self):
         # NaN must fail too: it keeps the clock at NaN, so no path would
         # ever reach the time cap
         if not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        # NaN and inf would turn the cap off, and a cap at 0 or below would
-        # censor every path
-        if self.t_cap is not None and not 0.0 < self.t_cap < np.inf:
-            raise ValueError(f"t_cap must be finite and > 0, got {self.t_cap!r}")
         if self.n_paths < 100:
             raise ValueError("n_paths must be >= 100")
-
-    def resolved_t_cap(self, model: LevyModel, spec: ExitSpec) -> float:
-        if self.t_cap is not None:
-            return self.t_cap
-        return 1e4 * (spec.a - spec.b) ** 2 / model.sigma**2
 
     def warn_if_coarse(self, spec: ExitSpec) -> None:
         if self.dt > (spec.a - spec.b) ** 2 / 100.0:
@@ -293,28 +283,27 @@ def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
     prod = work[:m]
     reach = _REACH * var
     per_entry = isinstance(reach, np.ndarray)
-    # a step is within reach of a fixed level only if its nearer end is
-    # within sqrt(reach) of it, and few are, so the product is taken on
-    # those alone; that distance is one of the product's factors, so the
-    # margin keeps every step the product admits among them despite rounding
+    # a step is within reach of a level only if its nearer end is within
+    # sqrt(reach) of it, and most are not, so the product is taken on those
+    # alone; that distance is one of the product's factors, so the margin
+    # keeps every step the product admits among them despite rounding
     span = np.sqrt(reach.max() if per_entry else reach) * (1.0 + 1e-9)
 
     def within(level, gap, flags):
         idx = np.less_equal(gap, span, out=flags).nonzero()[0]
-        return idx[(x[idx] - level) * (x_new[idx] - level)
-                   < (reach[idx] if per_entry else reach)]
+        if isinstance(level, np.ndarray):
+            level = level.take(idx)
+        prod_idx = x.take(idx)
+        prod_idx -= level
+        prod_idx *= np.subtract(x_new.take(idx), level)
+        return idx[prod_idx < (reach.take(idx) if per_entry else reach)]
 
-    if np.ndim(s):
-        np.subtract(s, x, out=prod)
-        prod *= np.subtract(s, x_new, out=work[m:2 * m])
-        hi = np.less(prod, reach, out=mask[:m]).nonzero()[0]
-    else:
-        hi = within(s, np.subtract(s, np.maximum(x, x_new, out=prod), out=prod), mask[:m])
+    hi = within(s, np.subtract(s, np.maximum(x, x_new, out=prod), out=prod), mask[:m])
     lo = within(b, np.subtract(np.minimum(x, x_new, out=prod), b, out=prod), mask[m:])
     near = np.concatenate((hi, lo))
 
-    # the first step finds every entry within reach of S, so the endpoint
-    # sum and gap live in the scratch and the uniforms overwrite a copy of x
+    # the reach tests are done with the scratch, so the endpoint sum and gap
+    # live in it and the uniforms overwrite a copy of x
     ends = x.take(near, out=work[2 * m:2 * m + near.size])
     gap = x_new.take(near, out=work[:near.size])
     ext = ends.copy()
@@ -388,17 +377,16 @@ def _simulate_exit_chunk(
       folded into row 0, from one flat ``standard_normal(K * m)``;
     - with jumps, each path's time to the next jump and clock advance ``K``
       full steps; only the candidates, the paths whose time left reaches 0
-      (the jump falls in the pass) or whose clock reaches ``t_cap``, get
+      (the jump falls in the pass) or whose clock reaches the time cap, get
       rows: the time left by ``cumsum`` of ``-dt``, each step's length
       ``min(dt, time left)``, 0 after the jump, and the clock.  Every other
       step is ``dt`` long, and a path's block ends at its next jump;
-    - with the bridge, ``_bridge_extrema`` tests each step's reach against
-      the running maximum of the pass's start supremum ``S`` and the
-      positions before the step, which is below the true supremum, so every
-      step whose maximum may pass the supremum is drawn: the crossing
-      probability falls as the level rises.  The drawn maxima, capped at
-      ``a``, then give the supremum by a running maximum.  Untracked, the
-      level is ``a`` itself;
+    - ``_bridge_extrema`` tests each step's reach against the running
+      maximum of the pass's start supremum ``S`` and the positions before
+      the step, which is below the true supremum, so every step whose
+      maximum may pass the supremum is drawn: the crossing probability falls
+      as the level rises.  The drawn maxima, capped at ``a``, then give the
+      supremum by a running maximum.  Untracked, the level is ``a`` itself;
     - the integrands, and the trapezoid sums by ``cumsum`` with ``acc``
       folded into row 0.
 
@@ -426,8 +414,7 @@ def _simulate_exit_chunk(
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
     rate = model.jump_rate if model.family is Family.EXP_JUMP_DIFFUSION else 0.0
     jumpy = rate > 0.0
-    t_cap = cfg.resolved_t_cap(model, spec)
-    bridge = cfg.bridge_correction
+    t_cap = _T_CAP_SCALE * (a - b) ** 2 / sigma**2
     uniforms = _uniform_rng(rng)
 
     out = _ExitState(n, len(integrands))
@@ -497,46 +484,38 @@ def _simulate_exit_chunk(
             _accumulate(np.add, pos)
             prev = pos[:K]
 
-        # untracked, the integrands get the positions as the supremum
+        # tracked, the level starts at the supremum, and a one-step pass
+        # updates the supremum array in place, as the last pass's integrands
+        # are done with it; untracked, the level is a and the integrands get
+        # the positions as the supremum
         sup = X
-        if bridge:
-            # tracked, the level starts at the supremum, and a one-step pass
-            # updates the supremum array in place, as the last pass's
-            # integrands are done with it; untracked, the level is a
-            if not track:
-                level = a
-            else:
-                if K == 1:
-                    sup = s[None]
-                else:
-                    sup = np.empty((K, m))
-                    sup[0] = s
-                    sup[1:] = X[:-1]
-                    _accumulate(np.maximum, sup)
-                level = sup.reshape(-1)
-            var = sigma * sigma * dt
-            if jumpy and cand.size:
-                var = np.full((K, m), var)
-                var[:, cand] = sigma * sigma * h
-                var = var.reshape(-1)
-            hi, lo, ext = _bridge_extrema(
-                uniforms, prev.reshape(-1), X.reshape(-1), level, b, var,
-                work_buf[:4 * K * m], mask_buf[:2 * K * m])
-            out.uniforms += ext.size
-            k = hi.size
-            if track:
-                top = np.minimum(ext[:k], a, out=ext[:k])
-                np.maximum.at(level, hi, top)
-                if K > 1:
-                    _accumulate(np.maximum, sup)
-            cols, rows, up = _first_exits(hi[ext[:k] >= a], lo[ext[k:] <= b], m)
+        if not track:
+            level = a
         else:
-            if track:
-                sup = np.minimum(X, a)
-                np.maximum(sup[0], s, out=sup[0])
-                if K > 1:
-                    _accumulate(np.maximum, sup)
-            cols, rows, up = _first_exits(np.flatnonzero(X >= a), np.flatnonzero(X < b), m)
+            if K == 1:
+                sup = s[None]
+            else:
+                sup = np.empty((K, m))
+                sup[0] = s
+                sup[1:] = X[:-1]
+                _accumulate(np.maximum, sup)
+            level = sup.reshape(-1)
+        var = sigma * sigma * dt
+        if jumpy and cand.size:
+            var = np.full((K, m), var)
+            var[:, cand] = sigma * sigma * h
+            var = var.reshape(-1)
+        hi, lo, ext = _bridge_extrema(
+            uniforms, prev.reshape(-1), X.reshape(-1), level, b, var,
+            work_buf[:4 * K * m], mask_buf[:2 * K * m])
+        out.uniforms += ext.size
+        k = hi.size
+        if track:
+            top = np.minimum(ext[:k], a, out=ext[:k])
+            np.maximum.at(level, hi, top)
+            if K > 1:
+                _accumulate(np.maximum, sup)
+        cols, rows, up = _first_exits(hi[ext[:k] >= a], lo[ext[k:] <= b], m)
 
         # each path's event row, K for a path that runs the whole pass; only
         # the candidates can jump or reach the time cap in it
@@ -572,9 +551,8 @@ def _simulate_exit_chunk(
         if jumpy:
             sums[:, :, cand] = scaled
         x_end = X[rows, cols]
-        if bridge:
-            inner = (x_end < a) & (x_end >= b)
-            sums[:, rows[inner], cols[inner]] *= 0.5
+        inner = (x_end < a) & (x_end >= b)
+        sums[:, rows[inner], cols[inner]] *= 0.5
         sums[:, 0] += acc
         if K > 1:
             _accumulate(np.add, sums)
@@ -583,7 +561,7 @@ def _simulate_exit_chunk(
         out.up[ids] = up
         if track:
             out.s_exit[ids] = sup[rows, cols]
-        end = np.where(up, a, b) if bridge else x_end
+        end = np.where(up, a, b)
         out.x_pre[ids] = end
         out.x_post[ids] = end
         out.acc[:, ids] = sums[:, rows, cols]
@@ -897,10 +875,12 @@ def occupation_mc(
 
     Per path computes (A) the trapezoidal time integral of ``f(X_t)`` and
     (B) the integral of ``f`` against the box-kernel occupation density with
-    bandwidth ``2 sqrt(dt)``.  (B) integrates ``f`` exactly against each box
-    through a fine cumulative table, so the A-B discrepancy carries only the
-    smoothing error and shrinks like the bandwidth.  Censored paths are left
-    out of (A) and (B).
+    bandwidth ``2 sqrt(dt)``.  (A) evaluates ``f`` itself, lifted to ``(s,
+    x)`` as :func:`generalized.local_time_laplace` lifts it, so it is the
+    functional :func:`run_exit_mc` accumulates for that potential.  (B)
+    integrates ``f`` exactly against each box through a fine cumulative
+    table, so the A-B discrepancy carries only the smoothing error and
+    shrinks like the bandwidth.  Censored paths are left out of (A) and (B).
 
     Raises:
         ValueError: if the bandwidth is unresolvable by the fine table.
@@ -920,8 +900,7 @@ def occupation_mc(
     fvals[inside] = f_x.eval_array(fine[inside])
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (fvals[1:] + fvals[:-1]) * np.diff(fine))])
 
-    def point_rate(s, xs):
-        return np.interp(xs, fine, fvals)
+    point_rate = BivariatePotential.from_univariate(f_x).eval_pairs
 
     def smoothed_rate(s, xs):
         return (np.interp(xs + w, fine, cum) - np.interp(xs - w, fine, cum)) / (2.0 * w)

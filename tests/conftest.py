@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from snlpscale import Family, make_brownian, make_exp_jump_diffusion
+from snlpscale import Family, make_brownian, make_exp_jump_diffusion, mc
 
 
 @pytest.fixture
@@ -223,15 +223,16 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
       first waits for the jumps (jump family), then for each pass the flat
       normals of its ``(K, m)`` block and, when paths jump, their jump sizes
       and next waits;
-    - ``bridge``: for each pass with the bridge, the flat ``(row, slot)``
-      entries that drew a maximum, those that drew a minimum, and the
-      uniforms, the maxima's first.
+    - ``bridge``: for each pass, the flat ``(row, slot)`` entries that drew
+      a maximum, those that drew a minimum, and the uniforms, the maxima's
+      first.
 
     ``rows_rule(m)`` is ``K`` for ``m`` live paths.  A step tests its reach
     against the running maximum of the pass's start supremum and its
     positions, takes the uniform of its own entry (the stepper must have
     drawn one exactly for the live steps within reach), and ends the path's
-    pass at an exit, a jump or the time cap.
+    pass at an exit, a jump or the time cap, ``mc._T_CAP_SCALE (a-b)^2 /
+    sigma^2``.
     Without ``track`` the supremum is not kept: the level is ``a``, the
     integrands get the positions as ``s``, and ``s_exit`` stays NaN.
     Slots follow the stepper's rule: when ``d`` paths finish, the live paths
@@ -243,7 +244,7 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
     rate = model.jump_rate if model.family is Family.EXP_JUMP_DIFFUSION else 0.0
     jumpy = rate > 0.0
-    t_cap = cfg.resolved_t_cap(model, spec)
+    t_cap = mc._T_CAP_SCALE * (a - b) ** 2 / sigma**2
     main, bridge = iter(main), iter(bridge)
     rec = {
         "up": np.zeros(n, dtype=bool), "s_exit": np.full(n, np.nan),
@@ -272,9 +273,8 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
         rec["passes"] += 1
         z = next(main).reshape(K, m)
         u_hi, u_lo = np.full(K * m, np.nan), np.full(K * m, np.nan)
-        if cfg.bridge_correction:
-            hi, lo, u = next(bridge)
-            u_hi[hi], u_lo[lo] = u[:hi.size], u[hi.size:]
+        hi, lo, u = next(bridge)
+        u_hi[hi], u_lo[lo] = u[:hi.size], u[hi.size:]
         u_hi, u_lo = u_hi.reshape(K, m), u_lo.reshape(K, m)
         ids = np.array(slots)
         level = s[ids].copy() if track else np.full(m, a)
@@ -291,38 +291,33 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
             x_new = x[p] + (z[j, sl] * (sigma * np.sqrt(h)) + mu * h)
             up = np.zeros(sl.size, dtype=bool)
             down = np.zeros(sl.size, dtype=bool)
-            if cfg.bridge_correction:
-                var = sigma * sigma * h
-                lim = reach * var
-                near_hi = (level[sl] - x[p]) * (level[sl] - x_new) < lim
-                near_lo = (x[p] - b) * (x_new - b) < lim
-                # the stepper drew a uniform for a live step exactly where it
-                # is within reach
-                assert np.array_equal(~np.isnan(u_hi[j, sl]), near_hi)
-                assert np.array_equal(~np.isnan(u_lo[j, sl]), near_lo)
+            var = sigma * sigma * h
+            lim = reach * var
+            near_hi = (level[sl] - x[p]) * (level[sl] - x_new) < lim
+            near_lo = (x[p] - b) * (x_new - b) < lim
+            # the stepper drew a uniform for a live step exactly where it is
+            # within reach
+            assert np.array_equal(~np.isnan(u_hi[j, sl]), near_hi)
+            assert np.array_equal(~np.isnan(u_lo[j, sl]), near_lo)
 
-                def extreme(near, u, sign):
-                    x_a, x_b = x[p][near], x_new[near]
-                    v = var[near] if jumpy else var
-                    root = np.sqrt((x_b - x_a) * (x_b - x_a) - np.log(u) * (2.0 * v))
-                    return (sign * root + (x_a + x_b)) * 0.5
+            def extreme(near, u, sign):
+                x_a, x_b = x[p][near], x_new[near]
+                v = var[near] if jumpy else var
+                root = np.sqrt((x_b - x_a) * (x_b - x_a) - np.log(u) * (2.0 * v))
+                return (sign * root + (x_a + x_b)) * 0.5
 
-                top = np.minimum(extreme(near_hi, u_hi[j, sl[near_hi]], 1.0), a)
-                s_new = s[p].copy() if track else x_new
-                if track:
-                    s_new[near_hi] = np.maximum(s_new[near_hi], top)
-                up[near_hi] = top >= a
-                down[near_lo] = extreme(near_lo, u_lo[j, sl[near_lo]], -1.0) <= b
-            else:
-                s_new = np.maximum(s[p], np.minimum(x_new, a)) if track else x_new
-                up, down = x_new >= a, x_new < b
+            top = np.minimum(extreme(near_hi, u_hi[j, sl[near_hi]], 1.0), a)
+            s_new = s[p].copy() if track else x_new
+            if track:
+                s_new[near_hi] = np.maximum(s_new[near_hi], top)
+            up[near_hi] = top >= a
+            down[near_lo] = extreme(near_lo, u_lo[j, sl[near_lo]], -1.0) <= b
             if track:
                 level[sl] = np.maximum(level[sl], x_new)
             gone = up | down
             f_new = np.array([fn(s_new, x_new) for fn in integrands])
             inc = (f[:, p] + f_new) * (0.5 * h)
-            if cfg.bridge_correction:
-                inc[:, gone & (x_new < a) & (x_new >= b)] *= 0.5
+            inc[:, gone & (x_new < a) & (x_new >= b)] *= 0.5
             acc[:, p] = acc[:, p] + inc
             f[:, p], x[p], s[p] = f_new, x_new, s_new
             if jumpy:
@@ -335,7 +330,7 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
                 t = t + dt
                 tired = np.full(sl.size, t >= t_cap)
             for q in np.flatnonzero(gone):
-                end = (a if up[q] else b) if cfg.bridge_correction else x_new[q]
+                end = a if up[q] else b
                 finish(p[q], acc[:, p[q]], up[q], s_new[q] if track else np.nan, end, end)
                 finished.append(sl[q])
             for q in np.flatnonzero(at_jump & ~gone):

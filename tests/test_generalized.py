@@ -24,6 +24,7 @@ from snlpscale import (
     supremum_density,
     z_f_truncated,
 )
+from snlpscale import generalized
 from snlpscale.quadrature import composite_simpson
 
 from conftest import partial_fraction_w, partial_fraction_z, route_constancy_ratios
@@ -253,17 +254,15 @@ class TestZfTruncated:
             )
             assert val == pytest.approx(1.0, abs=1e-8)
 
-    def test_oscillating_tail_does_not_converge(self, bm_driftless):
+    def test_oscillating_tail_does_not_converge(self, bm_driftless, monkeypatch):
+        monkeypatch.setattr(generalized, "_MAX_DOUBLINGS", 8)
         with pytest.raises(TailNotConverged):
-            z_f_truncated(
-                bm_driftless, ZERO, 0.0, 1.0, a_max=2.0, tail_tol=1e-10, max_doublings=8
-            )
+            z_f_truncated(bm_driftless, ZERO, 0.0, 1.0, a_max=2.0, tail_tol=1e-10)
 
-    def test_horizon_stays_moderate_for_drifting_family(self, bm_drift_up):
+    def test_horizon_stays_moderate_for_drifting_family(self, bm_drift_up, monkeypatch):
         # convergence within 64 interval lengths of the starting point
-        val = z_f_truncated(
-            bm_drift_up, ZERO, 0.0, 0.5, a_max=1.0, tail_tol=1e-10, max_doublings=7
-        )
+        monkeypatch.setattr(generalized, "_MAX_DOUBLINGS", 7)
+        val = z_f_truncated(bm_drift_up, ZERO, 0.0, 0.5, a_max=1.0, tail_tol=1e-10)
         assert val == pytest.approx(1.0, abs=1e-7)
 
     def test_preconditions(self, bm_drift_up):

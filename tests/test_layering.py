@@ -4,7 +4,8 @@ The Monte Carlo engine stays independent of the deterministic solver it
 cross-checks, and the runtime dependency is numpy alone; both are read from
 the source with ``ast``.  The process-pool machinery is imported only by a
 Monte Carlo run that starts workers.  Every name a submodule exports is
-re-exported by the package.
+re-exported by the package, and ``MCConfig`` holds the step, the path count
+and the seed alone.
 """
 
 import ast
@@ -12,6 +13,7 @@ import importlib
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,11 @@ def test_package_exports_resolve():
     import snlpscale
 
     assert [name for name in snlpscale.__all__ if not hasattr(snlpscale, name)] == []
+
+
+def test_mc_config_holds_the_step_the_path_count_and_the_seed():
+    # one stepper: the bridge correction is always on, and the time cap is a
+    # fixed multiple of (a-b)^2 / sigma^2
+    from snlpscale import MCConfig
+
+    assert [f.name for f in fields(MCConfig)] == ["dt", "n_paths", "seed"]

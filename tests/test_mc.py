@@ -8,11 +8,11 @@ runs passes: a pass of ``m`` live paths advances ``K = min(_MAX_ROWS, max(1,
 _PASS_ENTRIES // m))`` steps, and the live paths sit in slots that a finished
 path's hole reuses, the last slots' paths moving first.  A pass draws one
 flat ``standard_normal(K * m)`` from the main stream, row ``j`` for step
-``j`` (then, for the paths that jump, their jump sizes and next waits), and,
-with the bridge, one ``random`` block from the SFC64 stream of the seed
-sequence's first spawned child: a uniform for each ``(row, slot)`` entry
-within reach of the running maximum (of ``a``, when the supremum is not
-tracked), then for each within reach of ``b``, each set in row-major order.
+``j`` (then, for the paths that jump, their jump sizes and next waits), and
+one ``random`` block from the SFC64 stream of the seed sequence's first
+spawned child: a uniform for each ``(row, slot)`` entry within reach of the
+running maximum (of ``a``, when the supremum is not tracked), then for each
+within reach of ``b``, each set in row-major order.
 ``reference_exit_chunk`` in ``conftest.py`` replays the passes one step at a
 time.  A change to the path engine that moves any draw, or any
 floating-point operation of the accumulation, shows up here as a failed
@@ -63,8 +63,14 @@ IDENTITY = parse_g("identity")
 LEVEL = parse_univariate("level:1,0.6")
 
 
-def _cfg(**kw):
-    return MCConfig(dt=1e-3, n_paths=2000, seed=7, **kw)
+def _cfg():
+    return MCConfig(dt=1e-3, n_paths=2000, seed=7)
+
+
+def _cap(monkeypatch, scale):
+    """Censor at ``scale (a-b)^2 / sigma^2``, which is ``scale`` itself for
+    ``SPEC`` with ``BM`` or ``JD``."""
+    monkeypatch.setattr(mc, "_T_CAP_SCALE", scale)
 
 
 @pytest.fixture(autouse=True)
@@ -82,13 +88,10 @@ def _use_workers(monkeypatch, workers):
 
 # (up mean, up se, down mean, down se, p_up mean, p_up se, n_censored)
 EXIT_GOLDEN = {
-    "bm_bridge": (BM, {"bridge_correction": True}, (
+    "bm": (BM, (
         0.4777531647473785, 0.010892492906635399, 0.2986298870543354,
         0.006945488984627063, 0.491, 0.01118132420626031, 0)),
-    "bm_nobridge": (BM, {"bridge_correction": False}, (
-        0.4825478791209066, 0.010925880778995326, 0.2894494301741485,
-        0.006804588524768425, 0.4945, 0.01118245942086756, 0)),
-    "jd": (JD, {}, (
+    "jd": (JD, (
         0.7288651795238156, 0.009646054773534505, 0.15445111565789613,
         0.006092787444637943, 0.741, 0.009798341887884702, 0)),
 }
@@ -96,11 +99,11 @@ EXIT_GOLDEN = {
 # (time-integral mean, se, occupation mean, se, mean |A-B|)
 OCCUPATION_GOLDEN = {
     "bm": (BM, (
-        0.9337854305111757, 0.0017065375804107324, 0.9335900668042968,
-        0.0016946355100047076, 0.0019285003260281167)),
+        0.9336569953328294, 0.0017078168852082026, 0.9335900668042968,
+        0.0016946355100047076, 0.0019518693731332814)),
     "jd": (JD, (
-        0.9322765669657554, 0.0013432782103311215, 0.932435427395778,
-        0.0013313107203147473, 0.0018396569517964262)),
+        0.9320935796037775, 0.0013444916838367296, 0.932435427395778,
+        0.0013313107203147473, 0.0018820559257421757)),
 }
 
 
@@ -123,21 +126,15 @@ def _digests(samples):
 
 
 # sha256 of the raw bytes of each per-path record (keep_samples=True); the jd
-# case has jump exits with x_post < b, and without the bridge x_post < b too
+# case has jump exits with x_post < b
 SAMPLE_GOLDEN = {
-    "bm_bridge": (BM, {"bridge_correction": True}, (
+    "bm": (BM, (
         "bf511e8f53a591919fc461918840bf2e7ec4adec0f26cd4961acc81c537547c8",
         "543d8a334a80dd6351f11a8de45da60508f5beba119a3a815e83e36984f20a66",
         "3e383500c7c9d0d4b33a2c69c389a9e87a84986e72c7172a71c93e8443198933",
         "3e383500c7c9d0d4b33a2c69c389a9e87a84986e72c7172a71c93e8443198933",
         "335d4b3c9c007ab91aa6680c7663d3afb8e28ac43369734b86b37a0606ce8515")),
-    "bm_nobridge": (BM, {"bridge_correction": False}, (
-        "d56759d7f7054cf6206f4183dde5cf89b229a3c498ee6097f8859ba677156455",
-        "b74f25790425bf22b7b56cc211aed3d4220e57422599e4eda0db2e58fa810a1a",
-        "a0b0d29c3f717c77a9308702d4c259e455936b4c75d12db8158d2dcaa5e2235d",
-        "a0b0d29c3f717c77a9308702d4c259e455936b4c75d12db8158d2dcaa5e2235d",
-        "e4cab00d553e92e8c575c01bb530d9f8107ec77bad3778f6d50e725c576a26ae")),
-    "jd": (JD, {}, (
+    "jd": (JD, (
         "38cbaca0a451103e880d21ac3f96b39e0ca4d426d05dd3d7b4b4b3fe19f6d3e7",
         "262865951943370ba3058cc31310bf0d37a75061cde0c118b72da9c51b8344b2",
         "10ba3f2055cd7932a06c8137a3a13c044813e61ed382a7a4a885ce1e0deb4b45",
@@ -173,8 +170,8 @@ DENSE_GOLDEN = {
 class TestReproducibility:
     @pytest.mark.parametrize("case", sorted(EXIT_GOLDEN))
     def test_exit_estimates_are_pinned(self, case):
-        model, kw, want = EXIT_GOLDEN[case]
-        res = run_exit_mc(model, REFLECTED, SPEC, _cfg(**kw), g=IDENTITY)
+        model, want = EXIT_GOLDEN[case]
+        res = run_exit_mc(model, REFLECTED, SPEC, _cfg(), g=IDENTITY)
         assert _estimates(res) == want
 
     @pytest.mark.parametrize("case", sorted(OCCUPATION_GOLDEN))
@@ -190,8 +187,8 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("case", sorted(SAMPLE_GOLDEN))
     def test_per_path_records_are_pinned(self, case):
-        model, kw, want = SAMPLE_GOLDEN[case]
-        res = run_exit_mc(model, REFLECTED, SPEC, _cfg(**kw), g=IDENTITY, keep_samples=True)
+        model, want = SAMPLE_GOLDEN[case]
+        res = run_exit_mc(model, REFLECTED, SPEC, _cfg(), g=IDENTITY, keep_samples=True)
         assert _digests(res.samples) == dict(zip(SAMPLE_FIELDS, want))
         if model is JD:
             assert np.any(res.samples.x_post < SPEC.b)
@@ -264,9 +261,9 @@ ALIAS_GOLDEN = {
 # More than one chunk: chunk k draws from substream (seed, k) and the records
 # concatenate in chunk order.  A narrow band keeps each run under a second.
 NARROW = ExitSpec(0.0, 0.05, 0.1)
-# (model, config keywords, n_paths, estimates, digests)
+# (model, n_paths, estimates, digests)
 CHUNKED_GOLDEN = {
-    "bm": (BM, {}, _CHUNK + 2000, (
+    "bm": (BM, _CHUNK + 2000, (
         0.5066034799702447, 0.0021924226893322114, 0.4933654528061513,
         0.0021923890561021354, 0.5066153846153846, 0.002192474206626356, 0), (
         "bf98d5ceadb14b9016a5910057416603e04a36b11248206444150dbab34daf1a",
@@ -274,7 +271,7 @@ CHUNKED_GOLDEN = {
         "26e737067404eec2e9eb872bd59771a95ab91c49075df050570ac4c5e4d35053",
         "26e737067404eec2e9eb872bd59771a95ab91c49075df050570ac4c5e4d35053",
         "530add9ce334d7e6437d2369dd3852be60eda78264cee2921353bb1f7797664c")),
-    "jd": (JD, {}, _CHUNK + 2000, (
+    "jd": (JD, _CHUNK + 2000, (
         0.548121564481373, 0.002182429961983382, 0.45184775371350483,
         0.002182396770233602, 0.5481346153846154, 0.0021824819235709333, 0), (
         "21a0db8964f7b2914fc333dea0604acc1df4be7ce9e11530d64bcbc76a34943d",
@@ -296,9 +293,9 @@ class TestPinnedEdgeCases:
 
     @pytest.mark.parametrize("case", sorted(CHUNKED_GOLDEN))
     def test_several_chunks(self, case):
-        model, kw, n_paths, want, digests = CHUNKED_GOLDEN[case]
+        model, n_paths, want, digests = CHUNKED_GOLDEN[case]
         F = parse_bivariate("reflected:0.5", NARROW.a - NARROW.b)
-        cfg = MCConfig(dt=1e-4, n_paths=n_paths, seed=7, **kw)
+        cfg = MCConfig(dt=1e-4, n_paths=n_paths, seed=7)
         res = run_exit_mc(model, F, NARROW, cfg, keep_samples=True)
         assert _estimates(res) == want
         assert _digests(res.samples) == dict(zip(SAMPLE_FIELDS, digests))
@@ -308,8 +305,8 @@ class TestPinnedEdgeCases:
 def test_estimates_do_not_depend_on_the_worker_count(workers, monkeypatch):
     _use_workers(monkeypatch, workers)
     F = parse_bivariate("reflected:0.5", NARROW.a - NARROW.b)
-    for model, kw, n_paths, want, digests in CHUNKED_GOLDEN.values():
-        cfg = MCConfig(dt=1e-4, n_paths=n_paths, seed=7, **kw)
+    for model, n_paths, want, digests in CHUNKED_GOLDEN.values():
+        cfg = MCConfig(dt=1e-4, n_paths=n_paths, seed=7)
         res = run_exit_mc(model, F, NARROW, cfg, keep_samples=True)
         assert _estimates(res) == want
         assert _digests(res.samples) == dict(zip(SAMPLE_FIELDS, digests))
@@ -381,11 +378,12 @@ class TestWorkerFailures:
         with pytest.raises(ValueError, match="nan"):
             run_exit_mc(model, F, SPEC, _cfg())
 
-    def test_censoring_raises_in_the_parent(self):
+    def test_censoring_raises_in_the_parent(self, monkeypatch):
+        _cap(monkeypatch, 1e-3)
         with pytest.raises(RuntimeError, match="censored"):
-            run_exit_mc(BM, REFLECTED, SPEC, _cfg(t_cap=1e-3))
+            run_exit_mc(BM, REFLECTED, SPEC, _cfg())
         with pytest.raises(RuntimeError, match="censored"):
-            occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3))
+            occupation_mc(BM, LEVEL, SPEC, _cfg())
 
     def test_an_error_meanwhile_cancels_the_chunks_not_started(self, monkeypatch, tmp_path):
         # five chunks: the two workers take chunks 0 and 1 and the executor
@@ -488,29 +486,26 @@ def _count_record_writes(monkeypatch):
 # level sits inside the band, so its jump is crossed both ways.
 CONST = parse_bivariate("const:0.5", SPEC.a - SPEC.b)
 LEVEL_S = parse_bivariate("level:1,0.6", SPEC.a - SPEC.b)
-# (model, config keywords, integrands, reach, track)
+# (model, time-cap scale or None for the default, integrands, reach, track)
 REFERENCE_CASES = {
-    "bm": (BM, {}, [REFLECTED.eval_pairs], _REACH, True),
-    "bm_nobridge": (BM, {"bridge_correction": False}, [REFLECTED.eval_pairs], _REACH, True),
-    "bm_cap": (BM, {"t_cap": 0.2}, [REFLECTED.eval_pairs], _REACH, True),
-    "bm_dense": (BM, {}, [REFLECTED.eval_pairs], UNBOUNDED, True),
-    "jd_dense": (JD, {}, [REFLECTED.eval_pairs], UNBOUNDED, True),
-    "bm_alias": (BM, {}, [BivariatePotential(lambda s, x: s, bound=1.0).eval_pairs], _REACH,
+    "bm": (BM, None, [REFLECTED.eval_pairs], _REACH, True),
+    "bm_cap": (BM, 0.2, [REFLECTED.eval_pairs], _REACH, True),
+    "bm_dense": (BM, None, [REFLECTED.eval_pairs], UNBOUNDED, True),
+    "jd_dense": (JD, None, [REFLECTED.eval_pairs], UNBOUNDED, True),
+    "bm_alias": (BM, None, [BivariatePotential(lambda s, x: s, bound=1.0).eval_pairs], _REACH,
                  True),
-    "jd": (JD, {}, [REFLECTED.eval_pairs], _REACH, True),
-    "jd_nobridge": (JD, {"bridge_correction": False}, [REFLECTED.eval_pairs], _REACH, True),
-    "jd_cap": (JD, {"t_cap": 0.2}, [REFLECTED.eval_pairs], _REACH, True),
-    "jd_two": (JD, {}, [REFLECTED.eval_pairs,
-                        BivariatePotential(lambda s, x: x * x, bound=4.0).eval_pairs], _REACH,
+    "jd": (JD, None, [REFLECTED.eval_pairs], _REACH, True),
+    "jd_cap": (JD, 0.2, [REFLECTED.eval_pairs], _REACH, True),
+    "jd_two": (JD, None, [REFLECTED.eval_pairs,
+                          BivariatePotential(lambda s, x: x * x, bound=4.0).eval_pairs], _REACH,
                True),
-    "bm_untracked": (BM, {}, [LEVEL_S.eval_pairs], _REACH, False),
-    "bm_nobridge_untracked": (BM, {"bridge_correction": False}, [LEVEL_S.eval_pairs], _REACH,
-                              False),
-    "jd_untracked": (JD, {}, [CONST.eval_pairs, LEVEL_S.eval_pairs], _REACH, False),
-    "jd_cap_untracked": (JD, {"t_cap": 0.2}, [LEVEL_S.eval_pairs], _REACH, False),
+    "bm_untracked": (BM, None, [LEVEL_S.eval_pairs], _REACH, False),
+    "jd_untracked": (JD, None, [CONST.eval_pairs, LEVEL_S.eval_pairs], _REACH, False),
+    "jd_cap_untracked": (JD, 0.2, [LEVEL_S.eval_pairs], _REACH, False),
     # no potential that declares reads_sup=False reads s; this one pins what
     # an untracked run passes as s, through the jumps too
-    "jd_s_untracked": (JD, {}, [BivariatePotential(lambda s, x: np.abs(s), bound=2.0).eval_pairs],
+    "jd_s_untracked": (JD, None,
+                       [BivariatePotential(lambda s, x: np.abs(s), bound=2.0).eval_pairs],
                        _REACH, False),
 }
 
@@ -522,12 +517,14 @@ def test_passes_match_the_per_step_reference(case, entries, monkeypatch):
     # steps each path once per row with the same draws; with 1000 entries a
     # pass, the 2000 paths start in passes of one step each.  Every path's
     # record is written once, whichever slots it moved through.
-    model, kw, integrands, reach, track = REFERENCE_CASES[case]
+    model, cap, integrands, reach, track = REFERENCE_CASES[case]
     if entries is not None:
         monkeypatch.setattr(mc, "_PASS_ENTRIES", entries)
+    if cap is not None:
+        _cap(monkeypatch, cap)
     monkeypatch.setattr(mc, "_REACH", reach)
     _count_record_writes(monkeypatch)
-    cfg = _cfg(**kw)
+    cfg = _cfg()
     st, main, bridge = _record_chunk(model, cfg, 2000, integrands, monkeypatch, track)
     assert {name for name, _ in main} <= {"standard_normal", "exponential"}
     ref = reference_exit_chunk(model, SPEC, cfg, 2000, integrands, [d for _, d in main],
@@ -566,8 +563,7 @@ def test_skipping_the_supremum_changes_no_exit_and_no_sum(model, monkeypatch):
 
 
 @pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
-@pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "nobridge"])
-def test_draw_pattern(model, bridge, monkeypatch):
+def test_draw_pattern(model, monkeypatch):
     # the main stream draws K * m normals a pass, as one flat block: the
     # traced benchmark counts path-steps from that integer size.  The
     # uniforms come from the SFC64 stream of the first child spawned from
@@ -580,7 +576,7 @@ def test_draw_pattern(model, bridge, monkeypatch):
         shapes.append(x.shape)
         return REFLECTED.eval_pairs(s, x)
 
-    cfg = _cfg(bridge_correction=bridge)
+    cfg = _cfg()
     st, main, blocks = _record_chunk(model, cfg, n, [integrand], monkeypatch)
     normals = [d.size for name, d in main if name == "standard_normal"]
     # a pass's first integrand call sees its whole (K, m) block
@@ -600,9 +596,6 @@ def test_draw_pattern(model, bridge, monkeypatch):
         assert np.array_equal(main[0][1], main_rng.exponential(1.0 / JD.jump_rate, n))
     first = next(d for name, d in main if name == "standard_normal")
     assert np.array_equal(first, main_rng.standard_normal(first.size))
-    if not bridge:
-        assert not blocks
-        return
     assert len(blocks) == len(passes)
     uniforms = np.random.Generator(np.random.SFC64(seq.spawn(1)[0]))
     for (k, m), (hi, lo, u) in zip(passes, blocks):
@@ -652,6 +645,18 @@ def test_runs_that_read_no_supremum_do_not_track_it(monkeypatch):
     assert not res.sup_tracked
     assert [track for track, _ in runs] == [False, False]
     assert all(np.isnan(st.s_exit).all() for _, st in runs)
+
+
+@pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
+def test_time_integral_is_the_exit_functional_of_the_lifted_potential(model, monkeypatch):
+    # occupation_mc's (A) evaluates f itself, lifted to (s, x) as
+    # local_time_laplace lifts it, so each path's sum is the one run_exit_mc
+    # accumulates for the lifted potential, bit for bit
+    runs = _watch_tracking(monkeypatch)
+    occupation_mc(model, LEVEL, SPEC, _cfg())
+    run_exit_mc(model, BivariatePotential.from_univariate(LEVEL), SPEC, _cfg())
+    (_, occ), (_, lifted) = runs
+    assert np.array_equal(occ.acc[0], lifted.acc[0])
 
 
 def test_skipped_crossings_are_below_uniform_resolution():
@@ -717,7 +722,8 @@ class TestClosedForm:
             assert abs(det - est.mean) / est.std_error < 3.0
 
 
-# (censored count, sha256 of the censored mask) at t_cap = 0.2
+# (censored count, sha256 of the censored mask) at the time cap 0.2, a
+# _T_CAP_SCALE of 0.2, as (a-b)^2 / sigma^2 is 1
 CENSOR_GOLDEN = {
     "bm": (BM, 942, "37c0b82f8b62895385d556fb2e67029cb61f34947e6227eec8440761a6944083"),
     "jd": (JD, 744, "09b7f988d45c5624ce1054f78b5d75209ee24c5c8cbf20f1abf600231d897224"),
@@ -726,13 +732,16 @@ CENSOR_GOLDEN = {
 
 class TestCensoring:
     @pytest.mark.parametrize("case", sorted(CENSOR_GOLDEN))
-    def test_censored_paths_are_pinned(self, case):
+    def test_censored_paths_are_pinned(self, case, monkeypatch):
         model, count, digest = CENSOR_GOLDEN[case]
-        capped, free = (
-            _simulate_exit_chunk(model, SPEC, _cfg(t_cap=t_cap), _chunk_rng(7, 0), 2000,
-                                 [REFLECTED.eval_pairs])
-            for t_cap in (0.2, None)
-        )
+
+        def run():
+            return _simulate_exit_chunk(model, SPEC, _cfg(), _chunk_rng(7, 0), 2000,
+                                        [REFLECTED.eval_pairs])
+
+        free = run()
+        _cap(monkeypatch, 0.2)
+        capped = run()
         assert capped.censored.sum() == count
         assert hashlib.sha256(capped.censored.tobytes()).hexdigest() == digest
         assert not free.censored.any()
@@ -745,13 +754,15 @@ class TestCensoring:
             assert np.array_equal(getattr(capped, name)[done], getattr(free, name)[done])
         assert np.array_equal(capped.acc[:, done], free.acc[:, done])
 
-    def test_exit_mc_raises_on_censoring(self):
+    def test_exit_mc_raises_on_censoring(self, monkeypatch):
+        _cap(monkeypatch, 1e-3)
         with pytest.raises(RuntimeError, match="censored"):
-            run_exit_mc(BM, REFLECTED, SPEC, _cfg(t_cap=1e-3))
+            run_exit_mc(BM, REFLECTED, SPEC, _cfg())
 
-    def test_occupation_mc_raises_on_censoring(self):
+    def test_occupation_mc_raises_on_censoring(self, monkeypatch):
+        _cap(monkeypatch, 1e-3)
         with pytest.raises(RuntimeError, match="censored"):
-            occupation_mc(BM, LEVEL, SPEC, _cfg(t_cap=1e-3))
+            occupation_mc(BM, LEVEL, SPEC, _cfg())
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
@@ -760,9 +771,3 @@ def test_config_rejects_a_step_that_is_not_finite_and_positive(dt):
     with pytest.raises(ValueError, match="dt must be finite and > 0"):
         MCConfig(dt=dt, n_paths=2000)
 
-
-@pytest.mark.parametrize("t_cap", [0.0, -1.0, math.nan, math.inf])
-def test_config_rejects_a_time_cap_that_is_not_finite_and_positive(t_cap):
-    # NaN or inf would quietly turn the cap off; 0 or less censors every path
-    with pytest.raises(ValueError, match="t_cap must be finite and > 0"):
-        MCConfig(dt=1e-3, n_paths=2000, t_cap=t_cap)
