@@ -94,10 +94,6 @@ def test_zero_paths_is_a_usage_error(command, capsys):
     assert "--paths/--dt" in capsys.readouterr().err
 
 
-# a config file argument: the test writes this text to a file and passes its path
-BRIDGE_ON = "bridge = on\n"
-
-
 @pytest.mark.parametrize("argv", [
     ["exit", *BM_SPEC, "--grid-outer", "4"],
     ["conditional", *BM_SPEC, "--grid-outer", "4"],
@@ -124,17 +120,11 @@ BRIDGE_ON = "bridge = on\n"
     ["exit", *BM_SPEC, "--potential", "level:1,nan"],
     ["exit", *BM_SPEC, "--potential", "indicator:1,nan"],
     ["exit", *BM_SPEC, "--g", "const:nan"],
-    # the bridge correction has no switch: argparse rejects the flags, and
-    # the config file rule the key
+    # the bridge correction has no switch: argparse rejects the flags
     ["mc-verify", *BM_SPEC, "--bridge"],
     ["mc-verify", *BM_SPEC, "--no-bridge"],
-    ["mc-verify", *BM_SPEC, "--config", BRIDGE_ON],
 ])
-def test_values_the_library_rejects_are_usage_errors(argv, tmp_path, capsys):
-    if BRIDGE_ON in argv:
-        config = tmp_path / "run.cfg"
-        config.write_text(BRIDGE_ON)
-        argv = [str(config) if arg == BRIDGE_ON else arg for arg in argv]
+def test_values_the_library_rejects_are_usage_errors(argv, capsys):
     try:
         status = main(argv)
     except SystemExit as exc:  # argparse exits itself on an unknown flag
@@ -239,6 +229,17 @@ def test_seed_precedence(flag, config_seed, want, tmp_path, monkeypatch, capsys)
         argv += ["--config", str(config)]
     main(argv)
     assert json.loads(capsys.readouterr().out)["mc_config"]["seed"] == want
+
+
+@pytest.mark.parametrize("value", ["on", "off", "YES", "flase", ""])
+def test_the_bridge_key_is_unknown_whatever_its_value(value, tmp_path, capsys):
+    # the key once took a true/false spelling; now the value is never read
+    config = tmp_path / "run.cfg"
+    config.write_text(f"bridge = {value}\n")
+    assert main([*MC_VERIFY, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'bridge' on line 1" in err
+    assert "mc-verify has no --bridge flag" in err
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):

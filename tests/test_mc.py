@@ -486,24 +486,37 @@ def _count_record_writes(monkeypatch):
 # level sits inside the band, so its jump is crossed both ways.
 CONST = parse_bivariate("const:0.5", SPEC.a - SPEC.b)
 LEVEL_S = parse_bivariate("level:1,0.6", SPEC.a - SPEC.b)
+# sigma = 2 puts (a-b)^2 / sigma^2 at 1/4: a time-cap scale of 0.4 censors at 0.1
+BM_SIGMA2 = make_brownian(0.3, 2.0)
+JD_SIGMA2 = make_exp_jump_diffusion(2.0, 2.0, 1.0, 0.5)
 # (model, time-cap scale or None for the default, integrands, reach, track)
 REFERENCE_CASES = {
     "bm": (BM, None, [REFLECTED.eval_pairs], _REACH, True),
     "bm_cap": (BM, 0.2, [REFLECTED.eval_pairs], _REACH, True),
+    "bm_cap_sigma2": (BM_SIGMA2, 0.4, [REFLECTED.eval_pairs], _REACH, True),
+    "jd_cap_sigma2": (JD_SIGMA2, 0.4, [REFLECTED.eval_pairs], _REACH, True),
     "bm_dense": (BM, None, [REFLECTED.eval_pairs], UNBOUNDED, True),
     "jd_dense": (JD, None, [REFLECTED.eval_pairs], UNBOUNDED, True),
     "bm_alias": (BM, None, [BivariatePotential(lambda s, x: s, bound=1.0).eval_pairs], _REACH,
                  True),
     "jd": (JD, None, [REFLECTED.eval_pairs], _REACH, True),
     "jd_cap": (JD, 0.2, [REFLECTED.eval_pairs], _REACH, True),
+    "bm_two": (BM, None, [REFLECTED.eval_pairs,
+                          BivariatePotential(lambda s, x: x * x, bound=4.0).eval_pairs], _REACH,
+               True),
     "jd_two": (JD, None, [REFLECTED.eval_pairs,
                           BivariatePotential(lambda s, x: x * x, bound=4.0).eval_pairs], _REACH,
                True),
     "bm_untracked": (BM, None, [LEVEL_S.eval_pairs], _REACH, False),
+    "bm_dense_untracked": (BM, None, [LEVEL_S.eval_pairs], UNBOUNDED, False),
+    "bm_cap_untracked": (BM, 0.2, [LEVEL_S.eval_pairs], _REACH, False),
     "jd_untracked": (JD, None, [CONST.eval_pairs, LEVEL_S.eval_pairs], _REACH, False),
     "jd_cap_untracked": (JD, 0.2, [LEVEL_S.eval_pairs], _REACH, False),
     # no potential that declares reads_sup=False reads s; this one pins what
     # an untracked run passes as s, through the jumps too
+    "bm_s_untracked": (BM, None,
+                       [BivariatePotential(lambda s, x: np.abs(s), bound=2.0).eval_pairs],
+                       _REACH, False),
     "jd_s_untracked": (JD, None,
                        [BivariatePotential(lambda s, x: np.abs(s), bound=2.0).eval_pairs],
                        _REACH, False),
@@ -562,13 +575,15 @@ def test_skipping_the_supremum_changes_no_exit_and_no_sum(model, monkeypatch):
     assert tracked.acc[1].min() < tracked.acc[1].max()  # the level potential was crossed
 
 
-@pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
-def test_draw_pattern(model, monkeypatch):
+@pytest.mark.parametrize("model,track", [(BM, True), (JD, True), (BM, False)],
+                         ids=["bm", "jd", "bm_untracked"])
+def test_draw_pattern(model, track, monkeypatch):
     # the main stream draws K * m normals a pass, as one flat block: the
     # traced benchmark counts path-steps from that integer size.  The
     # uniforms come from the SFC64 stream of the first child spawned from
     # the chunk's seed sequence, one for each step of each path within
-    # reach, in one block a pass.
+    # reach (of the running maximum, or of a when untracked), in one block
+    # a pass.
     n = 2000
     shapes = []
 
@@ -577,7 +592,7 @@ def test_draw_pattern(model, monkeypatch):
         return REFLECTED.eval_pairs(s, x)
 
     cfg = _cfg()
-    st, main, blocks = _record_chunk(model, cfg, n, [integrand], monkeypatch)
+    st, main, blocks = _record_chunk(model, cfg, n, [integrand], monkeypatch, track)
     normals = [d.size for name, d in main if name == "standard_normal"]
     # a pass's first integrand call sees its whole (K, m) block
     passes = [shape for shape in shapes if len(shape) == 2]
@@ -771,3 +786,8 @@ def test_config_rejects_a_step_that_is_not_finite_and_positive(dt):
     with pytest.raises(ValueError, match="dt must be finite and > 0"):
         MCConfig(dt=dt, n_paths=2000)
 
+
+@pytest.mark.parametrize("n_paths", [0, 1, 99])
+def test_config_rejects_fewer_than_a_hundred_paths(n_paths):
+    with pytest.raises(ValueError, match="n_paths must be >= 100"):
+        MCConfig(dt=1e-3, n_paths=n_paths)
