@@ -49,6 +49,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .generalized import (
+    DEFAULT_INNER,
+    DEFAULT_OUTER,
     ExitSpec,
     conditional_curve,
     evaluate_exit,
@@ -142,8 +144,8 @@ _DEFAULTS = {
     "g": "one",
     "paths": 100000,
     "dt": 1e-4,
-    "grid_outer": 129,
-    "grid_inner": 1024,
+    "grid_outer": DEFAULT_OUTER,
+    "grid_inner": DEFAULT_INNER,
     "b": None,
     "x": None,
     "a": None,

@@ -171,43 +171,22 @@ def kappa(model: LevyModel, F: BivariatePotential, b: float, z: float, n: int) -
 # ---------------------------------------------------------------------------
 
 
-def _functional_grids(model, F, b, nodes, n_inner, guard_step, need_kappa=True):
-    """iota (and optionally kappa) on outer nodes, guarding the barrier edge.
+def _functional_grids(model, F, b, nodes, n_inner):
+    """iota and kappa on outer nodes, each from its own frozen solve on ``[b, s]``.
 
-    The frozen solves of the outer nodes are marched in blocks of at most
-    ``_ROW_BLOCK`` rows.  The march keeps O(1) state per row, but a block
-    holds about ten arrays of ``rows x (n_inner + 1)`` (nodes, lattice,
-    kernel, potential samples, the W and Z columns and their temporaries),
-    so the block size bounds the memory of a solve.  Frozen solves for iota
-    on a sliver ``[b, s]`` with ``s - b`` under ten outer steps are skipped:
-    the log-derivative gap there is a difference of two nearly singular
-    terms.  iota is bounded near the barrier, so a linear extrapolation from
-    the two nearest resolved nodes stands in; fewer than two is an error.
-    kappa has no such cancellation and is always evaluated directly.
+    The solves are marched in blocks of at most ``_ROW_BLOCK`` rows.  The
+    march keeps O(1) state per row, but a block holds about ten arrays of
+    ``rows x (n_inner + 1)`` (nodes, lattice, kernel, potential samples, the
+    W and Z columns and their temporaries), so the block size bounds the
+    memory of a solve.  Each lattice scales with its own ``[b, s]``, so
+    iota's error does not grow as ``s`` nears the barrier.
     """
     nodes = np.asarray(nodes, dtype=float)
-    iotas = np.empty_like(nodes)
-    kappas = np.empty_like(nodes) if need_kappa else None
-    valid = (nodes - b) >= 10.0 * guard_step
-    if np.count_nonzero(valid) < 2:
-        raise ValueError(
-            "fewer than two outer nodes sit ten steps clear of the barrier; "
-            "refine the outer grid or move x away from b"
-        )
-    rows = np.flatnonzero(valid | need_kappa)
-    for block in np.array_split(rows, -(-rows.size // _ROW_BLOCK)):
+    iotas, kappas = np.empty_like(nodes), np.empty_like(nodes)
+    for block in np.array_split(np.arange(nodes.size), -(-nodes.size // _ROW_BLOCK)):
         w, wp, z, zp = _frozen_ends(model, F, b, nodes[block], n_inner)
-        ok = valid[block]
-        iotas[block[ok]] = _iota_values(model, b, nodes[block[ok]], w[ok], wp[ok])
-        if need_kappa:
-            kappas[block] = _kappa_values(w, wp, z, zp)
-    bad = np.flatnonzero(~valid)
-    if bad.size:
-        good = np.flatnonzero(valid)[:2]
-        s0, s1 = nodes[good[0]], nodes[good[1]]
-        i0, i1 = iotas[good[0]], iotas[good[1]]
-        slope = (i1 - i0) / (s1 - s0)
-        iotas[bad] = np.maximum(i0 + slope * (nodes[bad] - s0), 0.0)
+        iotas[block] = _iota_values(model, b, nodes[block], w, wp)
+        kappas[block] = _kappa_values(w, wp, z, zp)
     return iotas, kappas
 
 
@@ -221,7 +200,7 @@ def _level_pass(model, F, b, lo, hi, n_outer, n_inner):
         raise ValueError("n_outer must be an odd node count >= 5")
     nodes = np.linspace(lo, hi, n_outer)
     h = (hi - lo) / (n_outer - 1)
-    iotas, kappas = _functional_grids(model, F, b, nodes, n_inner, guard_step=h)
+    iotas, kappas = _functional_grids(model, F, b, nodes, n_inner)
     return nodes, h, iotas, kappas, cumulative_simpson(iotas, h)
 
 
@@ -384,9 +363,7 @@ def z_f_truncated(
     nodes = np.linspace(b, x, n_outer)
     h = (x - b) / (n_outer - 1)
     iot = np.zeros(n_outer)
-    iot[1:], _ = _functional_grids(
-        model, F, b, nodes[1:], n_inner, guard_step=h, need_kappa=False
-    )
+    iot[1:], _ = _functional_grids(model, F, b, nodes[1:], n_inner)
     cum_bx = composite_simpson(iot, h)
     w_x = wq(model, 0.0, x - b)
     wf_x = w_x * math.exp(cum_bx)

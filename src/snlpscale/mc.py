@@ -865,6 +865,25 @@ class OccupationMCResult:
     mean_abs_discrepancy: float
 
 
+def _uniform_interp(fine: np.ndarray, cum: np.ndarray) -> Callable:
+    """``np.interp(., fine, cum)`` bit for bit on a ``np.linspace`` grid whose end
+    cells are flat: the step gives the cell, and one move either way corrects it."""
+    lo, last = fine[0], fine.size - 2
+    inv_h = (fine.size - 1) / (fine[-1] - lo)
+    slope = np.diff(cum) / np.diff(fine)
+
+    def lookup(y):
+        j = np.clip(((y - lo) * inv_h).astype(np.intp), 0, last)
+        j -= (y < fine[j]) & (j > 0)
+        j += (y >= fine[j + 1]) & (j < last)
+        out = y - fine[j]
+        out *= slope[j]
+        out += cum[j]
+        return out
+
+    return lookup
+
+
 def occupation_mc(
     model: LevyModel,
     f_x: UnivariatePotential,
@@ -886,6 +905,7 @@ def occupation_mc(
         ValueError: if the bandwidth is unresolvable by the fine table.
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
+    cfg.warn_if_coarse(spec)
     b, a = spec.b, spec.a
     w = 2.0 * np.sqrt(cfg.dt)
     fine_n = 4096
@@ -899,11 +919,11 @@ def occupation_mc(
     fvals = np.zeros(fine_n)
     fvals[inside] = f_x.eval_array(fine[inside])
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (fvals[1:] + fvals[:-1]) * np.diff(fine))])
-
+    table = _uniform_interp(fine, cum)  # f is 0 on the 2w margins: flat end cells
     point_rate = BivariatePotential.from_univariate(f_x).eval_pairs
 
     def smoothed_rate(s, xs):
-        return (np.interp(xs + w, fine, cum) - np.interp(xs - w, fine, cum)) / (2.0 * w)
+        return (table(xs + w) - table(xs - w)) / (2.0 * w)
 
     start = time.perf_counter()
     st = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], track=False)

@@ -110,17 +110,50 @@ def partial_fraction_z(model, q, x):
     return float(1.0 + q * total.real)
 
 
+def _jd_terms_mpmath(model, q, x, digits):
+    """``(theta, e^{theta x}/psi'(theta))`` over the cubic's roots; call in ``workdps``."""
+    params = (model.mu, model.sigma**2, model.jump_rate, model.eta)
+    mu, s2, rate, eta = (mp.mpf(v) for v in params)
+    q, x = mp.mpf(q), mp.mpf(x)
+    cubic = [s2 / 2, mu + eta * s2 / 2, eta * mu - rate - q, -q * eta]
+    return [
+        (th, mp.exp(th * x) / (mu + s2 * th - rate * eta / (eta + th) ** 2))
+        for th in mp.polyroots(cubic, maxsteps=200, extraprec=2 * digits)
+    ]
+
+
 def w_mpmath(model, q, x, digits=60):
     """``W^{(q)}(x)`` of the jump family from the same partial fractions in mpmath."""
     with mp.workdps(digits):
-        params = (model.mu, model.sigma**2, model.jump_rate, model.eta)
-        mu, s2, rate, eta = (mp.mpf(v) for v in params)
-        q, x = mp.mpf(q), mp.mpf(x)
-        cubic = [s2 / 2, mu + eta * s2 / 2, eta * mu - rate - q, -q * eta]
-        total = 0
-        for th in mp.polyroots(cubic, maxsteps=200, extraprec=2 * digits):
-            total += mp.exp(th * x) / (mu + s2 * th - rate * eta / (eta + th) ** 2)
-        return float(mp.re(total))
+        return float(mp.re(sum(term for _, term in _jd_terms_mpmath(model, q, x, digits))))
+
+
+def _w_log_derivative_mpmath(model, q, x, digits):
+    """``W^{(q)'}(x)/W^{(q)}(x)`` in mpmath; call in ``workdps``.
+
+    Brownian motion: ``-mu/sigma^2 + delta coth(delta x)`` with ``delta =
+    sqrt(mu^2 + 2 q sigma^2)/sigma^2``, and ``1/x`` when ``delta = 0``.  The
+    jump family: the partial fractions of :func:`w_mpmath`.
+    """
+    if model.family is Family.BROWNIAN_DRIFT:
+        mu, s2, x = mp.mpf(model.mu), mp.mpf(model.sigma) ** 2, mp.mpf(x)
+        delta = mp.sqrt(mu**2 + 2 * mp.mpf(q) * s2) / s2
+        return -mu / s2 + (1 / x if delta == 0 else delta * mp.coth(delta * x))
+    terms = _jd_terms_mpmath(model, q, x, digits)
+    return mp.re(sum(th * t for th, t in terms)) / mp.re(sum(t for _, t in terms))
+
+
+def constant_iota_mpmath(model, q, x, digits=50):
+    """iota of the constant potential ``q`` at ``s - b = x``: ``W_q'/W_q - W'/W``.
+
+    The classical form of Li & Palmowski (2018); evaluated in mpmath, because
+    both log-derivatives grow like ``1/x`` and cancel near the barrier.
+    """
+    with mp.workdps(digits):
+        return float(
+            _w_log_derivative_mpmath(model, q, x, digits)
+            - _w_log_derivative_mpmath(model, 0.0, x, digits)
+        )
 
 
 def product_trapezoid_march(kernel, fvals, h, inhom):

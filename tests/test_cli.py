@@ -1,6 +1,7 @@
 """CLI exit codes and report rows."""
 
 import json
+import math
 import multiprocessing
 import os
 
@@ -101,12 +102,6 @@ def test_zero_paths_is_a_usage_error(command, capsys):
     ["exit", *BM_SPEC, "--grid-inner", "8"],
     ["local-time", *BM_SPEC, "--grid-inner", "8"],
     ["scale-table", "--model", "bm:0,1", "--a", "1", "--grid-inner", "1"],
-    # every outer node lies within ten outer steps of b
-    ["exit", "--model", "bm:0,1", "--b", "0", "--x", "0.01", "--a", "1",
-     "--grid-outer", "5", "--grid-inner", "16"],
-    # one outer node clears the guard, too few to extrapolate iota from
-    ["exit", "--model", "bm:0,1", "--b", "0", "--x", "0.62", "--a", "1",
-     "--potential", "const:0.5", "--grid-outer", "5", "--grid-inner", "16"],
     # the library alone checks q and the table limit; NaN passes ``q < 0``
     ["scale-table", "--model", "bm:0,1", "--q", "nan", "--a", "1"],
     ["scale-table", "--model", "bm:0,1", "--q", "-1", "--a", "1"],
@@ -133,6 +128,23 @@ def test_values_the_library_rejects_are_usage_errors(argv, capsys):
     else:
         assert capsys.readouterr().err.startswith("error: ")
     assert status == 2
+
+
+@pytest.mark.parametrize("x,potential", [("0.01", "const:0"), ("0.62", "const:0.5")])
+def test_outer_nodes_near_the_barrier_are_solved(x, potential, capsys):
+    # every outer node (x = 0.01), or all but one (x = 0.62), lies within ten
+    # outer steps of b; each is solved, so the run reports its refinement
+    argv = ["exit", "--model", "bm:0,1", "--b", "0", "--x", x, "--a", "1",
+            "--potential", potential, "--grid-outer", "5", "--grid-inner", "16"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "error" not in doc
+    assert doc["diagnostics"]["converged"] is False
+    if potential == "const:0.5":
+        # delta = sqrt(2 * 0.5) = 1 on [0, 1]
+        xv = float(x)
+        assert doc["up_laplace"] == pytest.approx(math.sinh(xv) / math.sinh(1.0), abs=1e-5)
+        assert doc["down_value"] == pytest.approx(math.sinh(1.0 - xv) / math.sinh(1.0), abs=1e-5)
 
 
 def test_numerical_failure_exits_one_with_error_document(capsys):

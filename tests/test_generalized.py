@@ -27,7 +27,12 @@ from snlpscale import (
 from snlpscale import generalized
 from snlpscale.quadrature import composite_simpson
 
-from conftest import partial_fraction_w, partial_fraction_z, route_constancy_ratios
+from conftest import (
+    constant_iota_mpmath,
+    partial_fraction_w,
+    partial_fraction_z,
+    route_constancy_ratios,
+)
 
 ZERO = BivariatePotential(lambda s, x: 0.0 * s, bound=0.0, name="zero")
 HALF = BivariatePotential(lambda s, x: 0.5 + 0.0 * s, bound=0.5, name="half")
@@ -54,6 +59,16 @@ class TestIota:
     def test_rejects_bad_level(self, bm_driftless):
         with pytest.raises(ValueError):
             iota(bm_driftless, HALF, 0.0, 0.0, 128)
+
+    @pytest.mark.parametrize("model", ["bm_driftless", "jd_drifting"])
+    def test_outer_pass_matches_closed_form_at_every_distance(self, model, request):
+        # each frozen solve's lattice scales with [b, s], so the error does not
+        # grow as s nears the barrier
+        model = request.getfixturevalue(model)
+        levels = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])
+        iotas, _ = generalized._functional_grids(model, HALF, 0.0, levels, 1024)
+        want = [constant_iota_mpmath(model, 0.5, s) for s in levels]
+        assert iotas == pytest.approx(want, rel=3e-6, abs=0.0)
 
 
 class TestKappa:
@@ -315,21 +330,22 @@ class TestDiagnostics:
 
 # evaluate_exit at 9/32 without refinement, on b=0, x=0.5, a=1:
 # (up_laplace, down_value, iota on the outer grid, kappa on the outer grid).
-# The first two iota nodes sit within ten outer steps of the barrier and come
-# from the extrapolation guard.
+# Each node's iota and kappa come from its own frozen solve on [b, s], the
+# two nodes nearest the barrier included; the level rows read iota = 0 there,
+# below the threshold r.
 GOLDEN_MODELS = {"bm": make_brownian(0.3, 1.0), "jd": make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5)}
 EXIT_GOLDEN = {
     ("bm", "const:0.5"): (
-        0.5097975987865513, 0.3777460172203387,
-        [0.16453833463274292, 0.18341491164309454, 0.20229148865344615, 0.22116806566379776,
+        0.5098222715139679, 0.37776170059428094,
+        [0.1635575876077051, 0.18307934720436414, 0.20229148865344615, 0.22116806566379776,
          0.23968545549860942, 0.2578224377410129, 0.27556024085559694, 0.29288255785321915,
          0.3097755329372056],
         [1.6457193367273666, 1.4188308613788694, 1.236873041498955, 1.0877219602557882,
          0.9632916699039141, 0.8579803420545293, 0.7677824383005161, 0.6897560967569083,
          0.6216903302011564]),
     ("bm", "reflected:0.5"): (
-        0.5611632076973108, 0.41009507675611007,
-        [0.01890754144608553, 0.025442990074791894, 0.03197843870349826,
+        0.5611169434840888, 0.41006579414078514,
+        [0.020615540741366623, 0.026005352057636433, 0.03197843870349826,
          0.03851388733220462, 0.045587345109253, 0.05317099855442142, 0.06123363324525832,
          0.06974077814569113, 0.07865493548834501],
         [1.6972888920486284, 1.4727483950280007, 1.292348493209638, 1.144012663526486,
@@ -343,16 +359,16 @@ EXIT_GOLDEN = {
          1.0350770684548978, 0.9197590737787982, 0.8160769491990179, 0.7308603381256692,
          0.654721373972824]),
     ("jd", "const:0.5"): (
-        0.7350742979679448, 0.1798724444329659,
-        [0.14443698299287577, 0.15425387726192558, 0.16407077153097538, 0.17388766580002518,
+        0.7351931376469951, 0.17989747945725598,
+        [0.14105176418016108, 0.15316029522454844, 0.16407077153097538, 0.17388766580002518,
          0.18272236490098953, 0.19068576289985734, 0.1978831919329505, 0.20441132127059664,
          0.21035659077742094],
         [0.7853762010673451, 0.6352790107876384, 0.5236317443427063, 0.43863081372787055,
          0.3725710132877332, 0.3202649072163635, 0.2781337880461132, 0.24365912058321193,
          0.21503843242730997]),
     ("jd", "reflected:0.5"): (
-        0.7927465903006216, 0.19104816867938737,
-        [0.016384137530102594, 0.019742423081253402, 0.02310070863240421,
+        0.792746154205696, 0.19104805771515104,
+        [0.01642032608436028, 0.019739977220586735, 0.02310070863240421,
          0.026458994183555018, 0.029783075723152697, 0.03305126333409569,
          0.036249974820286246, 0.03937178512951822, 0.042413659120320774],
         [0.8052157279842743, 0.6537631467691133, 0.54066615363434, 0.4542061488992018,
@@ -366,6 +382,19 @@ EXIT_GOLDEN = {
          0.38849724015587206, 0.33173093196219156, 0.28527716264813374, 0.24851339307650247,
          0.2178809280181656]),
 }
+
+
+@pytest.mark.parametrize("model_name", sorted(GOLDEN_MODELS))
+def test_golden_iota_is_solved_at_the_barrier_nodes(model_name):
+    # the two nodes nearest b carry only the march's own error
+    model = GOLDEN_MODELS[model_name]
+    spec = ExitSpec(0.0, 0.5, 1.0)
+    res = evaluate_exit(
+        model, parse_bivariate("const:0.5", 1.0), spec, n_outer=9, n_inner=32, refine=False
+    )
+    near = res.iota_grid[:2]
+    want = [constant_iota_mpmath(model, 0.5, s - spec.b) for s in near[:, 0]]
+    assert near[:, 1] == pytest.approx(want, rel=1.5e-3, abs=0.0)
 
 
 def test_exit_spec_rejects_an_infinite_barrier():

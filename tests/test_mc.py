@@ -674,6 +674,33 @@ def test_time_integral_is_the_exit_functional_of_the_lifted_potential(model, mon
     assert np.array_equal(occ.acc[0], lifted.acc[0])
 
 
+@pytest.mark.parametrize("potential", ["const:0.5", "level:1,0.6"])
+def test_occupation_table_lookup_is_np_interp_bit_for_bit(potential, monkeypatch):
+    tables, build = [], mc._uniform_interp
+    monkeypatch.setattr(mc, "_uniform_interp", lambda *t: tables.append(t) or build(*t))
+    occupation_mc(BM, parse_univariate(potential), SPEC, MCConfig(dt=1e-3, n_paths=200, seed=1))
+    (fine, cum), = tables
+    lookup = build(fine, cum)
+    rng = np.random.default_rng(5)
+    y = np.concatenate([
+        rng.uniform(fine[0], fine[-1], 200000),
+        fine, np.nextafter(fine, -np.inf), np.nextafter(fine, np.inf),
+        # jd paths overshoot below b, by more than the table's margin
+        [fine[0] - 3.0, fine[0] - 1e-9, fine[-1] + 1e-9, fine[-1] + 3.0],
+    ])
+    assert np.array_equal(lookup(y).view(np.int64), np.interp(y, fine, cum).view(np.int64))
+
+
+def test_a_coarse_step_warns_for_the_exit_and_the_occupation_runs():
+    model, spec = make_brownian(0.0, 1.0), ExitSpec(0.0, 0.5, 1.0)
+    f_x = parse_univariate("const:0.5")
+    cfg = MCConfig(dt=0.05, n_paths=200, seed=1)
+    with pytest.warns(UserWarning, match="coarse"):
+        run_exit_mc(model, BivariatePotential.from_univariate(f_x), spec, cfg)
+    with pytest.warns(UserWarning, match="coarse"):
+        occupation_mc(model, f_x, spec, cfg)
+
+
 def test_skipped_crossings_are_below_uniform_resolution():
     assert math.exp(-2 * _REACH) < 2**-53
 
