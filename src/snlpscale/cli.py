@@ -8,12 +8,12 @@ Subcommands
 ``mc-verify``     deterministic values against Monte Carlo, with z-scores
 ``local-time``    Laplace transform of the potential-weighted local time
 
-All commands emit a versioned JSON document (``"schema": 6``) to stdout or
+All commands emit a versioned JSON document (``"schema": 7``) to stdout or
 ``--out``.  ``exit``, ``mc-verify`` and ``local-time`` carry the refinement
-diagnostics under ``diagnostics``; ``mc-verify`` adds the Monte Carlo run's
-chunk, pass, step, path-step and bridge-uniform counts under
-``diagnostics.mc``, with whether it tracked the supremum, and solves
-the deterministic side while its worker processes step the paths.  A flat
+diagnostics under ``diagnostics``.  ``mc-verify``, ``conditional`` and
+``local-time`` solve the deterministic side while the worker processes step
+the paths, and put the Monte Carlo run's counts under ``diagnostics.mc``
+(``conditional`` has ``diagnostics`` only when Monte Carlo ran).  A flat
 ``key = value`` config file provides defaults; explicit flags override it, and
 the ``SNLP_SCALE_SEED`` environment variable backs the seed.  Its keys are the
 running command's flag names without the leading ``--`` (``grid-outer`` or
@@ -69,7 +69,7 @@ from .potentials import (
 )
 from .scale import make_scale_table
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 _NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
@@ -199,6 +199,17 @@ def _mc_config(args, config, n_paths) -> MCConfig:
         raise UsageError(f"--paths/--dt: {exc}") from exc
 
 
+def _solve_while_stepping(cfg, solve, simulate):
+    """``(solve(), simulate(meanwhile=solve))``, or ``(solve(), None)`` when
+    ``cfg`` is None.  The commands pass lambdas, so that the library functions
+    are looked up in this module at call time, where a tracer may wrap them."""
+    if cfg is None:
+        return solve(), None
+    solved = []
+    result = simulate(meanwhile=lambda: solved.append(solve()))
+    return solved[0], result
+
+
 def _optional_mc_config(args, config) -> Optional[MCConfig]:
     """Monte Carlo settings when ``--paths`` or the config file sets a path count.
 
@@ -299,8 +310,11 @@ def _cmd_exit(args, config) -> dict:
 def _cmd_conditional(args, config) -> dict:
     p = _problem_from(args, config)
     cfg = _optional_mc_config(args, config)
-    nodes, curve = conditional_curve(
-        p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner
+    (nodes, curve), mc = _solve_while_stepping(
+        cfg,
+        lambda: conditional_curve(p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner),
+        lambda meanwhile: conditional_mc(p.model, p.F, p.spec, cfg,
+                                         max(4, (p.n_outer - 1) // 16), meanwhile=meanwhile),
     )
     density = [
         supremum_density(p.model, p.spec, float(z)) if z < p.spec.a else None for z in nodes
@@ -312,13 +326,13 @@ def _cmd_conditional(args, config) -> dict:
         "supremum_density": density,
         "supremum_atom": supremum_atom(p.model, p.spec),
     }
-    if cfg is not None:
-        mc = conditional_mc(p.model, p.F, p.spec, cfg, max(4, (p.n_outer - 1) // 16))
+    if mc is not None:
         # each bin is paired with this command's own curve, at the bin midpoint
         doc["mc_bins"] = [
             {**asdict(bn), "deterministic": float(np.interp(bn.midpoint, nodes, curve))}
             for bn in mc.bins + [mc.up_bin]
         ]
+        doc["diagnostics"] = {"mc": mc.diagnostics}
     return doc
 
 
@@ -368,15 +382,12 @@ def _cmd_mc_verify(args, config) -> dict:
     g = parse_g(g_spec)
     cfg = _mc_config(args, config, _resolve(args, config, "paths", cast=int))
 
-    solved = []
-    # the deterministic side is solved while the worker processes step the paths
-    mc = run_exit_mc(
-        p.model, p.F, p.spec, cfg, g=g, keep_samples=bool(args.csv),
-        meanwhile=lambda: solved.append(
-            evaluate_exit(p.model, p.F, p.spec, g=g, n_outer=p.n_outer, n_inner=p.n_inner)
-        ),
+    det_result, mc = _solve_while_stepping(
+        cfg,
+        lambda: evaluate_exit(p.model, p.F, p.spec, g=g, n_outer=p.n_outer, n_inner=p.n_inner),
+        lambda meanwhile: run_exit_mc(p.model, p.F, p.spec, cfg, g=g,
+                                      keep_samples=bool(args.csv), meanwhile=meanwhile),
     )
-    (det_result,) = solved
     det = {
         "up_laplace": det_result.up_laplace,
         "down_value": det_result.down_value,
@@ -392,12 +403,7 @@ def _cmd_mc_verify(args, config) -> dict:
         "n_censored": mc.n_censored,
         "report": report["rows"],
         "pass": report["pass"],
-        "diagnostics": {
-            **det_result.diagnostics,
-            "mc": {"chunks": mc.chunks, "passes": mc.passes, "steps": mc.steps,
-                   "path_steps": mc.path_steps, "uniforms": mc.uniforms,
-                   "sup_tracked": mc.sup_tracked},
-        },
+        "diagnostics": {**det_result.diagnostics, "mc": mc.diagnostics},
     }
     if args.csv:
         mc.samples.to_csv(args.csv)
@@ -408,12 +414,13 @@ def _cmd_mc_verify(args, config) -> dict:
 def _cmd_local_time(args, config) -> dict:
     p = _problem_from(args, config, position_only=True)
     cfg = _optional_mc_config(args, config)
-    value, diagnostics = local_time_laplace(
-        p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner
+    (value, diagnostics), occ = _solve_while_stepping(
+        cfg,
+        lambda: local_time_laplace(p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner),
+        lambda meanwhile: occupation_mc(p.model, p.F, p.spec, cfg, meanwhile=meanwhile),
     )
     doc = {**p.header("local-time"), "laplace": value, "diagnostics": diagnostics}
-    if cfg is not None:
-        occ = occupation_mc(p.model, p.F, p.spec, cfg)
+    if occ is not None:
         report = verify_report(
             {"local_time_laplace": value}, {"local_time_laplace": occ.time_integral_laplace}
         )
@@ -430,6 +437,7 @@ def _cmd_local_time(args, config) -> dict:
         }
         doc["report"] = report["rows"]
         doc["pass"] = report["pass"]
+        doc["diagnostics"] = {**diagnostics, "mc": occ.diagnostics}
     return doc
 
 
@@ -528,9 +536,7 @@ def main(argv=None) -> int:
         )
         return 1
     _emit(doc, args.out)
-    if args.command in ("mc-verify", "local-time") and doc.get("pass") is False:
-        return 1
-    if doc.get("diagnostics", {}).get("converged") is False:
+    if doc.get("pass") is False or doc.get("diagnostics", {}).get("converged") is False:
         return 1
     return 0
 

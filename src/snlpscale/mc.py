@@ -47,16 +47,19 @@ path's output column.  When ``d`` paths finish, the live paths of the last
 ``d`` slots move into their holes, so a pass costs in proportion to the live
 paths times ``K`` plus the finished ones, and slots are not in path order.
 
-``_collect_states`` splits the paths into chunks of ``_CHUNK`` (50000), the
-last one shorter, and owns the censoring gate for both entry points: paths
-that reach the time cap are censored, and a censored fraction above 0.1%
-raises.  The chunks run in forked worker processes, one per core this
-process may run on and at most one per chunk; the run stays in process,
-with one worker, where the platform has no ``fork`` or no CPU affinity
-mask, or where another Python thread is alive, since a fork copies only the
-calling thread.  The caller's ``meanwhile`` work runs in the parent while
-the workers step.  Each chunk returns its records and its counts, and the
-parent merges them in chunk order.
+``_collect_states`` runs the paths of all three entry points.  It warns on a
+coarse step, splits the paths into chunks of ``_CHUNK`` (50000), the last
+one shorter, and owns the censoring gate: paths that reach the time cap are
+censored, and a censored fraction above 0.1% raises.  The chunks run in
+forked worker processes, one per core this process may run on and at most
+one per chunk; the run stays in process, with one worker, where the platform
+has no ``fork`` or no CPU affinity mask, or where another Python thread is
+alive, since a fork copies only the calling thread.  Every entry point takes
+``meanwhile``, the caller's work (its deterministic solve), which runs in
+the parent while the workers step.  Each chunk returns its records and its
+counts, and the parent merges them in chunk order; every result carries the
+run's one ``diagnostics`` dict of the summed counts, ``censored`` and
+``sup_tracked``.
 
 Chunk ``k`` draws from an SFC64 stream seeded from ``SeedSequence((seed mod
 2^64, k))``.  Each pass draws one flat ``standard_normal(K * m)``, row ``j``
@@ -79,9 +82,9 @@ and the caller pairs each bin with its own deterministic curve.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 import threading
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -127,6 +130,7 @@ class MCConfig:
     Every path runs to exit or to the time cap ``_T_CAP_SCALE (a-b)^2 /
     sigma^2`` (``1e4 (a-b)^2 / sigma^2``); paths that reach the cap are
     counted as censored, and a censored fraction above 0.1% fails the run.
+    ``n_paths`` (at least 100) and ``seed`` are integers, kept as ``int``.
     """
 
     dt: float
@@ -138,6 +142,10 @@ class MCConfig:
         # ever reach the time cap
         if not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        try:
+            self.n_paths, self.seed = operator.index(self.n_paths), operator.index(self.seed)
+        except TypeError as exc:
+            raise ValueError("n_paths and seed must be integers") from exc
         if self.n_paths < 100:
             raise ValueError("n_paths must be >= 100")
 
@@ -146,7 +154,7 @@ class MCConfig:
             warnings.warn(
                 f"dt={self.dt} is coarse for interval width {spec.a - spec.b}; "
                 "recommended dt <= (a-b)^2/100",
-                stacklevel=3,
+                stacklevel=4,
             )
 
 
@@ -157,7 +165,6 @@ class Estimate:
     mean: float
     std_error: float
     n: int
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -190,26 +197,13 @@ class ExitSamples:
 
 @dataclass
 class ExitMCResult:
-    """Exit estimates, with how the simulation went, summed over the chunks:
-    the chunk count, the stepper's passes, the steps the chunks advanced, the
-    live path-steps and the bridge uniforms drawn; ``sup_tracked`` says
-    whether the run tracked the supremum.
-
-    The estimates' ``elapsed`` is the wall time of the whole
-    :func:`run_exit_mc` call, its ``meanwhile`` work included, so it is not
-    the simulation's time alone when the caller passed such work.
-    """
+    """Exit estimates, the censored path count, and the run's ``diagnostics``."""
 
     up_laplace: Estimate
     down_value: Estimate
     p_up: Estimate
     n_censored: int
-    chunks: int
-    passes: int
-    steps: int
-    path_steps: int
-    uniforms: int
-    sup_tracked: bool
+    diagnostics: dict
     samples: Optional[ExitSamples] = None
 
 
@@ -658,16 +652,20 @@ def _worker_count(n_chunks: int) -> int:
 
 
 def _collect_states(model, spec, cfg, integrands, track, meanwhile=None):
-    """Simulate the chunks and return their records merged in chunk order.
+    """Simulate the chunks and return their records merged in chunk order,
+    with the run's diagnostics.
 
-    The ``n_paths`` paths form chunks of ``_CHUNK``, the last one shorter,
-    and chunk ``k`` draws from the substream ``(seed, k)`` alone.  The chunks
-    run on ``_worker_count`` forked processes, or in process when that is
-    one; either way each chunk sees the same draws, so the merged records
-    are bit-identical for any worker count.  The counts are summed in chunk
-    order.  ``meanwhile``, a callable without arguments, runs in this
-    process after the workers start and before their results are read; in
-    process it runs before the first chunk.  A worker that raises raises the
+    A step that is coarse for the band warns first, at the line that called
+    the entry point.  The ``n_paths`` paths form chunks of ``_CHUNK``, the
+    last one shorter, and chunk ``k`` draws from the substream ``(seed, k)``
+    alone.  The chunks run on ``_worker_count`` forked processes, or in
+    process when that is one; either way each chunk sees the same draws, so
+    the merged records are bit-identical for any worker count.  The
+    diagnostics hold each count of ``_ExitState.COUNTS`` summed in chunk
+    order, ``censored``, the paths that reached the time cap, and
+    ``sup_tracked``, which is ``track``.  ``meanwhile``, a callable without
+    arguments, runs in this process after the workers start and before
+    their results are read; in process it runs before the first chunk.  A worker that raises raises the
     same error here, and one that dies raises ``BrokenProcessPool``, a
     ``RuntimeError``; an error in ``meanwhile`` cancels the chunks that have
     not started.  No worker outlives the call.
@@ -675,6 +673,7 @@ def _collect_states(model, spec, cfg, integrands, track, meanwhile=None):
     Raises:
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
+    cfg.warn_if_coarse(spec)
     job = functools.partial(_chunk, model, spec, cfg, integrands, track)
     n_chunks = -(-cfg.n_paths // _CHUNK)
     workers = _worker_count(n_chunks)
@@ -704,8 +703,7 @@ def _collect_states(model, spec, cfg, integrands, track, meanwhile=None):
     merged = _ExitState(0, len(integrands))
     for name in _ExitState.RECORDS:
         setattr(merged, name, np.concatenate([getattr(st, name) for st in states], axis=-1))
-    for name in _ExitState.COUNTS:
-        setattr(merged, name, sum(getattr(st, name) for st in states))
+    diagnostics = {name: sum(getattr(st, name) for st in states) for name in _ExitState.COUNTS}
     n_total = merged.up.size
     n_censored = int(merged.censored.sum())
     if n_censored > _MAX_CENSORED_FRACTION * n_total:
@@ -713,14 +711,14 @@ def _collect_states(model, spec, cfg, integrands, track, meanwhile=None):
             f"{n_censored} of {n_total} paths were censored at the time cap "
             f"(fraction {n_censored / n_total:.2e} > {_MAX_CENSORED_FRACTION})"
         )
-    return merged
+    return merged, {**diagnostics, "censored": n_censored, "sup_tracked": track}
 
 
-def _estimate(values: np.ndarray, elapsed: float) -> Estimate:
+def _estimate(values: np.ndarray) -> Estimate:
     n = values.size
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return Estimate(mean=mean, std_error=se, n=n, elapsed=elapsed)
+    return Estimate(mean=mean, std_error=se, n=n)
 
 
 def run_exit_mc(
@@ -737,8 +735,7 @@ def run_exit_mc(
     Returns estimates of (i) ``E[e^{-int F}; up]``, (ii)
     ``E[g(S_T) e^{-int F}; down]`` and (iii) ``P(up)``, plus the raw exit
     records on request.  ``meanwhile`` runs in this process while the worker
-    processes step the chunks, or first when the run stays in process; the
-    estimates' ``elapsed`` is the wall time of the whole call.
+    processes step the chunks, or first when the run stays in process.
 
     The supremum is tracked only when something reads it: ``F.reads_sup``, a
     weight ``g``, or the kept samples' ``s_at_exit``.
@@ -746,10 +743,8 @@ def run_exit_mc(
     Raises:
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
-    cfg.warn_if_coarse(spec)
-    start = time.perf_counter()
     track = F.reads_sup or g is not None or keep_samples
-    st = _collect_states(model, spec, cfg, [F.eval_pairs], track, meanwhile)
+    st, diagnostics = _collect_states(model, spec, cfg, [F.eval_pairs], track, meanwhile)
     counted = ~st.censored
     acc = st.acc[0]
     up_c = st.up[counted]
@@ -758,19 +753,13 @@ def run_exit_mc(
     y_down = np.where(
         ~up_c, lap if g is None else np.asarray(g(st.s_exit[counted]), float) * lap, 0.0
     )
-    elapsed = time.perf_counter() - start
 
     result = ExitMCResult(
-        up_laplace=_estimate(y_up, elapsed),
-        down_value=_estimate(y_down, elapsed),
-        p_up=_estimate(up_c.astype(float), elapsed),
-        n_censored=int(st.censored.sum()),
-        chunks=st.chunks,
-        passes=st.passes,
-        steps=st.steps,
-        path_steps=st.path_steps,
-        uniforms=st.uniforms,
-        sup_tracked=track,
+        up_laplace=_estimate(y_up),
+        down_value=_estimate(y_down),
+        p_up=_estimate(up_c.astype(float)),
+        n_censored=diagnostics["censored"],
+        diagnostics=diagnostics,
     )
     if keep_samples:
         result.samples = ExitSamples(
@@ -801,10 +790,11 @@ class ConditionalBin:
 
 @dataclass
 class ConditionalMCResult:
+    """The bins of :func:`conditional_mc`, and the run's ``diagnostics``."""
+
     bins: list
     up_bin: ConditionalBin
-    n_down: int
-    n_up: int
+    diagnostics: dict
 
 
 def _bin(lo: float, hi: float, vals: np.ndarray) -> ConditionalBin:
@@ -826,31 +816,30 @@ def conditional_mc(
     spec: ExitSpec,
     cfg: MCConfig,
     n_bins: int,
+    meanwhile: Optional[Callable[[], None]] = None,
 ) -> ConditionalMCResult:
     """Bin the down-exit Laplace samples by the supremum at the exit.
 
     Down-exit samples are binned by ``S_T`` over ``[x, a)``; the up-exit
     samples form the ``S_T = a`` atom bin.  Empty bins are flagged rather
     than dropped.  The bins carry Monte Carlo values only: pairing them with
-    the deterministic curve is left to the caller.
+    the deterministic curve is left to the caller, whose solve may run as
+    ``meanwhile``, as in :func:`run_exit_mc`.  Censored paths are left out.
     """
     if n_bins < 4:
         raise ValueError("conditional_mc needs n_bins >= 4")
-    res = run_exit_mc(model, F, spec, cfg, keep_samples=True)
-    smp = res.samples
+    st, diagnostics = _collect_states(model, spec, cfg, [F.eval_pairs], True, meanwhile)
+    counted = ~st.censored
+    lap = np.exp(-st.acc[0, counted])
+    up = st.up[counted]
     edges = np.linspace(spec.x, spec.a, n_bins + 1)
-
-    lap = np.exp(-smp.functional)
-    down = ~smp.exited_up
     which = np.clip(
-        np.searchsorted(edges, smp.s_at_exit[down], side="right") - 1, 0, n_bins - 1
+        np.searchsorted(edges, st.s_exit[counted][~up], side="right") - 1, 0, n_bins - 1
     )
-    vals_down = lap[down]
+    vals_down = lap[~up]
     bins = [_bin(edges[k], edges[k + 1], vals_down[which == k]) for k in range(n_bins)]
-    up_bin = _bin(spec.a, spec.a, lap[smp.exited_up])
-    return ConditionalMCResult(
-        bins=bins, up_bin=up_bin, n_down=int(down.sum()), n_up=int(smp.exited_up.sum())
-    )
+    return ConditionalMCResult(bins=bins, up_bin=_bin(spec.a, spec.a, lap[up]),
+                               diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -860,9 +849,12 @@ def conditional_mc(
 
 @dataclass
 class OccupationMCResult:
+    """The estimates of :func:`occupation_mc`, and the run's ``diagnostics``."""
+
     time_integral_laplace: Estimate
     occupation_laplace: Estimate
     mean_abs_discrepancy: float
+    diagnostics: dict
 
 
 def _uniform_interp(fine: np.ndarray, cum: np.ndarray) -> Callable:
@@ -889,6 +881,7 @@ def occupation_mc(
     f_x: UnivariatePotential,
     spec: ExitSpec,
     cfg: MCConfig,
+    meanwhile: Optional[Callable[[], None]] = None,
 ) -> OccupationMCResult:
     """Cross-check the occupation formula by simulation.
 
@@ -900,12 +893,12 @@ def occupation_mc(
     integrates ``f`` exactly against each box through a fine cumulative
     table, so the A-B discrepancy carries only the smoothing error and
     shrinks like the bandwidth.  Censored paths are left out of (A) and (B).
+    ``meanwhile`` runs as in :func:`run_exit_mc`.
 
     Raises:
         ValueError: if the bandwidth is unresolvable by the fine table.
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
-    cfg.warn_if_coarse(spec)
     b, a = spec.b, spec.a
     w = 2.0 * np.sqrt(cfg.dt)
     fine_n = 4096
@@ -925,14 +918,14 @@ def occupation_mc(
     def smoothed_rate(s, xs):
         return (table(xs + w) - table(xs - w)) / (2.0 * w)
 
-    start = time.perf_counter()
-    st = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], track=False)
+    st, diagnostics = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], False,
+                                      meanwhile)
     counted = ~st.censored
     acc_a = st.acc[0, counted]
     acc_b = st.acc[1, counted]
-    elapsed = time.perf_counter() - start
     return OccupationMCResult(
-        time_integral_laplace=_estimate(np.exp(-acc_a), elapsed),
-        occupation_laplace=_estimate(np.exp(-acc_b), elapsed),
+        time_integral_laplace=_estimate(np.exp(-acc_a)),
+        occupation_laplace=_estimate(np.exp(-acc_b)),
         mean_abs_discrepancy=float(np.mean(np.abs(acc_a - acc_b))),
+        diagnostics=diagnostics,
     )

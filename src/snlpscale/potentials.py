@@ -153,7 +153,7 @@ def _split_spec(spec: str, expected: int, flag: str):
     return name, vals
 
 
-def parse_bivariate(spec: str, domain_width: float, flag: str = "--potential") -> BivariatePotential:
+def parse_bivariate(spec: str, domain_width: float) -> BivariatePotential:
     """Build a named bivariate potential.
 
     Grammar: ``const:q`` (q at every argument, finite or not),
@@ -162,7 +162,7 @@ def parse_bivariate(spec: str, domain_width: float, flag: str = "--potential") -
     ``reads_sup=False``.  ``domain_width`` sizes the declared bound of the
     reflected family.
     """
-    name = spec.partition(":")[0]
+    name, flag = spec.partition(":")[0], "--potential"
     if name == "const":
         _, (q,) = _split_spec(spec, 1, flag)
         if q < 0:
@@ -196,9 +196,9 @@ def parse_bivariate(spec: str, domain_width: float, flag: str = "--potential") -
     raise ValueError(f"{flag}: unknown potential '{name}' in '{spec}'")
 
 
-def parse_univariate(spec: str, flag: str = "--potential") -> UnivariatePotential:
+def parse_univariate(spec: str) -> UnivariatePotential:
     """Build a named position-only potential: ``const:q`` or ``level:c,r``."""
-    name = spec.partition(":")[0]
+    name, flag = spec.partition(":")[0], "--potential"
     if name == "const":
         _, (q,) = _split_spec(spec, 1, flag)
         if q < 0:
@@ -214,13 +214,13 @@ def parse_univariate(spec: str, flag: str = "--potential") -> UnivariatePotentia
     )
 
 
-def parse_g(spec: str, flag: str = "--g") -> Optional[Callable[[np.ndarray], np.ndarray]]:
+def parse_g(spec: str) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """Bounded weight of the supremum at the down-exit: ``one``, ``identity``, ``const:c``.
 
     ``one`` gives ``None``, which every solver reads as the weight 1, so a
     run weighted by it need not know the supremum.
     """
-    name = spec.partition(":")[0]
+    name, flag = spec.partition(":")[0], "--g"
     if name == "one":
         return None
     if name == "identity":

@@ -298,9 +298,9 @@ class ScaleTable:
     def grid(self) -> np.ndarray:
         return np.linspace(self.grid_lo, self.grid_hi, self.n)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check the structural invariants of a well-formed table."""
-        w = self.w_values
+        w, tol = self.w_values, 1e-9
         scale = max(1.0, float(np.max(np.abs(w))))
         if abs(w[0]) > tol * scale:
             raise ValueError(f"w_values[0] must be 0, got {w[0]!r}")

@@ -176,14 +176,15 @@ MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
 def test_mc_verify_passes_with_exit_zero(capsys):
     assert main([*MC_VERIFY, "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 6
+    assert doc["schema"] == 7
     assert doc["mc_config"] == {"dt": 1e-3, "paths": 200, "seed": 3}
     assert doc["pass"] is True
     assert doc["diagnostics"]["converged"] is True
     counts = doc["diagnostics"]["mc"]
-    assert sorted(counts) == ["chunks", "passes", "path_steps", "steps", "sup_tracked",
-                              "uniforms"]
+    assert sorted(counts) == ["censored", "chunks", "passes", "path_steps", "steps",
+                              "sup_tracked", "uniforms"]
     assert counts["chunks"] == 1
+    assert counts["censored"] == doc["n_censored"] == 0
     assert 0 < counts["passes"] < counts["steps"]
     assert 200 * counts["steps"] >= counts["path_steps"] >= 200
     # nothing reads the supremum of const:0.5 with the weight one
@@ -203,25 +204,74 @@ def test_mc_verify_tracks_the_supremum_for_a_weight_of_it(capsys):
     assert 0 < uniforms["one"] < uniforms["identity"]
 
 
-def test_mc_verify_solves_while_the_workers_step(monkeypatch, capsys):
+MC_RUN = [*BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", "--paths", "200", "--dt", "1e-3",
+          "--seed", "3"]
+# each Monte Carlo command and the deterministic solver it calls
+MC_COMMANDS = {
+    "mc-verify": "evaluate_exit",
+    "conditional": "conditional_curve",
+    "local-time": "local_time_laplace",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MC_COMMANDS))
+def test_each_mc_command_solves_while_the_workers_step(command, monkeypatch, capsys):
     # the deterministic side runs in the parent after the workers start, and
     # the document is the one of a run in process
     from snlpscale import cli, mc
 
-    solve, seen, docs = cli.evaluate_exit, [], []
+    solve, seen, docs = getattr(cli, MC_COMMANDS[command]), [], []
 
     def watched(*args, **kwargs):
         seen.append((os.getpid(), len(multiprocessing.active_children())))
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "evaluate_exit", watched)
+    monkeypatch.setattr(cli, MC_COMMANDS[command], watched)
     for workers in (2, 1):
         monkeypatch.setattr(mc, "_worker_count", lambda n_chunks: workers)
-        assert main([*MC_VERIFY, "--seed", "3"]) == 0
+        assert main([command, *MC_RUN]) == 0
         docs.append(capsys.readouterr().out)
     assert docs[0] == docs[1]
     assert seen[0][0] == seen[1][0] == os.getpid()
     assert seen[0][1] > 0 and seen[1][1] == 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", sorted(MC_COMMANDS))
+def test_each_mc_command_writes_the_run_diagnostics(command, capsys):
+    from snlpscale.mc import _ExitState
+
+    assert main([command, *MC_RUN]) == 0
+    counts = json.loads(capsys.readouterr().out)["diagnostics"]["mc"]
+    assert sorted(counts) == sorted(_ExitState.COUNTS + ("censored", "sup_tracked"))
+    assert counts["chunks"] == 1 and counts["censored"] == 0
+    # only the conditional law reads the supremum
+    assert counts["sup_tracked"] is (command == "conditional")
+
+
+def test_conditional_without_monte_carlo_has_no_diagnostics(capsys):
+    assert main(["conditional", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5"]) == 0
+    assert "diagnostics" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("workers", [2, 1])
+def test_a_solve_that_fails_while_the_workers_step_exits_one(workers, monkeypatch, capsys):
+    # the error document is written once the workers are gone
+    from snlpscale import cli, mc
+
+    alive = []
+
+    def failing(*args, **kwargs):
+        alive.append(len(multiprocessing.active_children()))
+        raise ArithmeticError("solve failed")
+
+    monkeypatch.setattr(cli, "local_time_laplace", failing)
+    monkeypatch.setattr(mc, "_worker_count", lambda n_chunks: workers)
+    assert main(["local-time", *MC_RUN]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["command"], doc["error"], doc["detail"]) == (
+        "local-time", "ArithmeticError", "solve failed")
+    assert len(alive) == 1 and (alive[0] > 0) is (workers > 1)
     assert multiprocessing.active_children() == []
 
 

@@ -4,8 +4,9 @@ The Monte Carlo engine stays independent of the deterministic solver it
 cross-checks, and the runtime dependency is numpy alone; both are read from
 the source with ``ast``.  The process-pool machinery is imported only by a
 Monte Carlo run that starts workers.  Every name a submodule exports is
-re-exported by the package, and ``MCConfig`` holds the step, the path count
-and the seed alone.
+re-exported by the package, ``MCConfig`` holds the step, the path count
+and the seed alone, and each Monte Carlo result holds its run's counts in one
+``diagnostics`` dict.
 """
 
 import ast
@@ -92,3 +93,17 @@ def test_mc_config_holds_the_step_the_path_count_and_the_seed():
     from snlpscale import MCConfig
 
     assert [f.name for f in fields(MCConfig)] == ["dt", "n_paths", "seed"]
+
+
+def test_mc_results_hold_the_run_counts_in_one_diagnostics_dict():
+    # a new count of the run lands in ``diagnostics`` and in no result field
+    from snlpscale import ConditionalMCResult, Estimate, ExitMCResult, OccupationMCResult
+
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    for cls in (ExitMCResult, ConditionalMCResult, OccupationMCResult):
+        assert "diagnostics" in names(cls)
+    counts = {"chunks", "passes", "steps", "path_steps", "uniforms", "sup_tracked"}
+    assert not counts & names(ExitMCResult)
+    assert "elapsed" not in names(Estimate)

@@ -310,7 +310,7 @@ def test_estimates_do_not_depend_on_the_worker_count(workers, monkeypatch):
         res = run_exit_mc(model, F, NARROW, cfg, keep_samples=True)
         assert _estimates(res) == want
         assert _digests(res.samples) == dict(zip(SAMPLE_FIELDS, digests))
-        assert res.chunks == 2
+        assert res.diagnostics["chunks"] == 2
 
     # three chunks of the occupation estimates
     monkeypatch.setattr(mc, "_CHUNK", 700)
@@ -335,10 +335,9 @@ def test_counts_sum_over_the_chunks(workers, monkeypatch):
         _simulate_exit_chunk(JD, NARROW, cfg, _chunk_rng(7, k), n, [F.eval_pairs])
         for k, n in enumerate((700, 700, 600))
     ]
-    assert res.chunks == 3
-    assert res.passes == sum(st.passes for st in chunks)
-    assert res.steps == sum(st.steps for st in chunks)
-    assert res.path_steps == sum(st.path_steps for st in chunks)
+    assert res.diagnostics["chunks"] == 3
+    for name in ("passes", "steps", "path_steps", "uniforms"):
+        assert res.diagnostics[name] == sum(getattr(st, name) for st in chunks)
 
 
 def test_worker_count_rule():
@@ -626,9 +625,9 @@ def _watch_tracking(monkeypatch):
     runs, collect = [], mc._collect_states
 
     def watched(model, spec, cfg, integrands, track, meanwhile=None):
-        st = collect(model, spec, cfg, integrands, track, meanwhile)
+        st, diagnostics = collect(model, spec, cfg, integrands, track, meanwhile)
         runs.append((track, st))
-        return st
+        return st, diagnostics
 
     monkeypatch.setattr(mc, "_collect_states", watched)
     return runs
@@ -649,15 +648,15 @@ def test_a_run_that_reads_the_supremum_tracks_it(case, monkeypatch):
     ((track, st),) = runs
     assert track
     assert np.isfinite(st.s_exit[~st.censored]).all()
-    if isinstance(res, mc.ExitMCResult):
-        assert res.sup_tracked
+    assert res.diagnostics["sup_tracked"]
 
 
 def test_runs_that_read_no_supremum_do_not_track_it(monkeypatch):
     runs = _watch_tracking(monkeypatch)
     res = run_exit_mc(JD, LEVEL_S, SPEC, _cfg())
-    occupation_mc(JD, LEVEL, SPEC, _cfg())
-    assert not res.sup_tracked
+    occ = occupation_mc(JD, LEVEL, SPEC, _cfg())
+    assert not res.diagnostics["sup_tracked"]
+    assert not occ.diagnostics["sup_tracked"]
     assert [track for track, _ in runs] == [False, False]
     assert all(np.isnan(st.s_exit).all() for _, st in runs)
 
@@ -692,13 +691,17 @@ def test_occupation_table_lookup_is_np_interp_bit_for_bit(potential, monkeypatch
 
 
 def test_a_coarse_step_warns_for_the_exit_and_the_occupation_runs():
+    # each warning points at the line that called the entry point
     model, spec = make_brownian(0.0, 1.0), ExitSpec(0.0, 0.5, 1.0)
     f_x = parse_univariate("const:0.5")
+    F = BivariatePotential.from_univariate(f_x)
     cfg = MCConfig(dt=0.05, n_paths=200, seed=1)
-    with pytest.warns(UserWarning, match="coarse"):
-        run_exit_mc(model, BivariatePotential.from_univariate(f_x), spec, cfg)
-    with pytest.warns(UserWarning, match="coarse"):
-        occupation_mc(model, f_x, spec, cfg)
+    for run in (lambda: run_exit_mc(model, F, spec, cfg),
+                lambda: occupation_mc(model, f_x, spec, cfg),
+                lambda: mc.conditional_mc(model, F, spec, cfg, 4)):
+        with pytest.warns(UserWarning, match="coarse") as caught:
+            run()
+        assert [w.filename for w in caught] == [__file__]
 
 
 def test_skipped_crossings_are_below_uniform_resolution():
@@ -818,3 +821,20 @@ def test_config_rejects_a_step_that_is_not_finite_and_positive(dt):
 def test_config_rejects_fewer_than_a_hundred_paths(n_paths):
     with pytest.raises(ValueError, match="n_paths must be >= 100"):
         MCConfig(dt=1e-3, n_paths=n_paths)
+
+
+@pytest.mark.parametrize("n_paths,seed", [
+    (150.0, 0), (np.float64(200), 0), ("200", 0), (200, 1.5), (200, "1"), (200, None),
+], ids=["float", "numpy_float", "str", "float_seed", "str_seed", "none_seed"])
+def test_config_rejects_a_path_count_or_seed_that_is_not_an_integer(n_paths, seed):
+    # a float count would fail only inside the run, and a float seed inside a chunk
+    with pytest.raises(ValueError, match="n_paths and seed must be integers"):
+        MCConfig(dt=1e-3, n_paths=n_paths, seed=seed)
+
+
+def test_config_keeps_numpy_integers_as_int():
+    # a numpy seed would overflow in the chunk's ``seed % 2**64``
+    cfg = MCConfig(dt=1e-3, n_paths=np.int64(200), seed=np.uint32(3))
+    assert (type(cfg.n_paths), type(cfg.seed)) == (int, int)
+    want = run_exit_mc(BM, CONST, SPEC, MCConfig(dt=1e-3, n_paths=200, seed=3))
+    assert run_exit_mc(BM, CONST, SPEC, cfg).up_laplace == want.up_laplace
