@@ -8,7 +8,7 @@ Subcommands
 ``mc-verify``     deterministic values against Monte Carlo, with z-scores
 ``local-time``    Laplace transform of the potential-weighted local time
 
-All commands emit a versioned JSON document (``"schema": 7``) to stdout or
+All commands emit a versioned JSON document (``"schema": 8``) to stdout or
 ``--out``.  ``exit``, ``mc-verify`` and ``local-time`` carry the refinement
 diagnostics under ``diagnostics``.  ``mc-verify``, ``conditional`` and
 ``local-time`` solve the deterministic side while the worker processes step
@@ -35,6 +35,14 @@ Exit status:
 
 ``conditional`` and ``local-time`` run Monte Carlo only when ``--paths`` or a
 ``paths`` line in the config file asks for it.
+
+``mc-verify`` estimates the dt scheme's means by multilevel telescoping
+(``mc`` module docstring) over ``L = max{l <= 4 : 2^l dt <= (a-b)^2/100}``
+levels, the bound of the coarse-step warning, so that the coarsest step
+never warns; no flag or config key sets ``L``.  With ``--csv`` it runs the
+plain dt paths (``L = 0``), since the rows are those paths.  Each report row
+carries ``bias_dt`` and ``bias_dt_se``: the level-1 pairs' ``E[Y_2dt -
+Y_dt]``, to first order the dt scheme's bias, and null when ``L = 0``.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ from .potentials import (
 )
 from .scale import make_scale_table
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 _NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
@@ -381,12 +389,14 @@ def _cmd_mc_verify(args, config) -> dict:
     g_spec = _resolve(args, config, "g", cast=str)
     g = parse_g(g_spec)
     cfg = _mc_config(args, config, _resolve(args, config, "paths", cast=int))
+    levels = 0 if args.csv else cfg.max_levels(p.spec)
 
     det_result, mc = _solve_while_stepping(
         cfg,
         lambda: evaluate_exit(p.model, p.F, p.spec, g=g, n_outer=p.n_outer, n_inner=p.n_inner),
         lambda meanwhile: run_exit_mc(p.model, p.F, p.spec, cfg, g=g,
-                                      keep_samples=bool(args.csv), meanwhile=meanwhile),
+                                      keep_samples=bool(args.csv), meanwhile=meanwhile,
+                                      levels=levels),
     )
     det = {
         "up_laplace": det_result.up_laplace,
@@ -396,6 +406,10 @@ def _cmd_mc_verify(args, config) -> dict:
     report = verify_report(
         det, {"up_laplace": mc.up_laplace, "down_value": mc.down_value, "p_up": mc.p_up}
     )
+    for row in report["rows"]:
+        bias = mc.bias_dt[row["estimand"]] if mc.bias_dt else None
+        row["bias_dt"] = None if bias is None else bias.mean
+        row["bias_dt_se"] = None if bias is None else bias.std_error
     doc = {
         **p.header("mc-verify"),
         "g": g_spec,
@@ -497,7 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conditional", help="conditional Laplace curve given the supremum")
     _add_common(p, potential=_BIVARIATE, mc_flags=True)
 
-    p = sub.add_parser("mc-verify", help="deterministic vs Monte Carlo with z-scores")
+    p = sub.add_parser(
+        "mc-verify", help="deterministic vs Monte Carlo with z-scores",
+        description="Deterministic exit identities against multilevel Monte Carlo with "
+        "z-scores.  The levels are L = max{l <= 4 : 2^l dt <= (a-b)^2/100}, so that the "
+        "coarsest step 2^L dt is not coarse for the band; with --csv, L = 0 and the rows "
+        "are the dt paths.")
     _add_common(p, potential=_BIVARIATE, g=True, mc_flags=True)
 
     p = sub.add_parser("local-time", help="potential-weighted local time Laplace transform")

@@ -57,9 +57,9 @@ has no ``fork`` or no CPU affinity mask, or where another Python thread is
 alive, since a fork copies only the calling thread.  Every entry point takes
 ``meanwhile``, the caller's work (its deterministic solve), which runs in
 the parent while the workers step.  Each chunk returns its records and its
-counts, and the parent merges them in chunk order; every result carries the
-run's one ``diagnostics`` dict of the summed counts, ``censored`` and
-``sup_tracked``.
+counts, one set per level of a multilevel run, and the parent merges them in
+chunk order; every result carries the run's one ``diagnostics`` dict of the
+summed counts, ``censored`` and ``sup_tracked``.
 
 Chunk ``k`` draws from an SFC64 stream seeded from ``SeedSequence((seed mod
 2^64, k))``.  Each pass draws one flat ``standard_normal(K * m)``, row ``j``
@@ -74,6 +74,42 @@ depends on nothing but its index and the reduction runs in fixed chunk
 order, so estimates are bit-identical for a given configuration whatever
 the worker count.
 
+Multilevel runs.  :func:`run_exit_mc` with ``levels = L > 0`` estimates the
+dt scheme's mean by telescoping (Giles, Oper. Res. 56, 2008)::
+
+    E[Y_dt] = E[Y_{2^L dt}] + sum_{l=1..L} E[Y_{2^(l-1) dt} - Y_{2^l dt}]
+
+Chunk ``k`` of ``n_k`` paths first runs them at the coarsest step ``2^L dt``
+from the chunk's streams above.  Then, for each ``l``, it runs ``max(256,
+ceil(n_k / 32))`` coupled pairs at the fine step ``2^(l-1) dt``: the stepper
+accumulates a coarse companion at twice the step from the same draws, so the
+fine records are those of a plain run on the same stream.  With ``Q`` the
+chunk's seed sequence and ``Q/i`` its child of spawn key ``spawn_key +
+(i,)``, the streams are:
+
+- ``Q``: the coarsest run's main stream; ``Q/0``: its bridge uniforms;
+- ``Q/(1 + l)``: the main stream of correction level ``l``; its bridge
+  uniforms come from ``Q/(1 + l)/0``, as for any run;
+- ``Q/(1 + l)/1``: the extra half-steps of correction level ``l`` (below).
+
+The coarse path is every other fine position; with jumps, consecutive
+substeps pair inside one inter-jump interval and a jump closes the pair,
+which gives the substeps of the coarse scheme.  A coarse step's extremum is
+the max (min) of its fine bridge extrema, which has the law of the coarse
+bridge extremum, so the coarse supremum at coarse times is the fine one.
+Its sum is the trapezoid on the coarse grid with the same half-step rule,
+and a pair may span two passes.  A fine exit at the first half of a pair
+needs the pair's second half: one normal from the extra stream for each
+such path in slot order, then, for those that left down, one uniform for
+each second half within reach of its level, for the maximum that may still
+take the coarse path up.  A pair is censored when its fine path is.  The
+allocation is fixed, and the per-level sample variances and means land in
+``diagnostics["levels"]``.  The standard error is that of the telescoped
+sum; the level-1 pairs also give ``E[Y_2dt - Y_dt]``, to first order the
+bias of the dt scheme.  ``MCConfig.max_levels`` gives the ``L`` a command
+uses: ``max{l <= 4 : 2^l dt <= (a-b)^2/100}``, the bound of
+``warn_if_coarse``, so the coarsest run never warns.
+
 The engine never calls the deterministic solver: it imports only ``ExitSpec``
 from :mod:`generalized`.  :func:`conditional_mc` returns Monte Carlo bins,
 and the caller pairs each bin with its own deterministic curve.
@@ -86,7 +122,7 @@ import operator
 import os
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,6 +157,13 @@ _PASS_ENTRIES = 16384
 _MAX_ROWS = 256
 # a path still inside the band at time _T_CAP_SCALE (a-b)^2 / sigma^2 is censored
 _T_CAP_SCALE = 1e4
+# a chunk of n paths runs max(_MIN_PAIRS, ceil(n / _PAIR_SHARE)) coupled pairs
+# per correction level, and at most _MAX_LEVELS levels are used; all three are
+# part of the reproducibility contract
+_MIN_PAIRS = 256
+_PAIR_SHARE = 32
+_MAX_LEVELS = 4
+_ESTIMANDS = ("up_laplace", "down_value", "p_up")
 
 
 @dataclass
@@ -148,6 +191,16 @@ class MCConfig:
             raise ValueError("n_paths and seed must be integers") from exc
         if self.n_paths < 100:
             raise ValueError("n_paths must be >= 100")
+
+    def max_levels(self, spec: ExitSpec) -> int:
+        """``max{l <= 4 : 2^l dt <= (a-b)^2/100}``, or 0 when even ``dt`` is
+        above that bound: the most halvings a multilevel run may start from
+        without a coarsest step that :meth:`warn_if_coarse` would warn on."""
+        bound = (spec.a - spec.b) ** 2 / 100.0
+        levels = 0
+        while levels < _MAX_LEVELS and self.dt * 2 ** (levels + 1) <= bound:
+            levels += 1
+        return levels
 
     def warn_if_coarse(self, spec: ExitSpec) -> None:
         if self.dt > (spec.a - spec.b) ** 2 / 100.0:
@@ -197,7 +250,12 @@ class ExitSamples:
 
 @dataclass
 class ExitMCResult:
-    """Exit estimates, the censored path count, and the run's ``diagnostics``."""
+    """Exit estimates, the censored path count, and the run's ``diagnostics``.
+
+    ``bias_dt`` maps each estimand to the estimate of ``E[Y_2dt - Y_dt]``
+    from the level-1 pairs, to first order the bias of the dt scheme; it is
+    None for a run without levels.
+    """
 
     up_laplace: Estimate
     down_value: Estimate
@@ -205,6 +263,7 @@ class ExitMCResult:
     n_censored: int
     diagnostics: dict
     samples: Optional[ExitSamples] = None
+    bias_dt: Optional[dict] = None
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -214,13 +273,14 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def _uniform_rng(rng: np.random.Generator) -> np.random.Generator:
-    """The bridge uniforms' stream beside the main stream ``rng``: SFC64
-    seeded from the first child that ``spawn`` gives of ``rng``'s seed
-    sequence, built here without spawning, so that it does not depend on
-    what was spawned before."""
+def _spawned_rng(rng: np.random.Generator, index: int) -> np.random.Generator:
+    """SFC64 seeded from the child of ``rng``'s seed sequence that ``spawn``
+    gives as its ``index``-th: 0 for the bridge uniforms beside the main
+    stream ``rng``, 1 for a coupled run's extra half-steps, ``1 + l`` for the
+    main stream of correction level ``l``.  It is built here without
+    spawning, so that it does not depend on what was spawned before."""
     seq = rng.bit_generator.seed_seq
-    child = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (0,),
+    child = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (index,),
                                    pool_size=seq.pool_size)
     return np.random.Generator(np.random.SFC64(child))
 
@@ -235,13 +295,15 @@ class _ExitState:
     work that produced them.
 
     ``acc`` holds one row per integrand; ``chunks`` counts the chunks,
-    ``steps`` the steps, ``path_steps`` the live paths summed over them and
-    ``uniforms`` the bridge uniforms drawn.
+    ``steps`` the steps, ``path_steps`` the live paths summed over them,
+    ``uniforms`` the bridge uniforms drawn and ``half_steps`` the extra
+    half-steps of a coupled run.  A coupled run keeps its coarse companion's
+    records in ``coarse``, another state whose counts stay 0.
     """
 
     RECORDS = ("up", "s_exit", "x_pre", "x_post", "acc", "censored")
-    COUNTS = ("chunks", "passes", "steps", "path_steps", "uniforms")
-    __slots__ = RECORDS + COUNTS
+    COUNTS = ("chunks", "passes", "steps", "path_steps", "uniforms", "half_steps")
+    __slots__ = RECORDS + COUNTS + ("coarse",)
 
     def __init__(self, n: int, n_integrands: int):
         self.up = np.zeros(n, dtype=bool)
@@ -255,6 +317,8 @@ class _ExitState:
         self.steps = 0
         self.path_steps = 0
         self.uniforms = 0
+        self.half_steps = 0
+        self.coarse = None
 
 
 def _bridge_extrema(rng, x, x_new, s, b, var, work, mask):
@@ -345,6 +409,83 @@ def _first_exits(up, down, m):
     return cols[first], flat[pick] // m, pick < up.size
 
 
+def _coarse_sums(fe, acc, half, h, dt, jump_row, event, rows, cols, inner, out):
+    """The coarse companion's trapezoid terms over one pass of a coupled run.
+
+    ``fe`` holds the integrands at each path's last coarse point before the
+    pass, then at each of the pass's ``K`` rows; ``half`` is 1 for a path
+    whose pair has its first half done, and ``h`` is each step's length.  A
+    row closes a pair when it is the pair's second half or ends at a jump
+    (``jump_row``, ``K`` for none, None without jumps); rows after a path's
+    ``event`` row close nothing.  A closing row's term is its pair's
+    trapezoid ``(f_start + f_end) (h1 + h2) / 2``, a first half being ``dt``
+    long, and half of it for an exit ``(rows, cols)`` strictly inside the
+    band (``inner``).  ``out`` gets the terms, with ``acc`` added to row 0,
+    ready for a running sum down the rows.
+
+    Returns the ``(K, m)`` closing flags and the integrands at each path's
+    last coarse point of the pass.
+    """
+    K = fe.shape[1] - 1
+    rows_k = np.arange(K)[:, None]
+    opened = ((rows_k + half) & 1).astype(bool)
+    closes = opened.copy()
+    if jump_row is not None:
+        at = jump_row < K
+        closes[jump_row[at], np.flatnonzero(at)] = True
+        closes &= rows_k <= event
+    # a second half's pair starts two rows back, or at the pass's start point
+    # in the first two rows; a pair that a jump closes after one row starts
+    # one row back
+    start = fe[:, np.maximum(np.arange(K) - 1, 0)]
+    np.copyto(start, fe[:, :-1], where=~opened)
+    np.add(start, fe[:, 1:], out=out)
+    out *= 0.5 * np.where(opened, dt + h, h)
+    np.copyto(out, 0.0, where=~closes)
+    shut = inner & closes[rows, cols]
+    out[:, rows[shut], cols[shut]] *= 0.5
+    out[:, 0] += acc
+    return closes, np.where(closes[-1], fe[:, K], fe[:, K - 1])
+
+
+def _half_steps(extra, f_start, x, s, up, h, dt, model, spec, integrands, track):
+    """The coarse ends of fine exits at the first half of a pair.
+
+    Each exit at ``x`` takes its pair's second half, ``h`` long, from one
+    normal of the ``extra`` stream.  Those that left down then draw, where
+    the second half is within reach of their level (the supremum ``s``, or
+    ``a`` untracked), its bridge maximum from the same stream, which takes
+    the coarse path up when it reaches ``a``.  The pair's trapezoid runs
+    from ``f_start`` at its start, with the half-step rule at the coarse
+    end.  Returns the coarse up flags, supremum (None untracked), sums'
+    increments and the uniforms drawn.
+    """
+    b, a = spec.b, spec.a
+    mu, sigma = model.mu, model.sigma
+    x_end = x + (extra.standard_normal(x.size) * (sigma * np.sqrt(h)) + mu * h)
+    var = sigma * sigma * h
+    dn = np.flatnonzero(~up)
+    up, drawn = up.copy(), 0
+    if track:
+        s = s.copy()
+    if dn.size:
+        # no step is within reach of b = -inf, so only maxima are drawn
+        hi, _, ext = _bridge_extrema(
+            extra, x[dn], x_end[dn], s[dn] if track else a, -np.inf,
+            var[dn] if isinstance(var, np.ndarray) else var,
+            np.empty(4 * dn.size), np.empty(2 * dn.size, dtype=bool))
+        top = np.minimum(ext, a)
+        up[dn[hi]] = top >= a
+        if track:
+            s[dn[hi]] = np.maximum(s[dn[hi]], top)
+        drawn = ext.size
+    f_end = np.array([fn(s if track else x_end, x_end) for fn in integrands])
+    inc = f_start + f_end
+    inc *= 0.5 * (dt + h)
+    inc[:, (x_end < a) & (x_end >= b)] *= 0.5
+    return up, s, inc, drawn
+
+
 def _simulate_exit_chunk(
     model: LevyModel,
     spec: ExitSpec,
@@ -353,6 +494,7 @@ def _simulate_exit_chunk(
     n: int,
     integrands: list,
     track: bool = True,
+    coupled: bool = False,
 ) -> _ExitState:
     """Run ``n`` paths to exit or censoring.
 
@@ -403,13 +545,20 @@ def _simulate_exit_chunk(
     The records carry the pass count, the steps the chunk advanced, the
     live path-steps, where rows after a path's event do not count, and the
     bridge uniforms drawn.
+
+    ``coupled`` also accumulates each path's coarse companion at step ``2
+    dt`` (module docstring) into ``out.coarse``, from the same draws, with
+    ``_coarse_sums`` and ``_half_steps``; its extra half-steps come from the
+    stream ``_spawned_rng(rng, 1)``.  With jumps every path of a coupled run
+    is a candidate, so that a second half knows the time left; that changes
+    no value of the fine records.
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
     rate = model.jump_rate if model.family is Family.EXP_JUMP_DIFFUSION else 0.0
     jumpy = rate > 0.0
     t_cap = _T_CAP_SCALE * (a - b) ** 2 / sigma**2
-    uniforms = _uniform_rng(rng)
+    uniforms = _spawned_rng(rng, 0)
 
     out = _ExitState(n, len(integrands))
     pid = np.arange(n)
@@ -422,6 +571,12 @@ def _simulate_exit_chunk(
     f_prev = np.empty((len(integrands), n))
     for row, fn in zip(f_prev, integrands):
         row[:] = fn(s, x)
+    if coupled:
+        # the coarse sums, the integrands at the last coarse point, and 1
+        # where a pair has its first half done
+        extra = _spawned_rng(rng, 1)
+        out.coarse = _ExitState(n, len(integrands))
+        acc_c, f_c, half = np.zeros_like(acc), f_prev.copy(), np.zeros(n, dtype=np.intp)
     size = min(max(n, _PASS_ENTRIES), _MAX_ROWS * n)
     work_buf, mask_buf = np.empty(4 * size), np.empty(2 * size, dtype=bool)
 
@@ -441,7 +596,8 @@ def _simulate_exit_chunk(
             for _ in range(K - 1):
                 wait_end -= dt
                 t_end += dt
-            cand = np.flatnonzero((wait_end <= 0.0) | (t_end >= t_cap))
+            cand = (np.arange(m) if coupled
+                    else np.flatnonzero((wait_end <= 0.0) | (t_end >= t_cap)))
             wait = np.empty((K + 1, cand.size))
             wait[0] = jump_in[cand]
             wait[1:] = -dt
@@ -531,9 +687,16 @@ def _simulate_exit_chunk(
             held = np.minimum(np.arange(K)[:, None], ev_rows)
             for block in (X, sup) if track else (X,):
                 block[:, ev_cols] = np.take_along_axis(block[:, ev_cols], held, axis=0)
-        sums = np.empty((len(integrands), K, m))
-        for row, f_row, fn in zip(sums, f_prev, integrands):
+        # a coupled run's coarse sums run down the rows with the fine ones
+        block = np.empty((1 + coupled, len(integrands), K, m))
+        sums = block[0]
+        if coupled:
+            fe = np.empty((len(integrands), K + 1, m))
+            fe[:, 0] = f_c
+        for i, (row, f_row, fn) in enumerate(zip(sums, f_prev, integrands)):
             f = fn(sup, X)
+            if coupled:
+                fe[i, 1:] = f
             np.add(f_row, f[0], out=row[0])
             if K > 1:
                 np.add(f[:-1], f[1:], out=row[1:])
@@ -548,20 +711,48 @@ def _simulate_exit_chunk(
         inner = (x_end < a) & (x_end >= b)
         sums[:, rows[inner], cols[inner]] *= 0.5
         sums[:, 0] += acc
+        if coupled:
+            closes, f_c = _coarse_sums(
+                fe, acc_c, half, h if jumpy else dt, dt, jump_row if jumpy else None,
+                event if jumpy else None, rows, cols, inner, block[1])
         if K > 1:
-            _accumulate(np.add, sums)
+            _accumulate(np.add, block)
 
+        s_end = sup[rows, cols] if track else None
+        books = [(out, sums)]
+        ends = [(out, up, s_end, sums[:, rows, cols])]
+        if coupled:
+            csum = block[1]
+            books.append((out.coarse, csum))
+            c_up, c_s, c_acc = up, s_end, csum[:, rows, cols]
+            first = np.flatnonzero(~closes[rows, cols])
+            if first.size:
+                r, c = rows[first], cols[first]
+                c_up, c_s = up.copy(), s_end.copy() if track else None
+                c_up[first], s_half, inc, drawn = _half_steps(
+                    extra, fe[:, r, c], X[r, c], s_end[first] if track else None,
+                    up[first], np.minimum(dt, wait[r + 1, c]) if jumpy else dt, dt,
+                    model, spec, integrands, track)
+                if track:
+                    c_s[first] = s_half
+                c_acc[:, first] += inc
+                out.half_steps += first.size
+                out.uniforms += drawn
+            ends.append((out.coarse, c_up, c_s, c_acc))
         ids = pid[cols]
-        out.up[ids] = up
-        if track:
-            out.s_exit[ids] = sup[rows, cols]
-        end = np.where(up, a, b)
-        out.x_pre[ids] = end
-        out.x_post[ids] = end
-        out.acc[:, ids] = sums[:, rows, cols]
+        for rec, rec_up, rec_s, rec_acc in ends:
+            rec.up[ids] = rec_up
+            if track:
+                rec.s_exit[ids] = rec_s
+            end = np.where(rec_up, a, b)
+            rec.x_pre[ids] = end
+            rec.x_post[ids] = end
+            rec.acc[:, ids] = rec_acc
         done = [cols]
 
         x, s, acc = pos[K], sup[K - 1], sums[:, K - 1]
+        if coupled:
+            acc_c, half = csum[:, K - 1], (~closes[K - 1]).astype(np.intp)
         tired = cols[:0]
         if cand.size:
             # the candidates that did not exit at their event row jump there,
@@ -578,22 +769,28 @@ def _simulate_exit_chunk(
                     below = x_jumped < b
                     dn, r_dn = jumps[below], r[below]
                     dn_ids = pid[dn]
-                    if track:
-                        out.s_exit[dn_ids] = sup[r_dn, dn]
-                    out.x_pre[dn_ids] = X[r_dn, dn]
-                    out.x_post[dn_ids] = x_jumped[below]
-                    out.acc[:, dn_ids] = sums[:, r_dn, dn]
+                    for rec, total in books:
+                        if track:
+                            rec.s_exit[dn_ids] = sup[r_dn, dn]
+                        rec.x_pre[dn_ids] = X[r_dn, dn]
+                        rec.x_post[dn_ids] = x_jumped[below]
+                        rec.acc[:, dn_ids] = total[:, r_dn, dn]
                     running[at_jump[below]] = False
                     done.append(dn)
                     kept = jumps[~below]
                     x[kept] = x_jumped[~below]
                     for f_row, fn in zip(f_prev, integrands):
                         f_row[kept] = fn(s[kept], x[kept])
+                    if coupled:
+                        # the jump closed the pair: the coarse path jumps too
+                        half[kept] = 0
+                        f_c[:, kept] = f_prev[:, kept]
             tired = cand[running & (cap_row == stop)]
         if tired.size:
             r = event[tired]
-            out.censored[pid[tired]] = True
-            out.acc[:, pid[tired]] = sums[:, r, tired]
+            for rec, total in books:
+                rec.censored[pid[tired]] = True
+                rec.acc[:, pid[tired]] = total[:, r, tired]
             done.append(tired)
 
         finished = np.sort(np.concatenate(done)) if len(done) > 1 else cols
@@ -606,21 +803,47 @@ def _simulate_exit_chunk(
             tail[finished[finished >= m] - m] = False
             movers = m + np.flatnonzero(tail)
             state = [pid, x] + ([s] if track else []) + ([t, jump_in] if jumpy else [])
+            sheets = [acc, f_prev]
+            if coupled:
+                state.append(half)
+                sheets += [acc_c, f_c]
             for arr in state:
                 arr[holes] = arr[movers]
-            for arr in (acc, f_prev):
+            for arr in sheets:
                 arr[:, holes] = arr[:, movers]
         pid, x, s, acc, f_prev = pid[:m], x[:m], s[:m], acc[:, :m], f_prev[:, :m]
         if jumpy:
             t, jump_in = t[:m], jump_in[:m]
+        if coupled:
+            half, acc_c, f_c = half[:m], acc_c[:, :m], f_c[:, :m]
     return out
 
 
-def _chunk(model, spec, cfg, integrands, track, k):
-    """Simulate chunk ``k`` and return its records."""
+def _level_steps(dt: float, levels: int) -> list:
+    """The step of each level's run: ``2^L dt`` for the coarsest, then the
+    fine step ``2^(l-1) dt`` of each correction level ``l = 1..L``."""
+    return [dt * 2**levels] + [dt * 2 ** (level - 1) for level in range(1, levels + 1)]
+
+
+def _chunk(model, spec, cfg, integrands, track, levels, k):
+    """Simulate chunk ``k`` and return its records, one state per level.
+
+    Without levels that is the chunk's plain run.  With ``levels`` the
+    chunk's paths run at the coarsest step first, from the chunk's stream;
+    then each correction level ``l`` runs its coupled pairs from its own
+    stream.
+    """
     n = min(_CHUNK, cfg.n_paths - k * _CHUNK)
-    return _simulate_exit_chunk(model, spec, cfg, _chunk_rng(cfg.seed, k), n, integrands,
-                                track)
+    rng = _chunk_rng(cfg.seed, k)
+    coarsest, *fine = _level_steps(cfg.dt, levels)
+    states = [_simulate_exit_chunk(model, spec, replace(cfg, dt=coarsest), rng, n, integrands,
+                                   track)]
+    pairs = max(_MIN_PAIRS, -(-n // _PAIR_SHARE))
+    for level, dt in enumerate(fine, 1):
+        states.append(_simulate_exit_chunk(model, spec, replace(cfg, dt=dt),
+                                           _spawned_rng(rng, 1 + level), pairs, integrands,
+                                           track, coupled=True))
+    return states
 
 
 _job = None  # the chunk runner of a worker process, set as the worker starts
@@ -651,9 +874,21 @@ def _worker_count(n_chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_chunks)
 
 
-def _collect_states(model, spec, cfg, integrands, track, meanwhile=None):
+def _merge(states):
+    """One state of the records of ``states`` in order and their summed counts."""
+    merged = _ExitState(0, 0)
+    for name in _ExitState.RECORDS:
+        setattr(merged, name, np.concatenate([getattr(st, name) for st in states], axis=-1))
+    for name in _ExitState.COUNTS:
+        setattr(merged, name, sum(getattr(st, name) for st in states))
+    if states[0].coarse is not None:
+        merged.coarse = _merge([st.coarse for st in states])
+    return merged
+
+
+def _collect_states(model, spec, cfg, integrands, track, meanwhile=None, levels=0):
     """Simulate the chunks and return their records merged in chunk order,
-    with the run's diagnostics.
+    one state per level, with the run's diagnostics.
 
     A step that is coarse for the band warns first, at the line that called
     the entry point.  The ``n_paths`` paths form chunks of ``_CHUNK``, the
@@ -662,19 +897,21 @@ def _collect_states(model, spec, cfg, integrands, track, meanwhile=None):
     process when that is one; either way each chunk sees the same draws, so
     the merged records are bit-identical for any worker count.  The
     diagnostics hold each count of ``_ExitState.COUNTS`` summed in chunk
-    order, ``censored``, the paths that reached the time cap, and
-    ``sup_tracked``, which is ``track``.  ``meanwhile``, a callable without
-    arguments, runs in this process after the workers start and before
-    their results are read; in process it runs before the first chunk.  A worker that raises raises the
-    same error here, and one that dies raises ``BrokenProcessPool``, a
-    ``RuntimeError``; an error in ``meanwhile`` cancels the chunks that have
-    not started.  No worker outlives the call.
+    order and over the levels of :func:`_chunk`, but ``chunks``, which
+    counts each chunk once; ``censored``, the paths and pairs that reached
+    the time cap; and ``sup_tracked``, which is ``track``.  ``meanwhile``, a
+    callable without arguments, runs in this process after the workers start
+    and before their results are read; in process it runs before the first
+    chunk.  A worker that raises raises the same error here, and one that
+    dies raises ``BrokenProcessPool``, a ``RuntimeError``; an error in
+    ``meanwhile`` cancels the chunks that have not started.  No worker
+    outlives the call.
 
     Raises:
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
     cfg.warn_if_coarse(spec)
-    job = functools.partial(_chunk, model, spec, cfg, integrands, track)
+    job = functools.partial(_chunk, model, spec, cfg, integrands, track, levels)
     n_chunks = -(-cfg.n_paths // _CHUNK)
     workers = _worker_count(n_chunks)
     if workers == 1:
@@ -700,12 +937,11 @@ def _collect_states(model, spec, cfg, integrands, track, meanwhile=None):
             finally:
                 for future in futures:
                     future.cancel()
-    merged = _ExitState(0, len(integrands))
-    for name in _ExitState.RECORDS:
-        setattr(merged, name, np.concatenate([getattr(st, name) for st in states], axis=-1))
-    diagnostics = {name: sum(getattr(st, name) for st in states) for name in _ExitState.COUNTS}
-    n_total = merged.up.size
-    n_censored = int(merged.censored.sum())
+    merged = [_merge(level) for level in zip(*states)]
+    diagnostics = {name: sum(getattr(st, name) for st in merged) for name in _ExitState.COUNTS}
+    diagnostics["chunks"] = n_chunks
+    n_total = sum(st.up.size for st in merged)
+    n_censored = sum(int(st.censored.sum()) for st in merged)
     if n_censored > _MAX_CENSORED_FRACTION * n_total:
         raise RuntimeError(
             f"{n_censored} of {n_total} paths were censored at the time cap "
@@ -721,6 +957,15 @@ def _estimate(values: np.ndarray) -> Estimate:
     return Estimate(mean=mean, std_error=se, n=n)
 
 
+def _exit_values(st, g, counted) -> dict:
+    """Each estimand's value on the ``counted`` paths of ``st``."""
+    up = st.up[counted]
+    lap = np.exp(-st.acc[0, counted])
+    down = lap if g is None else np.asarray(g(st.s_exit[counted]), float) * lap
+    return {"up_laplace": np.where(up, lap, 0.0), "down_value": np.where(~up, down, 0.0),
+            "p_up": up.astype(float)}
+
+
 def run_exit_mc(
     model: LevyModel,
     F: BivariatePotential,
@@ -729,6 +974,7 @@ def run_exit_mc(
     g: Optional[Callable] = None,
     keep_samples: bool = False,
     meanwhile: Optional[Callable[[], None]] = None,
+    levels: int = 0,
 ) -> ExitMCResult:
     """Estimate the two-sided exit functionals by simulation.
 
@@ -737,37 +983,70 @@ def run_exit_mc(
     records on request.  ``meanwhile`` runs in this process while the worker
     processes step the chunks, or first when the run stays in process.
 
+    With ``levels = L > 0`` the estimates telescope over the levels of the
+    module docstring: still of the dt scheme's means, with the standard
+    error of the sum, ``sqrt(sum_l Var_l / n_l)``.  ``diagnostics["levels"]``
+    then lists the coarsest run and each correction level ``l = 1..L``, with
+    its step ``dt``, ``paths`` (pairs for a correction), ``path_steps``, and
+    each estimand's sample ``mean`` and ``variance`` (of the pair
+    difference, fine minus coarse, for a correction); ``bias_dt`` holds the
+    level-1 pairs' ``E[Y_2dt - Y_dt]``.  ``levels = 0`` is the plain run.
+
     The supremum is tracked only when something reads it: ``F.reads_sup``, a
     weight ``g``, or the kept samples' ``s_at_exit``.
 
     Raises:
+        ValueError: for ``levels`` outside ``0..4``, or with kept samples,
+            which are the dt scheme's paths.
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
+    if not 0 <= levels <= _MAX_LEVELS or (levels and keep_samples):
+        raise ValueError(f"levels must be in 0..{_MAX_LEVELS}, and 0 with kept samples; "
+                         f"got {levels}")
     track = F.reads_sup or g is not None or keep_samples
-    st, diagnostics = _collect_states(model, spec, cfg, [F.eval_pairs], track, meanwhile)
+    states, diagnostics = _collect_states(model, spec, cfg, [F.eval_pairs], track, meanwhile,
+                                          levels)
+    st = states[0]
     counted = ~st.censored
-    acc = st.acc[0]
-    up_c = st.up[counted]
-    lap = np.exp(-acc[counted])
-    y_up = np.where(up_c, lap, 0.0)
-    y_down = np.where(
-        ~up_c, lap if g is None else np.asarray(g(st.s_exit[counted]), float) * lap, 0.0
-    )
+    values = _exit_values(st, g, counted)
+    bias_dt = None
+    if not levels:
+        estimates = {name: _estimate(v) for name, v in values.items()}
+    else:
+        samples = [values]
+        for pairs in states[1:]:
+            kept = ~pairs.censored
+            fine, coarse = _exit_values(pairs, g, kept), _exit_values(pairs.coarse, g, kept)
+            samples.append({name: fine[name] - coarse[name] for name in _ESTIMANDS})
+            if bias_dt is None:  # the level-1 pairs
+                bias_dt = {name: _estimate(coarse[name] - fine[name]) for name in _ESTIMANDS}
+        parts = [{name: _estimate(v[name]) for name in _ESTIMANDS} for v in samples]
+        estimates = {
+            name: Estimate(mean=sum(p[name].mean for p in parts),
+                           std_error=float(np.sqrt(sum(p[name].std_error**2 for p in parts))),
+                           n=parts[0][name].n)
+            for name in _ESTIMANDS
+        }
+        diagnostics["levels"] = [
+            {"dt": step, "paths": level.up.size, "path_steps": level.path_steps,
+             "mean": {name: p[name].mean for name in _ESTIMANDS},
+             "variance": {name: float(v[name].var(ddof=1)) for name in _ESTIMANDS}}
+            for step, level, p, v in zip(_level_steps(cfg.dt, levels), states, parts, samples)
+        ]
 
     result = ExitMCResult(
-        up_laplace=_estimate(y_up),
-        down_value=_estimate(y_down),
-        p_up=_estimate(up_c.astype(float)),
+        **estimates,
         n_censored=diagnostics["censored"],
         diagnostics=diagnostics,
+        bias_dt=bias_dt,
     )
     if keep_samples:
         result.samples = ExitSamples(
-            exited_up=up_c,
+            exited_up=st.up[counted],
             s_at_exit=st.s_exit[counted],
             x_pre=st.x_pre[counted],
             x_post=st.x_post[counted],
-            functional=acc[counted],
+            functional=st.acc[0, counted],
         )
     return result
 
@@ -828,7 +1107,7 @@ def conditional_mc(
     """
     if n_bins < 4:
         raise ValueError("conditional_mc needs n_bins >= 4")
-    st, diagnostics = _collect_states(model, spec, cfg, [F.eval_pairs], True, meanwhile)
+    (st,), diagnostics = _collect_states(model, spec, cfg, [F.eval_pairs], True, meanwhile)
     counted = ~st.censored
     lap = np.exp(-st.acc[0, counted])
     up = st.up[counted]
@@ -918,8 +1197,8 @@ def occupation_mc(
     def smoothed_rate(s, xs):
         return (table(xs + w) - table(xs - w)) / (2.0 * w)
 
-    st, diagnostics = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], False,
-                                      meanwhile)
+    (st,), diagnostics = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], False,
+                                         meanwhile)
     counted = ~st.censored
     acc_a = st.acc[0, counted]
     acc_b = st.acc[1, counted]

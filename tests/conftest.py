@@ -245,8 +245,21 @@ def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
     return np.asarray(ratios)
 
 
+def _bridge_max(x_a, x_b, u, v):
+    """Brownian bridge maximum from ``x_a`` to ``x_b`` with variance ``v`` and uniform ``u``."""
+    return (np.sqrt((x_b - x_a) * (x_b - x_a) - np.log(u) * (2.0 * v)) + (x_a + x_b)) * 0.5
+
+
+def _empty_records(n, n_integrands):
+    return {
+        "up": np.zeros(n, dtype=bool), "s_exit": np.full(n, np.nan),
+        "x_pre": np.full(n, np.nan), "x_post": np.full(n, np.nan),
+        "acc": np.zeros((n_integrands, n)), "censored": np.zeros(n, dtype=bool),
+    }
+
+
 def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rule, reach,
-                         track=True):
+                         track=True, extra=None):
     """Plain per-step loop of the Monte Carlo stepper over one chunk.
 
     It replays the stepper's passes one step at a time, over the paths still
@@ -272,6 +285,22 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
     of the last ``d`` slots move, in slot order, into the holes the finished
     paths leave in the first ``m - d`` slots.  Returns the records and the
     pass, step and path-step counts.
+
+    With ``extra``, the generator of a coupled run's extra half-steps, each
+    path also carries its coarse companion at step ``2 dt``.  A step closes
+    the path's pair when the pair has its first half done, or when the path
+    jumps at the step's end; it then adds ``(f_start + f_end) (h1 + h2) /
+    2`` to the coarse sum, halved for a bridge kill strictly inside the
+    band.  A fine exit at a first half is finished at the end of its pass,
+    in slot order: one normal each for the second half, ``min(dt, time
+    left)`` long, then a uniform for the bridge maximum of each second half
+    that left down and is within reach of its level, which takes the coarse
+    path up when it reaches ``a``.  ``rec["coarse"]`` holds the coarse
+    records, and ``rec`` counts the fine exits at a first half
+    (``odd_exits``), those whose second half takes the coarse path up
+    (``odd_exits_up``) or raises its supremum (``sup_raised``), the extra
+    uniforms, and the jumps that close a half-filled pair
+    (``jumps_close_half``).
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
@@ -279,26 +308,29 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
     jumpy = rate > 0.0
     t_cap = mc._T_CAP_SCALE * (a - b) ** 2 / sigma**2
     main, bridge = iter(main), iter(bridge)
-    rec = {
-        "up": np.zeros(n, dtype=bool), "s_exit": np.full(n, np.nan),
-        "x_pre": np.full(n, np.nan), "x_post": np.full(n, np.nan),
-        "acc": np.zeros((len(integrands), n)), "censored": np.zeros(n, dtype=bool),
-        "passes": 0, "steps": 0, "path_steps": 0,
-    }
+    coupled = extra is not None
+    rec = {**_empty_records(n, len(integrands)), "passes": 0, "steps": 0, "path_steps": 0}
     x, s = np.full(n, x0), np.full(n, x0)
     acc = np.zeros((len(integrands), n))
     f = np.array([fn(s, x) for fn in integrands])
     t = np.zeros(n) if jumpy else 0.0
     wait = next(main) if jumpy else None
     slots = list(range(n))
+    if coupled:
+        coarse = rec["coarse"] = _empty_records(n, len(integrands))
+        for key in ("odd_exits", "odd_exits_up", "sup_raised", "extra_uniforms",
+                    "jumps_close_half"):
+            rec[key] = 0
+        half = np.zeros(n, dtype=bool)
+        acc_c, f_c = np.zeros_like(acc), f.copy()
 
-    def finish(p, acc_p, up=None, s_end=None, x_pre=None, x_post=None):
-        rec["acc"][:, p] = acc_p
+    def finish(p, acc_p, up=None, s_end=None, x_pre=None, x_post=None, book=rec):
+        book["acc"][:, p] = acc_p
         if up is None:
-            rec["censored"][p] = True
+            book["censored"][p] = True
             return
-        rec["up"][p], rec["s_exit"][p] = up, s_end
-        rec["x_pre"][p], rec["x_post"][p] = x_pre, x_post
+        book["up"][p], book["s_exit"][p] = up, s_end
+        book["x_pre"][p], book["x_post"][p] = x_pre, x_post
 
     while slots:
         m = len(slots)
@@ -313,7 +345,7 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
         level = s[ids].copy() if track else np.full(m, a)
         stepping = np.ones(m, dtype=bool)
         ran = np.zeros(m, dtype=int)
-        jumped, tired_at_jump, finished = [], [], []
+        jumped, tired_at_jump, finished, pending = [], [], [], []
         for j in range(K):
             sl = np.flatnonzero(stepping)
             if not sl.size:
@@ -362,19 +394,59 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
                 at_jump = np.zeros(sl.size, dtype=bool)
                 t = t + dt
                 tired = np.full(sl.size, t >= t_cap)
+            if coupled:
+                shut = half[p] | at_jump
+                rec["jumps_close_half"] += int((half[p] & at_jump & ~gone).sum())
+                c_inc = (f_c[:, p] + f_new) * (0.5 * np.where(half[p], dt + h, h))
+                c_inc[:, gone & (x_new < a) & (x_new >= b)] *= 0.5
+                acc_c[:, p[shut]] = acc_c[:, p[shut]] + c_inc[:, shut]
+                f_c[:, p[shut]] = f_new[:, shut]
+                half[p] = ~shut
+                for q in np.flatnonzero(gone & ~shut):
+                    # the second half starts where the fine path left, after dt
+                    h2 = min(dt, wait[p[q]]) if jumpy else dt
+                    pending.append((sl[q], p[q], x_new[q], s_new[q] if track else a, up[q], h2))
             for q in np.flatnonzero(gone):
                 end = a if up[q] else b
                 finish(p[q], acc[:, p[q]], up[q], s_new[q] if track else np.nan, end, end)
+                if coupled and shut[q]:
+                    finish(p[q], acc_c[:, p[q]], up[q], s_new[q] if track else np.nan, end, end,
+                           book=coarse)
                 finished.append(sl[q])
             for q in np.flatnonzero(at_jump & ~gone):
                 jumped.append(sl[q])
                 tired_at_jump.append(tired[q])
             for q in np.flatnonzero(tired & ~at_jump & ~gone):
                 finish(p[q], acc[:, p[q]])
+                if coupled:
+                    finish(p[q], acc_c[:, p[q]], book=coarse)
                 finished.append(sl[q])
             stepping[sl[gone | at_jump | tired]] = False
             rec["path_steps"] += sl.size
         rec["steps"] += int(ran.max())
+
+        if pending:
+            pending.sort(key=lambda entry: entry[0])
+            _, ps, x_a, level, ups, h2 = (np.array(col) for col in zip(*pending))
+            x_b = x_a + (extra.standard_normal(ps.size) * (sigma * np.sqrt(h2)) + mu * h2)
+            var2 = sigma * sigma * h2
+            near = ~ups & ((level - x_a) * (level - x_b) < reach * var2)
+            top = np.minimum(_bridge_max(x_a[near], x_b[near], extra.random(near.sum()),
+                                         var2[near]), a)
+            c_up, s2 = ups.copy(), level.copy()
+            c_up[near] = top >= a
+            s2[near] = np.maximum(s2[near], top)
+            f_end = np.array([fn(s2 if track else x_b, x_b) for fn in integrands])
+            inc = (f_c[:, ps] + f_end) * (0.5 * (dt + h2))
+            inc[:, (x_b < a) & (x_b >= b)] *= 0.5
+            for q, pq in enumerate(ps):
+                end = a if c_up[q] else b
+                finish(pq, acc_c[:, pq] + inc[:, q], c_up[q], s2[q] if track else np.nan, end,
+                       end, book=coarse)
+            rec["odd_exits"] += ps.size
+            rec["odd_exits_up"] += int((c_up & ~ups).sum())
+            rec["sup_raised"] += int((s2 > level).sum()) if track else 0
+            rec["extra_uniforms"] += int(near.sum())
 
         # jumps fire at the end of their step, in slot order
         order = np.argsort(jumped)
@@ -387,6 +459,9 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
             for q in np.flatnonzero(x_jumped < b):
                 s_end = s[p[q]] if track else np.nan
                 finish(p[q], acc[:, p[q]], False, s_end, x[p[q]], x_jumped[q])
+                if coupled:
+                    finish(p[q], acc_c[:, p[q]], False, s_end, x[p[q]], x_jumped[q],
+                           book=coarse)
                 finished.append(jumped[q])
             kept = x_jumped >= b
             x[p[kept]], wait[p[kept]] = x_jumped[kept], waits[kept]
@@ -394,8 +469,12 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
                 s[p[kept]] = x[p[kept]]
             for k, fn in enumerate(integrands):
                 f[k, p[kept]] = fn(s[p[kept]], x[p[kept]])
+            if coupled:
+                f_c[:, p[kept]] = f[:, p[kept]]
             for q in np.flatnonzero(kept & tired_at_jump):
                 finish(p[q], acc[:, p[q]])
+                if coupled:
+                    finish(p[q], acc_c[:, p[q]], book=coarse)
                 finished.append(jumped[q])
 
         finished = sorted(finished)

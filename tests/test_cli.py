@@ -176,13 +176,13 @@ MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
 def test_mc_verify_passes_with_exit_zero(capsys):
     assert main([*MC_VERIFY, "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 7
+    assert doc["schema"] == 8
     assert doc["mc_config"] == {"dt": 1e-3, "paths": 200, "seed": 3}
     assert doc["pass"] is True
     assert doc["diagnostics"]["converged"] is True
     counts = doc["diagnostics"]["mc"]
-    assert sorted(counts) == ["censored", "chunks", "passes", "path_steps", "steps",
-                              "sup_tracked", "uniforms"]
+    assert sorted(counts) == ["censored", "chunks", "half_steps", "levels", "passes",
+                              "path_steps", "steps", "sup_tracked", "uniforms"]
     assert counts["chunks"] == 1
     assert counts["censored"] == doc["n_censored"] == 0
     assert 0 < counts["passes"] < counts["steps"]
@@ -202,6 +202,88 @@ def test_mc_verify_tracks_the_supremum_for_a_weight_of_it(capsys):
         assert counts["sup_tracked"] is (g == "identity")
         uniforms[g] = counts["uniforms"]
     assert 0 < uniforms["one"] < uniforms["identity"]
+
+
+def test_mc_verify_keeps_what_the_benchmark_check_reads(monkeypatch, capsys):
+    # bench/checks.py::check_mc_verify reads these parts of the document, and
+    # the benchmark counts the steps of a one-chunk run in process: a run of
+    # one chunk with levels starts no worker
+    from snlpscale import cli
+
+    solve, children = cli.evaluate_exit, []
+
+    def watched(*args, **kwargs):
+        children.append(len(multiprocessing.active_children()))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_exit", watched)
+    assert main([*MC_VERIFY, "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "error" not in doc and doc["command"] == "mc-verify"
+    assert doc["model"] == {"family": "brownian_drift", "mu": 0.0, "sigma": 1.0}
+    assert doc["spec"] == {"b": 0.0, "x": 0.5, "a": 1.0}
+    assert doc["potential"] == "const:0.5"
+    assert doc["mc_config"] == {"dt": 1e-3, "paths": 200, "seed": 3}
+    assert doc["n_censored"] == 0
+    assert sorted(row["estimand"] for row in doc["report"]) == ["down_value", "p_up",
+                                                               "up_laplace"]
+    for row in doc["report"]:
+        assert isinstance(row["deterministic"], float) and row["mc_se"] > 0.0
+    assert doc["pass"] is True and doc["diagnostics"]["converged"] is True
+    assert len(doc["diagnostics"]["mc"]["levels"]) == 1 + 3  # L = 3 at dt 1e-3 on a band of 1
+    assert children == [0]
+
+
+def test_mc_verify_reports_each_level_and_the_dt_bias(capsys):
+    # L = 3: the coarsest run at 8 dt, then the pairs at dt, 2 dt and 4 dt;
+    # the estimate is the sum of the level means, and bias_dt is the level-1
+    # pairs' coarse minus fine
+    assert main([*MC_VERIFY, "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    levels = doc["diagnostics"]["mc"]["levels"]
+    assert [level["dt"] for level in levels] == [8e-3, 1e-3, 2e-3, 4e-3]
+    assert [level["paths"] for level in levels] == [200, 256, 256, 256]
+    assert sum(level["path_steps"] for level in levels) == doc["diagnostics"]["mc"]["path_steps"]
+    for row in doc["report"]:
+        name = row["estimand"]
+        means = [level["mean"][name] for level in levels]
+        variances = [level["variance"][name] for level in levels]
+        assert row["mc_mean"] == pytest.approx(sum(means), rel=1e-12, abs=1e-15)
+        assert row["mc_se"] == pytest.approx(
+            math.sqrt(sum(v / level["paths"] for v, level in zip(variances, levels))), rel=1e-12)
+        assert row["bias_dt"] == -means[1]
+        assert row["bias_dt_se"] == pytest.approx(math.sqrt(variances[1] / 256), rel=1e-12)
+    # a pair disagrees on the exit side only when its fine path leaves down at
+    # a first half and the second half reaches a: a rise of the band's width
+    # within one step, which no path here makes
+    p_up = next(row for row in doc["report"] if row["estimand"] == "p_up")
+    assert p_up["bias_dt"] == p_up["bias_dt_se"] == 0.0
+
+
+def test_mc_verify_with_csv_runs_the_dt_paths(tmp_path, capsys):
+    # the CSV rows are the dt scheme's paths, so the run has no levels
+    out = tmp_path / "paths.csv"
+    assert main([*MC_VERIFY, "--seed", "3", "--csv", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "levels" not in doc["diagnostics"]["mc"]
+    assert all(row["bias_dt"] is None and row["bias_dt_se"] is None for row in doc["report"])
+    assert len(out.read_text().splitlines()) == 1 + 200
+
+
+def test_mc_verify_documents_do_not_depend_on_the_worker_count(monkeypatch, capsys):
+    # two chunks of 100 paths, each with its levels, in process or on workers
+    from snlpscale import mc
+
+    monkeypatch.setattr(mc, "_CHUNK", 100)
+    docs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(mc, "_worker_count", lambda n_chunks: workers)
+        assert main([*MC_VERIFY, "--seed", "3"]) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
+    counts = json.loads(docs[0])["diagnostics"]["mc"]
+    assert counts["chunks"] == 2
+    assert [level["paths"] for level in counts["levels"]] == [200, 512, 512, 512]
 
 
 MC_RUN = [*BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", "--paths", "200", "--dt", "1e-3",
@@ -243,7 +325,9 @@ def test_each_mc_command_writes_the_run_diagnostics(command, capsys):
 
     assert main([command, *MC_RUN]) == 0
     counts = json.loads(capsys.readouterr().out)["diagnostics"]["mc"]
-    assert sorted(counts) == sorted(_ExitState.COUNTS + ("censored", "sup_tracked"))
+    # mc-verify alone runs levels
+    levels = ("levels",) if command == "mc-verify" else ()
+    assert sorted(counts) == sorted(_ExitState.COUNTS + ("censored", "sup_tracked") + levels)
     assert counts["chunks"] == 1 and counts["censored"] == 0
     # only the conditional law reads the supremum
     assert counts["sup_tracked"] is (command == "conditional")

@@ -104,6 +104,10 @@ def test_mc_results_hold_the_run_counts_in_one_diagnostics_dict():
 
     for cls in (ExitMCResult, ConditionalMCResult, OccupationMCResult):
         assert "diagnostics" in names(cls)
-    counts = {"chunks", "passes", "steps", "path_steps", "uniforms", "sup_tracked"}
+    from snlpscale.mc import _ExitState
+
+    assert _ExitState.COUNTS == ("chunks", "passes", "steps", "path_steps", "uniforms",
+                                 "half_steps")
+    counts = set(_ExitState.COUNTS) | {"sup_tracked", "levels"}
     assert not counts & names(ExitMCResult)
     assert "elapsed" not in names(Estimate)

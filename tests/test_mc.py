@@ -27,6 +27,7 @@ import multiprocessing
 import os
 import threading
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -443,13 +444,16 @@ def _rows(m):
     return min(mc._MAX_ROWS, max(1, mc._PASS_ENTRIES // m))
 
 
-def _record_chunk(model, cfg, n, integrands, monkeypatch, track=True):
+def _record_chunk(model, cfg, n, integrands, monkeypatch, track=True, coupled=False):
     """Run one chunk and return its records with every draw it made: the main
-    stream's, and each pass's bridge entries and uniforms."""
+    stream's, and each pass's bridge entries and uniforms.  A coupled run's
+    extra half-steps (the stream of spawn key ``(1,)``) are not recorded."""
     rng = _Recorder(_chunk_rng(cfg.seed, 0))
     bridge, real = [], _bridge_extrema
 
     def recording(uniforms, *args):
+        if uniforms.bit_generator.seed_seq.spawn_key == (1,):
+            return real(uniforms, *args)
         rec = _Recorder(uniforms)
         hi, lo, ext = real(rec, *args)
         ((name, u),) = rec.draws
@@ -458,7 +462,7 @@ def _record_chunk(model, cfg, n, integrands, monkeypatch, track=True):
         return hi, lo, ext
 
     monkeypatch.setattr(mc, "_bridge_extrema", recording)
-    st = _simulate_exit_chunk(model, SPEC, cfg, rng, n, integrands, track)
+    st = _simulate_exit_chunk(model, SPEC, cfg, rng, n, integrands, track, coupled)
     return st, rng.draws, bridge
 
 
@@ -488,6 +492,13 @@ LEVEL_S = parse_bivariate("level:1,0.6", SPEC.a - SPEC.b)
 # sigma = 2 puts (a-b)^2 / sigma^2 at 1/4: a time-cap scale of 0.4 censors at 0.1
 BM_SIGMA2 = make_brownian(0.3, 2.0)
 JD_SIGMA2 = make_exp_jump_diffusion(2.0, 2.0, 1.0, 0.5)
+# a step of sd 0.63 on a band of 1: a path that leaves down at a pair's first
+# half often reaches a in its second half
+BM_WIDE = make_brownian(0.3, 20.0)
+# reflected:0.5 with the bound of a band of width 4, for the wide steps' overshoot
+REFLECTED_WIDE = parse_bivariate("reflected:0.5", 4.0)
+# a jump every 0.05 on average: many jumps close a half-filled pair
+JD_BUSY = make_exp_jump_diffusion(2.0, 1.0, 20.0, 0.05)
 # (model, time-cap scale or None for the default, integrands, reach, track)
 REFERENCE_CASES = {
     "bm": (BM, None, [REFLECTED.eval_pairs], _REACH, True),
@@ -519,7 +530,57 @@ REFERENCE_CASES = {
     "jd_s_untracked": (JD, None,
                        [BivariatePotential(lambda s, x: np.abs(s), bound=2.0).eval_pairs],
                        _REACH, False),
+    # rows for the coupled runs, each with the event of COUPLING_EVENTS
+    "bm_wide_untracked": (BM_WIDE, None, [LEVEL_S.eval_pairs], _REACH, False),
+    "bm_wide": (BM_WIDE, None, [REFLECTED_WIDE.eval_pairs], _REACH, True),
+    "jd_busy": (JD_BUSY, None, [REFLECTED.eval_pairs], _REACH, True),
+    "jd_busy_cap": (JD_BUSY, 0.2, [LEVEL_S.eval_pairs], _REACH, False),
 }
+# the reference's count of the event each row is there for: an exit at a
+# pair's first half whose second half takes the coarse path up; a tracked
+# reflected:0.5 run whose second halves raise the coarse supremum; jumps that
+# close a half-filled pair, without and with pairs censored at the time cap
+# (which the test checks for every "cap" row)
+COUPLING_EVENTS = {
+    "bm_wide_untracked": "odd_exits_up",
+    "bm_wide": "sup_raised",
+    "jd_busy": "jumps_close_half",
+    "jd_busy_cap": "jumps_close_half",
+}
+
+
+def _match_the_reference(case, entries, coupled, monkeypatch):
+    model, cap, integrands, reach, track = REFERENCE_CASES[case]
+    if entries is not None:
+        monkeypatch.setattr(mc, "_PASS_ENTRIES", entries)
+    if cap is not None:
+        _cap(monkeypatch, cap)
+    monkeypatch.setattr(mc, "_REACH", reach)
+    _count_record_writes(monkeypatch)
+    cfg = _cfg()
+    st, main, bridge = _record_chunk(model, cfg, 2000, integrands, monkeypatch, track, coupled)
+    assert {name for name, _ in main} <= {"standard_normal", "exponential"}
+    # the extra half-steps' stream: SFC64 of the chunk's seed sequence's
+    # second spawned child
+    seq = np.random.SeedSequence((cfg.seed, 0))
+    extra = np.random.Generator(np.random.SFC64(seq.spawn(2)[1])) if coupled else None
+    ref = reference_exit_chunk(model, SPEC, cfg, 2000, integrands, [d for _, d in main],
+                               bridge, _rows, reach, track, extra)
+    books = [(st, ref)] + ([(st.coarse, ref["coarse"])] if coupled else [])
+    for got, want in books:
+        for name in _ExitState.RECORDS:
+            assert np.array_equal(getattr(got, name), want[name], equal_nan=True), name
+        assert np.all(got.acc.writes == 1)
+        if "cap" in case:
+            assert got.censored.any()
+        if not track:
+            assert np.isnan(got.s_exit).all()
+    assert (st.passes, st.steps, st.path_steps) == (ref["passes"], ref["steps"], ref["path_steps"])
+    assert st.uniforms == sum(u.size for _, _, u in bridge) + (ref["extra_uniforms"] if coupled
+                                                               else 0)
+    normals = [d.size for name, d in main if name == "standard_normal"]
+    assert normals[0] == _rows(2000) * 2000 == (2000 if entries else 16000)
+    return st, ref
 
 
 @pytest.mark.parametrize("entries", [None, 1000], ids=["default", "bulk"])
@@ -529,29 +590,21 @@ def test_passes_match_the_per_step_reference(case, entries, monkeypatch):
     # steps each path once per row with the same draws; with 1000 entries a
     # pass, the 2000 paths start in passes of one step each.  Every path's
     # record is written once, whichever slots it moved through.
-    model, cap, integrands, reach, track = REFERENCE_CASES[case]
-    if entries is not None:
-        monkeypatch.setattr(mc, "_PASS_ENTRIES", entries)
-    if cap is not None:
-        _cap(monkeypatch, cap)
-    monkeypatch.setattr(mc, "_REACH", reach)
-    _count_record_writes(monkeypatch)
-    cfg = _cfg()
-    st, main, bridge = _record_chunk(model, cfg, 2000, integrands, monkeypatch, track)
-    assert {name for name, _ in main} <= {"standard_normal", "exponential"}
-    ref = reference_exit_chunk(model, SPEC, cfg, 2000, integrands, [d for _, d in main],
-                               bridge, _rows, reach, track)
-    for name in _ExitState.RECORDS:
-        assert np.array_equal(getattr(st, name), ref[name], equal_nan=True), name
-    assert (st.passes, st.steps, st.path_steps) == (ref["passes"], ref["steps"], ref["path_steps"])
-    assert st.uniforms == sum(u.size for _, _, u in bridge)
-    assert np.all(st.acc.writes == 1)
-    if "cap" in case:
-        assert st.censored.any()
-    if not track:
-        assert np.isnan(st.s_exit).all()
-    normals = [d.size for name, d in main if name == "standard_normal"]
-    assert normals[0] == _rows(2000) * 2000 == (2000 if entries else 16000)
+    st, _ = _match_the_reference(case, entries, False, monkeypatch)
+    assert st.coarse is None and st.half_steps == 0
+
+
+@pytest.mark.parametrize("entries", [None, 1000], ids=["default", "bulk"])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_coupled_passes_match_the_per_step_reference(case, entries, monkeypatch):
+    # a coupled run's fine records are the plain run's, and its coarse ones
+    # those of the per-step loop that pairs the fine steps, bit for bit; a
+    # pair may span two passes, which the one-step passes of the bulk make
+    # the rule
+    st, ref = _match_the_reference(case, entries, True, monkeypatch)
+    assert st.half_steps == ref["odd_exits"] > 0
+    if case in COUPLING_EVENTS:
+        assert ref[COUPLING_EVENTS[case]] > 0
 
 
 @pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
@@ -621,13 +674,13 @@ def test_draw_pattern(model, track, monkeypatch):
 
 
 def _watch_tracking(monkeypatch):
-    """Record ``(track, merged records)`` of every run's chunks."""
+    """Record ``(track, merged records of the first level)`` of every run's chunks."""
     runs, collect = [], mc._collect_states
 
-    def watched(model, spec, cfg, integrands, track, meanwhile=None):
-        st, diagnostics = collect(model, spec, cfg, integrands, track, meanwhile)
-        runs.append((track, st))
-        return st, diagnostics
+    def watched(model, spec, cfg, integrands, track, meanwhile=None, levels=0):
+        states, diagnostics = collect(model, spec, cfg, integrands, track, meanwhile, levels)
+        runs.append((track, states[0]))
+        return states, diagnostics
 
     monkeypatch.setattr(mc, "_collect_states", watched)
     return runs
@@ -765,6 +818,109 @@ class TestClosedForm:
         p_up = classical_exit_up(model, 0.0, SPEC.b, SPEC.x, SPEC.a)
         for det, est in ((up, res.up_laplace), (down, res.down_value), (p_up, res.p_up)):
             assert abs(det - est.mean) / est.std_error < 3.0
+
+
+# ---------------------------------------------------------------------------
+# Multilevel runs
+# ---------------------------------------------------------------------------
+
+BM_UNIT = make_brownian(0.0, 1.0)
+WIDE_SPEC = ExitSpec(0.0, 0.5, 2.0)
+WIDE_CONST = parse_bivariate("const:0.5", WIDE_SPEC.a - WIDE_SPEC.b)
+
+
+@pytest.mark.parametrize("dt,width,levels", [
+    (1e-3, 2.0, 4), (1e-3, 1.0, 3), (1e-2, 2.0, 2),
+    # 2 dt above (a-b)^2/100, and dt itself above it
+    (0.0201, 2.0, 0), (0.05, 2.0, 0),
+])
+def test_level_rule(dt, width, levels):
+    spec = ExitSpec(0.0, 0.5 * width, width)
+    assert MCConfig(dt=dt, n_paths=100).max_levels(spec) == levels
+    if levels:
+        # the coarsest step is not coarse for the band
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            MCConfig(dt=dt * 2**levels, n_paths=100).warn_if_coarse(spec)
+
+
+def test_each_level_draws_from_its_own_stream(monkeypatch):
+    # chunk k runs its n_k paths at 2^L dt from its own stream, then, for each
+    # l, max(256, ceil(n_k / 32)) pairs at 2^(l-1) dt from the SFC64 stream of
+    # the child 1 + l that spawn gives of the chunk's seed sequence
+    runs, real = [], mc._simulate_exit_chunk
+
+    def watched(model, spec, cfg, rng, n, integrands, track=True, coupled=False):
+        runs.append((cfg.dt, repr(rng.bit_generator.state), n, coupled))
+        return real(model, spec, cfg, rng, n, integrands, track, coupled)
+
+    monkeypatch.setattr(mc, "_simulate_exit_chunk", watched)
+    monkeypatch.setattr(mc, "_CHUNK", 10000)
+    _use_workers(monkeypatch, 1)
+    run_exit_mc(BM, CONST, SPEC, MCConfig(dt=1e-3, n_paths=10100, seed=11), levels=3)
+
+    def state(k, child=None):
+        seq = np.random.SeedSequence((11, k))
+        return repr(np.random.SFC64(seq if child is None else seq.spawn(child + 1)[child]).state)
+
+    want = []
+    for k, n_k, pairs in ((0, 10000, 313), (1, 100, 256)):
+        want.append((1e-3 * 2**3, state(k), n_k, False))
+        want += [(1e-3 * 2 ** (level - 1), state(k, 1 + level), pairs, True)
+                 for level in (1, 2, 3)]
+    assert runs == want
+
+
+# each level's (up, down) mean on bm 0,1, b=0, x=0.5, a=2, const:0.5, dt
+# 1e-3, 2000 paths, seed 5, L = 4: the coarsest run's, then the coupled
+# difference of each correction level l = 1..4
+LEVEL_GOLDEN = [
+    (0.14759789568200715, 0.5748971715471214),
+    (8.40405996391862e-06, 6.428752106514898e-05),
+    (5.735141809259177e-05, 0.00011479727239260303),
+    (2.527991049455097e-05, 0.00019785017363925576),
+    (0.0001237227743832378, 0.0005036980812597364),
+]
+
+
+def test_each_levels_coupled_difference_is_pinned():
+    res = run_exit_mc(BM_UNIT, WIDE_CONST, WIDE_SPEC, MCConfig(dt=1e-3, n_paths=2000, seed=5),
+                      levels=4)
+    levels = res.diagnostics["levels"]
+    got = [(level["mean"]["up_laplace"], level["mean"]["down_value"]) for level in levels]
+    assert got == LEVEL_GOLDEN
+    assert [level["dt"] for level in levels] == [16e-3, 1e-3, 2e-3, 4e-3, 8e-3]
+    assert (res.up_laplace.mean, res.down_value.mean) == tuple(map(sum, zip(*got)))
+    assert (res.bias_dt["up_laplace"].mean, res.bias_dt["down_value"].mean) == (
+        -got[1][0], -got[1][1])
+
+
+def test_multilevel_standard_error_is_that_of_the_plain_paths():
+    # the corrections add about 1% to the variance, so the standard error is
+    # the one n plain dt paths give, from the closed forms at q and 2q, and
+    # the estimates pass the z-score gate
+    q, n = 0.5, 20000
+    cfg = MCConfig(dt=1e-3, n_paths=n, seed=3)
+    res = run_exit_mc(BM_UNIT, WIDE_CONST, WIDE_SPEC, cfg, levels=cfg.max_levels(WIDE_SPEC))
+    assert len(res.diagnostics["levels"]) == 1 + 4
+    band = (WIDE_SPEC.b, WIDE_SPEC.x, WIDE_SPEC.a)
+    p_up = classical_exit_up(BM_UNIT, 0.0, *band)
+    for est, first, second in (
+        (res.up_laplace, classical_exit_up(BM_UNIT, q, *band),
+         classical_exit_up(BM_UNIT, 2 * q, *band)),
+        (res.down_value, classical_exit_down(BM_UNIT, q, *band),
+         classical_exit_down(BM_UNIT, 2 * q, *band)),
+        (res.p_up, p_up, p_up),
+    ):
+        se = math.sqrt((second - first * first) / n)
+        assert abs(est.std_error / se - 1.0) < 0.05
+        assert abs(est.mean - first) < 3.0 * est.std_error
+
+
+@pytest.mark.parametrize("levels,keep", [(-1, False), (5, False), (2, True)])
+def test_levels_out_of_range_or_with_kept_samples_raise(levels, keep):
+    with pytest.raises(ValueError, match="levels"):
+        run_exit_mc(BM, CONST, SPEC, _cfg(), keep_samples=keep, levels=levels)
 
 
 # (censored count, sha256 of the censored mask) at the time cap 0.2, a
