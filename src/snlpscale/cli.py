@@ -14,9 +14,9 @@ diagnostics under ``diagnostics``.  ``mc-verify``, ``conditional`` and
 ``local-time`` solve the deterministic side while the worker processes step
 the paths, and put the Monte Carlo run's counts under ``diagnostics.mc``
 (``conditional`` has ``diagnostics`` only when Monte Carlo ran).  A flat
-``key = value`` config file provides defaults; explicit flags override it, and
-the ``SNLP_SCALE_SEED`` environment variable backs the seed.  Its keys are the
-running command's flag names without the leading ``--`` (``grid-outer`` or
+``key = value`` config file provides defaults, and explicit flags override
+it; the seed is 0 when neither sets it.  The file's keys are the running
+command's flag names without the leading ``--`` (``grid-outer`` or
 ``grid_outer``), except ``out``, ``csv`` and ``config``; a key that the
 command has no flag for is an error.
 
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Union
@@ -151,6 +150,7 @@ _DEFAULTS = {
     "potential": "const:0",
     "g": "one",
     "paths": 100000,
+    "seed": 0,
     "dt": 1e-4,
     "grid_outer": DEFAULT_OUTER,
     "grid_inner": DEFAULT_INNER,
@@ -161,7 +161,7 @@ _DEFAULTS = {
 
 
 def _resolve(args, config: dict, key: str, cast=float, required=False):
-    """Flag > config file > built-in default (seed also falls back to env)."""
+    """Flag > config file > built-in default."""
     val = getattr(args, key, None)
     if val is None and key in config:
         raw = config[key]
@@ -176,19 +176,6 @@ def _resolve(args, config: dict, key: str, cast=float, required=False):
     return val
 
 
-def _resolve_seed(args, config: dict) -> int:
-    seed = _resolve(args, config, "seed", cast=int)
-    if seed is not None:
-        return seed
-    env = os.environ.get("SNLP_SCALE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"SNLP_SCALE_SEED: bad value '{env}'") from exc
-    return 0
-
-
 def _model_from(args, config) -> LevyModel:
     text = getattr(args, "model", None) or config.get("model")
     if text is None:
@@ -201,7 +188,7 @@ def _mc_config(args, config, n_paths) -> MCConfig:
         return MCConfig(
             dt=_resolve(args, config, "dt"),
             n_paths=int(n_paths),
-            seed=_resolve_seed(args, config),
+            seed=_resolve(args, config, "seed", cast=int),
         )
     except ValueError as exc:
         raise UsageError(f"--paths/--dt: {exc}") from exc
@@ -490,7 +477,7 @@ def _add_common(p, potential=None, g=False, mc_flags=False, exit_problem=True,
     if mc_flags:
         p.add_argument("--paths", type=int, help="Monte Carlo path count")
         p.add_argument("--dt", type=float, help="Euler step")
-        p.add_argument("--seed", type=int, help="RNG seed (SNLP_SCALE_SEED fallback)")
+        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:

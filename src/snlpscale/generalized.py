@@ -226,9 +226,12 @@ def evaluate_exit(
     g: Optional[Callable] = None,
     n_outer: int = DEFAULT_OUTER,
     n_inner: int = DEFAULT_INNER,
-    refine: bool = True,
 ) -> GeneralizedScaleResult:
     """Evaluate both exit identities for a supremum-dependent potential.
+
+    Both resolutions double until two successive levels agree to 1e-6
+    relative, at most ``_REFINE_CAP`` (4) times; ``diagnostics["converged"]``
+    says whether they did.
 
     Args:
         model: the driving process.
@@ -238,8 +241,6 @@ def evaluate_exit(
             (vectorized callable); defaults to 1.
         n_outer: Simpson node count of the outer level integrals (odd).
         n_inner: grid intervals of each frozen renewal solve.
-        refine: when set, double both resolutions until two successive
-            levels agree to 1e-6 relative (at most four doublings).
 
     Returns:
         A :class:`GeneralizedScaleResult` with the up-exit Laplace transform,
@@ -247,9 +248,9 @@ def evaluate_exit(
     """
     up, down, nodes, iotas, kappas = _exit_values(model, F, g, spec, n_outer, n_inner)
     levels = 0
-    converged = not refine
+    converged = False
     delta = 0.0
-    while refine and levels < _REFINE_CAP:
+    while levels < _REFINE_CAP:
         n_outer2 = 2 * (n_outer - 1) + 1
         n_inner2 = 2 * n_inner
         up2, down2, nodes, iotas, kappas = _exit_values(

@@ -40,8 +40,7 @@ its point and smoothed integrands.
 
 One loop runs passes.  A pass of ``m`` live paths advances each of them
 ``K = min(_MAX_ROWS, max(1, _PASS_ENTRIES // m))`` steps at once, in ``(K,
-m)`` blocks, so ``K`` is 1 in the bulk and reaches ``_MAX_ROWS`` in the thin
-tail; a path's block ends at its first exit, jump or time cap.  The live
+m)`` blocks; a path's block ends at its first exit, jump or time cap.  The live
 paths sit in slots ``0 .. m-1`` of the state arrays, with a map to each
 path's output column.  When ``d`` paths finish, the live paths of the last
 ``d`` slots move into their holes, so a pass costs in proportion to the live
@@ -152,7 +151,7 @@ _MAX_CENSORED_FRACTION = 1e-3
 # of the uniforms that would sample the crossing
 _REACH = 20.0
 # a pass of m live paths advances K = min(_MAX_ROWS, max(1, _PASS_ENTRIES // m))
-# steps, so K is 1 in the bulk; part of the reproducibility contract
+# steps; part of the reproducibility contract
 _PASS_ENTRIES = 16384
 _MAX_ROWS = 256
 # a path still inside the band at time _T_CAP_SCALE (a-b)^2 / sigma^2 is censored
@@ -386,7 +385,7 @@ def _accumulate(op, block):
     A loop over rows: ``op.accumulate`` down the rows runs one inner loop
     per column, which costs several times as much when the rows are long.
     """
-    rows = np.moveaxis(block, -2, 0)
+    rows = block.swapaxes(0, -2)  # the other axes are elementwise, in any order
     for j in range(1, rows.shape[0]):
         op(rows[j - 1], rows[j], out=rows[j])
 
@@ -505,12 +504,11 @@ def _simulate_exit_chunk(
     ``m`` live paths sit in slots ``0 .. m-1`` of the state arrays, with
     ``pid`` mapping each slot to its output column.  One loop runs passes:
     a pass advances every live path ``K`` steps, with ``K = min(_MAX_ROWS,
-    max(1, _PASS_ENTRIES // m))``, so ``K`` is 1 in the bulk and rises as
-    the paths thin out.  A pass holds ``(K, m)`` blocks, row
-    ``j`` for the state after step ``j``:
+    max(1, _PASS_ENTRIES // m))``, which rises as the paths thin out.  A
+    pass holds ``(K, m)`` blocks, row ``j`` for the state after step ``j``:
 
-    - positions, by ``cumsum`` of the Gaussian increments with the start
-      folded into row 0, from one flat ``standard_normal(K * m)``;
+    - positions, by a running sum of the Gaussian increments from one flat
+      ``standard_normal(K * m)``, under a row 0 that holds the start;
     - with jumps, each path's time to the next jump and clock advance ``K``
       full steps; only the candidates, the paths whose time left reaches 0
       (the jump falls in the pass) or whose clock reaches the time cap, get
@@ -626,29 +624,18 @@ def _simulate_exit_chunk(
         X += mu * dt
         if jumpy:
             X[:, cand] = xi
-        if K == 1:
-            X += x
-            prev = x[None]
-        else:
-            pos[0] = x
-            _accumulate(np.add, pos)
-            prev = pos[:K]
+        pos[0] = x
+        _accumulate(np.add, pos)
+        prev = pos[:K]
 
-        # tracked, the level starts at the supremum, and a one-step pass
-        # updates the supremum array in place, as the last pass's integrands
-        # are done with it; untracked, the level is a and the integrands get
-        # the positions as the supremum
-        sup = X
-        if not track:
-            level = a
-        else:
-            if K == 1:
-                sup = s[None]
-            else:
-                sup = np.empty((K, m))
-                sup[0] = s
-                sup[1:] = X[:-1]
-                _accumulate(np.maximum, sup)
+        # tracked, the level starts at the supremum; untracked, the level is
+        # a and the integrands get the positions as the supremum
+        sup, level = X, a
+        if track:
+            sup = np.empty((K, m))
+            sup[0] = s
+            sup[1:] = X[:-1]
+            _accumulate(np.maximum, sup)
             level = sup.reshape(-1)
         var = sigma * sigma * dt
         if jumpy and cand.size:
@@ -663,8 +650,7 @@ def _simulate_exit_chunk(
         if track:
             top = np.minimum(ext[:k], a, out=ext[:k])
             np.maximum.at(level, hi, top)
-            if K > 1:
-                _accumulate(np.maximum, sup)
+            _accumulate(np.maximum, sup)
         cols, rows, up = _first_exits(hi[ext[:k] >= a], lo[ext[k:] <= b], m)
 
         # each path's event row, K for a path that runs the whole pass; only
@@ -683,10 +669,10 @@ def _simulate_exit_chunk(
         out.steps += K if ev_cols.size < m else int(ev_rows.max()) + 1
 
         # the integrands see each path frozen after its event row
-        if K > 1 and ev_cols.size:
+        if ev_cols.size:
             held = np.minimum(np.arange(K)[:, None], ev_rows)
             for block in (X, sup) if track else (X,):
-                block[:, ev_cols] = np.take_along_axis(block[:, ev_cols], held, axis=0)
+                block[:, ev_cols] = block[held, ev_cols]
         # a coupled run's coarse sums run down the rows with the fine ones
         block = np.empty((1 + coupled, len(integrands), K, m))
         sums = block[0]
@@ -698,8 +684,7 @@ def _simulate_exit_chunk(
             if coupled:
                 fe[i, 1:] = f
             np.add(f_row, f[0], out=row[0])
-            if K > 1:
-                np.add(f[:-1], f[1:], out=row[1:])
+            np.add(f[:-1], f[1:], out=row[1:])
             f_row[:] = f[-1]
         if jumpy:
             scaled = sums[:, :, cand]
@@ -715,8 +700,7 @@ def _simulate_exit_chunk(
             closes, f_c = _coarse_sums(
                 fe, acc_c, half, h if jumpy else dt, dt, jump_row if jumpy else None,
                 event if jumpy else None, rows, cols, inner, block[1])
-        if K > 1:
-            _accumulate(np.add, block)
+        _accumulate(np.add, block)
 
         s_end = sup[rows, cols] if track else None
         books = [(out, sums)]
@@ -1008,25 +992,23 @@ def run_exit_mc(
                                           levels)
     st = states[0]
     counted = ~st.censored
-    values = _exit_values(st, g, counted)
-    bias_dt = None
-    if not levels:
-        estimates = {name: _estimate(v) for name, v in values.items()}
-    else:
-        samples = [values]
-        for pairs in states[1:]:
-            kept = ~pairs.censored
-            fine, coarse = _exit_values(pairs, g, kept), _exit_values(pairs.coarse, g, kept)
-            samples.append({name: fine[name] - coarse[name] for name in _ESTIMANDS})
-            if bias_dt is None:  # the level-1 pairs
-                bias_dt = {name: _estimate(coarse[name] - fine[name]) for name in _ESTIMANDS}
-        parts = [{name: _estimate(v[name]) for name in _ESTIMANDS} for v in samples]
-        estimates = {
-            name: Estimate(mean=sum(p[name].mean for p in parts),
-                           std_error=float(np.sqrt(sum(p[name].std_error**2 for p in parts))),
-                           n=parts[0][name].n)
-            for name in _ESTIMANDS
-        }
+    samples, bias_dt = [_exit_values(st, g, counted)], None
+    for pairs in states[1:]:
+        kept = ~pairs.censored
+        fine, coarse = _exit_values(pairs, g, kept), _exit_values(pairs.coarse, g, kept)
+        samples.append({name: fine[name] - coarse[name] for name in _ESTIMANDS})
+        if bias_dt is None:  # the level-1 pairs
+            bias_dt = {name: _estimate(coarse[name] - fine[name]) for name in _ESTIMANDS}
+    parts = [{name: _estimate(v[name]) for name in _ESTIMANDS} for v in samples]
+    # the sum starts from the coarsest part, so one level's mean is its own;
+    # its standard error is sqrt(se**2), which is se in binary64
+    estimates = {
+        name: Estimate(mean=sum((p[name].mean for p in parts[1:]), parts[0][name].mean),
+                       std_error=float(np.sqrt(sum(p[name].std_error**2 for p in parts))),
+                       n=parts[0][name].n)
+        for name in _ESTIMANDS
+    }
+    if levels:
         diagnostics["levels"] = [
             {"dt": step, "paths": level.up.size, "path_steps": level.path_steps,
              "mean": {name: p[name].mean for name in _ESTIMANDS},

@@ -7,7 +7,16 @@ that bound, so out-of-range evaluations are hard errors rather than clamps.
 
 The named builders at the bottom are the selector grammar shared by the CLI
 and the Monte Carlo verifier, keeping the deterministic and stochastic sides
-provably pointed at the same function.
+provably pointed at the same function.  The grammar, as ``F(s, x)``::
+
+    const:q        q at every argument, finite or not   reads_sup=False
+    level:c,r      c * 1{x > r}                          reads_sup=False
+    reflected:c    c * (s - x)
+    indicator:c,r  c * 1{s - x > r}
+
+:func:`parse_bivariate` builds each of them; :func:`parse_univariate` builds
+the position-only members, those that declare ``reads_sup=False``, as
+``x -> F(x, x)``.
 """
 
 from __future__ import annotations
@@ -154,13 +163,9 @@ def _split_spec(spec: str, expected: int, flag: str):
 
 
 def parse_bivariate(spec: str, domain_width: float) -> BivariatePotential:
-    """Build a named bivariate potential.
+    """Build a named potential of the module's grammar.
 
-    Grammar: ``const:q`` (q at every argument, finite or not),
-    ``reflected:c`` (``c*(s-x)``), ``indicator:c,r`` (``c*1{s-x>r}``),
-    ``level:c,r`` (``c*1{x>r}``).  ``const`` and ``level`` declare
-    ``reads_sup=False``.  ``domain_width`` sizes the declared bound of the
-    reflected family.
+    ``domain_width`` sizes the declared bound of the reflected family.
     """
     name, flag = spec.partition(":")[0], "--potential"
     if name == "const":
@@ -197,21 +202,13 @@ def parse_bivariate(spec: str, domain_width: float) -> BivariatePotential:
 
 
 def parse_univariate(spec: str) -> UnivariatePotential:
-    """Build a named position-only potential: ``const:q`` or ``level:c,r``."""
-    name, flag = spec.partition(":")[0], "--potential"
-    if name == "const":
-        _, (q,) = _split_spec(spec, 1, flag)
-        if q < 0:
-            raise ValueError(f"{flag}: const level must be >= 0")
-        return UnivariatePotential(lambda x: np.full(np.shape(x), q), bound=q, name=spec)
-    if name == "level":
-        _, (c, r) = _split_spec(spec, 2, flag)
-        if c < 0:
-            raise ValueError(f"{flag}: level height must be >= 0")
-        return UnivariatePotential(lambda x: c * (x > r), bound=c, name=spec)
-    raise ValueError(
-        f"{flag}: '{name}' is not a position-only potential (use const or level)"
-    )
+    """Build a position-only member of the module's grammar, read at ``s = x``;
+    a member that reads the supremum is rejected."""
+    F = parse_bivariate(spec, 0.0)  # the width sizes the reflected bound alone
+    if F.reads_sup:
+        raise ValueError(f"--potential: '{spec.partition(':')[0]}' is not a position-only "
+                         "potential (use const or level)")
+    return UnivariatePotential(lambda x, _f=F.func: _f(x, x), bound=F.bound, name=spec)
 
 
 def parse_g(spec: str) -> Optional[Callable[[np.ndarray], np.ndarray]]:

@@ -36,14 +36,15 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
     if n == 2:
         out[1] = 0.5 * step * (values[0] + values[1])
         return out
-    h = step
-    for i in range(2, n, 2):
-        out[i] = out[i - 2] + h / 3.0 * (values[i - 2] + 4.0 * values[i - 1] + values[i])
-    for i in range(1, n, 2):
-        if i + 1 < n:
-            seg = h / 12.0 * (5.0 * values[i - 1] + 8.0 * values[i] - values[i + 1])
-        else:
-            seg = h / 12.0 * (-values[i - 2] + 8.0 * values[i - 1] + 5.0 * values[i])
-        out[i] = out[i - 1] + seg
+    h, v = step, values
+    # even nodes: the running sum of the Simpson pairs from out[0] = 0
+    even = out[::2]
+    even[1:] = h / 3.0 * (v[:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
+    np.cumsum(even, out=even)
+    # odd nodes: the half cell after the even node before them; the last node
+    # of an even count has no node after it, so its quadratic is the one
+    # through itself and the two nodes before it
+    out[1:n - 1:2] = out[:n - 2:2] + h / 12.0 * (5.0 * v[:n - 2:2] + 8.0 * v[1:n - 1:2] - v[2::2])
+    if n % 2 == 0:
+        out[-1] = out[-2] + h / 12.0 * (-v[-3] + 8.0 * v[-2] + 5.0 * v[-1])
     return out
-

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from snlpscale import Family, make_brownian, make_exp_jump_diffusion, mc
+from snlpscale import Family, generalized, make_brownian, make_exp_jump_diffusion, mc
 
 
 @pytest.fixture
@@ -27,6 +27,13 @@ def jd_drifting():
     # psi'(0+) = 2 - 0.5 > 0, so the q = 0 transform has simple poles and the
     # partial-fraction oracle below applies at q = 0 too
     return make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5)
+
+
+@pytest.fixture
+def one_pass(monkeypatch):
+    """``evaluate_exit`` stops at its first pass, which it reports as not
+    converged."""
+    monkeypatch.setattr(generalized, "_REFINE_CAP", 0)
 
 
 def psi_derivative(model, lam):

@@ -97,8 +97,9 @@ class TestKappa:
 
 
 class TestExitUp:
+    @pytest.mark.usefixtures("one_pass")
     def test_zero_potential_is_classical(self, bm_driftless):
-        val = evaluate_exit(bm_driftless, ZERO, SPEC, refine=False).up_laplace
+        val = evaluate_exit(bm_driftless, ZERO, SPEC).up_laplace
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_potential_sinh_ratio(self, bm_driftless):
@@ -106,32 +107,36 @@ class TestExitUp:
         val = evaluate_exit(bm_driftless, HALF, SPEC).up_laplace
         assert val == pytest.approx(want, abs=1e-5)
 
+    @pytest.mark.usefixtures("one_pass")
     def test_supremum_dependent_potential_in_range(self, bm_driftless):
         F = BivariatePotential(
             lambda s, x: np.minimum(0.4 * (np.asarray(s) - np.asarray(x)), 2.0),
             bound=2.0, name="reflected",
         )
-        val = evaluate_exit(bm_driftless, F, SPEC, refine=False).up_laplace
+        val = evaluate_exit(bm_driftless, F, SPEC).up_laplace
         assert 0.0 < val < 0.5
 
+    @pytest.mark.usefixtures("one_pass")
     def test_damping_monotonicity(self, bm_driftless):
         quarter = BivariatePotential(lambda s, x: 0.25 + 0.0 * s, bound=0.25, name="q")
         v0, v1, v2 = (
-            evaluate_exit(bm_driftless, F, SPEC, refine=False).up_laplace
+            evaluate_exit(bm_driftless, F, SPEC).up_laplace
             for F in (ZERO, quarter, HALF)
         )
         assert v0 > v1 > v2
 
 
 class TestExitDown:
+    @pytest.mark.usefixtures("one_pass")
     def test_zero_potential_unit_weight(self, bm_driftless):
-        val = evaluate_exit(bm_driftless, ZERO, SPEC, refine=False).down_value
+        val = evaluate_exit(bm_driftless, ZERO, SPEC).down_value
         assert val == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.usefixtures("one_pass")
     def test_supremum_at_ruin_identity(self, bm_driftless):
         # E[S_T; down] for driftless unit BM: int z (x/z)(1/z) dz = x ln(a/x)
         val = evaluate_exit(
-            bm_driftless, ZERO, SPEC, g=lambda z: np.asarray(z), refine=False
+            bm_driftless, ZERO, SPEC, g=lambda z: np.asarray(z)
         ).down_value
         assert val == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
 
@@ -321,10 +326,14 @@ class TestDiagnostics:
         assert res.iota_grid.shape[1] == 2
         assert res.kappa_grid.shape == res.iota_grid.shape
 
+    @pytest.mark.usefixtures("one_pass")
     def test_json_round_trip(self, bm_driftless):
-        res = evaluate_exit(bm_driftless, ZERO, SPEC, refine=False)
+        res = evaluate_exit(bm_driftless, ZERO, SPEC)
         doc = res.to_json_dict()
         assert doc["up_laplace"] == res.up_laplace
+        # a pass that was never compared with a finer one has not converged
+        assert (doc["diagnostics"]["refinement_levels"], doc["diagnostics"]["converged"]) == (
+            0, False)
         assert len(doc["iota"]) == res.iota_grid.shape[0]
 
 
@@ -384,13 +393,14 @@ EXIT_GOLDEN = {
 }
 
 
+@pytest.mark.usefixtures("one_pass")
 @pytest.mark.parametrize("model_name", sorted(GOLDEN_MODELS))
 def test_golden_iota_is_solved_at_the_barrier_nodes(model_name):
     # the two nodes nearest b carry only the march's own error
     model = GOLDEN_MODELS[model_name]
     spec = ExitSpec(0.0, 0.5, 1.0)
     res = evaluate_exit(
-        model, parse_bivariate("const:0.5", 1.0), spec, n_outer=9, n_inner=32, refine=False
+        model, parse_bivariate("const:0.5", 1.0), spec, n_outer=9, n_inner=32
     )
     near = res.iota_grid[:2]
     want = [constant_iota_mpmath(model, 0.5, s - spec.b) for s in near[:, 0]]
@@ -403,13 +413,14 @@ def test_exit_spec_rejects_an_infinite_barrier():
         ExitSpec(0.0, 0.5, math.inf)
 
 
+@pytest.mark.usefixtures("one_pass")
 @pytest.mark.parametrize("case", sorted(EXIT_GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}")
 def test_exit_values_are_pinned(case):
     model_name, pot = case
     up, down, iotas, kappas = EXIT_GOLDEN[case]
     spec = ExitSpec(0.0, 0.5, 1.0)
     F = parse_bivariate(pot, spec.a - spec.b)
-    res = evaluate_exit(GOLDEN_MODELS[model_name], F, spec, n_outer=9, n_inner=32, refine=False)
+    res = evaluate_exit(GOLDEN_MODELS[model_name], F, spec, n_outer=9, n_inner=32)
     assert res.up_laplace == pytest.approx(up, rel=1e-12)
     assert res.down_value == pytest.approx(down, rel=1e-12)
     assert res.iota_grid[:, 0] == pytest.approx(np.linspace(0.5, 1.0, 9), rel=1e-15)

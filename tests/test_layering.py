@@ -3,7 +3,8 @@
 The Monte Carlo engine stays independent of the deterministic solver it
 cross-checks, and the runtime dependency is numpy alone; both are read from
 the source with ``ast``.  The process-pool machinery is imported only by a
-Monte Carlo run that starts workers.  Every name a submodule exports is
+Monte Carlo run that starts workers.  No module reads the environment, so a
+stray variable cannot change a result.  Every name a submodule exports is
 re-exported by the package, ``MCConfig`` holds the step, the path count
 and the seed alone, and each Monte Carlo result holds its run's counts in one
 ``diagnostics`` dict.
@@ -59,6 +60,18 @@ def test_library_imports_only_numpy_and_the_standard_library(path):
     allowed = {"numpy", "snlpscale", ""} | set(sys.stdlib_module_names)
     # a relative import's top-level name is "", the package itself
     assert not [m for m, _ in _imports(path) if m.split(".")[0] not in allowed]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_reads_no_environment_variable(path):
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in reads
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+    ]
+    assert not [name for module, name in _imports(path) if module == "os" and name in reads]
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -168,6 +168,18 @@ DENSE_GOLDEN = {
 }
 
 
+# conditional_mc on bm 0,1, b=0, x=0.5, a=2, reflected:0.5, 2000 paths at dt
+# 1e-3, seed 7: (n, mc_mean, mc_se) of each of the 4 down bins, then of the
+# up bin
+CONDITIONAL_GOLDEN = [
+    (828, 0.968744324291502, 0.0009325569469106864),
+    (363, 0.8855647671635039, 0.0037125194231048763),
+    (189, 0.745829145975744, 0.008919562613688332),
+    (119, 0.5713560393729764, 0.015367301180023635),
+    (501, 0.8344523059133074, 0.006873467464255497),
+]
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("case", sorted(EXIT_GOLDEN))
     def test_exit_estimates_are_pinned(self, case):
@@ -217,6 +229,14 @@ class TestReproducibility:
         two = run_exit_mc(JD, REFLECTED, SPEC, _cfg(), keep_samples=True)
         assert np.array_equal(one.samples.functional, two.samples.functional)
         assert np.array_equal(one.samples.s_at_exit, two.samples.s_at_exit)
+
+    def test_conditional_bins_are_pinned(self):
+        model, spec = make_brownian(0.0, 1.0), ExitSpec(0.0, 0.5, 2.0)
+        F = parse_bivariate("reflected:0.5", spec.a - spec.b)
+        res = mc.conditional_mc(model, F, spec, MCConfig(dt=1e-3, n_paths=2000, seed=7), 4)
+        for got, (n, mean, se) in zip(res.bins + [res.up_bin], CONDITIONAL_GOLDEN, strict=True):
+            assert got.n == n
+            assert (got.mc_mean, got.mc_se) == pytest.approx((mean, se), rel=1e-12)
 
 
 # An integrand may hand back one of its own inputs: ``eval_pairs`` returns

@@ -209,6 +209,7 @@ class TestDoubleRoot:
 
 
 class TestNoInversionOnTheHotPath:
+    @pytest.mark.usefixtures("one_pass")
     def test_scale_functions_and_exit_run_without_talbot(
         self, monkeypatch, bm_drift_up, jd_drifting
     ):
@@ -224,7 +225,7 @@ class TestNoInversionOnTheHotPath:
             assert w_derivative(model, 0.5, 1.0) > 0.0
         res = evaluate_exit(
             jd_drifting, parse_bivariate("const:0.5", 1.0), ExitSpec(0.0, 0.5, 1.0),
-            n_outer=9, n_inner=32, refine=False,
+            n_outer=9, n_inner=32,
         )
         assert 0.0 < res.up_laplace < 1.0
 
