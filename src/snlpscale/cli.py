@@ -13,12 +13,16 @@ All commands emit a versioned JSON document (``"schema": 8``) to stdout or
 diagnostics under ``diagnostics``.  ``mc-verify``, ``conditional`` and
 ``local-time`` solve the deterministic side while the worker processes step
 the paths, and put the Monte Carlo run's counts under ``diagnostics.mc``
-(``conditional`` has ``diagnostics`` only when Monte Carlo ran).  A flat
-``key = value`` config file provides defaults, and explicit flags override
-it; the seed is 0 when neither sets it.  The file's keys are the running
-command's flag names without the leading ``--`` (``grid-outer`` or
-``grid_outer``), except ``out``, ``csv`` and ``config``; a key that the
-command has no flag for is an error.
+(``conditional`` has ``diagnostics`` only when Monte Carlo ran).
+
+Each flag is declared once, in ``_FLAGS``: its type, built-in default and
+help text.  Each entry of ``_COMMANDS`` lists the flags its command takes,
+and argparse rejects any other; only ``scale-table`` and ``mc-verify`` take
+``--csv``.  A value comes from its flag, else from a flat ``key = value``
+config file (``--config``), else from the built-in default (the seed is 0).
+The file's keys are the running command's flag names without the leading
+``--`` (``grid-outer`` or ``grid_outer``), except ``out``, ``csv`` and
+``config``; a key that the command has no flag for is an error.
 
 Exit status:
 
@@ -34,7 +38,9 @@ Exit status:
   (e.g. an even ``--grid-outer``) and potentials out of range.
 
 ``conditional`` and ``local-time`` run Monte Carlo only when ``--paths`` or a
-``paths`` line in the config file asks for it.
+``paths`` line in the config file asks for it; a ``dt`` or ``seed`` from a
+flag or the file without a path count is a usage error.  ``mc-verify`` runs
+100000 paths unless told otherwise.
 
 ``mc-verify`` estimates the dt scheme's means by multilevel telescoping
 (``mc`` module docstring) over ``L = max{l <= 4 : 2^l dt <= (a-b)^2/100}``
@@ -145,51 +151,12 @@ def _load_config(path: str, command: str, keys) -> dict:
     return out
 
 
-_DEFAULTS = {
-    "q": 0.0,
-    "potential": "const:0",
-    "g": "one",
-    "paths": 100000,
-    "seed": 0,
-    "dt": 1e-4,
-    "grid_outer": DEFAULT_OUTER,
-    "grid_inner": DEFAULT_INNER,
-    "b": None,
-    "x": None,
-    "a": None,
-}
-
-
-def _resolve(args, config: dict, key: str, cast=float, required=False):
-    """Flag > config file > built-in default."""
-    val = getattr(args, key, None)
-    if val is None and key in config:
-        raw = config[key]
-        try:
-            val = cast(raw)
-        except ValueError as exc:
-            raise UsageError(f"--config: bad value for '{key}': {raw}") from exc
-    if val is None:
-        val = _DEFAULTS.get(key)
-    if val is None and required:
-        raise UsageError(f"--{key.replace('_', '-')}: required flag is missing")
-    return val
-
-
-def _model_from(args, config) -> LevyModel:
-    text = getattr(args, "model", None) or config.get("model")
-    if text is None:
-        raise UsageError("--model: required flag is missing")
-    return parse_model(text)
-
-
-def _mc_config(args, config, n_paths) -> MCConfig:
+def _mc_config(args, paths) -> Optional[MCConfig]:
+    """Monte Carlo settings for ``paths`` paths, or None when ``paths`` is None."""
+    if paths is None:
+        return None
     try:
-        return MCConfig(
-            dt=_resolve(args, config, "dt"),
-            n_paths=int(n_paths),
-            seed=_resolve(args, config, "seed", cast=int),
-        )
+        return MCConfig(dt=args.dt, n_paths=paths, seed=args.seed)
     except ValueError as exc:
         raise UsageError(f"--paths/--dt: {exc}") from exc
 
@@ -203,17 +170,6 @@ def _solve_while_stepping(cfg, solve, simulate):
     solved = []
     result = simulate(meanwhile=lambda: solved.append(solve()))
     return solved[0], result
-
-
-def _optional_mc_config(args, config) -> Optional[MCConfig]:
-    """Monte Carlo settings when ``--paths`` or the config file sets a path count.
-
-    There is no built-in path count here: ``conditional`` and ``local-time``
-    run Monte Carlo only when asked for, and return ``None`` otherwise.
-    """
-    if getattr(args, "paths", None) is None and "paths" not in config:
-        return None
-    return _mc_config(args, config, _resolve(args, config, "paths", cast=int))
 
 
 @dataclass
@@ -239,21 +195,16 @@ class _Problem:
         }
 
 
-def _problem_from(args, config, position_only=False) -> _Problem:
+def _problem_from(args, position_only=False) -> _Problem:
     """Read the shared exit problem; ``position_only`` parses ``f(x)`` alone."""
-    model = _model_from(args, config)
-    b, x, a = (_resolve(args, config, key, required=True) for key in ("b", "x", "a"))
+    model = parse_model(args.model)
     try:
-        spec = ExitSpec(b=b, x=x, a=a)
+        spec = ExitSpec(b=args.b, x=args.x, a=args.a)
     except ValueError as exc:
         raise UsageError(f"--b/--x/--a: {exc}") from exc
-    text = _resolve(args, config, "potential", cast=str)
+    text = args.potential
     F = parse_univariate(text) if position_only else parse_bivariate(text, spec.a - spec.b)
-    return _Problem(
-        model, spec, text, F,
-        n_outer=int(_resolve(args, config, "grid_outer", cast=int)),
-        n_inner=int(_resolve(args, config, "grid_inner", cast=int)),
-    )
+    return _Problem(model, spec, text, F, n_outer=args.grid_outer, n_inner=args.grid_inner)
 
 
 def _emit(doc: dict, out_path: Optional[str]) -> None:
@@ -270,18 +221,15 @@ def _emit(doc: dict, out_path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_scale_table(args, config) -> dict:
-    model = _model_from(args, config)
-    q = _resolve(args, config, "q")
-    hi = _resolve(args, config, "a", required=True)
-    n = int(_resolve(args, config, "grid_inner", cast=int))
-    table = make_scale_table(model, q, hi, n)
+def _cmd_scale_table(args) -> dict:
+    model = parse_model(args.model)
+    table = make_scale_table(model, args.q, args.a, args.grid_inner)
     table.validate()
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "scale-table",
         "model": model.to_dict(),
-        "q": q,
+        "q": args.q,
         "grid": {"lo": table.grid_lo, "hi": table.grid_hi, "n": table.n},
         "normalization_note": table.normalization_note,
     }
@@ -293,18 +241,17 @@ def _cmd_scale_table(args, config) -> dict:
     return doc
 
 
-def _cmd_exit(args, config) -> dict:
-    p = _problem_from(args, config)
-    g_spec = _resolve(args, config, "g", cast=str)
+def _cmd_exit(args) -> dict:
+    p = _problem_from(args)
     result = evaluate_exit(
-        p.model, p.F, p.spec, g=parse_g(g_spec), n_outer=p.n_outer, n_inner=p.n_inner
+        p.model, p.F, p.spec, g=parse_g(args.g), n_outer=p.n_outer, n_inner=p.n_inner
     )
-    return {**result.to_json_dict(), **p.header("exit"), "g": g_spec}
+    return {**result.to_json_dict(), **p.header("exit"), "g": args.g}
 
 
-def _cmd_conditional(args, config) -> dict:
-    p = _problem_from(args, config)
-    cfg = _optional_mc_config(args, config)
+def _cmd_conditional(args) -> dict:
+    p = _problem_from(args)
+    cfg = _mc_config(args, args.paths)
     (nodes, curve), mc = _solve_while_stepping(
         cfg,
         lambda: conditional_curve(p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner),
@@ -371,11 +318,10 @@ def verify_report(deterministic: dict, mc_estimates: dict) -> dict:
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
-def _cmd_mc_verify(args, config) -> dict:
-    p = _problem_from(args, config)
-    g_spec = _resolve(args, config, "g", cast=str)
-    g = parse_g(g_spec)
-    cfg = _mc_config(args, config, _resolve(args, config, "paths", cast=int))
+def _cmd_mc_verify(args) -> dict:
+    p = _problem_from(args)
+    g = parse_g(args.g)
+    cfg = _mc_config(args, 100000 if args.paths is None else args.paths)
     levels = 0 if args.csv else cfg.max_levels(p.spec)
 
     det_result, mc = _solve_while_stepping(
@@ -399,7 +345,7 @@ def _cmd_mc_verify(args, config) -> dict:
         row["bias_dt_se"] = None if bias is None else bias.std_error
     doc = {
         **p.header("mc-verify"),
-        "g": g_spec,
+        "g": args.g,
         "mc_config": {"dt": cfg.dt, "paths": cfg.n_paths, "seed": cfg.seed},
         "n_censored": mc.n_censored,
         "report": report["rows"],
@@ -412,9 +358,9 @@ def _cmd_mc_verify(args, config) -> dict:
     return doc
 
 
-def _cmd_local_time(args, config) -> dict:
-    p = _problem_from(args, config, position_only=True)
-    cfg = _optional_mc_config(args, config)
+def _cmd_local_time(args) -> dict:
+    p = _problem_from(args, position_only=True)
+    cfg = _mc_config(args, args.paths)
     (value, diagnostics), occ = _solve_while_stepping(
         cfg,
         lambda: local_time_laplace(p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner),
@@ -449,35 +395,59 @@ def _cmd_local_time(args, config) -> dict:
 
 _BIVARIATE = "const:q | reflected:c | indicator:c,r | level:c,r"
 
+# dest -> (argparse type, built-in default, help text); a default of None
+# leaves the value unset
+_FLAGS = {
+    "model": (str, None, "bm:mu,sigma or jd:mu,sigma,rate,jump_mean"),
+    "b": (float, None, "lower barrier"),
+    "x": (float, None, "starting point, b < x < a"),
+    "a": (float, None, "upper barrier"),
+    "grid_outer": (int, DEFAULT_OUTER, "outer Simpson node count (odd)"),
+    "grid_inner": (int, DEFAULT_INNER, "inner renewal-solve grid intervals"),
+    "out": (str, None, "write the JSON report here instead of stdout"),
+    "config": (str, None, "flat key = value config file with defaults"),
+    "csv": (str, None, "write the command's CSV artifact here"),
+    "q": (float, 0.0, "discount rate of the table"),
+    "potential": (str, "const:0", _BIVARIATE),
+    "g": (str, "one", "down-exit supremum weight: one | identity | const:c"),
+    "paths": (int, None, "Monte Carlo path count"),
+    "dt": (float, 1e-4, "Euler step"),
+    "seed": (int, 0, "RNG seed (default 0)"),
+}
+# the flags of every command that solves an exit problem
+_EXIT_PROBLEM = ("model", "b", "x", "a", "grid_outer", "grid_inner", "out", "config")
+_MC = ("paths", "dt", "seed")
 
-def _add_common(p, potential=None, g=False, mc_flags=False, exit_problem=True,
-                inner="inner renewal-solve grid intervals"):
-    """Shared flags; ``potential`` is the help text of ``--potential``, if taken.
+# command -> (handler, add_parser keywords, flags in parser order); a flag
+# given as (dest, help) takes that help text in place of the table's
+_COMMANDS = {
+    "scale-table": (
+        _cmd_scale_table, {"help": "sample a q-scale table to CSV"},
+        ("model", ("a", "upper end of the table"), ("grid_inner", "table node count on [0, a]"),
+         "out", "config", "csv", "q")),
+    "exit": (
+        _cmd_exit, {"help": "deterministic two-sided exit identities"},
+        (*_EXIT_PROBLEM, "potential", "g")),
+    "conditional": (
+        _cmd_conditional, {"help": "conditional Laplace curve given the supremum"},
+        (*_EXIT_PROBLEM, "potential", *_MC)),
+    "mc-verify": (
+        _cmd_mc_verify, {
+            "help": "deterministic vs Monte Carlo with z-scores",
+            "description": "Deterministic exit identities against multilevel Monte Carlo with "
+            "z-scores.  The levels are L = max{l <= 4 : 2^l dt <= (a-b)^2/100}, so that the "
+            "coarsest step 2^L dt is not coarse for the band; with --csv, L = 0 and the rows "
+            "are the dt paths."},
+        (*_EXIT_PROBLEM, "csv", "potential", "g", *_MC)),
+    "local-time": (
+        _cmd_local_time, {"help": "potential-weighted local time Laplace transform"},
+        (*_EXIT_PROBLEM, ("potential", "position-only potential: const:q | level:c,r"), *_MC)),
+}
 
-    Only commands that solve an exit problem (``exit_problem``) take ``--b``,
-    ``--x`` and ``--grid-outer``; anywhere else argparse rejects them.
-    """
-    p.add_argument("--model", help="bm:mu,sigma or jd:mu,sigma,rate,jump_mean")
-    if exit_problem:
-        p.add_argument("--b", type=float, help="lower barrier")
-        p.add_argument("--x", type=float, help="starting point, b < x < a")
-        p.add_argument("--a", type=float, help="upper barrier")
-        p.add_argument("--grid-outer", dest="grid_outer", type=int,
-                       help="outer Simpson node count (odd)")
-    else:
-        p.add_argument("--a", type=float, help="upper end of the table")
-    p.add_argument("--grid-inner", dest="grid_inner", type=int, help=inner)
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--config", help="flat key = value config file with defaults")
-    p.add_argument("--csv", help="write the command's CSV artifact here")
-    if potential:
-        p.add_argument("--potential", help=potential)
-    if g:
-        p.add_argument("--g", help="down-exit supremum weight: one | identity | const:c")
-    if mc_flags:
-        p.add_argument("--paths", type=int, help="Monte Carlo path count")
-        p.add_argument("--dt", type=float, help="Euler step")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+
+def _flags_of(command: str) -> dict:
+    """dest -> help text of each flag ``command`` takes, in parser order."""
+    return dict(f if isinstance(f, tuple) else (f, _FLAGS[f][2]) for f in _COMMANDS[command][2])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,46 +457,43 @@ def build_parser() -> argparse.ArgumentParser:
         "negative Levy processes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scale-table", help="sample a q-scale table to CSV")
-    _add_common(p, exit_problem=False, inner="table node count on [0, a]")
-    p.add_argument("--q", type=float, help="discount rate of the table")
-
-    p = sub.add_parser("exit", help="deterministic two-sided exit identities")
-    _add_common(p, potential=_BIVARIATE, g=True)
-
-    p = sub.add_parser("conditional", help="conditional Laplace curve given the supremum")
-    _add_common(p, potential=_BIVARIATE, mc_flags=True)
-
-    p = sub.add_parser(
-        "mc-verify", help="deterministic vs Monte Carlo with z-scores",
-        description="Deterministic exit identities against multilevel Monte Carlo with "
-        "z-scores.  The levels are L = max{l <= 4 : 2^l dt <= (a-b)^2/100}, so that the "
-        "coarsest step 2^L dt is not coarse for the band; with --csv, L = 0 and the rows "
-        "are the dt paths.")
-    _add_common(p, potential=_BIVARIATE, g=True, mc_flags=True)
-
-    p = sub.add_parser("local-time", help="potential-weighted local time Laplace transform")
-    _add_common(p, potential="position-only potential: const:q | level:c,r", mc_flags=True)
+    for command, (_, keywords, _) in _COMMANDS.items():
+        p = sub.add_parser(command, **keywords)
+        for dest, text in _flags_of(command).items():
+            p.add_argument("--" + dest.replace("_", "-"), type=_FLAGS[dest][0], help=text)
     return parser
 
 
-_COMMANDS = {
-    "scale-table": _cmd_scale_table,
-    "exit": _cmd_exit,
-    "conditional": _cmd_conditional,
-    "mc-verify": _cmd_mc_verify,
-    "local-time": _cmd_local_time,
-}
+def _fill(args) -> None:
+    """Set each unset flag of the command: flag > config file > built-in default."""
+    dests = _flags_of(args.command)
+    keys = set(dests) - {"out", "csv", "config"}
+    config = _load_config(args.config, args.command, keys) if args.config else {}
+    for key, raw in config.items():
+        if getattr(args, key) is None:
+            try:
+                setattr(args, key, _FLAGS[key][0](raw))
+            except ValueError as exc:
+                raise UsageError(f"--config: bad value for '{key}': {raw}") from exc
+    # without a path count these two run no Monte Carlo; mc-verify always does
+    if args.command in ("conditional", "local-time") and args.paths is None:
+        for key in ("dt", "seed"):
+            if getattr(args, key) is not None:
+                raise UsageError(f"--{key}: {args.command} runs Monte Carlo only with a "
+                                 "path count (--paths or a 'paths' config line)")
+    for key in dests:
+        if getattr(args, key) is None:
+            setattr(args, key, _FLAGS[key][1])
+    for key in ("model", "b", "x", "a"):
+        if key in dests and getattr(args, key) is None:
+            raise UsageError(f"--{key}: required flag is missing")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        keys = set(vars(args)) - {"command", "out", "csv", "config"}
-        config = _load_config(args.config, args.command, keys) if args.config else {}
-        doc = _COMMANDS[args.command](args, config)
+        _fill(args)
+        doc = _COMMANDS[args.command][0](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -538,7 +505,7 @@ def main(argv=None) -> int:
                 "error": type(exc).__name__,
                 "detail": str(exc),
             },
-            getattr(args, "out", None),
+            args.out,
         )
         return 1
     _emit(doc, args.out)

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from snlpscale import Estimate
+from snlpscale import Estimate, cli
 from snlpscale.cli import main, verify_report
 
 BM_SPEC = ["--model", "bm:0,1", "--b", "0", "--x", "0.5", "--a", "1"]
@@ -38,6 +38,17 @@ def test_scale_table_rejects_exit_problem_flags(flag, capsys):
         main([*argv, *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["exit", "conditional", "local-time"])
+def test_only_the_commands_that_write_a_csv_take_the_flag(command, capsys):
+    argv = [command, *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--csv", "out.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
 
 
 FAR_SPEC = ["--model", "bm:0,1", "--b", "0", "--x", "1.5", "--a", "2"]
@@ -86,6 +97,66 @@ def test_config_paths_turn_on_monte_carlo(command, mc_key, tmp_path, capsys):
     argv = [command, *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", "--config", str(config)]
     main(argv)
     assert mc_key in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["conditional", "local-time"])
+@pytest.mark.parametrize("key,value", [("dt", "0.5"), ("seed", "4")])
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+def test_a_step_or_seed_without_a_path_count_is_a_usage_error(command, key, value, in_config,
+                                                              tmp_path, capsys):
+    # without a path count the command runs no Monte Carlo, so the value
+    # would set nothing
+    argv = [command, *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5"]
+    if in_config:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{key}", value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: --{key}: ")
+
+
+EXIT_RUN = {"model": "bm:0,1", "b": "0", "x": "0.5", "a": "1", "grid_outer": "9",
+            "grid_inner": "32", "potential": "const:0.5"}
+# the cheapest run of a command that reads each key
+RUNS = {
+    "scale-table": {"model": "bm:0,1", "a": "1", "grid_inner": "32"},
+    "exit": EXIT_RUN,
+    "conditional": {**EXIT_RUN, "paths": "200", "dt": "1e-3", "seed": "3"},
+}
+# each config key: the command that reads it, and a value other than its default
+CONFIG_KEYS = {
+    "model": ("exit", "jd:0,1,1,0.5"),
+    "b": ("exit", "0.25"),
+    "x": ("exit", "0.75"),
+    "a": ("exit", "1.25"),
+    "grid_outer": ("exit", "17"),
+    "grid_inner": ("exit", "64"),
+    "potential": ("exit", "reflected:0.5"),
+    "g": ("exit", "identity"),
+    "q": ("scale-table", "0.5"),
+    "paths": ("conditional", "300"),
+    "dt": ("conditional", "2e-3"),
+    "seed": ("conditional", "4"),
+}
+
+
+def _flag_args(values: dict) -> list:
+    return [arg for key, value in values.items() for arg in (f"--{key.replace('_', '-')}", value)]
+
+
+@pytest.mark.parametrize("key", sorted(set(cli._FLAGS) - {"csv", "out", "config"}))
+def test_a_config_line_and_a_flag_give_the_same_document(key, tmp_path, capsys):
+    command, value = CONFIG_KEYS[key]
+    rest = _flag_args({k: v for k, v in RUNS[command].items() if k != key})
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    runs = []
+    for argv in ([*rest, *_flag_args({key: value})], [*rest, "--config", str(config)]):
+        runs.append((main([command, *argv]), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and json.loads(runs[0][1].out)["command"] == command
 
 
 @pytest.mark.parametrize("command", ["conditional", "local-time"])
