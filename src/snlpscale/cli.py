@@ -8,7 +8,7 @@ Subcommands
 ``mc-verify``     deterministic values against Monte Carlo, with z-scores
 ``local-time``    Laplace transform of the potential-weighted local time
 
-All commands emit a versioned JSON document (``"schema": 8``) to stdout or
+All commands emit a versioned JSON document (``"schema": 9``) to stdout or
 ``--out``.  ``exit``, ``mc-verify`` and ``local-time`` carry the refinement
 diagnostics under ``diagnostics``.  ``mc-verify``, ``conditional`` and
 ``local-time`` solve the deterministic side while the worker processes step
@@ -42,21 +42,27 @@ Exit status:
 flag or the file without a path count is a usage error.  ``mc-verify`` runs
 100000 paths unless told otherwise.
 
-``mc-verify`` estimates the dt scheme's means by multilevel telescoping
-(``mc`` module docstring) over ``L = max{l <= 4 : 2^l dt <= (a-b)^2/100}``
-levels, the bound of the coarse-step warning, so that the coarsest step
-never warns; no flag or config key sets ``L``.  With ``--csv`` it runs the
-plain dt paths (``L = 0``), since the rows are those paths.  Each report row
-carries ``bias_dt`` and ``bias_dt_se``: the level-1 pairs' ``E[Y_2dt -
-Y_dt]``, to first order the dt scheme's bias, and null when ``L = 0``.
+The three Monte Carlo commands estimate the dt scheme's means by multilevel
+telescoping (``mc`` module docstring) over ``L = max{l <= 4 : 2^l dt <=
+(a-b)^2/100}`` levels, the bound of the coarse-step warning, so that the
+coarsest step never warns; no flag or config key sets ``L``.  Each writes
+the levels under ``diagnostics.mc.levels``.  With ``--csv``, ``mc-verify``
+runs the plain dt paths (``L = 0``), since the rows are those paths.  Each
+``mc-verify`` report row carries ``bias_dt`` and ``bias_dt_se``: the level-1
+pairs' ``E[Y_2dt - Y_dt]``, to first order the dt scheme's bias, and null
+when ``L = 0``.  Each ``mc_bins`` row of ``conditional`` is the bin's
+numerator ``E[e^{-int F}; down, S_T in bin]`` divided by the bin's exact mass
+(``supremum_mass``, and ``supremum_atom`` for the up bin), with its standard
+error divided alike; an empty bin has NaN for both.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -70,6 +76,7 @@ from .generalized import (
     local_time_laplace,
     supremum_atom,
     supremum_density,
+    supremum_mass,
 )
 from .mc import MCConfig, conditional_mc, occupation_mc, run_exit_mc
 from .models import Family, LevyModel
@@ -82,7 +89,7 @@ from .potentials import (
 )
 from .scale import make_scale_table
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 _NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
@@ -125,9 +132,10 @@ def _load_config(path: str, command: str, keys) -> dict:
     """Flat ``key = value`` lines; ``#`` starts a comment.
 
     ``keys`` are the flag names of ``command`` in attribute form
-    (``grid_outer``); any other key is an error that names it and its line.
+    (``grid_outer``); any other key is an error that names it and its line,
+    and so is a key set twice, however spelled, which names both lines.
     """
-    out = {}
+    out, lines = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -145,7 +153,12 @@ def _load_config(path: str, command: str, keys) -> dict:
                         f"--config: unknown key '{key.strip()}' on line {lineno} of {path}: "
                         f"{command} has no --{name.replace('_', '-')} flag"
                     )
-                out[name] = value.strip()
+                if name in lines:
+                    raise UsageError(
+                        f"--config: key '{key.strip()}' on line {lineno} of {path} repeats "
+                        f"line {lines[name]}"
+                    )
+                out[name], lines[name] = value.strip(), lineno
     except OSError as exc:
         raise UsageError(f"--config: cannot read {path}: {exc}") from exc
     return out
@@ -256,7 +269,8 @@ def _cmd_conditional(args) -> dict:
         cfg,
         lambda: conditional_curve(p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner),
         lambda meanwhile: conditional_mc(p.model, p.F, p.spec, cfg,
-                                         max(4, (p.n_outer - 1) // 16), meanwhile=meanwhile),
+                                         max(4, (p.n_outer - 1) // 16), meanwhile=meanwhile,
+                                         levels=cfg.max_levels(p.spec)),
     )
     density = [
         supremum_density(p.model, p.spec, float(z)) if z < p.spec.a else None for z in nodes
@@ -269,10 +283,15 @@ def _cmd_conditional(args) -> dict:
         "supremum_atom": supremum_atom(p.model, p.spec),
     }
     if mc is not None:
-        # each bin is paired with this command's own curve, at the bin midpoint
+        masses = [supremum_mass(p.model, p.spec, bn.lo, bn.hi) for bn in mc.bins]
+        # a bin's conditional mean is its numerator over its exact mass, paired
+        # with this command's own curve at the bin midpoint
         doc["mc_bins"] = [
-            {**asdict(bn), "deterministic": float(np.interp(bn.midpoint, nodes, curve))}
-            for bn in mc.bins + [mc.up_bin]
+            {"lo": bn.lo, "hi": bn.hi, "midpoint": bn.midpoint, "n": bn.n, "empty": bn.empty,
+             "mc_mean": math.nan if bn.empty else bn.numerator.mean / mass,
+             "mc_se": math.nan if bn.empty else bn.numerator.std_error / mass,
+             "deterministic": float(np.interp(bn.midpoint, nodes, curve))}
+            for bn, mass in zip(mc.bins + [mc.up_bin], masses + [doc["supremum_atom"]])
         ]
         doc["diagnostics"] = {"mc": mc.diagnostics}
     return doc
@@ -364,7 +383,8 @@ def _cmd_local_time(args) -> dict:
     (value, diagnostics), occ = _solve_while_stepping(
         cfg,
         lambda: local_time_laplace(p.model, p.F, p.spec, n_outer=p.n_outer, n_inner=p.n_inner),
-        lambda meanwhile: occupation_mc(p.model, p.F, p.spec, cfg, meanwhile=meanwhile),
+        lambda meanwhile: occupation_mc(p.model, p.F, p.spec, cfg, meanwhile=meanwhile,
+                                        levels=cfg.max_levels(p.spec)),
     )
     doc = {**p.header("local-time"), "laplace": value, "diagnostics": diagnostics}
     if occ is not None:

@@ -51,6 +51,7 @@ __all__ = [
     "evaluate_exit",
     "supremum_density",
     "supremum_atom",
+    "supremum_mass",
     "conditional_curve",
     "z_f_truncated",
     "local_time_laplace",
@@ -301,6 +302,15 @@ def supremum_density(model: LevyModel, spec: ExitSpec, z: float) -> float:
     p_down = 1.0 - supremum_atom(model, spec)
     ratio = wq(model, 0.0, x - b) / wq(model, 0.0, z - b)
     return ratio * n_height_tail(model, z - b) / p_down
+
+
+def supremum_mass(model: LevyModel, spec: ExitSpec, lo: float, hi: float) -> float:
+    """``P_x(down exit, lo <= S_T < hi) = W(x-b) (1/W(lo-b) - 1/W(hi-b))``
+    for ``x <= lo < hi <= a``: the unconditional mass of a supremum bin."""
+    b, x, a = spec.b, spec.x, spec.a
+    if not (x <= lo < hi <= a):
+        raise ValueError(f"supremum_mass requires x <= lo < hi <= a, got [{lo}, {hi})")
+    return wq(model, 0.0, x - b) * (1.0 / wq(model, 0.0, lo - b) - 1.0 / wq(model, 0.0, hi - b))
 
 
 def conditional_curve(

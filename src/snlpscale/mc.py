@@ -35,30 +35,28 @@ and the supremum at exit is NaN.
 The stepper accumulates each integrand ``(s, x) -> rate`` in its list per
 path by the trapezoid rule in time, consistent with the first-order path
 discretization; a bridge kill strictly inside the band gets a half step.
-:func:`run_exit_mc` passes the potential alone; :func:`occupation_mc` passes
-its point and smoothed integrands.
 
 One loop runs passes.  A pass of ``m`` live paths advances each of them
 ``K = min(_MAX_ROWS, max(1, _PASS_ENTRIES // m))`` steps at once, in ``(K,
-m)`` blocks; a path's block ends at its first exit, jump or time cap.  The live
-paths sit in slots ``0 .. m-1`` of the state arrays, with a map to each
-path's output column.  When ``d`` paths finish, the live paths of the last
-``d`` slots move into their holes, so a pass costs in proportion to the live
-paths times ``K`` plus the finished ones, and slots are not in path order.
+m)`` blocks, and costs in proportion to ``K m`` plus the paths that finish
+(``_simulate_exit_chunk``).
 
-``_collect_states`` runs the paths of all three entry points.  It warns on a
-coarse step, splits the paths into chunks of ``_CHUNK`` (50000), the last
-one shorter, and owns the censoring gate: paths that reach the time cap are
-censored, and a censored fraction above 0.1% raises.  The chunks run in
-forked worker processes, one per core this process may run on and at most
-one per chunk; the run stays in process, with one worker, where the platform
+One estimator serves the three entry points.  Each warns on a coarse step,
+at its caller's line, and passes its integrands and ``levels`` to
+``_collect_states``, then its map from a level's records to each estimand's
+per-path values to ``_telescope``: :func:`run_exit_mc` the exit functionals
+of the potential, :func:`occupation_mc` ``e^{-int f}`` for its point and
+smoothed integrands, :func:`conditional_mc` the potential's ``e^{-int F}``
+on each bin of the supremum at the exit.  ``_collect_states`` splits the
+paths into chunks of ``_CHUNK`` (50000), the last one shorter, and censors
+the paths that reach the time cap; a censored fraction above 0.1% raises.
+The chunks run in forked worker processes, one per core this process may run
+on and at most one per chunk; the run stays in process where the platform
 has no ``fork`` or no CPU affinity mask, or where another Python thread is
-alive, since a fork copies only the calling thread.  Every entry point takes
-``meanwhile``, the caller's work (its deterministic solve), which runs in
-the parent while the workers step.  Each chunk returns its records and its
-counts, one set per level of a multilevel run, and the parent merges them in
-chunk order; every result carries the run's one ``diagnostics`` dict of the
-summed counts, ``censored`` and ``sup_tracked``.
+alive, since a fork copies only the calling thread.  ``meanwhile``, the
+caller's deterministic solve, runs in the parent while the workers step.
+The parent merges each level's records and counts in chunk order, and every
+result carries the run's one ``diagnostics`` dict.
 
 Chunk ``k`` draws from an SFC64 stream seeded from ``SeedSequence((seed mod
 2^64, k))``.  Each pass draws one flat ``standard_normal(K * m)``, row ``j``
@@ -73,8 +71,8 @@ depends on nothing but its index and the reduction runs in fixed chunk
 order, so estimates are bit-identical for a given configuration whatever
 the worker count.
 
-Multilevel runs.  :func:`run_exit_mc` with ``levels = L > 0`` estimates the
-dt scheme's mean by telescoping (Giles, Oper. Res. 56, 2008)::
+Multilevel runs.  With ``levels = L > 0`` each estimand's dt-scheme mean
+telescopes (Giles, Oper. Res. 56, 2008)::
 
     E[Y_dt] = E[Y_{2^L dt}] + sum_{l=1..L} E[Y_{2^(l-1) dt} - Y_{2^l dt}]
 
@@ -102,16 +100,16 @@ needs the pair's second half: one normal from the extra stream for each
 such path in slot order, then, for those that left down, one uniform for
 each second half within reach of its level, for the maximum that may still
 take the coarse path up.  A pair is censored when its fine path is.  The
-allocation is fixed, and the per-level sample variances and means land in
-``diagnostics["levels"]``.  The standard error is that of the telescoped
-sum; the level-1 pairs also give ``E[Y_2dt - Y_dt]``, to first order the
-bias of the dt scheme.  ``MCConfig.max_levels`` gives the ``L`` a command
-uses: ``max{l <= 4 : 2^l dt <= (a-b)^2/100}``, the bound of
-``warn_if_coarse``, so the coarsest run never warns.
+allocation is fixed.  An estimate is the sum of the levels' sample means,
+with standard error ``sqrt(sum_l Var_l / n_l)``; the per-level means and
+variances land in ``diagnostics["levels"]``, and the level-1 pairs also give
+``E[Y_2dt - Y_dt]``, to first order the bias of the dt scheme.
+``MCConfig.max_levels`` gives the ``L`` each command uses: ``max{l <= 4 :
+2^l dt <= (a-b)^2/100}``, the bound of ``warn_if_coarse``, so the coarsest
+run never warns.
 
 The engine never calls the deterministic solver: it imports only ``ExitSpec``
-from :mod:`generalized`.  :func:`conditional_mc` returns Monte Carlo bins,
-and the caller pairs each bin with its own deterministic curve.
+from :mod:`generalized`.
 """
 
 from __future__ import annotations
@@ -162,7 +160,6 @@ _T_CAP_SCALE = 1e4
 _MIN_PAIRS = 256
 _PAIR_SHARE = 32
 _MAX_LEVELS = 4
-_ESTIMANDS = ("up_laplace", "down_value", "p_up")
 
 
 @dataclass
@@ -202,11 +199,13 @@ class MCConfig:
         return levels
 
     def warn_if_coarse(self, spec: ExitSpec) -> None:
+        """Warn, at the line that called the entry point calling this, when
+        ``dt`` is above ``(a-b)^2/100``."""
         if self.dt > (spec.a - spec.b) ** 2 / 100.0:
             warnings.warn(
                 f"dt={self.dt} is coarse for interval width {spec.a - spec.b}; "
                 "recommended dt <= (a-b)^2/100",
-                stacklevel=4,
+                stacklevel=3,
             )
 
 
@@ -249,12 +248,8 @@ class ExitSamples:
 
 @dataclass
 class ExitMCResult:
-    """Exit estimates, the censored path count, and the run's ``diagnostics``.
-
-    ``bias_dt`` maps each estimand to the estimate of ``E[Y_2dt - Y_dt]``
-    from the level-1 pairs, to first order the bias of the dt scheme; it is
-    None for a run without levels.
-    """
+    """Exit estimates, the censored path count, the run's ``diagnostics``,
+    and ``bias_dt`` (:func:`run_exit_mc`)."""
 
     up_laplace: Estimate
     down_value: Estimate
@@ -810,13 +805,9 @@ def _level_steps(dt: float, levels: int) -> list:
 
 
 def _chunk(model, spec, cfg, integrands, track, levels, k):
-    """Simulate chunk ``k`` and return its records, one state per level.
-
-    Without levels that is the chunk's plain run.  With ``levels`` the
-    chunk's paths run at the coarsest step first, from the chunk's stream;
-    then each correction level ``l`` runs its coupled pairs from its own
-    stream.
-    """
+    """The records of chunk ``k``, one state per level: its paths at the
+    coarsest step (the plain run without levels) from the chunk's stream,
+    then each correction level's coupled pairs from that level's stream."""
     n = min(_CHUNK, cfg.n_paths - k * _CHUNK)
     rng = _chunk_rng(cfg.seed, k)
     coarsest, *fine = _level_steps(cfg.dt, levels)
@@ -874,27 +865,24 @@ def _collect_states(model, spec, cfg, integrands, track, meanwhile=None, levels=
     """Simulate the chunks and return their records merged in chunk order,
     one state per level, with the run's diagnostics.
 
-    A step that is coarse for the band warns first, at the line that called
-    the entry point.  The ``n_paths`` paths form chunks of ``_CHUNK``, the
-    last one shorter, and chunk ``k`` draws from the substream ``(seed, k)``
-    alone.  The chunks run on ``_worker_count`` forked processes, or in
-    process when that is one; either way each chunk sees the same draws, so
-    the merged records are bit-identical for any worker count.  The
-    diagnostics hold each count of ``_ExitState.COUNTS`` summed in chunk
-    order and over the levels of :func:`_chunk`, but ``chunks``, which
-    counts each chunk once; ``censored``, the paths and pairs that reached
-    the time cap; and ``sup_tracked``, which is ``track``.  ``meanwhile``, a
-    callable without arguments, runs in this process after the workers start
-    and before their results are read; in process it runs before the first
-    chunk.  A worker that raises raises the same error here, and one that
-    dies raises ``BrokenProcessPool``, a ``RuntimeError``; an error in
-    ``meanwhile`` cancels the chunks that have not started.  No worker
-    outlives the call.
+    Chunk ``k`` draws from the substream ``(seed, k)`` alone, on one of
+    ``_worker_count`` forked processes or in process, so the merged records
+    do not depend on the worker count.  The diagnostics hold each count of
+    ``_ExitState.COUNTS`` summed over the chunks and levels (``chunks``
+    counts each chunk once), ``censored``, the paths and pairs that reached
+    the time cap, and ``sup_tracked``, which is ``track``.  ``meanwhile``
+    runs here after the workers start and before their results are read; in
+    process it runs before the first chunk.  A worker that raises raises the
+    same error here, and one that dies raises ``BrokenProcessPool``, a
+    ``RuntimeError``; an error in ``meanwhile`` cancels the chunks that have
+    not started.  No worker outlives the call.
 
     Raises:
+        ValueError: for ``levels`` outside ``0..4``.
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
-    cfg.warn_if_coarse(spec)
+    if not 0 <= levels <= _MAX_LEVELS:
+        raise ValueError(f"levels must be in 0..{_MAX_LEVELS}, got {levels}")
     job = functools.partial(_chunk, model, spec, cfg, integrands, track, levels)
     n_chunks = -(-cfg.n_paths // _CHUNK)
     workers = _worker_count(n_chunks)
@@ -941,6 +929,45 @@ def _estimate(values: np.ndarray) -> Estimate:
     return Estimate(mean=mean, std_error=se, n=n)
 
 
+def _telescope(states, dt: float, diagnostics: dict, values: Callable) -> tuple:
+    """The telescoped estimates of the module docstring from the records of
+    ``_collect_states``, where ``values(st, kept)`` gives each estimand's
+    values on the ``kept`` paths of ``st``; an estimate's ``n`` counts the
+    paths of ``states[0]``.  With levels, ``diagnostics["levels"]`` gets one
+    row per level: its step ``dt``, ``paths`` (pairs for a correction),
+    ``path_steps``, and each estimand's sample ``mean`` and ``variance``.
+
+    Returns the estimates and the level-1 pairs' ``E[Y_2dt - Y_dt]``, or
+    None without levels.
+    """
+    st = states[0]
+    samples, bias_dt = [values(st, ~st.censored)], None
+    for pairs in states[1:]:
+        kept = ~pairs.censored
+        fine, coarse = values(pairs, kept), values(pairs.coarse, kept)
+        samples.append({name: fine[name] - coarse[name] for name in fine})
+        if bias_dt is None:  # the level-1 pairs
+            bias_dt = {name: _estimate(coarse[name] - fine[name]) for name in fine}
+    parts = [{name: _estimate(v) for name, v in level.items()} for level in samples]
+    # the sum starts from the coarsest part, so one level's mean is its own;
+    # its standard error is sqrt(se**2), which is se in binary64
+    estimates = {
+        name: Estimate(mean=sum((p[name].mean for p in parts[1:]), first.mean),
+                       std_error=float(np.sqrt(sum(p[name].std_error**2 for p in parts))),
+                       n=first.n)
+        for name, first in parts[0].items()
+    }
+    if len(states) > 1:
+        diagnostics["levels"] = [
+            {"dt": step, "paths": level.up.size, "path_steps": level.path_steps,
+             "mean": {name: est.mean for name, est in p.items()},
+             "variance": {name: float(vals.var(ddof=1)) for name, vals in v.items()}}
+            for step, level, p, v in zip(_level_steps(dt, len(states) - 1), states, parts,
+                                         samples)
+        ]
+    return estimates, bias_dt
+
+
 def _exit_values(st, g, counted) -> dict:
     """Each estimand's value on the ``counted`` paths of ``st``."""
     up = st.up[counted]
@@ -967,14 +994,9 @@ def run_exit_mc(
     records on request.  ``meanwhile`` runs in this process while the worker
     processes step the chunks, or first when the run stays in process.
 
-    With ``levels = L > 0`` the estimates telescope over the levels of the
-    module docstring: still of the dt scheme's means, with the standard
-    error of the sum, ``sqrt(sum_l Var_l / n_l)``.  ``diagnostics["levels"]``
-    then lists the coarsest run and each correction level ``l = 1..L``, with
-    its step ``dt``, ``paths`` (pairs for a correction), ``path_steps``, and
-    each estimand's sample ``mean`` and ``variance`` (of the pair
-    difference, fine minus coarse, for a correction); ``bias_dt`` holds the
-    level-1 pairs' ``E[Y_2dt - Y_dt]``.  ``levels = 0`` is the plain run.
+    With ``levels = L > 0`` the estimates telescope (module docstring), and
+    ``bias_dt`` holds the level-1 pairs' ``E[Y_2dt - Y_dt]``; ``levels = 0``
+    is the plain run.
 
     The supremum is tracked only when something reads it: ``F.reads_sup``, a
     weight ``g``, or the kept samples' ``s_at_exit``.
@@ -984,52 +1006,21 @@ def run_exit_mc(
             which are the dt scheme's paths.
         RuntimeError: when more than 0.1% of the paths hit the time cap.
     """
-    if not 0 <= levels <= _MAX_LEVELS or (levels and keep_samples):
-        raise ValueError(f"levels must be in 0..{_MAX_LEVELS}, and 0 with kept samples; "
-                         f"got {levels}")
+    cfg.warn_if_coarse(spec)
+    if levels and keep_samples:
+        raise ValueError(f"levels must be 0 with kept samples, got {levels}")
     track = F.reads_sup or g is not None or keep_samples
     states, diagnostics = _collect_states(model, spec, cfg, [F.eval_pairs], track, meanwhile,
                                           levels)
-    st = states[0]
-    counted = ~st.censored
-    samples, bias_dt = [_exit_values(st, g, counted)], None
-    for pairs in states[1:]:
-        kept = ~pairs.censored
-        fine, coarse = _exit_values(pairs, g, kept), _exit_values(pairs.coarse, g, kept)
-        samples.append({name: fine[name] - coarse[name] for name in _ESTIMANDS})
-        if bias_dt is None:  # the level-1 pairs
-            bias_dt = {name: _estimate(coarse[name] - fine[name]) for name in _ESTIMANDS}
-    parts = [{name: _estimate(v[name]) for name in _ESTIMANDS} for v in samples]
-    # the sum starts from the coarsest part, so one level's mean is its own;
-    # its standard error is sqrt(se**2), which is se in binary64
-    estimates = {
-        name: Estimate(mean=sum((p[name].mean for p in parts[1:]), parts[0][name].mean),
-                       std_error=float(np.sqrt(sum(p[name].std_error**2 for p in parts))),
-                       n=parts[0][name].n)
-        for name in _ESTIMANDS
-    }
-    if levels:
-        diagnostics["levels"] = [
-            {"dt": step, "paths": level.up.size, "path_steps": level.path_steps,
-             "mean": {name: p[name].mean for name in _ESTIMANDS},
-             "variance": {name: float(v[name].var(ddof=1)) for name in _ESTIMANDS}}
-            for step, level, p, v in zip(_level_steps(cfg.dt, levels), states, parts, samples)
-        ]
-
-    result = ExitMCResult(
-        **estimates,
-        n_censored=diagnostics["censored"],
-        diagnostics=diagnostics,
-        bias_dt=bias_dt,
-    )
+    estimates, bias_dt = _telescope(states, cfg.dt, diagnostics,
+                                    lambda st, kept: _exit_values(st, g, kept))
+    result = ExitMCResult(**estimates, n_censored=diagnostics["censored"],
+                          diagnostics=diagnostics, bias_dt=bias_dt)
     if keep_samples:
-        result.samples = ExitSamples(
-            exited_up=st.up[counted],
-            s_at_exit=st.s_exit[counted],
-            x_pre=st.x_pre[counted],
-            x_post=st.x_post[counted],
-            functional=st.acc[0, counted],
-        )
+        st = states[0]
+        kept = ~st.censored
+        result.samples = ExitSamples(st.up[kept], st.s_exit[kept], st.x_pre[kept],
+                                     st.x_post[kept], functional=st.acc[0, kept])
     return result
 
 
@@ -1040,12 +1031,15 @@ def run_exit_mc(
 
 @dataclass
 class ConditionalBin:
+    """``numerator`` estimates ``E[e^{-int F}; down, lo <= S_T < hi]``, or
+    ``E[e^{-int F}; up]`` for the atom ``lo = hi = a``; ``n`` counts the
+    paths of the plain (or coarsest) run in the bin."""
+
     lo: float
     hi: float
     midpoint: float
     n: int
-    mc_mean: float
-    mc_se: float
+    numerator: Estimate
     empty: bool
 
 
@@ -1058,19 +1052,6 @@ class ConditionalMCResult:
     diagnostics: dict
 
 
-def _bin(lo: float, hi: float, vals: np.ndarray) -> ConditionalBin:
-    n = vals.size
-    return ConditionalBin(
-        lo=float(lo),
-        hi=float(hi),
-        midpoint=float(0.5 * (lo + hi)),
-        n=int(n),
-        mc_mean=float(vals.mean()) if n else float("nan"),
-        mc_se=float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan"),
-        empty=n == 0,
-    )
-
-
 def conditional_mc(
     model: LevyModel,
     F: BivariatePotential,
@@ -1078,29 +1059,43 @@ def conditional_mc(
     cfg: MCConfig,
     n_bins: int,
     meanwhile: Optional[Callable[[], None]] = None,
+    levels: int = 0,
 ) -> ConditionalMCResult:
-    """Bin the down-exit Laplace samples by the supremum at the exit.
+    """Estimate ``e^{-int F} 1{down, S_T in bin}`` on ``n_bins`` equal bins of
+    ``[x, a)``, and ``e^{-int F} 1{up}`` on the atom ``S_T = a``.
 
-    Down-exit samples are binned by ``S_T`` over ``[x, a)``; the up-exit
-    samples form the ``S_T = a`` atom bin.  Empty bins are flagged rather
-    than dropped.  The bins carry Monte Carlo values only: pairing them with
-    the deterministic curve is left to the caller, whose solve may run as
-    ``meanwhile``, as in :func:`run_exit_mc`.  Censored paths are left out.
+    The numerators sum to :func:`run_exit_mc`'s ``down_value`` (with the
+    weight one) and ``up_laplace``.  ``levels`` and ``meanwhile`` are as
+    there.  Empty bins are flagged rather than dropped.  Dividing by each
+    bin's mass and pairing with the deterministic curve is left to the
+    caller.  Raises as :func:`run_exit_mc`, and for ``n_bins < 4``.
     """
+    cfg.warn_if_coarse(spec)
     if n_bins < 4:
         raise ValueError("conditional_mc needs n_bins >= 4")
-    (st,), diagnostics = _collect_states(model, spec, cfg, [F.eval_pairs], True, meanwhile)
-    counted = ~st.censored
-    lap = np.exp(-st.acc[0, counted])
-    up = st.up[counted]
     edges = np.linspace(spec.x, spec.a, n_bins + 1)
-    which = np.clip(
-        np.searchsorted(edges, st.s_exit[counted][~up], side="right") - 1, 0, n_bins - 1
-    )
-    vals_down = lap[~up]
-    bins = [_bin(edges[k], edges[k + 1], vals_down[which == k]) for k in range(n_bins)]
-    return ConditionalMCResult(bins=bins, up_bin=_bin(spec.a, spec.a, lap[up]),
-                               diagnostics=diagnostics)
+    names = [f"bin{k}" for k in range(n_bins)] + ["up"]
+
+    def bin_of(st, kept):
+        """Each kept path's bin, ``n_bins`` for an up exit."""
+        which = np.clip(np.searchsorted(edges, st.s_exit[kept], side="right") - 1, 0,
+                        n_bins - 1)
+        return np.where(st.up[kept], n_bins, which)
+
+    def values(st, kept):
+        which, lap = bin_of(st, kept), np.exp(-st.acc[0, kept])
+        return {name: np.where(which == k, lap, 0.0) for k, name in enumerate(names)}
+
+    states, diagnostics = _collect_states(model, spec, cfg, [F.eval_pairs], True, meanwhile,
+                                          levels)
+    estimates, _ = _telescope(states, cfg.dt, diagnostics, values)
+    counts = np.bincount(bin_of(states[0], ~states[0].censored), minlength=n_bins + 1)
+    bins = [
+        ConditionalBin(lo=float(lo), hi=float(hi), midpoint=float(0.5 * (lo + hi)), n=int(n),
+                       numerator=estimates[name], empty=bool(n == 0))
+        for lo, hi, n, name in zip([*edges[:-1], spec.a], [*edges[1:], spec.a], counts, names)
+    ]
+    return ConditionalMCResult(bins=bins[:-1], up_bin=bins[-1], diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,6 +1138,7 @@ def occupation_mc(
     spec: ExitSpec,
     cfg: MCConfig,
     meanwhile: Optional[Callable[[], None]] = None,
+    levels: int = 0,
 ) -> OccupationMCResult:
     """Cross-check the occupation formula by simulation.
 
@@ -1153,13 +1149,14 @@ def occupation_mc(
     functional :func:`run_exit_mc` accumulates for that potential.  (B)
     integrates ``f`` exactly against each box through a fine cumulative
     table, so the A-B discrepancy carries only the smoothing error and
-    shrinks like the bandwidth.  Censored paths are left out of (A) and (B).
-    ``meanwhile`` runs as in :func:`run_exit_mc`.
-
-    Raises:
-        ValueError: if the bandwidth is unresolvable by the fine table.
-        RuntimeError: when more than 0.1% of the paths hit the time cap.
+    shrinks like the bandwidth.  ``e^{-(A)}`` and ``e^{-(B)}`` telescope over
+    ``levels`` as in :func:`run_exit_mc`, (B) with the bandwidth of ``dt`` at
+    every level; ``mean_abs_discrepancy``, the mean ``|A - B|``, is read from
+    the dt paths: the plain run, or the level-1 pairs' fine paths.
+    ``meanwhile`` is as there.  Raises as :func:`run_exit_mc`, and if the
+    bandwidth is unresolvable by the fine table.
     """
+    cfg.warn_if_coarse(spec)
     b, a = spec.b, spec.a
     w = 2.0 * np.sqrt(cfg.dt)
     fine_n = 4096
@@ -1179,14 +1176,14 @@ def occupation_mc(
     def smoothed_rate(s, xs):
         return (table(xs + w) - table(xs - w)) / (2.0 * w)
 
-    (st,), diagnostics = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], False,
-                                         meanwhile)
-    counted = ~st.censored
-    acc_a = st.acc[0, counted]
-    acc_b = st.acc[1, counted]
-    return OccupationMCResult(
-        time_integral_laplace=_estimate(np.exp(-acc_a)),
-        occupation_laplace=_estimate(np.exp(-acc_b)),
-        mean_abs_discrepancy=float(np.mean(np.abs(acc_a - acc_b))),
-        diagnostics=diagnostics,
-    )
+    def values(st, kept):
+        return {"time_integral_laplace": np.exp(-st.acc[0, kept]),
+                "occupation_laplace": np.exp(-st.acc[1, kept])}
+
+    states, diagnostics = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], False,
+                                          meanwhile, levels)
+    estimates, _ = _telescope(states, cfg.dt, diagnostics, values)
+    dt_paths = states[min(levels, 1)]
+    acc = dt_paths.acc[:, ~dt_paths.censored]
+    return OccupationMCResult(**estimates, diagnostics=diagnostics,
+                              mean_abs_discrepancy=float(np.mean(np.abs(acc[0] - acc[1]))))

@@ -240,6 +240,41 @@ def test_conditional_bins_pair_with_the_documents_curve(capsys):
     assert up_bin["deterministic"] == doc["conditional_laplace"][-1]
 
 
+def test_conditional_bins_divide_each_numerator_by_the_bins_mass(monkeypatch, capsys):
+    # under the downward drift no path of 200 reaches the top bins or a, so
+    # those are empty and write NaN, not 0 +- 0
+    from snlpscale import ExitSpec, make_brownian, supremum_atom, supremum_mass
+
+    runs, run = [], cli.conditional_mc
+
+    def watched(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "conditional_mc", watched)
+    argv = ["conditional", "--model", "bm:-2,1", "--b", "0", "--x", "0.5", "--a", "2",
+            "--grid-outer", "129", "--grid-inner", "64", "--potential", "const:0.5",
+            "--paths", "200", "--dt", "1e-3", "--seed", "3"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (res,) = runs
+    model, spec = make_brownian(-2.0, 1.0), ExitSpec(0.0, 0.5, 2.0)
+    masses = [supremum_mass(model, spec, bn.lo, bn.hi) for bn in res.bins]
+    assert math.fsum(masses) + supremum_atom(model, spec) == pytest.approx(1.0, rel=1e-12)
+    rows = doc["mc_bins"]
+    assert [row["n"] for row in rows] == [bn.n for bn in res.bins + [res.up_bin]]
+    assert sum(row["n"] for row in rows) == 200
+    assert len(doc["diagnostics"]["mc"]["levels"]) == 1 + 4
+    for row, bn, mass in zip(rows, res.bins + [res.up_bin], masses + [doc["supremum_atom"]]):
+        assert row["empty"] is (bn.n == 0)
+        if row["empty"]:
+            assert math.isnan(row["mc_mean"]) and math.isnan(row["mc_se"])
+        else:
+            assert row["mc_mean"] == bn.numerator.mean / mass
+            assert row["mc_se"] == bn.numerator.std_error / mass
+    assert rows[-1]["empty"] and rows[0]["n"] > 0
+
+
 MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
              "--paths", "200", "--dt", "1e-3"]
 
@@ -247,7 +282,7 @@ MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
 def test_mc_verify_passes_with_exit_zero(capsys):
     assert main([*MC_VERIFY, "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 8
+    assert doc["schema"] == 9
     assert doc["mc_config"] == {"dt": 1e-3, "paths": 200, "seed": 3}
     assert doc["pass"] is True
     assert doc["diagnostics"]["converged"] is True
@@ -396,9 +431,9 @@ def test_each_mc_command_writes_the_run_diagnostics(command, capsys):
 
     assert main([command, *MC_RUN]) == 0
     counts = json.loads(capsys.readouterr().out)["diagnostics"]["mc"]
-    # mc-verify alone runs levels
-    levels = ("levels",) if command == "mc-verify" else ()
-    assert sorted(counts) == sorted(_ExitState.COUNTS + ("censored", "sup_tracked") + levels)
+    # each command telescopes over L = 3 levels at dt 1e-3 on a band of 1
+    assert sorted(counts) == sorted(_ExitState.COUNTS + ("censored", "sup_tracked", "levels"))
+    assert [level["dt"] for level in counts["levels"]] == [8e-3, 1e-3, 2e-3, 4e-3]
     assert counts["chunks"] == 1 and counts["censored"] == 0
     # only the conditional law reads the supremum
     assert counts["sup_tracked"] is (command == "conditional")
@@ -459,6 +494,19 @@ def test_the_bridge_key_is_unknown_whatever_its_value(value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key 'bridge' on line 1" in err
     assert "mc-verify has no --bridge flag" in err
+
+
+@pytest.mark.parametrize("text", ["grid_outer = 33\ngrid-inner = 32\ngrid-outer = 65\n",
+                                  "grid_outer = 33\n# grid_outer = 9\n\ngrid_outer = 33\n"])
+def test_a_repeated_config_key_is_a_usage_error(text, tmp_path, capsys):
+    # the second line would override the first without a word, also when
+    # the two spell the key differently
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    assert main(["exit", *BM_SPEC, *SMALL_GRID, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config: key ")
+    assert "line 1" in err and f"line {len(text.splitlines())}" in err
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):

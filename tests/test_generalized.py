@@ -22,6 +22,7 @@ from snlpscale import (
     parse_bivariate,
     supremum_atom,
     supremum_density,
+    supremum_mass,
     z_f_truncated,
 )
 from snlpscale import generalized
@@ -186,6 +187,21 @@ class TestSupremumLaw:
         assert total * p_down + supremum_atom(bm_driftless, SPEC) == pytest.approx(
             1.0, abs=1e-10
         )
+
+    @pytest.mark.parametrize("lo,hi", [(0.5, 0.6), (0.7, 0.9), (0.9, 1.0)])
+    def test_bin_mass_is_the_integral_of_the_density(self, bm_driftless, lo, hi):
+        # driftless W(v) = 2v: the mass is x (1/lo - 1/hi)
+        p_down = 1.0 - supremum_atom(bm_driftless, SPEC)
+        total, _ = quad(lambda z: supremum_density(bm_driftless, SPEC, z), lo,
+                        min(hi, 1.0 - 1e-12), epsabs=1e-12, epsrel=0)
+        mass = supremum_mass(bm_driftless, SPEC, lo, hi)
+        assert mass == pytest.approx(0.5 * (1.0 / lo - 1.0 / hi), rel=1e-12)
+        assert mass == pytest.approx(total * p_down, abs=1e-10)
+
+    @pytest.mark.parametrize("lo,hi", [(0.3, 0.6), (0.6, 0.6), (0.7, 1.1)])
+    def test_bin_mass_domain_validation(self, bm_driftless, lo, hi):
+        with pytest.raises(ValueError, match="supremum_mass"):
+            supremum_mass(bm_driftless, SPEC, lo, hi)
 
     def test_domain_validation(self, bm_driftless):
         with pytest.raises(ValueError):

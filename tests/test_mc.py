@@ -169,8 +169,8 @@ DENSE_GOLDEN = {
 
 
 # conditional_mc on bm 0,1, b=0, x=0.5, a=2, reflected:0.5, 2000 paths at dt
-# 1e-3, seed 7: (n, mc_mean, mc_se) of each of the 4 down bins, then of the
-# up bin
+# 1e-3, seed 7: (n, mean, se) of each of the 4 down bins, then of the up bin,
+# where mean and se are those of e^{-int F} over the n paths in the bin
 CONDITIONAL_GOLDEN = [
     (828, 0.968744324291502, 0.0009325569469106864),
     (363, 0.8855647671635039, 0.0037125194231048763),
@@ -231,12 +231,19 @@ class TestReproducibility:
         assert np.array_equal(one.samples.s_at_exit, two.samples.s_at_exit)
 
     def test_conditional_bins_are_pinned(self):
+        # a bin's numerator averages e^{-int F} 1{bin} over all N counted
+        # paths: its mean is (n/N) mean, and the sum of squares of the n
+        # values in the bin, (n-1) n se^2 + n mean^2, gives its variance
         model, spec = make_brownian(0.0, 1.0), ExitSpec(0.0, 0.5, 2.0)
         F = parse_bivariate("reflected:0.5", spec.a - spec.b)
         res = mc.conditional_mc(model, F, spec, MCConfig(dt=1e-3, n_paths=2000, seed=7), 4)
+        N = 2000
         for got, (n, mean, se) in zip(res.bins + [res.up_bin], CONDITIONAL_GOLDEN, strict=True):
-            assert got.n == n
-            assert (got.mc_mean, got.mc_se) == pytest.approx((mean, se), rel=1e-12)
+            num = n / N * mean
+            var = ((n - 1) * n * se**2 + n * mean**2 - N * num**2) / (N - 1)
+            assert (got.n, got.empty, got.numerator.n) == (n, False, N)
+            assert got.numerator.mean == pytest.approx(num, rel=1e-12)
+            assert N * got.numerator.std_error**2 == pytest.approx(var, rel=1e-12)
 
 
 # An integrand may hand back one of its own inputs: ``eval_pairs`` returns
@@ -694,12 +701,12 @@ def test_draw_pattern(model, track, monkeypatch):
 
 
 def _watch_tracking(monkeypatch):
-    """Record ``(track, merged records of the first level)`` of every run's chunks."""
+    """Record ``(track, merged records of each level)`` of every run's chunks."""
     runs, collect = [], mc._collect_states
 
     def watched(model, spec, cfg, integrands, track, meanwhile=None, levels=0):
         states, diagnostics = collect(model, spec, cfg, integrands, track, meanwhile, levels)
-        runs.append((track, states[0]))
+        runs.append((track, states))
         return states, diagnostics
 
     monkeypatch.setattr(mc, "_collect_states", watched)
@@ -718,7 +725,7 @@ CONST_RUNS = {  # each reads the supremum through something other than F
 def test_a_run_that_reads_the_supremum_tracks_it(case, monkeypatch):
     runs = _watch_tracking(monkeypatch)
     res = CONST_RUNS[case]()
-    ((track, st),) = runs
+    ((track, [st]),) = runs
     assert track
     assert np.isfinite(st.s_exit[~st.censored]).all()
     assert res.diagnostics["sup_tracked"]
@@ -731,19 +738,56 @@ def test_runs_that_read_no_supremum_do_not_track_it(monkeypatch):
     assert not res.diagnostics["sup_tracked"]
     assert not occ.diagnostics["sup_tracked"]
     assert [track for track, _ in runs] == [False, False]
-    assert all(np.isnan(st.s_exit).all() for _, st in runs)
+    assert all(np.isnan(st.s_exit).all() for _, [st] in runs)
 
 
+@pytest.mark.parametrize("levels", [0, 3])
 @pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
-def test_time_integral_is_the_exit_functional_of_the_lifted_potential(model, monkeypatch):
+def test_time_integral_is_the_exit_functional_of_the_lifted_potential(model, levels,
+                                                                      monkeypatch):
     # occupation_mc's (A) evaluates f itself, lifted to (s, x) as
     # local_time_laplace lifts it, so each path's sum is the one run_exit_mc
-    # accumulates for the lifted potential, bit for bit
+    # accumulates for the lifted potential, bit for bit, at every level and
+    # on both sides of each pair
     runs = _watch_tracking(monkeypatch)
-    occupation_mc(model, LEVEL, SPEC, _cfg())
-    run_exit_mc(model, BivariatePotential.from_univariate(LEVEL), SPEC, _cfg())
-    (_, occ), (_, lifted) = runs
-    assert np.array_equal(occ.acc[0], lifted.acc[0])
+    occ = occupation_mc(model, LEVEL, SPEC, _cfg(), levels=levels)
+    res = run_exit_mc(model, BivariatePotential.from_univariate(LEVEL), SPEC, _cfg(),
+                      levels=levels)
+    (_, occ_states), (_, lifted_states) = runs
+    assert len(occ_states) == len(lifted_states) == 1 + levels
+    for occ_st, lifted in zip(occ_states, lifted_states):
+        assert np.array_equal(occ_st.acc[0], lifted.acc[0])
+        if occ_st.coarse is not None:
+            assert np.array_equal(occ_st.coarse.acc[0], lifted.coarse.acc[0])
+    # e^{-(A)} splits into its up and down parts
+    assert occ.time_integral_laplace.mean == pytest.approx(
+        res.up_laplace.mean + res.down_value.mean, rel=1e-12)
+    # |A - B| is read from the dt paths: the plain run, or the level-1 pairs' fine side
+    dt_paths = occ_states[min(levels, 1)]
+    kept = ~dt_paths.censored
+    assert occ.mean_abs_discrepancy == float(
+        np.mean(np.abs(dt_paths.acc[0, kept] - dt_paths.acc[1, kept])))
+    if levels:
+        assert dt_paths.up.size < 2000 and dt_paths.coarse is not None
+
+
+@pytest.mark.parametrize("levels", [0, 3])
+def test_conditional_bins_split_the_exit_estimates(levels):
+    # run_exit_mc and conditional_mc track the supremum of reflected:0.5
+    # alike, so both draw the same uniforms: the down bins' numerators sum to
+    # down_value, and the up bin is up_laplace
+    model, spec = make_brownian(0.0, 1.0), ExitSpec(0.0, 0.5, 2.0)
+    F = parse_bivariate("reflected:0.5", spec.a - spec.b)
+    cfg = MCConfig(dt=1e-3, n_paths=2000, seed=7)
+    res = run_exit_mc(model, F, spec, cfg, levels=levels)
+    cond = mc.conditional_mc(model, F, spec, cfg, 4, levels=levels)
+    assert sum(bn.numerator.mean for bn in cond.bins) == pytest.approx(res.down_value.mean,
+                                                                       rel=1e-12)
+    up = cond.up_bin.numerator
+    assert (up.mean, up.std_error) == pytest.approx(
+        (res.up_laplace.mean, res.up_laplace.std_error), rel=1e-12)
+    assert sum(bn.n for bn in cond.bins) + cond.up_bin.n == 2000
+    assert len(cond.diagnostics.get("levels", [])) == (1 + levels if levels else 0)
 
 
 @pytest.mark.parametrize("potential", ["const:0.5", "level:1,0.6"])
@@ -763,15 +807,16 @@ def test_occupation_table_lookup_is_np_interp_bit_for_bit(potential, monkeypatch
     assert np.array_equal(lookup(y).view(np.int64), np.interp(y, fine, cum).view(np.int64))
 
 
-def test_a_coarse_step_warns_for_the_exit_and_the_occupation_runs():
+@pytest.mark.parametrize("levels", [0, 2])
+def test_a_coarse_step_warns_for_the_exit_and_the_occupation_runs(levels):
     # each warning points at the line that called the entry point
     model, spec = make_brownian(0.0, 1.0), ExitSpec(0.0, 0.5, 1.0)
     f_x = parse_univariate("const:0.5")
     F = BivariatePotential.from_univariate(f_x)
     cfg = MCConfig(dt=0.05, n_paths=200, seed=1)
-    for run in (lambda: run_exit_mc(model, F, spec, cfg),
-                lambda: occupation_mc(model, f_x, spec, cfg),
-                lambda: mc.conditional_mc(model, F, spec, cfg, 4)):
+    for run in (lambda: run_exit_mc(model, F, spec, cfg, levels=levels),
+                lambda: occupation_mc(model, f_x, spec, cfg, levels=levels),
+                lambda: mc.conditional_mc(model, F, spec, cfg, 4, levels=levels)):
         with pytest.warns(UserWarning, match="coarse") as caught:
             run()
         assert [w.filename for w in caught] == [__file__]
@@ -937,10 +982,21 @@ def test_multilevel_standard_error_is_that_of_the_plain_paths():
         assert abs(est.mean - first) < 3.0 * est.std_error
 
 
-@pytest.mark.parametrize("levels,keep", [(-1, False), (5, False), (2, True)])
-def test_levels_out_of_range_or_with_kept_samples_raise(levels, keep):
+# one range check serves the three entry points
+BAD_LEVELS = {
+    "exit_-1": lambda: run_exit_mc(BM, CONST, SPEC, _cfg(), levels=-1),
+    "exit_5": lambda: run_exit_mc(BM, CONST, SPEC, _cfg(), levels=5),
+    "exit_kept_samples": lambda: run_exit_mc(BM, CONST, SPEC, _cfg(), keep_samples=True,
+                                             levels=2),
+    "occupation_5": lambda: occupation_mc(BM, LEVEL, SPEC, _cfg(), levels=5),
+    "conditional_-1": lambda: mc.conditional_mc(BM, CONST, SPEC, _cfg(), 4, levels=-1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LEVELS))
+def test_levels_out_of_range_or_with_kept_samples_raise(case):
     with pytest.raises(ValueError, match="levels"):
-        run_exit_mc(BM, CONST, SPEC, _cfg(), keep_samples=keep, levels=levels)
+        BAD_LEVELS[case]()
 
 
 # (censored count, sha256 of the censored mask) at the time cap 0.2, a
