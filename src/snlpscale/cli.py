@@ -43,17 +43,20 @@ flag or the file without a path count is a usage error.  ``mc-verify`` runs
 100000 paths unless told otherwise.
 
 The three Monte Carlo commands estimate the dt scheme's means by multilevel
-telescoping (``mc`` module docstring) over ``L = max{l <= 4 : 2^l dt <=
+telescoping (``mc`` module docstring) over ``L = max{l <= 5 : 2^l dt <=
 (a-b)^2/100}`` levels, the bound of the coarse-step warning, so that the
-coarsest step never warns; no flag or config key sets ``L``.  Each writes
-the levels under ``diagnostics.mc.levels``.  With ``--csv``, ``mc-verify``
-runs the plain dt paths (``L = 0``), since the rows are those paths.  Each
-``mc-verify`` report row carries ``bias_dt`` and ``bias_dt_se``: the level-1
-pairs' ``E[Y_2dt - Y_dt]``, to first order the dt scheme's bias, and null
-when ``L = 0``.  Each ``mc_bins`` row of ``conditional`` is the bin's
-numerator ``E[e^{-int F}; down, S_T in bin]`` divided by the bin's exact mass
-(``supremum_mass``, and ``supremum_atom`` for the up bin), with its standard
-error divided alike; an empty bin has NaN for both.
+coarsest step never warns; no flag or config key sets ``L``.  A chunk of
+``n`` paths runs ``max(256, ceil(n / 32))`` coupled pairs at the coarsest
+correction and half as many at each finer one, down to 256.  Each command
+writes the levels under ``diagnostics.mc.levels``.  With ``--csv``,
+``mc-verify`` runs the plain dt paths (``L = 0``), since the rows are those
+paths.  Each ``mc-verify`` report row carries ``bias_dt`` and
+``bias_dt_se``: the level-1 pairs' ``E[Y_2dt - Y_dt]``, to first order the
+dt scheme's bias, and null when ``L = 0``.  Each ``mc_bins`` row of
+``conditional`` is the bin's numerator ``E[e^{-int F}; down, S_T in bin]``
+divided by the bin's exact mass (``supremum_mass``, and ``supremum_atom``
+for the up bin), with its standard error divided alike; an empty bin has
+NaN for both.
 """
 
 from __future__ import annotations
@@ -455,9 +458,10 @@ _COMMANDS = {
         _cmd_mc_verify, {
             "help": "deterministic vs Monte Carlo with z-scores",
             "description": "Deterministic exit identities against multilevel Monte Carlo with "
-            "z-scores.  The levels are L = max{l <= 4 : 2^l dt <= (a-b)^2/100}, so that the "
-            "coarsest step 2^L dt is not coarse for the band; with --csv, L = 0 and the rows "
-            "are the dt paths."},
+            "z-scores.  The levels are L = max{l <= 5 : 2^l dt <= (a-b)^2/100}, so that the "
+            "coarsest step 2^L dt is not coarse for the band, and each correction level runs "
+            "half the coupled pairs of the next coarser one, at least 256 a chunk; with --csv, "
+            "L = 0 and the rows are the dt paths."},
         (*_EXIT_PROBLEM, "csv", "potential", "g", *_MC)),
     "local-time": (
         _cmd_local_time, {"help": "potential-weighted local time Laplace transform"},

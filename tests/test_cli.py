@@ -264,7 +264,7 @@ def test_conditional_bins_divide_each_numerator_by_the_bins_mass(monkeypatch, ca
     rows = doc["mc_bins"]
     assert [row["n"] for row in rows] == [bn.n for bn in res.bins + [res.up_bin]]
     assert sum(row["n"] for row in rows) == 200
-    assert len(doc["diagnostics"]["mc"]["levels"]) == 1 + 4
+    assert len(doc["diagnostics"]["mc"]["levels"]) == 1 + 5
     for row, bn, mass in zip(rows, res.bins + [res.up_bin], masses + [doc["supremum_atom"]]):
         assert row["empty"] is (bn.n == 0)
         if row["empty"]:

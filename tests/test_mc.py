@@ -895,7 +895,7 @@ WIDE_CONST = parse_bivariate("const:0.5", WIDE_SPEC.a - WIDE_SPEC.b)
 
 
 @pytest.mark.parametrize("dt,width,levels", [
-    (1e-3, 2.0, 4), (1e-3, 1.0, 3), (1e-2, 2.0, 2),
+    (1e-3, 2.0, 5), (1e-3, 1.0, 3), (1e-2, 2.0, 2),
     # 2 dt above (a-b)^2/100, and dt itself above it
     (0.0201, 2.0, 0), (0.05, 2.0, 0),
 ])
@@ -911,8 +911,10 @@ def test_level_rule(dt, width, levels):
 
 def test_each_level_draws_from_its_own_stream(monkeypatch):
     # chunk k runs its n_k paths at 2^L dt from its own stream, then, for each
-    # l, max(256, ceil(n_k / 32)) pairs at 2^(l-1) dt from the SFC64 stream of
-    # the child 1 + l that spawn gives of the chunk's seed sequence
+    # l, max(256, ceil(n_k / (32 * 2^(L-l)))) pairs at 2^(l-1) dt from the
+    # SFC64 stream of the child 1 + l that spawn gives of the chunk's seed
+    # sequence: at L = 3, 10000 paths give 313 pairs at the coarsest
+    # correction and the floor of 256 below it
     runs, real = [], mc._simulate_exit_chunk
 
     def watched(model, spec, cfg, rng, n, integrands, track=True, coupled=False):
@@ -929,11 +931,47 @@ def test_each_level_draws_from_its_own_stream(monkeypatch):
         return repr(np.random.SFC64(seq if child is None else seq.spawn(child + 1)[child]).state)
 
     want = []
-    for k, n_k, pairs in ((0, 10000, 313), (1, 100, 256)):
+    for k, n_k, pairs in ((0, 10000, (256, 256, 313)), (1, 100, (256, 256, 256))):
         want.append((1e-3 * 2**3, state(k), n_k, False))
-        want += [(1e-3 * 2 ** (level - 1), state(k, 1 + level), pairs, True)
-                 for level in (1, 2, 3)]
+        want += [(1e-3 * 2 ** (level - 1), state(k, 1 + level), n_l, True)
+                 for level, n_l in zip((1, 2, 3), pairs)]
     assert runs == want
+
+
+def test_a_full_chunk_halves_its_pairs_from_the_coarsest_correction(monkeypatch):
+    # at L = 5 a 50000-path chunk runs ceil(50000 / 32) = 1563 pairs at 16 dt,
+    # then half as many at each finer step, down to the floor of 256
+    runs = []
+
+    def watched(model, spec, cfg, rng, n, integrands, track=True, coupled=False):
+        runs.append((cfg.dt, n, coupled))
+
+    monkeypatch.setattr(mc, "_simulate_exit_chunk", watched)
+    mc._chunk(BM_UNIT, WIDE_SPEC, MCConfig(dt=1e-3, n_paths=_CHUNK), [WIDE_CONST.eval_pairs],
+              False, 5, 0)
+    assert runs == [(1e-3 * 2**5, 50000, False)] + [
+        (1e-3 * 2 ** (level - 1), pairs, True)
+        for level, pairs in zip(range(1, 6), (256, 256, 391, 782, 1563))]
+
+
+def test_two_full_chunks_report_their_summed_pairs():
+    cfg = MCConfig(dt=1e-3, n_paths=2 * _CHUNK, seed=3)
+    res = run_exit_mc(BM_UNIT, WIDE_CONST, WIDE_SPEC, cfg, levels=cfg.max_levels(WIDE_SPEC))
+    assert [level["paths"] for level in res.diagnostics["levels"]] == [
+        100000, 512, 512, 782, 1564, 3126]
+
+
+def test_the_three_entry_points_run_one_schedule():
+    cfg = MCConfig(dt=1e-3, n_paths=20000, seed=3)
+    levels = cfg.max_levels(WIDE_SPEC)
+    for res in (
+        run_exit_mc(BM_UNIT, WIDE_CONST, WIDE_SPEC, cfg, levels=levels),
+        occupation_mc(BM_UNIT, parse_univariate("const:0.5"), WIDE_SPEC, cfg, levels=levels),
+        mc.conditional_mc(BM_UNIT, WIDE_CONST, WIDE_SPEC, cfg, 4, levels=levels),
+    ):
+        rows = res.diagnostics["levels"]
+        assert [row["dt"] for row in rows] == [32e-3, 1e-3, 2e-3, 4e-3, 8e-3, 16e-3]
+        assert [row["paths"] for row in rows] == [20000, 256, 256, 256, 313, 625]
 
 
 # each level's (up, down) mean on bm 0,1, b=0, x=0.5, a=2, const:0.5, dt
@@ -967,7 +1005,7 @@ def test_multilevel_standard_error_is_that_of_the_plain_paths():
     q, n = 0.5, 20000
     cfg = MCConfig(dt=1e-3, n_paths=n, seed=3)
     res = run_exit_mc(BM_UNIT, WIDE_CONST, WIDE_SPEC, cfg, levels=cfg.max_levels(WIDE_SPEC))
-    assert len(res.diagnostics["levels"]) == 1 + 4
+    assert len(res.diagnostics["levels"]) == 1 + 5
     band = (WIDE_SPEC.b, WIDE_SPEC.x, WIDE_SPEC.a)
     p_up = classical_exit_up(BM_UNIT, 0.0, *band)
     for est, first, second in (
@@ -985,10 +1023,10 @@ def test_multilevel_standard_error_is_that_of_the_plain_paths():
 # one range check serves the three entry points
 BAD_LEVELS = {
     "exit_-1": lambda: run_exit_mc(BM, CONST, SPEC, _cfg(), levels=-1),
-    "exit_5": lambda: run_exit_mc(BM, CONST, SPEC, _cfg(), levels=5),
+    "exit_6": lambda: run_exit_mc(BM, CONST, SPEC, _cfg(), levels=6),
     "exit_kept_samples": lambda: run_exit_mc(BM, CONST, SPEC, _cfg(), keep_samples=True,
                                              levels=2),
-    "occupation_5": lambda: occupation_mc(BM, LEVEL, SPEC, _cfg(), levels=5),
+    "occupation_6": lambda: occupation_mc(BM, LEVEL, SPEC, _cfg(), levels=6),
     "conditional_-1": lambda: mc.conditional_mc(BM, CONST, SPEC, _cfg(), 4, levels=-1),
 }
 
