@@ -83,36 +83,35 @@ ceil(n_k / (32 * 2^(L-l))))`` coupled pairs at the fine step ``2^(l-1) dt``:
 down to the floor of 256.  That is Giles's ``n_l ∝ sqrt(V_l / C_l)`` where a
 level's variance ``V_l`` falls in proportion to its step and its cost
 ``C_l`` doubles with each halving.  The stepper accumulates a coarse
-companion at twice the step from the same draws, so the fine records are
-those of a plain run on the same stream.  With ``Q`` the
-chunk's seed sequence and ``Q/i`` its child of spawn key ``spawn_key +
-(i,)``, the streams are:
+companion at twice the step from the same draws, so the fine path is a path
+of the dt scheme.  With ``Q`` the chunk's seed sequence and ``Q/i`` its
+child of spawn key ``spawn_key + (i,)``, the streams are:
 
 - ``Q``: the coarsest run's main stream; ``Q/0``: its bridge uniforms;
 - ``Q/(1 + l)``: the main stream of correction level ``l``; its bridge
-  uniforms come from ``Q/(1 + l)/0``, as for any run;
-- ``Q/(1 + l)/1``: the extra half-steps of correction level ``l`` (below).
+  uniforms come from ``Q/(1 + l)/0``, as for any run.
 
 The coarse path is every other fine position; with jumps, consecutive
 substeps pair inside one inter-jump interval and a jump closes the pair,
 which gives the substeps of the coarse scheme.  A coarse step's extremum is
 the max (min) of its fine bridge extrema, which has the law of the coarse
 bridge extremum, so the coarse supremum at coarse times is the fine one.
-Its sum is the trapezoid on the coarse grid with the same half-step rule,
-and a pair may span two passes.  A fine exit at the first half of a pair
-needs the pair's second half: one normal from the extra stream for each
-such path in slot order, then, for those that left down, one uniform for
-each second half within reach of its level, for the maximum that may still
-take the coarse path up.  A pair is censored when its fine path is.  The
-allocation is fixed.  An estimate is the sum of the levels' sample means,
-with standard error ``sqrt(sum_l Var_l / n_l)``; the per-level means and
-variances land in ``diagnostics["levels"]``, and the level-1 pairs also give
-``E[Y_2dt - Y_dt]``, to first order the bias of the dt scheme.  Its
+Its sum is the trapezoid on the coarse grid with the same half-step rule.
+A coupled pass holds whole pairs: it advances an even number of rows, ``K =
+max(2, K - K % 2)`` with ``K`` the rule above, and a jump ends a path's
+block, so every pair starts and ends in one pass.  A fine exit at the first
+half of a pair takes the pair's second half from the block's next row: its
+position, its bridge maximum where one was drawn, which may still take the
+coarse path up, and its length.  A pair is censored when its fine path is.
+The allocation is fixed.  An estimate is the sum of the levels' sample
+means, with standard error ``sqrt(sum_l Var_l / n_l)``; the per-level means
+and variances land in ``diagnostics["levels"]``, and the level-1 pairs also
+give ``E[Y_2dt - Y_dt]``, to first order the bias of the dt scheme.  Its
 standard error rests on the level-1 pairs, 256 a chunk at the floor: with
 ``b=0, x=0.5, a=2``, dt 1e-3 and 100000 paths (L = 5, 512 pairs), it reads
-1e-5 for ``down_value`` on bm ``0,1`` with ``const:0.5``, and at most 8.2e-5
-over bm and jd ``2,1,1,0.5`` with four potentials, against estimates' standard
-errors near 1e-3.
+about 1e-5 for ``down_value`` on bm ``0,1`` with ``const:0.5``, and at most
+8.1e-5 over bm and jd ``2,1,1,0.5`` with four potentials, against estimates'
+standard errors near 1e-3.
 ``MCConfig.max_levels`` gives the ``L`` each command uses: ``max{l <= 5 :
 2^l dt <= (a-b)^2/100}``, the bound of ``warn_if_coarse``, so the coarsest
 run never warns.
@@ -135,7 +134,7 @@ import numpy as np
 
 from ._csvout import write_csv
 from .generalized import ExitSpec
-from .models import Family, LevyModel
+from .models import LevyModel
 from .potentials import BivariatePotential, UnivariatePotential
 
 __all__ = [
@@ -280,9 +279,9 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _spawned_rng(rng: np.random.Generator, index: int) -> np.random.Generator:
     """SFC64 seeded from the child of ``rng``'s seed sequence that ``spawn``
     gives as its ``index``-th: 0 for the bridge uniforms beside the main
-    stream ``rng``, 1 for a coupled run's extra half-steps, ``1 + l`` for the
-    main stream of correction level ``l``.  It is built here without
-    spawning, so that it does not depend on what was spawned before."""
+    stream ``rng``, ``1 + l`` for the main stream of correction level ``l``.
+    It is built here without spawning, so that it does not depend on what
+    was spawned before."""
     seq = rng.bit_generator.seed_seq
     child = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (index,),
                                    pool_size=seq.pool_size)
@@ -298,15 +297,16 @@ class _ExitState:
     """Terminal records of simulated paths, one column per path, and the
     work that produced them.
 
-    ``acc`` holds one row per integrand; ``chunks`` counts the chunks,
+    ``acc`` holds one row per integrand; ``passes`` counts the passes,
     ``steps`` the steps, ``path_steps`` the live paths summed over them,
-    ``uniforms`` the bridge uniforms drawn and ``half_steps`` the extra
-    half-steps of a coupled run.  A coupled run keeps its coarse companion's
-    records in ``coarse``, another state whose counts stay 0.
+    ``uniforms`` the bridge uniforms drawn and ``half_steps`` the pairs of a
+    coupled run whose fine path left at a first half.  A coupled run keeps
+    its coarse companion's records in ``coarse``, another state whose counts
+    stay 0.
     """
 
     RECORDS = ("up", "s_exit", "x_pre", "x_post", "acc", "censored")
-    COUNTS = ("chunks", "passes", "steps", "path_steps", "uniforms", "half_steps")
+    COUNTS = ("passes", "steps", "path_steps", "uniforms", "half_steps")
     __slots__ = RECORDS + COUNTS + ("coarse",)
 
     def __init__(self, n: int, n_integrands: int):
@@ -316,7 +316,6 @@ class _ExitState:
         self.x_post = np.full(n, np.nan)
         self.acc = np.zeros((n_integrands, n))
         self.censored = np.zeros(n, dtype=bool)
-        self.chunks = 1
         self.passes = 0
         self.steps = 0
         self.path_steps = 0
@@ -413,81 +412,35 @@ def _first_exits(up, down, m):
     return cols[first], flat[pick] // m, pick < up.size
 
 
-def _coarse_sums(fe, acc, half, h, dt, jump_row, event, rows, cols, inner, out):
+def _coarse_sums(fe, acc, h, dt, jump_row, event, rows, cols, inner, out):
     """The coarse companion's trapezoid terms over one pass of a coupled run.
 
-    ``fe`` holds the integrands at each path's last coarse point before the
-    pass, then at each of the pass's ``K`` rows; ``half`` is 1 for a path
-    whose pair has its first half done, and ``h`` is each step's length.  A
-    row closes a pair when it is the pair's second half or ends at a jump
-    (``jump_row``, ``K`` for none, None without jumps); rows after a path's
-    ``event`` row close nothing.  A closing row's term is its pair's
-    trapezoid ``(f_start + f_end) (h1 + h2) / 2``, a first half being ``dt``
-    long, and half of it for an exit ``(rows, cols)`` strictly inside the
-    band (``inner``).  ``out`` gets the terms, with ``acc`` added to row 0,
-    ready for a running sum down the rows.
-
-    Returns the ``(K, m)`` closing flags and the integrands at each path's
-    last coarse point of the pass.
+    A coupled pass holds whole pairs, so row ``j`` is a pair's first half
+    when ``j`` is even and its second half when ``j`` is odd.  ``fe`` holds
+    the integrands at the pass's start, then at each of its ``K`` rows, and
+    ``h`` is each step's length.  A row closes a pair when it is the pair's
+    second half or ends at a jump (``jump_row``, ``K`` for none, None without
+    jumps); rows after a path's ``event`` row close nothing.  A closing row's
+    term is its pair's trapezoid ``(f_start + f_end) (h1 + h2) / 2``, a first
+    half being ``dt`` long, and half of it for an exit ``(rows, cols)``
+    strictly inside the band (``inner``).  ``out`` gets the terms, with
+    ``acc`` added to row 0, ready for a running sum down the rows.
     """
     K = fe.shape[1] - 1
-    rows_k = np.arange(K)[:, None]
-    opened = ((rows_k + half) & 1).astype(bool)
-    closes = opened.copy()
+    rows_k = np.arange(K)
+    second = rows_k[:, None] % 2 == 1
+    closes = np.broadcast_to(second, out.shape[1:]).copy()
     if jump_row is not None:
         at = jump_row < K
         closes[jump_row[at], np.flatnonzero(at)] = True
-        closes &= rows_k <= event
-    # a second half's pair starts two rows back, or at the pass's start point
-    # in the first two rows; a pair that a jump closes after one row starts
-    # one row back
-    start = fe[:, np.maximum(np.arange(K) - 1, 0)]
-    np.copyto(start, fe[:, :-1], where=~opened)
-    np.add(start, fe[:, 1:], out=out)
-    out *= 0.5 * np.where(opened, dt + h, h)
+        closes &= rows_k[:, None] <= event
+    # a pair starts at the point before its first half, the even row
+    np.add(fe[:, rows_k - rows_k % 2], fe[:, 1:], out=out)
+    out *= 0.5 * np.where(second, dt + h, h)
     np.copyto(out, 0.0, where=~closes)
     shut = inner & closes[rows, cols]
     out[:, rows[shut], cols[shut]] *= 0.5
     out[:, 0] += acc
-    return closes, np.where(closes[-1], fe[:, K], fe[:, K - 1])
-
-
-def _half_steps(extra, f_start, x, s, up, h, dt, model, spec, integrands, track):
-    """The coarse ends of fine exits at the first half of a pair.
-
-    Each exit at ``x`` takes its pair's second half, ``h`` long, from one
-    normal of the ``extra`` stream.  Those that left down then draw, where
-    the second half is within reach of their level (the supremum ``s``, or
-    ``a`` untracked), its bridge maximum from the same stream, which takes
-    the coarse path up when it reaches ``a``.  The pair's trapezoid runs
-    from ``f_start`` at its start, with the half-step rule at the coarse
-    end.  Returns the coarse up flags, supremum (None untracked), sums'
-    increments and the uniforms drawn.
-    """
-    b, a = spec.b, spec.a
-    mu, sigma = model.mu, model.sigma
-    x_end = x + (extra.standard_normal(x.size) * (sigma * np.sqrt(h)) + mu * h)
-    var = sigma * sigma * h
-    dn = np.flatnonzero(~up)
-    up, drawn = up.copy(), 0
-    if track:
-        s = s.copy()
-    if dn.size:
-        # no step is within reach of b = -inf, so only maxima are drawn
-        hi, _, ext = _bridge_extrema(
-            extra, x[dn], x_end[dn], s[dn] if track else a, -np.inf,
-            var[dn] if isinstance(var, np.ndarray) else var,
-            np.empty(4 * dn.size), np.empty(2 * dn.size, dtype=bool))
-        top = np.minimum(ext, a)
-        up[dn[hi]] = top >= a
-        if track:
-            s[dn[hi]] = np.maximum(s[dn[hi]], top)
-        drawn = ext.size
-    f_end = np.array([fn(s if track else x_end, x_end) for fn in integrands])
-    inc = f_start + f_end
-    inc *= 0.5 * (dt + h)
-    inc[:, (x_end < a) & (x_end >= b)] *= 0.5
-    return up, s, inc, drawn
 
 
 def _simulate_exit_chunk(
@@ -551,14 +504,19 @@ def _simulate_exit_chunk(
 
     ``coupled`` also accumulates each path's coarse companion at step ``2
     dt`` (module docstring) into ``out.coarse``, from the same draws, with
-    ``_coarse_sums`` and ``_half_steps``; its extra half-steps come from the
-    stream ``_spawned_rng(rng, 1)``.  With jumps every path of a coupled run
-    is a candidate, so that a second half knows the time left; that changes
-    no value of the fine records.
+    ``_coarse_sums``.  A coupled pass advances an even number of rows, ``K =
+    max(2, K - K % 2)``, so that it holds whole pairs: the last coarse point
+    of a pass is its end, or the jump that ends a path's block.  A fine exit
+    at a pair's first half reads the second half from the block's next row
+    before the freeze: the position, the supremum capped at ``a``, the
+    up-crossing of the drawn maximum, and the step's length; its pair's
+    trapezoid then takes the half-step rule at that row's end.  With jumps
+    every path of a coupled run is a candidate, so that a second half knows
+    its length; that changes no value of the fine records.
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
-    rate = model.jump_rate if model.family is Family.EXP_JUMP_DIFFUSION else 0.0
+    rate = model.jump_rate
     jumpy = rate > 0.0
     t_cap = _T_CAP_SCALE * (a - b) ** 2 / sigma**2
     uniforms = _spawned_rng(rng, 0)
@@ -575,17 +533,17 @@ def _simulate_exit_chunk(
     for row, fn in zip(f_prev, integrands):
         row[:] = fn(s, x)
     if coupled:
-        # the coarse sums, the integrands at the last coarse point, and 1
-        # where a pair has its first half done
-        extra = _spawned_rng(rng, 1)
         out.coarse = _ExitState(n, len(integrands))
-        acc_c, f_c, half = np.zeros_like(acc), f_prev.copy(), np.zeros(n, dtype=np.intp)
-    size = min(max(n, _PASS_ENTRIES), _MAX_ROWS * n)
+        acc_c = np.zeros_like(acc)
+    # a coupled pass of more than _PASS_ENTRIES paths still takes two rows
+    size = min(max((1 + coupled) * n, _PASS_ENTRIES), _MAX_ROWS * n)
     work_buf, mask_buf = np.empty(4 * size), np.empty(2 * size, dtype=bool)
 
     while pid.size:
         m = pid.size
         K = min(_MAX_ROWS, max(1, _PASS_ENTRIES // m))
+        if coupled:
+            K = max(2, K - K % 2)
         out.passes += 1
         pos = np.empty((K + 1, m))
         X = pos[1:]
@@ -656,7 +614,8 @@ def _simulate_exit_chunk(
             top = np.minimum(ext[:k], a, out=ext[:k])
             np.maximum.at(level, hi, top)
             _accumulate(np.maximum, sup)
-        cols, rows, up = _first_exits(hi[ext[:k] >= a], lo[ext[k:] <= b], m)
+        up_hits = hi[ext[:k] >= a]
+        cols, rows, up = _first_exits(up_hits, lo[ext[k:] <= b], m)
 
         # each path's event row, K for a path that runs the whole pass; only
         # the candidates can jump or reach the time cap in it
@@ -673,6 +632,21 @@ def _simulate_exit_chunk(
         out.path_steps += K * m - int((K - 1 - ev_rows).sum())
         out.steps += K if ev_cols.size < m else int(ev_rows.max()) + 1
 
+        if coupled:
+            # a fine exit at a pair's first half, an even row that is not its
+            # jump row, takes the pair's second half from the block's next
+            # row, read before the freeze; an up exit's overshoot enters the
+            # next row's running level, so the supremum is capped at a
+            first = (rows & 1) == 0
+            if jumpy:
+                first &= rows != jump_row[cols]
+            first = np.flatnonzero(first)
+            r, c = rows[first] + 1, cols[first]
+            flat = r * m + c
+            x_2, h_2 = X[r, c], h[r, c] if jumpy else dt
+            s_2 = np.minimum(sup[r, c], a) if track else x_2
+            up_2 = up[first] | (up_hits.searchsorted(flat, "right") > up_hits.searchsorted(flat))
+
         # the integrands see each path frozen after its event row
         if ev_cols.size:
             held = np.minimum(np.arange(K)[:, None], ev_rows)
@@ -683,7 +657,7 @@ def _simulate_exit_chunk(
         sums = block[0]
         if coupled:
             fe = np.empty((len(integrands), K + 1, m))
-            fe[:, 0] = f_c
+            fe[:, 0] = f_prev
         for i, (row, f_row, fn) in enumerate(zip(sums, f_prev, integrands)):
             f = fn(sup, X)
             if coupled:
@@ -702,9 +676,8 @@ def _simulate_exit_chunk(
         sums[:, rows[inner], cols[inner]] *= 0.5
         sums[:, 0] += acc
         if coupled:
-            closes, f_c = _coarse_sums(
-                fe, acc_c, half, h if jumpy else dt, dt, jump_row if jumpy else None,
-                event if jumpy else None, rows, cols, inner, block[1])
+            _coarse_sums(fe, acc_c, h if jumpy else dt, dt, jump_row if jumpy else None,
+                         event if jumpy else None, rows, cols, inner, block[1])
         _accumulate(np.add, block)
 
         s_end = sup[rows, cols] if track else None
@@ -714,19 +687,18 @@ def _simulate_exit_chunk(
             csum = block[1]
             books.append((out.coarse, csum))
             c_up, c_s, c_acc = up, s_end, csum[:, rows, cols]
-            first = np.flatnonzero(~closes[rows, cols])
             if first.size:
-                r, c = rows[first], cols[first]
+                # the pair's trapezoid, with the half-step rule at its end
                 c_up, c_s = up.copy(), s_end.copy() if track else None
-                c_up[first], s_half, inc, drawn = _half_steps(
-                    extra, fe[:, r, c], X[r, c], s_end[first] if track else None,
-                    up[first], np.minimum(dt, wait[r + 1, c]) if jumpy else dt, dt,
-                    model, spec, integrands, track)
+                c_up[first] = up_2
                 if track:
-                    c_s[first] = s_half
+                    c_s[first] = s_2
+                inc = fe[:, rows[first], cols[first]] + np.array(
+                    [fn(s_2, x_2) for fn in integrands])
+                inc *= 0.5 * (dt + h_2)
+                inc[:, (x_2 < a) & (x_2 >= b)] *= 0.5
                 c_acc[:, first] += inc
                 out.half_steps += first.size
-                out.uniforms += drawn
             ends.append((out.coarse, c_up, c_s, c_acc))
         ids = pid[cols]
         for rec, rec_up, rec_s, rec_acc in ends:
@@ -741,7 +713,7 @@ def _simulate_exit_chunk(
 
         x, s, acc = pos[K], sup[K - 1], sums[:, K - 1]
         if coupled:
-            acc_c, half = csum[:, K - 1], (~closes[K - 1]).astype(np.intp)
+            acc_c = csum[:, K - 1]
         tired = cols[:0]
         if cand.size:
             # the candidates that did not exit at their event row jump there,
@@ -770,10 +742,6 @@ def _simulate_exit_chunk(
                     x[kept] = x_jumped[~below]
                     for f_row, fn in zip(f_prev, integrands):
                         f_row[kept] = fn(s[kept], x[kept])
-                    if coupled:
-                        # the jump closed the pair: the coarse path jumps too
-                        half[kept] = 0
-                        f_c[:, kept] = f_prev[:, kept]
             tired = cand[running & (cap_row == stop)]
         if tired.size:
             r = event[tired]
@@ -792,10 +760,7 @@ def _simulate_exit_chunk(
             tail[finished[finished >= m] - m] = False
             movers = m + np.flatnonzero(tail)
             state = [pid, x] + ([s] if track else []) + ([t, jump_in] if jumpy else [])
-            sheets = [acc, f_prev]
-            if coupled:
-                state.append(half)
-                sheets += [acc_c, f_c]
+            sheets = [acc, f_prev] + ([acc_c] if coupled else [])
             for arr in state:
                 arr[holes] = arr[movers]
             for arr in sheets:
@@ -804,7 +769,7 @@ def _simulate_exit_chunk(
         if jumpy:
             t, jump_in = t[:m], jump_in[:m]
         if coupled:
-            half, acc_c, f_c = half[:m], acc_c[:, :m], f_c[:, :m]
+            acc_c = acc_c[:, :m]
     return out
 
 
@@ -879,9 +844,9 @@ def _collect_states(model, spec, cfg, integrands, track, meanwhile=None, levels=
     Chunk ``k`` draws from the substream ``(seed, k)`` alone, on one of
     ``_worker_count`` forked processes or in process, so the merged records
     do not depend on the worker count.  The diagnostics hold each count of
-    ``_ExitState.COUNTS`` summed over the chunks and levels (``chunks``
-    counts each chunk once), ``censored``, the paths and pairs that reached
-    the time cap, and ``sup_tracked``, which is ``track``.  ``meanwhile``
+    ``_ExitState.COUNTS`` summed over the chunks and levels, ``chunks``, the
+    chunk count, ``censored``, the paths and pairs that reached the time
+    cap, and ``sup_tracked``, which is ``track``.  ``meanwhile``
     runs here after the workers start and before their results are read; in
     process it runs before the first chunk.  A worker that raises raises the
     same error here, and one that dies raises ``BrokenProcessPool``, a
@@ -952,13 +917,11 @@ def _telescope(states, dt: float, diagnostics: dict, values: Callable) -> tuple:
     None without levels.
     """
     st = states[0]
-    samples, bias_dt = [values(st, ~st.censored)], None
+    samples = [values(st, ~st.censored)]
     for pairs in states[1:]:
         kept = ~pairs.censored
         fine, coarse = values(pairs, kept), values(pairs.coarse, kept)
         samples.append({name: fine[name] - coarse[name] for name in fine})
-        if bias_dt is None:  # the level-1 pairs
-            bias_dt = {name: _estimate(coarse[name] - fine[name]) for name in fine}
     parts = [{name: _estimate(v) for name, v in level.items()} for level in samples]
     # the sum starts from the coarsest part, so one level's mean is its own;
     # its standard error is sqrt(se**2), which is se in binary64
@@ -968,15 +931,16 @@ def _telescope(states, dt: float, diagnostics: dict, values: Callable) -> tuple:
                        n=first.n)
         for name, first in parts[0].items()
     }
-    if len(states) > 1:
-        diagnostics["levels"] = [
-            {"dt": step, "paths": level.up.size, "path_steps": level.path_steps,
-             "mean": {name: est.mean for name, est in p.items()},
-             "variance": {name: float(vals.var(ddof=1)) for name, vals in v.items()}}
-            for step, level, p, v in zip(_level_steps(dt, len(states) - 1), states, parts,
-                                         samples)
-        ]
-    return estimates, bias_dt
+    if len(states) == 1:
+        return estimates, None
+    diagnostics["levels"] = [
+        {"dt": step, "paths": level.up.size, "path_steps": level.path_steps,
+         "mean": {name: est.mean for name, est in p.items()},
+         "variance": {name: float(vals.var(ddof=1)) for name, vals in v.items()}}
+        for step, level, p, v in zip(_level_steps(dt, len(states) - 1), states, parts, samples)
+    ]
+    # the level-1 pairs' E[Y_2dt - Y_dt] is their part, negated
+    return estimates, {name: Estimate(-e.mean, e.std_error, e.n) for name, e in parts[1].items()}
 
 
 def _exit_values(st, g, counted) -> dict:

@@ -266,7 +266,7 @@ def _empty_records(n, n_integrands):
 
 
 def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rule, reach,
-                         track=True, extra=None):
+                         track=True, coupled=False):
     """Plain per-step loop of the Monte Carlo stepper over one chunk.
 
     It replays the stepper's passes one step at a time, over the paths still
@@ -293,29 +293,29 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
     paths leave in the first ``m - d`` slots.  Returns the records and the
     pass, step and path-step counts.
 
-    With ``extra``, the generator of a coupled run's extra half-steps, each
-    path also carries its coarse companion at step ``2 dt``.  A step closes
-    the path's pair when the pair has its first half done, or when the path
-    jumps at the step's end; it then adds ``(f_start + f_end) (h1 + h2) /
-    2`` to the coarse sum, halved for a bridge kill strictly inside the
-    band.  A fine exit at a first half is finished at the end of its pass,
-    in slot order: one normal each for the second half, ``min(dt, time
-    left)`` long, then a uniform for the bridge maximum of each second half
-    that left down and is within reach of its level, which takes the coarse
-    path up when it reaches ``a``.  ``rec["coarse"]`` holds the coarse
-    records, and ``rec`` counts the fine exits at a first half
-    (``odd_exits``), those whose second half takes the coarse path up
-    (``odd_exits_up``) or raises its supremum (``sup_raised``), the extra
-    uniforms, and the jumps that close a half-filled pair
+    With ``coupled`` each path also carries its coarse companion at step
+    ``2 dt``.  A step closes the path's pair when the pair has its first
+    half done, or when the path jumps at the step's end; it then adds
+    ``(f_start + f_end) (h1 + h2) / 2`` to the coarse sum, halved for a
+    bridge kill strictly inside the band.  A fine exit at a first half
+    finishes its pair with the second half the path would have stepped
+    next: ``min(dt, time left)`` long, from the block's next normal, and
+    with the next entry's uniform for its bridge maximum, which takes the
+    coarse path up when it reaches ``a``.  The stepper must have drawn that
+    uniform exactly where the second half is within reach of the running
+    level after the exit step, and the next entry must be in the pass.
+    ``rec["coarse"]`` holds the coarse records, and ``rec`` counts the fine
+    exits at a first half (``odd_exits``), those whose second half takes the
+    coarse path up (``odd_exits_up``) or raises its supremum
+    (``sup_raised``), and the jumps that close a half-filled pair
     (``jumps_close_half``).
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
-    rate = model.jump_rate if model.family is Family.EXP_JUMP_DIFFUSION else 0.0
+    rate = model.jump_rate
     jumpy = rate > 0.0
     t_cap = mc._T_CAP_SCALE * (a - b) ** 2 / sigma**2
     main, bridge = iter(main), iter(bridge)
-    coupled = extra is not None
     rec = {**_empty_records(n, len(integrands)), "passes": 0, "steps": 0, "path_steps": 0}
     x, s = np.full(n, x0), np.full(n, x0)
     acc = np.zeros((len(integrands), n))
@@ -325,8 +325,7 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
     slots = list(range(n))
     if coupled:
         coarse = rec["coarse"] = _empty_records(n, len(integrands))
-        for key in ("odd_exits", "odd_exits_up", "sup_raised", "extra_uniforms",
-                    "jumps_close_half"):
+        for key in ("odd_exits", "odd_exits_up", "sup_raised", "jumps_close_half"):
             rec[key] = 0
         half = np.zeros(n, dtype=bool)
         acc_c, f_c = np.zeros_like(acc), f.copy()
@@ -338,6 +337,34 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
             return
         book["up"][p], book["s_exit"][p] = up, s_end
         book["x_pre"][p], book["x_post"][p] = x_pre, x_post
+
+    def finish_pairs(j, slot, p, x_a, s_a, up, level, z, u_hi):
+        """The coarse records of the paths ``p`` in ``slot`` that left at the
+        first half of a pair in step ``j`` of their pass, ``level`` being
+        the running level after that step."""
+        assert j + 1 < z.shape[0]
+        # the second half starts where the fine path left, after dt
+        h2 = np.minimum(dt, wait[p]) if jumpy else dt
+        x_b = x_a + (z[j + 1, slot] * (sigma * np.sqrt(h2)) + mu * h2)
+        var2 = sigma * sigma * h2
+        near = (level - x_a) * (level - x_b) < reach * var2
+        u = u_hi[j + 1, slot]
+        assert np.array_equal(~np.isnan(u), near)
+        top = np.minimum(_bridge_max(x_a[near], x_b[near], u[near],
+                                     var2[near] if jumpy else var2), a)
+        c_up, s2 = up.copy(), s_a.copy()
+        c_up[near] |= top >= a
+        s2[near] = np.maximum(s2[near], top)
+        f_end = np.array([fn(s2 if track else x_b, x_b) for fn in integrands])
+        inc = (f_c[:, p] + f_end) * (0.5 * (dt + h2))
+        inc[:, (x_b < a) & (x_b >= b)] *= 0.5
+        for q, pq in enumerate(p):
+            end = a if c_up[q] else b
+            finish(pq, acc_c[:, pq] + inc[:, q], c_up[q], s2[q] if track else np.nan, end, end,
+                   book=coarse)
+        rec["odd_exits"] += p.size
+        rec["odd_exits_up"] += int((c_up & ~up).sum())
+        rec["sup_raised"] += int((s2 > s_a).sum()) if track else 0
 
     while slots:
         m = len(slots)
@@ -352,7 +379,7 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
         level = s[ids].copy() if track else np.full(m, a)
         stepping = np.ones(m, dtype=bool)
         ran = np.zeros(m, dtype=int)
-        jumped, tired_at_jump, finished, pending = [], [], [], []
+        jumped, tired_at_jump, finished = [], [], []
         for j in range(K):
             sl = np.flatnonzero(stepping)
             if not sl.size:
@@ -409,10 +436,6 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
                 acc_c[:, p[shut]] = acc_c[:, p[shut]] + c_inc[:, shut]
                 f_c[:, p[shut]] = f_new[:, shut]
                 half[p] = ~shut
-                for q in np.flatnonzero(gone & ~shut):
-                    # the second half starts where the fine path left, after dt
-                    h2 = min(dt, wait[p[q]]) if jumpy else dt
-                    pending.append((sl[q], p[q], x_new[q], s_new[q] if track else a, up[q], h2))
             for q in np.flatnonzero(gone):
                 end = a if up[q] else b
                 finish(p[q], acc[:, p[q]], up[q], s_new[q] if track else np.nan, end, end)
@@ -420,6 +443,10 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
                     finish(p[q], acc_c[:, p[q]], up[q], s_new[q] if track else np.nan, end, end,
                            book=coarse)
                 finished.append(sl[q])
+            if coupled and (gone & ~shut).any():
+                odd = np.flatnonzero(gone & ~shut)
+                finish_pairs(j, sl[odd], p[odd], x_new[odd], s_new[odd], up[odd],
+                             level[sl[odd]] if track else a, z, u_hi)
             for q in np.flatnonzero(at_jump & ~gone):
                 jumped.append(sl[q])
                 tired_at_jump.append(tired[q])
@@ -431,29 +458,6 @@ def reference_exit_chunk(model, spec, cfg, n, integrands, main, bridge, rows_rul
             stepping[sl[gone | at_jump | tired]] = False
             rec["path_steps"] += sl.size
         rec["steps"] += int(ran.max())
-
-        if pending:
-            pending.sort(key=lambda entry: entry[0])
-            _, ps, x_a, level, ups, h2 = (np.array(col) for col in zip(*pending))
-            x_b = x_a + (extra.standard_normal(ps.size) * (sigma * np.sqrt(h2)) + mu * h2)
-            var2 = sigma * sigma * h2
-            near = ~ups & ((level - x_a) * (level - x_b) < reach * var2)
-            top = np.minimum(_bridge_max(x_a[near], x_b[near], extra.random(near.sum()),
-                                         var2[near]), a)
-            c_up, s2 = ups.copy(), level.copy()
-            c_up[near] = top >= a
-            s2[near] = np.maximum(s2[near], top)
-            f_end = np.array([fn(s2 if track else x_b, x_b) for fn in integrands])
-            inc = (f_c[:, ps] + f_end) * (0.5 * (dt + h2))
-            inc[:, (x_b < a) & (x_b >= b)] *= 0.5
-            for q, pq in enumerate(ps):
-                end = a if c_up[q] else b
-                finish(pq, acc_c[:, pq] + inc[:, q], c_up[q], s2[q] if track else np.nan, end,
-                       end, book=coarse)
-            rec["odd_exits"] += ps.size
-            rec["odd_exits_up"] += int((c_up & ~ups).sum())
-            rec["sup_raised"] += int((s2 > level).sum()) if track else 0
-            rec["extra_uniforms"] += int(near.sum())
 
         # jumps fire at the end of their step, in slot order
         order = np.argsort(jumped)

@@ -432,7 +432,8 @@ def test_each_mc_command_writes_the_run_diagnostics(command, capsys):
     assert main([command, *MC_RUN]) == 0
     counts = json.loads(capsys.readouterr().out)["diagnostics"]["mc"]
     # each command telescopes over L = 3 levels at dt 1e-3 on a band of 1
-    assert sorted(counts) == sorted(_ExitState.COUNTS + ("censored", "sup_tracked", "levels"))
+    assert sorted(counts) == sorted(_ExitState.COUNTS + ("chunks", "censored", "sup_tracked",
+                                                        "levels"))
     assert [level["dt"] for level in counts["levels"]] == [8e-3, 1e-3, 2e-3, 4e-3]
     assert counts["chunks"] == 1 and counts["censored"] == 0
     # only the conditional law reads the supremum

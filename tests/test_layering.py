@@ -119,8 +119,7 @@ def test_mc_results_hold_the_run_counts_in_one_diagnostics_dict():
         assert "diagnostics" in names(cls)
     from snlpscale.mc import _ExitState
 
-    assert _ExitState.COUNTS == ("chunks", "passes", "steps", "path_steps", "uniforms",
-                                 "half_steps")
-    counts = set(_ExitState.COUNTS) | {"sup_tracked", "levels"}
+    assert _ExitState.COUNTS == ("passes", "steps", "path_steps", "uniforms", "half_steps")
+    counts = set(_ExitState.COUNTS) | {"chunks", "sup_tracked", "levels"}
     assert not counts & names(ExitMCResult)
     assert "elapsed" not in names(Estimate)

@@ -5,8 +5,9 @@ The golden values pin every estimate bit for bit for a given ``(seed,
 config)``: the paths form chunks of ``_CHUNK`` (50000), and chunk ``k`` draws
 from an SFC64 stream seeded from ``SeedSequence((seed, k))``.  The stepper
 runs passes: a pass of ``m`` live paths advances ``K = min(_MAX_ROWS, max(1,
-_PASS_ENTRIES // m))`` steps, and the live paths sit in slots that a finished
-path's hole reuses, the last slots' paths moving first.  A pass draws one
+_PASS_ENTRIES // m))`` steps, a coupled pass ``max(2, K - K % 2)``, and the
+live paths sit in slots that a finished path's hole reuses, the last slots'
+paths moving first.  A pass draws one
 flat ``standard_normal(K * m)`` from the main stream, row ``j`` for step
 ``j`` (then, for the paths that jump, their jump sizes and next waits), and
 one ``random`` block from the SFC64 stream of the seed sequence's first
@@ -471,16 +472,19 @@ def _rows(m):
     return min(mc._MAX_ROWS, max(1, mc._PASS_ENTRIES // m))
 
 
+def _coupled_rows(m):
+    """A coupled pass's rows: the even rule that holds whole pairs."""
+    rows = _rows(m)
+    return max(2, rows - rows % 2)
+
+
 def _record_chunk(model, cfg, n, integrands, monkeypatch, track=True, coupled=False):
     """Run one chunk and return its records with every draw it made: the main
-    stream's, and each pass's bridge entries and uniforms.  A coupled run's
-    extra half-steps (the stream of spawn key ``(1,)``) are not recorded."""
+    stream's, and each pass's bridge entries and uniforms."""
     rng = _Recorder(_chunk_rng(cfg.seed, 0))
     bridge, real = [], _bridge_extrema
 
     def recording(uniforms, *args):
-        if uniforms.bit_generator.seed_seq.spawn_key == (1,):
-            return real(uniforms, *args)
         rec = _Recorder(uniforms)
         hi, lo, ext = real(rec, *args)
         ((name, u),) = rec.draws
@@ -587,12 +591,9 @@ def _match_the_reference(case, entries, coupled, monkeypatch):
     cfg = _cfg()
     st, main, bridge = _record_chunk(model, cfg, 2000, integrands, monkeypatch, track, coupled)
     assert {name for name, _ in main} <= {"standard_normal", "exponential"}
-    # the extra half-steps' stream: SFC64 of the chunk's seed sequence's
-    # second spawned child
-    seq = np.random.SeedSequence((cfg.seed, 0))
-    extra = np.random.Generator(np.random.SFC64(seq.spawn(2)[1])) if coupled else None
+    rows = _coupled_rows if coupled else _rows
     ref = reference_exit_chunk(model, SPEC, cfg, 2000, integrands, [d for _, d in main],
-                               bridge, _rows, reach, track, extra)
+                               bridge, rows, reach, track, coupled)
     books = [(st, ref)] + ([(st.coarse, ref["coarse"])] if coupled else [])
     for got, want in books:
         for name in _ExitState.RECORDS:
@@ -603,10 +604,11 @@ def _match_the_reference(case, entries, coupled, monkeypatch):
         if not track:
             assert np.isnan(got.s_exit).all()
     assert (st.passes, st.steps, st.path_steps) == (ref["passes"], ref["steps"], ref["path_steps"])
-    assert st.uniforms == sum(u.size for _, _, u in bridge) + (ref["extra_uniforms"] if coupled
-                                                               else 0)
+    assert st.uniforms == sum(u.size for _, _, u in bridge)
     normals = [d.size for name, d in main if name == "standard_normal"]
-    assert normals[0] == _rows(2000) * 2000 == (2000 if entries else 16000)
+    # with 1000 entries a pass, a plain run's first pass takes one row and a
+    # coupled run's two
+    assert normals[0] == rows(2000) * 2000 == (2000 * (1 + coupled) if entries else 16000)
     return st, ref
 
 
@@ -624,14 +626,50 @@ def test_passes_match_the_per_step_reference(case, entries, monkeypatch):
 @pytest.mark.parametrize("entries", [None, 1000], ids=["default", "bulk"])
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_coupled_passes_match_the_per_step_reference(case, entries, monkeypatch):
-    # a coupled run's fine records are the plain run's, and its coarse ones
-    # those of the per-step loop that pairs the fine steps, bit for bit; a
-    # pair may span two passes, which the one-step passes of the bulk make
-    # the rule
+    # a coupled run's coarse records are those of the per-step loop that
+    # pairs the fine steps, bit for bit; its passes hold whole pairs, so a
+    # first half's second half is the block's next row, which the two-row
+    # passes of the bulk reach at every other row
     st, ref = _match_the_reference(case, entries, True, monkeypatch)
     assert st.half_steps == ref["odd_exits"] > 0
     if case in COUPLING_EVENTS:
         assert ref[COUPLING_EVENTS[case]] > 0
+
+
+@pytest.mark.parametrize("entries", [None, 1000, 3000], ids=["default", "bulk", "odd"])
+@pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
+def test_each_coupled_pass_advances_an_even_number_of_rows(model, entries, monkeypatch):
+    # so that no pair spans two passes: 1000 entries a pass force two rows on
+    # 2000 paths, and 3000 give odd row counts that round down
+    if entries is not None:
+        monkeypatch.setattr(mc, "_PASS_ENTRIES", entries)
+    shapes = []
+
+    def integrand(s, x):
+        shapes.append(x.shape)
+        return REFLECTED.eval_pairs(s, x)
+
+    _simulate_exit_chunk(model, SPEC, _cfg(), _chunk_rng(7, 0), 2000, [integrand], True, True)
+    passes = [shape for shape in shapes if len(shape) == 2]
+    assert passes and all(k >= 2 and k % 2 == 0 for k, _ in passes)
+    assert all(k == _coupled_rows(m) for k, m in passes)
+    if entries == 3000:
+        assert any(_rows(m) % 2 for _, m in passes)
+
+
+@pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
+def test_a_coupled_run_spawns_only_its_bridge_stream(model, monkeypatch):
+    # the second halves come from the block, so no other stream is drawn
+    indices, real = [], mc._spawned_rng
+
+    def watched(rng, index):
+        indices.append(index)
+        return real(rng, index)
+
+    monkeypatch.setattr(mc, "_spawned_rng", watched)
+    st = _simulate_exit_chunk(model, SPEC, _cfg(), _chunk_rng(7, 0), 2000,
+                              [REFLECTED.eval_pairs], True, True)
+    assert indices == [0] and st.half_steps > 0
 
 
 @pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
@@ -979,10 +1017,10 @@ def test_the_three_entry_points_run_one_schedule():
 # difference of each correction level l = 1..4
 LEVEL_GOLDEN = [
     (0.14759789568200715, 0.5748971715471214),
-    (8.40405996391862e-06, 6.428752106514898e-05),
-    (5.735141809259177e-05, 0.00011479727239260303),
-    (2.527991049455097e-05, 0.00019785017363925576),
-    (0.0001237227743832378, 0.0005036980812597364),
+    (1.612280770338503e-05, 7.407983285978017e-05),
+    (4.892252002922104e-05, 0.00012111156529196509),
+    (0.00010556183779210175, 0.00024551030642039253),
+    (8.982169536784514e-05, 0.0005547284116836222),
 ]
 
 
