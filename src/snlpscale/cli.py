@@ -8,7 +8,7 @@ Subcommands
 ``mc-verify``     deterministic values against Monte Carlo, with z-scores
 ``local-time``    Laplace transform of the potential-weighted local time
 
-All commands emit a versioned JSON document (``"schema": 9``) to stdout or
+All commands emit a versioned JSON document (``"schema": 10``) to stdout or
 ``--out``.  ``exit``, ``mc-verify`` and ``local-time`` carry the refinement
 diagnostics under ``diagnostics``.  ``mc-verify``, ``conditional`` and
 ``local-time`` solve the deterministic side while the worker processes step
@@ -56,14 +56,13 @@ dt scheme's bias, and null when ``L = 0``.  Each ``mc_bins`` row of
 ``conditional`` is the bin's numerator ``E[e^{-int F}; down, S_T in bin]``
 divided by the bin's exact mass (``supremum_mass``, and ``supremum_atom``
 for the up bin), with its standard error divided alike; an empty bin has
-NaN for both.
+null for both, so that every document is strict JSON (RFC 8259).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -92,7 +91,7 @@ from .potentials import (
 )
 from .scale import make_scale_table
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 _NUMERICAL_ERRORS = (ArithmeticError, RuntimeError)
 
@@ -291,8 +290,8 @@ def _cmd_conditional(args) -> dict:
         # with this command's own curve at the bin midpoint
         doc["mc_bins"] = [
             {"lo": bn.lo, "hi": bn.hi, "midpoint": bn.midpoint, "n": bn.n, "empty": bn.empty,
-             "mc_mean": math.nan if bn.empty else bn.numerator.mean / mass,
-             "mc_se": math.nan if bn.empty else bn.numerator.std_error / mass,
+             "mc_mean": None if bn.empty else bn.numerator.mean / mass,
+             "mc_se": None if bn.empty else bn.numerator.std_error / mass,
              "deterministic": float(np.interp(bn.midpoint, nodes, curve))}
             for bn, mass in zip(mc.bins + [mc.up_bin], masses + [doc["supremum_atom"]])
         ]

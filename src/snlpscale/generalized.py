@@ -10,7 +10,7 @@ excursion measure directly:
   derivative of the frozen weighted scale function and ``W'/W``.
 * ``kappa(z)`` -- the weight of the terminal excursion that drags the path
   below the lower barrier from supremum level ``z``:
-  ``kappa = (Zf W f' - Zf' Wf)/Wf`` evaluated at ``z`` for the frozen slice.
+  ``kappa = (Zf Wf' - Zf' Wf)/Wf`` evaluated at ``z`` for the frozen slice.
 
 All exit quantities follow from these two ingredients:
 
@@ -20,12 +20,13 @@ All exit quantities follow from these two ingredients:
 
 Each value has one public route (:func:`evaluate_exit`,
 :func:`conditional_curve`, :func:`z_f_truncated`, :func:`local_time_laplace`)
-and all share one outer pass: iota and kappa on the Simpson nodes of a level
-interval, and the cumulative Simpson integral of iota.  Each outer node needs
-one frozen renewal solve on its own interval ``[b, s]``; the solves of a grid
-are marched together in blocks of rows, and only the last node of each row
-feeds iota and kappa.  :func:`evaluate_exit` doubles both the outer and inner
-grids until two successive levels agree.
+and all share one outer pass: iota, kappa, ``W(s-b)`` and ``W'(s-b)/W(s-b)``
+on the Simpson nodes of a level interval, and the cumulative Simpson integral
+of iota.  Each outer node needs one frozen renewal solve on its own interval
+``[b, s]``; the solves of a grid are marched together in blocks of rows, and
+only the last node of each row feeds iota and kappa.  The 0-scale values come
+from one array evaluation per grid.  :func:`evaluate_exit` doubles both the
+outer and inner grids until two successive levels agree.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ import numpy as np
 from .models import LevyModel
 from .potentials import BivariatePotential, UnivariatePotential
 from .quadrature import composite_simpson, cumulative_simpson
-from .scale import classical_exit_up, n_height_tail, w_derivative, wq
+from .scale import _w_deriv_array, _wq_array, classical_exit_up, n_height_tail, wq
+# Unused here; kept importable because bench/spans.py wraps generalized.w_derivative.
+from .scale import w_derivative  # noqa: F401
 from .volterra import solve_w_z_f
 
 __all__ = [
@@ -109,37 +112,6 @@ class GeneralizedScaleResult:
 # ---------------------------------------------------------------------------
 
 
-def _frozen_ends(model, F, b, levels, n):
-    """``(Wf, Wf', Zf, Zf')`` at the end of the frozen solve of each level.
-
-    Row ``i`` solves the potential frozen at ``levels[i]`` on
-    ``[b, levels[i]]``; the rows are marched as one block.
-    """
-    levels = np.asarray(levels, dtype=float)
-    sol = solve_w_z_f(model, [F.frozen(s) for s in levels], b, levels, n)
-    return sol.w[:, -1], sol.w_end_deriv, sol.z[:, -1], sol.z_end_deriv
-
-
-def _iota_values(model, b, levels, w, wp) -> np.ndarray:
-    """Log-derivative gap of the frozen solves against ``W'/W`` at each level."""
-    base = np.array(
-        [w_derivative(model, 0.0, s - b) / wq(model, 0.0, s - b) for s in levels]
-    )
-    val = wp / w - base
-    deep = np.flatnonzero(val < -1e-6 * np.maximum(1.0, np.abs(base)))
-    if deep.size:
-        i = deep[0]
-        raise ArithmeticError(
-            f"iota({levels[i]}) = {val[i]} is negative beyond tolerance; "
-            "the frozen solve is under-resolved"
-        )
-    return np.maximum(val, 0.0)
-
-
-def _kappa_values(w, wp, z, zp) -> np.ndarray:
-    return (z * wp - zp * w) / w
-
-
 def iota(model: LevyModel, F: BivariatePotential, b: float, s: float, n: int) -> float:
     """Excursion damping rate at supremum level ``s > b``.
 
@@ -149,8 +121,7 @@ def iota(model: LevyModel, F: BivariatePotential, b: float, s: float, n: int) ->
     """
     if s <= b:
         raise ValueError(f"iota requires s > b, got s={s}, b={b}")
-    w, wp, _, _ = _frozen_ends(model, F, b, [s], n)
-    return float(_iota_values(model, b, [float(s)], w, wp)[0])
+    return float(_functional_grids(model, F, b, [s], n)[0][0])
 
 
 def kappa(model: LevyModel, F: BivariatePotential, b: float, z: float, n: int) -> float:
@@ -158,13 +129,14 @@ def kappa(model: LevyModel, F: BivariatePotential, b: float, z: float, n: int) -
 
     Reduces to the excursion height tail ``W'(z-b)/W(z-b)`` when ``F == 0``.
     The overshoot weight is 1: neither this solver nor the Monte Carlo engine
-    weights a down exit by its overshoot below ``b``.
+    weights a down exit by its overshoot below ``b``.  The frozen solve must
+    pass the same resolution check as :func:`iota`'s.
     """
     if z <= b:
         raise ValueError(f"kappa requires z > b, got z={z}, b={b}")
     if z - b < 1e-9 * max(1.0, abs(b), abs(z)):
         raise ValueError(f"kappa: z - b = {z - b} is below grid resolution")
-    return float(_kappa_values(*_frozen_ends(model, F, b, [z], n))[0])
+    return float(_functional_grids(model, F, b, [z], n)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +147,12 @@ def kappa(model: LevyModel, F: BivariatePotential, b: float, z: float, n: int) -
 def _functional_grids(model, F, b, nodes, n_inner):
     """iota and kappa on outer nodes, each from its own frozen solve on ``[b, s]``.
 
+    Returns ``(iotas, kappas, w0, tails)``: with ``w0 = W(s-b)`` and ``tails =
+    W'(s-b)/W(s-b)`` of the 0-scale function, evaluated once over the grid,
+    ``iota = Wf'/Wf - tails`` and ``kappa = (Zf Wf' - Zf' Wf)/Wf`` at the end
+    of each frozen solve.  An iota below zero beyond rounding means the
+    frozen solve is under-resolved, and raises ``ArithmeticError``.
+
     The solves are marched in blocks of at most ``_ROW_BLOCK`` rows.  The
     march keeps O(1) state per row, but a block holds about ten arrays of
     ``rows x (n_inner + 1)`` (nodes, lattice, kernel, potential samples, the
@@ -183,39 +161,46 @@ def _functional_grids(model, F, b, nodes, n_inner):
     iota's error does not grow as ``s`` nears the barrier.
     """
     nodes = np.asarray(nodes, dtype=float)
-    iotas, kappas = np.empty_like(nodes), np.empty_like(nodes)
+    w0 = _wq_array(model, 0.0, nodes - b)
+    tails = _w_deriv_array(model, 0.0, nodes - b) / w0
+    w, wp, z, zp = (np.empty_like(nodes) for _ in range(4))
     for block in np.array_split(np.arange(nodes.size), -(-nodes.size // _ROW_BLOCK)):
-        w, wp, z, zp = _frozen_ends(model, F, b, nodes[block], n_inner)
-        iotas[block] = _iota_values(model, b, nodes[block], w, wp)
-        kappas[block] = _kappa_values(w, wp, z, zp)
-    return iotas, kappas
+        sol = solve_w_z_f(model, [F.frozen(s) for s in nodes[block]], b, nodes[block], n_inner)
+        w[block], wp[block] = sol.w[:, -1], sol.w_end_deriv
+        z[block], zp[block] = sol.z[:, -1], sol.z_end_deriv
+    iotas = wp / w - tails
+    deep = np.flatnonzero(iotas < -1e-6 * np.maximum(1.0, np.abs(tails)))
+    if deep.size:
+        raise ArithmeticError(
+            f"iota({nodes[deep[0]]}) = {iotas[deep[0]]} is negative beyond tolerance; "
+            "the frozen solve is under-resolved"
+        )
+    return np.maximum(iotas, 0.0), (z * wp - zp * w) / w, w0, tails
 
 
 def _level_pass(model, F, b, lo, hi, n_outer, n_inner):
-    """iota and kappa on ``n_outer`` Simpson nodes spanning ``[lo, hi]``.
+    """The functional grids on ``n_outer`` Simpson nodes spanning ``[lo, hi]``.
 
-    Returns ``(nodes, step, iotas, kappas, cum)`` with ``cum`` the running
-    integral of iota from ``lo`` at each node.
+    Returns ``(nodes, step, iotas, kappas, w0, tails, cum)``, the middle four
+    from :func:`_functional_grids`, and ``cum`` the running integral of iota
+    from ``lo`` at each node.
     """
     if n_outer < 5 or n_outer % 2 == 0:
         raise ValueError("n_outer must be an odd node count >= 5")
     nodes = np.linspace(lo, hi, n_outer)
     h = (hi - lo) / (n_outer - 1)
-    iotas, kappas = _functional_grids(model, F, b, nodes, n_inner)
-    return nodes, h, iotas, kappas, cumulative_simpson(iotas, h)
+    iotas, kappas, w0, tails = _functional_grids(model, F, b, nodes, n_inner)
+    return nodes, h, iotas, kappas, w0, tails, cumulative_simpson(iotas, h)
 
 
 def _exit_values(model, F, g, spec, n_outer, n_inner):
     """One evaluation pass at a fixed resolution."""
-    b, x = spec.b, spec.x
-    nodes, h, iotas, kappas, cum = _level_pass(model, F, b, x, spec.a, n_outer, n_inner)
-
-    w_x = wq(model, 0.0, x - b)
-    w_nodes = np.array([wq(model, 0.0, float(s - b)) for s in nodes])
-    up = (w_x / w_nodes[-1]) * math.exp(-cum[-1])
-
+    nodes, h, iotas, kappas, w0, _, cum = _level_pass(model, F, spec.b, spec.x, spec.a,
+                                                      n_outer, n_inner)
+    w_x = w0[0]  # the first node is x
+    up = (w_x / w0[-1]) * math.exp(-cum[-1])
     gvals = np.ones_like(nodes) if g is None else np.asarray(g(nodes), dtype=float)
-    integrand = gvals * (w_x / w_nodes) * np.exp(-cum) * kappas
+    integrand = gvals * (w_x / w0) * np.exp(-cum) * kappas
     down = composite_simpson(integrand, h)
     return up, down, nodes, iotas, kappas
 
@@ -328,11 +313,10 @@ def conditional_curve(
     the last excursion enters through ``kappa / (W'/W)``.  The final node is
     the up exit: it has no terminal excursion and carries the damping alone.
     """
-    b = spec.b
-    nodes, _, _, kappas, cum = _level_pass(model, F, b, spec.x, spec.a, n_outer, n_inner)
+    nodes, _, _, kappas, _, tails, cum = _level_pass(model, F, spec.b, spec.x, spec.a,
+                                                     n_outer, n_inner)
     values = np.array([math.exp(-c) for c in cum])
-    tails = np.array([n_height_tail(model, float(s - b)) for s in nodes[:-1]])
-    values[:-1] = values[:-1] * kappas[:-1] / tails
+    values[:-1] = values[:-1] * kappas[:-1] / tails[:-1]
     return nodes, values
 
 
@@ -374,10 +358,9 @@ def z_f_truncated(
     nodes = np.linspace(b, x, n_outer)
     h = (x - b) / (n_outer - 1)
     iot = np.zeros(n_outer)
-    iot[1:], _ = _functional_grids(model, F, b, nodes[1:], n_inner)
+    iot[1:], _, w0, _ = _functional_grids(model, F, b, nodes[1:], n_inner)
     cum_bx = composite_simpson(iot, h)
-    w_x = wq(model, 0.0, x - b)
-    wf_x = w_x * math.exp(cum_bx)
+    wf_x = w0[-1] * math.exp(cum_bx)  # the last node is x
 
     total = 0.0
     lo = x
@@ -385,12 +368,9 @@ def z_f_truncated(
     cum_lo = cum_bx  # int_b^lo iota
     last = math.inf
     for _ in range(_MAX_DOUBLINGS):
-        seg_nodes, h_seg, _, kappas, cum = _level_pass(model, F, b, lo, hi, n_outer, n_inner)
+        _, h_seg, _, kappas, w0, _, cum = _level_pass(model, F, b, lo, hi, n_outer, n_inner)
         cum = cum_lo + cum
-        wf_nodes = np.array(
-            [wq(model, 0.0, float(s - b)) for s in seg_nodes]
-        ) * np.exp(cum)
-        last = composite_simpson(kappas / wf_nodes, h_seg)
+        last = composite_simpson(kappas / (w0 * np.exp(cum)), h_seg)
         total += last
         cum_lo = cum[-1]
         lo = hi

@@ -507,12 +507,13 @@ def _simulate_exit_chunk(
     ``_coarse_sums``.  A coupled pass advances an even number of rows, ``K =
     max(2, K - K % 2)``, so that it holds whole pairs: the last coarse point
     of a pass is its end, or the jump that ends a path's block.  A fine exit
-    at a pair's first half reads the second half from the block's next row
-    before the freeze: the position, the supremum capped at ``a``, the
-    up-crossing of the drawn maximum, and the step's length; its pair's
-    trapezoid then takes the half-step rule at that row's end.  With jumps
-    every path of a coupled run is a candidate, so that a second half knows
-    its length; that changes no value of the fine records.
+    at a pair's first half is frozen at the pair's end, the block's next
+    row, with the supremum there capped at ``a``; the fine records are read
+    at the exit row and the coarse ones at the pair's end, where the coarse
+    path leaves up if a drawn maximum by then reached ``a``, and its pair's
+    trapezoid takes the half-step rule.  With jumps every path of a coupled
+    run is a candidate, so that a second half knows its length; that changes
+    no value of the fine records.
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
@@ -634,18 +635,22 @@ def _simulate_exit_chunk(
 
         if coupled:
             # a fine exit at a pair's first half, an even row that is not its
-            # jump row, takes the pair's second half from the block's next
-            # row, read before the freeze; an up exit's overshoot enters the
-            # next row's running level, so the supremum is capped at a
+            # jump row, freezes at the pair's end, the next row, where the
+            # coarse companion reads its last point; an up exit's overshoot
+            # enters that row's running level, so the supremum is capped at a
             first = (rows & 1) == 0
             if jumpy:
                 first &= rows != jump_row[cols]
-            first = np.flatnonzero(first)
-            r, c = rows[first] + 1, cols[first]
-            flat = r * m + c
-            x_2, h_2 = X[r, c], h[r, c] if jumpy else dt
-            s_2 = np.minimum(sup[r, c], a) if track else x_2
-            up_2 = up[first] | (up_hits.searchsorted(flat, "right") > up_hits.searchsorted(flat))
+            c_rows = rows + first
+            if cand.size:
+                event[cols] = c_rows
+                ev_rows = event[ev_cols]
+            else:
+                ev_rows = c_rows
+            if track:
+                r, c = c_rows[first], cols[first]
+                sup[r, c] = np.minimum(sup[r, c], a)
+            out.half_steps += int(np.count_nonzero(first))
 
         # the integrands see each path frozen after its event row
         if ev_cols.size:
@@ -676,8 +681,10 @@ def _simulate_exit_chunk(
         sums[:, rows[inner], cols[inner]] *= 0.5
         sums[:, 0] += acc
         if coupled:
+            x_c = X[c_rows, cols]
             _coarse_sums(fe, acc_c, h if jumpy else dt, dt, jump_row if jumpy else None,
-                         event if jumpy else None, rows, cols, inner, block[1])
+                         event if jumpy else None, c_rows, cols, (x_c < a) & (x_c >= b),
+                         block[1])
         _accumulate(np.add, block)
 
         s_end = sup[rows, cols] if track else None
@@ -686,20 +693,11 @@ def _simulate_exit_chunk(
         if coupled:
             csum = block[1]
             books.append((out.coarse, csum))
-            c_up, c_s, c_acc = up, s_end, csum[:, rows, cols]
-            if first.size:
-                # the pair's trapezoid, with the half-step rule at its end
-                c_up, c_s = up.copy(), s_end.copy() if track else None
-                c_up[first] = up_2
-                if track:
-                    c_s[first] = s_2
-                inc = fe[:, rows[first], cols[first]] + np.array(
-                    [fn(s_2, x_2) for fn in integrands])
-                inc *= 0.5 * (dt + h_2)
-                inc[:, (x_2 < a) & (x_2 >= b)] *= 0.5
-                c_acc[:, first] += inc
-                out.half_steps += first.size
-            ends.append((out.coarse, c_up, c_s, c_acc))
+            # the pair's end leaves up if the path left up by then
+            flat = c_rows * m + cols
+            c_up = up | (up_hits.searchsorted(flat, "right") > up_hits.searchsorted(flat))
+            ends.append((out.coarse, c_up, sup[c_rows, cols] if track else None,
+                         csum[:, c_rows, cols]))
         ids = pid[cols]
         for rec, rec_up, rec_s, rec_acc in ends:
             rec.up[ids] = rec_up

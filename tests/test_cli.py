@@ -242,7 +242,7 @@ def test_conditional_bins_pair_with_the_documents_curve(capsys):
 
 def test_conditional_bins_divide_each_numerator_by_the_bins_mass(monkeypatch, capsys):
     # under the downward drift no path of 200 reaches the top bins or a, so
-    # those are empty and write NaN, not 0 +- 0
+    # those are empty and write null, not 0 +- 0
     from snlpscale import ExitSpec, make_brownian, supremum_atom, supremum_mass
 
     runs, run = [], cli.conditional_mc
@@ -268,11 +268,37 @@ def test_conditional_bins_divide_each_numerator_by_the_bins_mass(monkeypatch, ca
     for row, bn, mass in zip(rows, res.bins + [res.up_bin], masses + [doc["supremum_atom"]]):
         assert row["empty"] is (bn.n == 0)
         if row["empty"]:
-            assert math.isnan(row["mc_mean"]) and math.isnan(row["mc_se"])
+            assert row["mc_mean"] is None and row["mc_se"] is None
         else:
             assert row["mc_mean"] == bn.numerator.mean / mass
             assert row["mc_se"] == bn.numerator.std_error / mass
     assert rows[-1]["empty"] and rows[0]["n"] > 0
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scale-table", "--model", "jd:2,1,1,0.5", "--q", "0.5", "--a", "1", "--grid-inner", "9"],
+    ["exit", *BM_SPEC, *SMALL_GRID, "--potential", "reflected:0.5"],
+    ["exit", "--model", "bm:-5,1", "--b", "0", "--x", "150", "--a", "200",
+     "--potential", "const:0.5", "--grid-outer", "5", "--grid-inner", "16"],
+    ["conditional", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5"],
+    # the run of the test above, whose top bins and up bin are empty
+    ["conditional", "--model", "bm:-2,1", "--b", "0", "--x", "0.5", "--a", "2",
+     "--grid-outer", "129", "--grid-inner", "64", "--potential", "const:0.5",
+     "--paths", "200", "--dt", "1e-3", "--seed", "3"],
+    ["local-time", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5"],
+    ["local-time", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", "--paths", "200"],
+    ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", "--paths", "200"],
+], ids=["scale-table", "exit", "exit-error", "conditional", "conditional-empty-bins",
+        "local-time", "local-time-mc", "mc-verify"])
+def test_every_document_is_strict_json(argv, capsys):
+    # NaN and Infinity are not JSON (RFC 8259); jq and JSON.parse reject them
+    main(argv)
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["command"] == argv[0]
 
 
 MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
@@ -282,7 +308,7 @@ MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",
 def test_mc_verify_passes_with_exit_zero(capsys):
     assert main([*MC_VERIFY, "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 9
+    assert doc["schema"] == 10
     assert doc["mc_config"] == {"dt": 1e-3, "paths": 200, "seed": 3}
     assert doc["pass"] is True
     assert doc["diagnostics"]["converged"] is True

@@ -23,6 +23,7 @@ from snlpscale import (
     supremum_atom,
     supremum_density,
     supremum_mass,
+    wq,
     z_f_truncated,
 )
 from snlpscale import generalized
@@ -67,7 +68,7 @@ class TestIota:
         # grow as s nears the barrier
         model = request.getfixturevalue(model)
         levels = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])
-        iotas, _ = generalized._functional_grids(model, HALF, 0.0, levels, 1024)
+        iotas, _, _, _ = generalized._functional_grids(model, HALF, 0.0, levels, 1024)
         want = [constant_iota_mpmath(model, 0.5, s) for s in levels]
         assert iotas == pytest.approx(want, rel=3e-6, abs=0.0)
 
@@ -442,3 +443,18 @@ def test_exit_values_are_pinned(case):
     assert res.iota_grid[:, 0] == pytest.approx(np.linspace(0.5, 1.0, 9), rel=1e-15)
     assert res.iota_grid[:, 1] == pytest.approx(iotas, rel=1e-12)
     assert res.kappa_grid[:, 1] == pytest.approx(kappas, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_grid_values_equal_the_pointwise_routes(case):
+    # W(s-b) and W'(s-b)/W(s-b) come from one array evaluation over the grid,
+    # bit for bit the scalar values; iota(s) and kappa(s) are the grid's at s
+    model_name, pot = case
+    model, spec = GOLDEN_MODELS[model_name], ExitSpec(0.0, 0.5, 1.0)
+    F = parse_bivariate(pot, spec.a - spec.b)
+    nodes = np.linspace(spec.x, spec.a, 9)
+    iotas, kappas, w0, tails = generalized._functional_grids(model, F, spec.b, nodes, 32)
+    assert w0.tolist() == [wq(model, 0.0, s - spec.b) for s in nodes]
+    assert tails.tolist() == [n_height_tail(model, s - spec.b) for s in nodes]
+    assert iotas.tolist() == [iota(model, F, spec.b, s, 32) for s in nodes]
+    assert kappas.tolist() == [kappa(model, F, spec.b, s, 32) for s in nodes]
