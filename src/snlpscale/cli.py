@@ -30,7 +30,11 @@ Exit status:
 * 1 on numerical failure (an error document on stdout), on a failed z-score
   gate of ``mc-verify``/``local-time``, and when the refinement of ``exit``,
   ``mc-verify`` or ``local-time`` did not converge (``diagnostics.converged``
-  is false); the last two still emit the full document.
+  is false); the last two still emit the full document.  ``converged`` is
+  ``max(|d up|, |d down|) / max(|up|, |down|, 1e-12) < 1e-6`` between the
+  last two grid levels (``last_delta`` is the ratio): it is scaled by the
+  larger value and does not bound the relative change of the smaller one
+  (ROADMAP item 13).
 * 2 on usage errors: bad flags, and flag or config values that the library
   rejects (a ``ValueError``).  Among these are Monte Carlo settings that
   ``MCConfig`` rejects (e.g. ``--paths 0``, ``--paths`` below 100, or a
@@ -81,7 +85,7 @@ from .generalized import (
     supremum_mass,
 )
 from .mc import MCConfig, conditional_mc, occupation_mc, run_exit_mc
-from .models import Family, LevyModel
+from .models import LevyModel, make_brownian, make_exp_jump_diffusion
 from .potentials import (
     BivariatePotential,
     UnivariatePotential,
@@ -117,14 +121,11 @@ def parse_model(text: str) -> LevyModel:
         if fam == "bm":
             if len(vals) != 2:
                 raise UsageError("--model: bm takes mu,sigma")
-            return LevyModel(Family.BROWNIAN_DRIFT, vals[0], vals[1])
+            return make_brownian(*vals)
         if fam == "jd":
             if len(vals) != 4:
                 raise UsageError("--model: jd takes mu,sigma,rate,jump_mean")
-            return LevyModel(
-                Family.EXP_JUMP_DIFFUSION, vals[0], vals[1],
-                jump_rate=vals[2], jump_mean=vals[3],
-            )
+            return make_exp_jump_diffusion(*vals)
     except ValueError as exc:
         raise UsageError(f"--model: {exc}") from exc
     raise UsageError(f"--model: unknown family '{fam}' (use bm: or jd:)")

@@ -19,14 +19,15 @@ All exit quantities follow from these two ingredients:
   ``R(x, z) = (W(x-b)/W(z-b)) * exp(-int_x^z iota)``
 
 Each value has one public route (:func:`evaluate_exit`,
-:func:`conditional_curve`, :func:`z_f_truncated`, :func:`local_time_laplace`)
-and all share one outer pass: iota, kappa, ``W(s-b)`` and ``W'(s-b)/W(s-b)``
+:func:`conditional_curve`, :func:`local_time_laplace`) and all share one
+outer pass: iota, kappa, ``W(s-b)`` and ``W'(s-b)/W(s-b)``
 on the Simpson nodes of a level interval, and the cumulative Simpson integral
 of iota.  Each outer node needs one frozen renewal solve on its own interval
 ``[b, s]``; the solves of a grid are marched together in blocks of rows, and
 only the last node of each row feeds iota and kappa.  The 0-scale values come
 from one array evaluation per grid.  :func:`evaluate_exit` doubles both the
-outer and inner grids until two successive levels agree.
+outer and inner grids until two successive levels agree, by the rule its
+docstring states.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .volterra import solve_w_z_f
 __all__ = [
     "ExitSpec",
     "GeneralizedScaleResult",
-    "TailNotConverged",
     "iota",
     "kappa",
     "evaluate_exit",
@@ -56,7 +56,6 @@ __all__ = [
     "supremum_atom",
     "supremum_mass",
     "conditional_curve",
-    "z_f_truncated",
     "local_time_laplace",
 ]
 
@@ -65,11 +64,6 @@ DEFAULT_INNER = 1024
 _REFINE_TOL = 1e-6
 _REFINE_CAP = 4
 _ROW_BLOCK = 32  # outer nodes per frozen block solve; bounds its memory
-_MAX_DOUBLINGS = 24  # horizon doublings of z_f_truncated before TailNotConverged
-
-
-class TailNotConverged(RuntimeError):
-    """The infinite-horizon tail integral failed to settle below tolerance."""
 
 
 @dataclass(frozen=True)
@@ -215,9 +209,13 @@ def evaluate_exit(
 ) -> GeneralizedScaleResult:
     """Evaluate both exit identities for a supremum-dependent potential.
 
-    Both resolutions double until two successive levels agree to 1e-6
-    relative, at most ``_REFINE_CAP`` (4) times; ``diagnostics["converged"]``
-    says whether they did.
+    Both resolutions double, at most ``_REFINE_CAP`` (4) times, until two
+    successive levels satisfy ``max(|d up|, |d down|) / max(|up|, |down|,
+    1e-12) < 1e-6``, with ``d`` the change and the magnitudes the finer
+    level's; ``diagnostics["converged"]`` says whether they did and
+    ``last_delta`` holds the last ratio.  The rule is scaled by the larger
+    value, so it does not bound the relative change of the smaller one
+    (ROADMAP item 13).
 
     Args:
         model: the driving process.
@@ -320,69 +318,6 @@ def conditional_curve(
     return nodes, values
 
 
-# ---------------------------------------------------------------------------
-# Infinite-horizon companion function
-# ---------------------------------------------------------------------------
-
-
-def z_f_truncated(
-    model: LevyModel,
-    F: BivariatePotential,
-    b: float,
-    x: float,
-    a_max: float,
-    tail_tol: float,
-    n_outer: int = DEFAULT_OUTER,
-    n_inner: int = DEFAULT_INNER,
-) -> float:
-    """Companion scale value ``Wf(x,b) * (1 + int_x^inf kappa(z)/Wf(z,b) dz)``.
-
-    The defining integral runs to infinity; it is truncated at ``a_max`` and
-    the horizon is doubled (measured from ``b``) until the last segment
-    contributes less than ``tail_tol``.  The normalization pins the additive
-    constant to 1 and ``Wf(x, b) = W(x-b) exp(int_b^x iota)``; only ratios
-    and differences of these values are contract-level outputs.
-
-    Raises:
-        TailNotConverged: when ``_MAX_DOUBLINGS`` (24) doublings are not
-            enough (slowly growing scale functions, e.g. oscillating models,
-            decay too slowly for a practical horizon).
-    """
-    if x <= b:
-        raise ValueError("z_f_truncated requires x > b")
-    if a_max <= x:
-        raise ValueError("z_f_truncated requires a_max > x")
-
-    # prefactor Wf(x, b) through the level integral over [b, x]; the level
-    # rate vanishes at the barrier itself, pinning the first node.
-    nodes = np.linspace(b, x, n_outer)
-    h = (x - b) / (n_outer - 1)
-    iot = np.zeros(n_outer)
-    iot[1:], _, w0, _ = _functional_grids(model, F, b, nodes[1:], n_inner)
-    cum_bx = composite_simpson(iot, h)
-    wf_x = w0[-1] * math.exp(cum_bx)  # the last node is x
-
-    total = 0.0
-    lo = x
-    hi = a_max
-    cum_lo = cum_bx  # int_b^lo iota
-    last = math.inf
-    for _ in range(_MAX_DOUBLINGS):
-        _, h_seg, _, kappas, w0, _, cum = _level_pass(model, F, b, lo, hi, n_outer, n_inner)
-        cum = cum_lo + cum
-        last = composite_simpson(kappas / (w0 * np.exp(cum)), h_seg)
-        total += last
-        cum_lo = cum[-1]
-        lo = hi
-        hi = b + 2.0 * (hi - b)
-        if abs(last) < tail_tol:
-            return wf_x * (1.0 + total)
-    raise TailNotConverged(
-        f"tail integral still contributes {last:.3e} > {tail_tol:.3e} "
-        f"after {_MAX_DOUBLINGS} horizon doublings (horizon {lo})"
-    )
-
-
 def local_time_laplace(
     model: LevyModel,
     f_x: UnivariatePotential,
@@ -396,7 +331,10 @@ def local_time_laplace(
     time integral of ``f(X_t)``, so the value is the sum of the up and down
     exit identities for the lifted potential ``F(s, x) := f(x)``.  Returns
     ``(value, diagnostics)``, the second being the refinement diagnostics of
-    :func:`evaluate_exit`; check ``diagnostics["converged"]``.
+    :func:`evaluate_exit`; check ``diagnostics["converged"]``.  That flag
+    scales the change of the up and down values by the larger of them, so it
+    does not bound the relative change of the smaller one, nor of their sum
+    when the two nearly cancel (ROADMAP item 13).
     """
     lifted = BivariatePotential.from_univariate(f_x)
     result = evaluate_exit(model, lifted, spec, g=None, n_outer=n_outer, n_inner=n_inner)

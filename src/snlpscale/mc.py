@@ -467,12 +467,12 @@ def _simulate_exit_chunk(
 
     - positions, by a running sum of the Gaussian increments from one flat
       ``standard_normal(K * m)``, under a row 0 that holds the start;
-    - with jumps, each path's time to the next jump and clock advance ``K``
-      full steps; only the candidates, the paths whose time left reaches 0
-      (the jump falls in the pass) or whose clock reaches the time cap, get
-      rows: the time left by ``cumsum`` of ``-dt``, each step's length
-      ``min(dt, time left)``, 0 after the jump, and the clock.  Every other
-      step is ``dt`` long, and a path's block ends at its next jump;
+    - with jumps, every path gets its rows: the time to its next jump by a
+      running sum of ``-dt``, each step's length ``h = min(dt, time left)``,
+      0 after the jump, and its clock; the jump and time-cap rows give each
+      path's stop row, and its block ends at its next jump.  Without jumps
+      every step is ``dt`` long, all paths share one clock, and per-path
+      stop rows exist only in the pass that reaches the time cap;
     - ``_bridge_extrema`` tests each step's reach against the running
       maximum of the pass's start supremum ``S`` and the positions before
       the step, which is below the true supremum, so every step whose
@@ -511,9 +511,7 @@ def _simulate_exit_chunk(
     row, with the supremum there capped at ``a``; the fine records are read
     at the exit row and the coarse ones at the pair's end, where the coarse
     path leaves up if a drawn maximum by then reached ``a``, and its pair's
-    trapezoid takes the half-step rule.  With jumps every path of a coupled
-    run is a candidate, so that a second half knows its length; that changes
-    no value of the fine records.
+    trapezoid takes the half-step rule.
     """
     b, x0, a = spec.b, spec.x, spec.a
     mu, sigma, dt = model.mu, model.sigma, cfg.dt
@@ -550,44 +548,31 @@ def _simulate_exit_chunk(
         X = pos[1:]
         rng.standard_normal(K * m, out=X.reshape(-1))
         if jumpy:
-            # advanced by full steps, the time to the next jump reaches 0
-            # exactly when the jump falls in the pass, and the clock reaches
-            # t_cap whenever the cap does; those candidate columns alone get
-            # their rows, and every other step is dt long
-            wait_end, t_end = jump_in - dt, t + dt
-            for _ in range(K - 1):
-                wait_end -= dt
-                t_end += dt
-            cand = (np.arange(m) if coupled
-                    else np.flatnonzero((wait_end <= 0.0) | (t_end >= t_cap)))
-            wait = np.empty((K + 1, cand.size))
-            wait[0] = jump_in[cand]
+            # every path's time to its next jump, each step's length, 0 after
+            # the jump, and its clock; a path's event is its jump or time cap
+            wait = np.empty((K + 1, m))
+            wait[0] = jump_in
             wait[1:] = -dt
             _accumulate(np.add, wait)
             h = np.clip(wait[:K], 0.0, dt)
             clock = h.copy()
-            clock[0] += t[cand]
+            clock[0] += t
             _accumulate(np.add, clock)
             jump_row = np.count_nonzero(wait[:K] > dt, axis=0)
             cap_row = np.count_nonzero(clock < t_cap, axis=0)
             stop = np.minimum(jump_row, cap_row)
-            wait_end[cand], t_end[cand] = wait[K], clock[K - 1]
-            jump_in, t = wait_end, t_end
-            xi = X[:, cand]
-            xi *= sigma * np.sqrt(h)
-            xi += mu * h
+            jump_in, t = wait[K], clock[K - 1]
         else:
-            cap_row = K
+            # one clock for every path; per-path stop rows only in the pass
+            # that reaches the time cap
+            h, jump_row, cap_row = dt, None, K
             for j in range(K):
                 t += dt
                 if t >= t_cap and cap_row == K:
                     cap_row = j
-            cand = np.arange(m if cap_row < K else 0)
-            stop = np.full(cand.size, cap_row)
-        X *= sigma * np.sqrt(dt)
-        X += mu * dt
-        if jumpy:
-            X[:, cand] = xi
+            stop = np.full(m, cap_row) if cap_row < K else None
+        X *= sigma * np.sqrt(h)
+        X += mu * h
         pos[0] = x
         _accumulate(np.add, pos)
         prev = pos[:K]
@@ -601,11 +586,7 @@ def _simulate_exit_chunk(
             sup[1:] = X[:-1]
             _accumulate(np.maximum, sup)
             level = sup.reshape(-1)
-        var = sigma * sigma * dt
-        if jumpy and cand.size:
-            var = np.full((K, m), var)
-            var[:, cand] = sigma * sigma * h
-            var = var.reshape(-1)
+        var = sigma * sigma * h
         hi, lo, ext = _bridge_extrema(
             uniforms, prev.reshape(-1), X.reshape(-1), level, b, var,
             work_buf[:4 * K * m], mask_buf[:2 * K * m])
@@ -618,15 +599,13 @@ def _simulate_exit_chunk(
         up_hits = hi[ext[:k] >= a]
         cols, rows, up = _first_exits(up_hits, lo[ext[k:] <= b], m)
 
-        # each path's event row, K for a path that runs the whole pass; only
-        # the candidates can jump or reach the time cap in it
-        if cand.size:
-            event = np.full(m, K)
-            event[cand] = stop
+        # each path's event row, K for a path that runs the whole pass
+        if stop is not None:
+            event = stop.copy()
             keep = rows <= event[cols]
             cols, rows, up = cols[keep], rows[keep], up[keep]
             event[cols] = rows
-            ev_cols = np.union1d(cols, cand[stop < K])
+            ev_cols = np.union1d(cols, np.flatnonzero(stop < K))
             ev_rows = event[ev_cols]
         else:
             ev_cols, ev_rows = cols, rows
@@ -642,7 +621,7 @@ def _simulate_exit_chunk(
             if jumpy:
                 first &= rows != jump_row[cols]
             c_rows = rows + first
-            if cand.size:
+            if stop is not None:
                 event[cols] = c_rows
                 ev_rows = event[ev_cols]
             else:
@@ -670,21 +649,15 @@ def _simulate_exit_chunk(
             np.add(f_row, f[0], out=row[0])
             np.add(f[:-1], f[1:], out=row[1:])
             f_row[:] = f[-1]
-        if jumpy:
-            scaled = sums[:, :, cand]
-            scaled *= 0.5 * h
-        sums *= 0.5 * dt
-        if jumpy:
-            sums[:, :, cand] = scaled
+        sums *= 0.5 * h
         x_end = X[rows, cols]
         inner = (x_end < a) & (x_end >= b)
         sums[:, rows[inner], cols[inner]] *= 0.5
         sums[:, 0] += acc
         if coupled:
             x_c = X[c_rows, cols]
-            _coarse_sums(fe, acc_c, h if jumpy else dt, dt, jump_row if jumpy else None,
-                         event if jumpy else None, c_rows, cols, (x_c < a) & (x_c >= b),
-                         block[1])
+            _coarse_sums(fe, acc_c, h, dt, jump_row, event if jumpy else None, c_rows, cols,
+                         (x_c < a) & (x_c >= b), block[1])
         _accumulate(np.add, block)
 
         s_end = sup[rows, cols] if track else None
@@ -713,15 +686,16 @@ def _simulate_exit_chunk(
         if coupled:
             acc_c = csum[:, K - 1]
         tired = cols[:0]
-        if cand.size:
-            # the candidates that did not exit at their event row jump there,
-            # or reach the time cap there, or both
-            running = (stop < K) & ~np.isin(cand, cols, assume_unique=True)
+        if stop is not None:
+            # the paths that did not exit at their event row jump there, or
+            # reach the time cap there, or both
+            running = stop < K
+            running[cols] = False
             if jumpy:
                 # jump events fire exactly at the end of their substep
-                at_jump = np.flatnonzero(running & (jump_row == stop))
-                if at_jump.size:
-                    jumps, r = cand[at_jump], stop[at_jump]
+                jumps = np.flatnonzero(running & (jump_row == stop))
+                if jumps.size:
+                    r = stop[jumps]
                     sizes = rng.exponential(model.jump_mean, jumps.size)
                     jump_in[jumps] = rng.exponential(1.0 / rate, jumps.size)
                     x_jumped = X[r, jumps] - sizes
@@ -734,13 +708,13 @@ def _simulate_exit_chunk(
                         rec.x_pre[dn_ids] = X[r_dn, dn]
                         rec.x_post[dn_ids] = x_jumped[below]
                         rec.acc[:, dn_ids] = total[:, r_dn, dn]
-                    running[at_jump[below]] = False
+                    running[dn] = False
                     done.append(dn)
                     kept = jumps[~below]
                     x[kept] = x_jumped[~below]
                     for f_row, fn in zip(f_prev, integrands):
                         f_row[kept] = fn(s[kept], x[kept])
-            tired = cand[running & (cap_row == stop)]
+            tired = np.flatnonzero(running & (cap_row == stop))
         if tired.size:
             r = event[tired]
             for rec, total in books:

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from snlpscale import Estimate, cli
+from snlpscale import Estimate, cli, make_brownian, make_exp_jump_diffusion
 from snlpscale.cli import main, verify_report
 
 BM_SPEC = ["--model", "bm:0,1", "--b", "0", "--x", "0.5", "--a", "1"]
@@ -243,7 +243,7 @@ def test_conditional_bins_pair_with_the_documents_curve(capsys):
 def test_conditional_bins_divide_each_numerator_by_the_bins_mass(monkeypatch, capsys):
     # under the downward drift no path of 200 reaches the top bins or a, so
     # those are empty and write null, not 0 +- 0
-    from snlpscale import ExitSpec, make_brownian, supremum_atom, supremum_mass
+    from snlpscale import ExitSpec, supremum_atom, supremum_mass
 
     runs, run = [], cli.conditional_mc
 
@@ -292,13 +292,32 @@ def _reject_constant(token):
     ["local-time", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5"],
     ["local-time", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", "--paths", "200"],
     ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5", "--paths", "200"],
+    # the jump family; its coarsest run is a plain jump pass
+    ["mc-verify", "--model", "jd:2,1,1,0.5", "--b", "0", "--x", "0.5", "--a", "2",
+     "--grid-outer", "33", "--grid-inner", "64", "--potential", "reflected:0.5",
+     "--paths", "200", "--dt", "1e-3"],
+    ["conditional", "--model", "jd:2,1,1,0.5", "--b", "0", "--x", "0.5", "--a", "2",
+     "--grid-outer", "33", "--grid-inner", "64", "--potential", "reflected:0.5",
+     "--paths", "200", "--dt", "1e-3"],
+    ["local-time", "--model", "jd:2,1,1,0.5", "--b", "0", "--x", "0.5", "--a", "2",
+     "--grid-outer", "33", "--grid-inner", "64", "--potential", "level:1,0.6",
+     "--paths", "200", "--dt", "1e-3"],
 ], ids=["scale-table", "exit", "exit-error", "conditional", "conditional-empty-bins",
-        "local-time", "local-time-mc", "mc-verify"])
+        "local-time", "local-time-mc", "mc-verify", "mc-verify-jd", "conditional-jd",
+        "local-time-jd"])
 def test_every_document_is_strict_json(argv, capsys):
     # NaN and Infinity are not JSON (RFC 8259); jq and JSON.parse reject them
     main(argv)
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert doc["command"] == argv[0]
+
+
+@pytest.mark.parametrize("text,model", [
+    ("bm:-2,1.5", make_brownian(-2.0, 1.5)),
+    ("jd:2,1,1,0.5", make_exp_jump_diffusion(2.0, 1.0, 1.0, 0.5)),
+], ids=["bm", "jd"])
+def test_parse_model_builds_the_librarys_model(text, model):
+    assert cli.parse_model(text) == model
 
 
 MC_VERIFY = ["mc-verify", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5",

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from snlpscale import (
     BivariatePotential,
     ExitSpec,
-    TailNotConverged,
     UnivariatePotential,
     classical_exit_down,
     classical_exit_up,
@@ -24,7 +23,6 @@ from snlpscale import (
     supremum_density,
     supremum_mass,
     wq,
-    z_f_truncated,
 )
 from snlpscale import generalized
 from snlpscale.quadrature import composite_simpson
@@ -280,33 +278,6 @@ class TestRouteConstancy:
         ratios = route_constancy_ratios(bm_driftless)
         cv = ratios.std() / ratios.mean()
         assert cv < 1e-5
-
-
-class TestZfTruncated:
-    def test_drifting_family_closed_form(self, bm_drift_up):
-        # 1 + (1 - 1/W(inf)) W(x) with W(inf) = 1/mu = 1 collapses to 1
-        for x in (0.5, 1.0, 2.0):
-            val = z_f_truncated(
-                bm_drift_up, ZERO, 0.0, x, a_max=2.0 * x, tail_tol=1e-10, n_outer=257
-            )
-            assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_oscillating_tail_does_not_converge(self, bm_driftless, monkeypatch):
-        monkeypatch.setattr(generalized, "_MAX_DOUBLINGS", 8)
-        with pytest.raises(TailNotConverged):
-            z_f_truncated(bm_driftless, ZERO, 0.0, 1.0, a_max=2.0, tail_tol=1e-10)
-
-    def test_horizon_stays_moderate_for_drifting_family(self, bm_drift_up, monkeypatch):
-        # convergence within 64 interval lengths of the starting point
-        monkeypatch.setattr(generalized, "_MAX_DOUBLINGS", 7)
-        val = z_f_truncated(bm_drift_up, ZERO, 0.0, 0.5, a_max=1.0, tail_tol=1e-10)
-        assert val == pytest.approx(1.0, abs=1e-7)
-
-    def test_preconditions(self, bm_drift_up):
-        with pytest.raises(ValueError):
-            z_f_truncated(bm_drift_up, ZERO, 0.0, -1.0, 1.0, 1e-8)
-        with pytest.raises(ValueError):
-            z_f_truncated(bm_drift_up, ZERO, 0.0, 1.0, 0.5, 1e-8)
 
 
 class TestLocalTime:
