@@ -39,7 +39,8 @@ Exit status:
   rejects (a ``ValueError``).  Among these are Monte Carlo settings that
   ``MCConfig`` rejects (e.g. ``--paths 0``, ``--paths`` below 100, or a
   ``--dt`` that is 0, NaN or infinite), grid sizes the solvers cannot use
-  (e.g. an even ``--grid-outer``) and potentials out of range.
+  (e.g. an even ``--grid-outer``), potentials out of range, and an ``--out``
+  or ``--csv`` file that cannot be opened for writing before the run.
 
 ``conditional`` and ``local-time`` run Monte Carlo only when ``--paths`` or a
 ``paths`` line in the config file asks for it; a ``dt`` or ``seed`` from a
@@ -66,10 +67,11 @@ null for both, so that every document is strict JSON (RFC 8259).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -88,7 +90,6 @@ from .mc import MCConfig, conditional_mc, occupation_mc, run_exit_mc
 from .models import LevyModel, make_brownian, make_exp_jump_diffusion
 from .potentials import (
     BivariatePotential,
-    UnivariatePotential,
     parse_bivariate,
     parse_g,
     parse_univariate,
@@ -196,7 +197,7 @@ class _Problem:
     model: LevyModel
     spec: ExitSpec
     potential: str
-    F: Union[BivariatePotential, UnivariatePotential]
+    F: BivariatePotential
     n_outer: int
     n_inner: int
 
@@ -212,7 +213,7 @@ class _Problem:
 
 
 def _problem_from(args, position_only=False) -> _Problem:
-    """Read the shared exit problem; ``position_only`` parses ``f(x)`` alone."""
+    """Read the shared exit problem; ``position_only`` takes a potential of the position alone."""
     model = parse_model(args.model)
     try:
         spec = ExitSpec(b=args.b, x=args.x, a=args.a)
@@ -223,13 +224,21 @@ def _problem_from(args, position_only=False) -> _Problem:
     return _Problem(model, spec, text, F, n_outer=args.grid_outer, n_inner=args.grid_inner)
 
 
-def _emit(doc: dict, out_path: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _open_outputs(args, files: contextlib.ExitStack) -> None:
+    """Open the ``--out`` and ``--csv`` files before the command runs, as a
+    shell redirection would, so that an unwritable path costs no work; each
+    open file replaces its path on ``args``, and ``files`` closes it."""
+    for key in ("out", "csv"):
+        path = getattr(args, key, None)
+        if path:
+            try:
+                setattr(args, key, files.enter_context(open(path, "w", encoding="utf-8")))
+            except OSError as exc:
+                raise UsageError(f"--{key}: cannot write {path}: {exc}") from exc
+
+
+def _emit(doc: dict, out) -> None:
+    (out or sys.stdout).write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +260,7 @@ def _cmd_scale_table(args) -> dict:
     }
     if args.csv:
         table.to_csv(args.csv)
-        doc["csv"] = args.csv
+        doc["csv"] = args.csv.name
     else:
         doc["csv_inline"] = table.to_csv_string()
     return doc
@@ -376,7 +385,7 @@ def _cmd_mc_verify(args) -> dict:
     }
     if args.csv:
         mc.samples.to_csv(args.csv)
-        doc["csv"] = args.csv
+        doc["csv"] = args.csv.name
     return doc
 
 
@@ -515,24 +524,19 @@ def _fill(args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        _fill(args)
-        doc = _COMMANDS[args.command][0](args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": args.command,
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            },
-            args.out,
-        )
-        return 1
-    _emit(doc, args.out)
+    with contextlib.ExitStack() as files:
+        try:
+            _fill(args)
+            _open_outputs(args, files)
+            doc = _COMMANDS[args.command][0](args)
+        except (UsageError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except _NUMERICAL_ERRORS as exc:
+            _emit({"schema": SCHEMA_VERSION, "command": args.command,
+                   "error": type(exc).__name__, "detail": str(exc)}, args.out)
+            return 1
+        _emit(doc, args.out)
     if doc.get("pass") is False or doc.get("diagnostics", {}).get("converged") is False:
         return 1
     return 0

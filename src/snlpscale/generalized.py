@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .models import LevyModel
-from .potentials import BivariatePotential, UnivariatePotential
+from .potentials import BivariatePotential
 from .quadrature import composite_simpson, cumulative_simpson
 from .scale import _w_deriv_array, _wq_array, classical_exit_up, n_height_tail, wq
 # Unused here; kept importable because bench/spans.py wraps generalized.w_derivative.
@@ -159,7 +159,7 @@ def _functional_grids(model, F, b, nodes, n_inner):
     tails = _w_deriv_array(model, 0.0, nodes - b) / w0
     w, wp, z, zp = (np.empty_like(nodes) for _ in range(4))
     for block in np.array_split(np.arange(nodes.size), -(-nodes.size // _ROW_BLOCK)):
-        sol = solve_w_z_f(model, [F.frozen(s) for s in nodes[block]], b, nodes[block], n_inner)
+        sol = solve_w_z_f(model, F, b, nodes[block], n_inner)
         w[block], wp[block] = sol.w[:, -1], sol.w_end_deriv
         z[block], zp[block] = sol.z[:, -1], sol.z_end_deriv
     iotas = wp / w - tails
@@ -320,22 +320,25 @@ def conditional_curve(
 
 def local_time_laplace(
     model: LevyModel,
-    f_x: UnivariatePotential,
+    F: BivariatePotential,
     spec: ExitSpec,
     n_outer: int = DEFAULT_OUTER,
     n_inner: int = DEFAULT_INNER,
 ) -> tuple:
     """Laplace transform of the potential-weighted local time at the exit.
 
-    By the occupation formula the weighted local-time integral equals the
-    time integral of ``f(X_t)``, so the value is the sum of the up and down
-    exit identities for the lifted potential ``F(s, x) := f(x)``.  Returns
+    ``F`` must read the position alone (``reads_sup`` false), else this
+    raises ``ValueError``.  By the occupation formula the weighted local-time
+    integral equals the time integral of ``F(X_t, X_t)``, so the value is the
+    sum of the up and down exit identities for ``F``.  Returns
     ``(value, diagnostics)``, the second being the refinement diagnostics of
     :func:`evaluate_exit`; check ``diagnostics["converged"]``.  That flag
     scales the change of the up and down values by the larger of them, so it
     does not bound the relative change of the smaller one, nor of their sum
     when the two nearly cancel (ROADMAP item 13).
     """
-    lifted = BivariatePotential.from_univariate(f_x)
-    result = evaluate_exit(model, lifted, spec, g=None, n_outer=n_outer, n_inner=n_inner)
+    if F.reads_sup:
+        raise ValueError(f"local_time_laplace: potential '{F.name}' reads the supremum; "
+                         "the local time weights the position alone")
+    result = evaluate_exit(model, F, spec, g=None, n_outer=n_outer, n_inner=n_inner)
     return result.up_laplace + result.down_value, result.diagnostics

@@ -135,7 +135,7 @@ import numpy as np
 from ._csvout import write_csv
 from .generalized import ExitSpec
 from .models import LevyModel
-from .potentials import BivariatePotential, UnivariatePotential
+from .potentials import BivariatePotential
 
 __all__ = [
     "MCConfig",
@@ -1081,7 +1081,7 @@ def _uniform_interp(fine: np.ndarray, cum: np.ndarray) -> Callable:
 
 def occupation_mc(
     model: LevyModel,
-    f_x: UnivariatePotential,
+    F: BivariatePotential,
     spec: ExitSpec,
     cfg: MCConfig,
     meanwhile: Optional[Callable[[], None]] = None,
@@ -1089,20 +1089,25 @@ def occupation_mc(
 ) -> OccupationMCResult:
     """Cross-check the occupation formula by simulation.
 
-    Per path computes (A) the trapezoidal time integral of ``f(X_t)`` and
-    (B) the integral of ``f`` against the box-kernel occupation density with
-    bandwidth ``2 sqrt(dt)``.  (A) evaluates ``f`` itself, lifted to ``(s,
-    x)`` as :func:`generalized.local_time_laplace` lifts it, so it is the
-    functional :func:`run_exit_mc` accumulates for that potential.  (B)
-    integrates ``f`` exactly against each box through a fine cumulative
-    table, so the A-B discrepancy carries only the smoothing error and
-    shrinks like the bandwidth.  ``e^{-(A)}`` and ``e^{-(B)}`` telescope over
+    ``F`` must read the position alone (``reads_sup`` false); write ``f(x) =
+    F(x, x)``.  Per path computes (A) the trapezoidal time integral of
+    ``f(X_t)`` and (B) the integral of ``f`` against the box-kernel occupation
+    density with bandwidth ``2 sqrt(dt)``.  (A) evaluates ``F`` itself, so it
+    is the functional :func:`run_exit_mc` accumulates for ``F``, the one
+    :func:`generalized.local_time_laplace` solves for.  (B) integrates ``f``
+    exactly against each box through a fine cumulative table, so the A-B
+    discrepancy carries only the smoothing error and shrinks like the
+    bandwidth.  ``e^{-(A)}`` and ``e^{-(B)}`` telescope over
     ``levels`` as in :func:`run_exit_mc`, (B) with the bandwidth of ``dt`` at
     every level; ``mean_abs_discrepancy``, the mean ``|A - B|``, is read from
     the dt paths: the plain run, or the level-1 pairs' fine paths.
-    ``meanwhile`` is as there.  Raises as :func:`run_exit_mc`, and if the
-    bandwidth is unresolvable by the fine table.
+    ``meanwhile`` is as there.  Raises as :func:`run_exit_mc`, and
+    ``ValueError`` if ``F`` reads the supremum or the bandwidth is
+    unresolvable by the fine table.
     """
+    if F.reads_sup:
+        raise ValueError(f"occupation_mc: potential '{F.name}' reads the supremum; "
+                         "the occupation formula weights the position alone")
     cfg.warn_if_coarse(spec)
     b, a = spec.b, spec.a
     w = 2.0 * np.sqrt(cfg.dt)
@@ -1115,10 +1120,9 @@ def occupation_mc(
         )
     inside = (fine >= b) & (fine <= a)
     fvals = np.zeros(fine_n)
-    fvals[inside] = f_x.eval_array(fine[inside])
+    fvals[inside] = F.eval_pairs(fine[inside], fine[inside])
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (fvals[1:] + fvals[:-1]) * np.diff(fine))])
     table = _uniform_interp(fine, cum)  # f is 0 on the 2w margins: flat end cells
-    point_rate = BivariatePotential.from_univariate(f_x).eval_pairs
 
     def smoothed_rate(s, xs):
         return (table(xs + w) - table(xs - w)) / (2.0 * w)
@@ -1127,7 +1131,7 @@ def occupation_mc(
         return {"time_integral_laplace": np.exp(-st.acc[0, kept]),
                 "occupation_laplace": np.exp(-st.acc[1, kept])}
 
-    states, diagnostics = _collect_states(model, spec, cfg, [point_rate, smoothed_rate], False,
+    states, diagnostics = _collect_states(model, spec, cfg, [F.eval_pairs, smoothed_rate], False,
                                           meanwhile, levels)
     estimates, _ = _telescope(states, cfg.dt, diagnostics, values)
     dt_paths = states[min(levels, 1)]

@@ -1,9 +1,10 @@
 """Bounded nonnegative potentials weighting the path functionals.
 
-A univariate potential maps the process position to a rate; a bivariate
-potential maps ``(running supremum, position)`` pairs.  Both declare a finite
-sup-norm bound up front: the finiteness of every derived quantity rests on
-that bound, so out-of-range evaluations are hard errors rather than clamps.
+A bivariate potential maps ``(running supremum, position)`` pairs to a rate
+and declares whether it reads the supremum; every solver takes one.  Each
+potential declares a finite sup-norm bound up front: the finiteness of every
+derived quantity rests on that bound, so out-of-range evaluations are hard
+errors rather than clamps.
 
 The named builders at the bottom are the selector grammar shared by the CLI
 and the Monte Carlo verifier, keeping the deterministic and stochastic sides
@@ -15,13 +16,13 @@ provably pointed at the same function.  The grammar, as ``F(s, x)``::
     indicator:c,r  c * 1{s - x > r}
 
 :func:`parse_bivariate` builds each of them; :func:`parse_univariate` builds
-the position-only members, those that declare ``reads_sup=False``, as
-``x -> F(x, x)``.
+the position-only members, those that declare ``reads_sup=False``, and
+rejects the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,6 +65,7 @@ def _check_range(vals: np.ndarray, bound: float, label: str) -> np.ndarray:
     return vals
 
 
+# No library module uses it; kept because bench/spans.py wraps UnivariatePotential.eval_array.
 @dataclass(frozen=True)
 class UnivariatePotential:
     """Nonnegative map ``x -> f(x)`` with declared sup-norm ``bound``."""
@@ -115,30 +117,6 @@ class BivariatePotential:
         x = np.asarray(x, dtype=float)
         vals = _apply_vectorized(self.func, s, x)
         return _check_range(vals, self.bound, self.name or "bivariate potential")
-
-    def frozen(self, s: float) -> UnivariatePotential:
-        """Slice at a fixed supremum level: ``x -> f(s, x)``.
-
-        The callable gets ``s`` as an array of the shape of ``x``, so one that
-        returns a scalar for a scalar ``s`` (``lambda s, x: 0.0 * s``) still
-        returns an array of the right shape and stays vectorized.
-        """
-        s = float(s)
-        return UnivariatePotential(
-            func=lambda x, _s=s, _f=self.func: _f(np.full(np.shape(x), _s), x),
-            bound=self.bound,
-            name=f"{self.name or 'bivariate'}@s={s:g}",
-        )
-
-    @staticmethod
-    def from_univariate(f: UnivariatePotential) -> "BivariatePotential":
-        """Lift a position-only potential to the ``(s, x)`` signature."""
-        return BivariatePotential(
-            func=lambda s, x, _f=f.func: _f(x) + 0.0 * s,
-            bound=f.bound,
-            name=f.name,
-            reads_sup=False,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +179,14 @@ def parse_bivariate(spec: str, domain_width: float) -> BivariatePotential:
     raise ValueError(f"{flag}: unknown potential '{name}' in '{spec}'")
 
 
-def parse_univariate(spec: str) -> UnivariatePotential:
-    """Build a position-only member of the module's grammar, read at ``s = x``;
-    a member that reads the supremum is rejected."""
+def parse_univariate(spec: str) -> BivariatePotential:
+    """Build a position-only member of the module's grammar, one that declares
+    ``reads_sup=False``; a member that reads the supremum is rejected."""
     F = parse_bivariate(spec, 0.0)  # the width sizes the reflected bound alone
     if F.reads_sup:
         raise ValueError(f"--potential: '{spec.partition(':')[0]}' is not a position-only "
                          "potential (use const or level)")
-    return UnivariatePotential(lambda x, _f=F.func: _f(x, x), bound=F.bound, name=spec)
+    return F
 
 
 def parse_g(spec: str) -> Optional[Callable[[np.ndarray], np.ndarray]]:

@@ -15,9 +15,10 @@ row's upper end come from the differentiated equations with the same
 quadrature, never from differencing the value columns; the march reads them
 off the running sums it already keeps.
 
-A solve takes one potential or a block of them.  Each row of a block keeps
-its own interval, lattice, kernel and potential samples; the rows and the two
-equations advance together.  The kernel is an exact sum of exponentials
+A solve takes a potential ``F(s, u)`` and a block of upper ends; row ``r``
+solves with the slice frozen at its own end, ``f(u) = F(s_r, u)``.  Each row
+keeps its own interval, lattice, kernel and potential samples; the rows and
+the two equations advance together.  The kernel is an exact sum of exponentials
 (``scale._exp_sum``), so the trapezoid history is a recursion over a few
 running sums per row and equation, the sum-of-exponentials convolution of
 Lubich & Schaedle (SIAM J. Sci. Comput. 24, 2002): a march of ``n`` steps
@@ -28,12 +29,11 @@ Only ``W`` is sampled over the lattice; ``W'`` is needed at each row's end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
 from .models import LevyModel
-from .potentials import UnivariatePotential
+from .potentials import BivariatePotential
 from .scale import _ExpSum, _exp_sum, _w_deriv_array, _wq_array, w_prime_at_zero
 
 __all__ = ["VolterraSolution", "solve_w_z_f"]
@@ -43,19 +43,19 @@ __all__ = ["VolterraSolution", "solve_w_z_f"]
 class VolterraSolution:
     """Weighted scale functions on uniform grids from the barrier ``b``.
 
-    ``w`` and ``z`` hold ``Wf`` and ``Zf`` sampled at ``nodes``; ``w_end_deriv``
-    and ``z_end_deriv`` hold ``Wf'`` and ``Zf'`` at the last node.  A block
-    solve gives arrays with a leading row axis and one ``grid_step`` per row;
-    a single solve gives plain columns, float slopes and a float step.
+    Every field but ``b`` has a leading row axis, one row per upper end.
+    ``w`` and ``z`` hold ``Wf`` and ``Zf`` sampled at ``nodes``, with step
+    ``grid_step``; ``w_end_deriv`` and ``z_end_deriv`` hold ``Wf'`` and
+    ``Zf'`` at each row's last node.
     """
 
     b: float
-    grid_step: Union[float, np.ndarray]
+    grid_step: np.ndarray
     nodes: np.ndarray
     w: np.ndarray
     z: np.ndarray
-    w_end_deriv: Union[float, np.ndarray]
-    z_end_deriv: Union[float, np.ndarray]
+    w_end_deriv: np.ndarray
+    z_end_deriv: np.ndarray
 
 
 def _kernel_arrays(model: LevyModel, n: int, h: np.ndarray):
@@ -132,24 +132,19 @@ def _march(
 
 
 def solve_w_z_f(
-    model: LevyModel,
-    f: Union[UnivariatePotential, Sequence[UnivariatePotential]],
-    b: float,
-    hi,
-    n: int,
+    model: LevyModel, F: BivariatePotential, b: float, his: np.ndarray, n: int
 ) -> VolterraSolution:
-    """Solve both renewal equations on ``[b, hi]`` with ``n`` grid intervals.
+    """Solve both renewal equations on each ``[b, his[r]]`` with ``n`` grid intervals.
 
-    ``f`` is one potential with a float ``hi``, or a sequence of potentials
-    with ``hi`` the matching sequence of upper ends.  Row ``r`` is solved on
-    its own lattice ``b + k (hi[r] - b) / n``; all rows and both equations
-    are marched together, sharing each row's kernel and potential samples.
+    ``his`` is a 1-d array of upper ends.  Row ``r`` is solved on its own
+    lattice ``b + k (his[r] - b) / n`` with the slice of ``F`` frozen at its
+    own upper end, ``u -> F(his[r], u)``; one ``F.eval_pairs`` call samples
+    every row.  All rows and both equations are marched together, sharing
+    each row's kernel and potential samples.
     """
-    single = isinstance(f, UnivariatePotential)
-    fs = [f] if single else list(f)
-    his = np.atleast_1d(np.asarray(hi, dtype=float))
-    if not fs or his.shape != (len(fs),):
-        raise ValueError(f"need one upper end per potential, got {his.size} for {len(fs)}")
+    his = np.asarray(his, dtype=float)
+    if his.ndim != 1 or not his.size:
+        raise ValueError(f"need a 1-d array of upper ends, got shape {his.shape}")
     if np.any(his <= b):
         raise ValueError(f"solve interval is empty: hi={his.min()} <= b={b}")
     if n < 16:
@@ -157,10 +152,10 @@ def solve_w_z_f(
     h = (his - b) / n
     nodes = b + h[:, None] * np.arange(n + 1)
     nodes[:, -1] = his
-    fvals = np.array([fr.eval_array(row) for fr, row in zip(fs, nodes)])
+    fvals = F.eval_pairs(np.broadcast_to(his[:, None], nodes.shape), nodes)
     kernel, kp_end = _kernel_arrays(model, n, h)
 
-    inhom = np.empty((n + 1, 2, len(fs)))
+    inhom = np.empty((n + 1, 2, his.size))
     inhom[:, 0] = kernel.T
     inhom[:, 1] = 1.0
     phi, end = _march(_exp_sum(model, 0.0), fvals, h, inhom, w_prime_at_zero(model))
@@ -170,7 +165,4 @@ def solve_w_z_f(
         raise ArithmeticError("renewal march produced non-finite W values")
     if not np.all(np.isfinite(z)):
         raise ArithmeticError("renewal march produced non-finite Z values")
-    parts = (h, nodes, w, z, kp_end + end[0], end[1])
-    if single:
-        parts = tuple(p[0] for p in parts)
-    return VolterraSolution(float(b), *parts)
+    return VolterraSolution(float(b), h, nodes, w, z, kp_end + end[0], end[1])

@@ -213,13 +213,12 @@ def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
     leading aligned O(h) error is removed by Richardson extrapolation.
     Returns the ratio at the ten points x = 0.2, 0.4, ..., 2.0.
     """
-    from snlpscale import BivariatePotential, UnivariatePotential, iota, solve_w_z_f
+    from snlpscale import BivariatePotential, iota, solve_w_z_f
     from snlpscale.quadrature import cumulative_simpson
     from snlpscale.scale import _wq_array
 
     step_fn = lambda x: level * (np.asarray(x) > indicator_threshold)
     F = BivariatePotential(lambda s, x: step_fn(x) + 0.0 * s, bound=level, name="step")
-    f_uni = UnivariatePotential(step_fn, bound=level, name="step")
 
     s_step = 0.05  # outer nodes; threshold = 10 * s_step stays on-lattice
     h_lat = s_step / 64.0
@@ -236,8 +235,8 @@ def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
     cum = cumulative_simpson(iota_vals, s_step)
 
     n_vol = round(2.0 / h_lat)
-    vol_coarse = solve_w_z_f(model, f_uni, 0.0, 2.0, n_vol)
-    vol_fine = solve_w_z_f(model, f_uni, 0.0, 2.0, 2 * n_vol)
+    vol_coarse = solve_w_z_f(model, F, 0.0, np.array([2.0]), n_vol)
+    vol_fine = solve_w_z_f(model, F, 0.0, np.array([2.0]), 2 * n_vol)
 
     ratios = []
     for k in range(10):
@@ -245,8 +244,8 @@ def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
         excursion = _wq_array(model, 0.0, np.array([x]))[0] * np.exp(
             cum[round(x / s_step)]
         )
-        renewal = 2.0 * vol_fine.w[round(x / (h_lat / 2))] - vol_coarse.w[
-            round(x / h_lat)
+        renewal = 2.0 * vol_fine.w[0, round(x / (h_lat / 2))] - vol_coarse.w[
+            0, round(x / h_lat)
         ]
         ratios.append(excursion / renewal)
     return np.asarray(ratios)

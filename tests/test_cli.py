@@ -51,6 +51,34 @@ def test_only_the_commands_that_write_a_csv_take_the_flag(command, capsys):
     assert "unrecognized arguments: --csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,argv,flag", [
+    ("exit", [*BM_SPEC, *SMALL_GRID], "--out"),
+    ("scale-table", ["--model", "bm:0,1", "--a", "1"], "--csv"),
+    ("mc-verify", [*BM_SPEC, *SMALL_GRID, "--paths", "200", "--dt", "1e-3"], "--csv"),
+])
+def test_an_unwritable_output_is_a_usage_error_before_the_run(command, argv, flag, tmp_path,
+                                                             monkeypatch, capsys):
+    # reported as --config reports an unreadable file: no solve and no path
+    # runs first, and no traceback
+    for name in ("evaluate_exit", "run_exit_mc", "make_scale_table"):
+        monkeypatch.setattr(cli, name, None)
+    path = str(tmp_path / "missing" / "out")
+    assert main([command, *argv, flag, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}: cannot write {path}: ")
+    assert captured.out == ""
+
+
+def test_out_holds_the_document_stdout_would(tmp_path, capsys):
+    argv = ["exit", *BM_SPEC, *SMALL_GRID, "--potential", "const:0.5"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "doc.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text(encoding="utf-8") == printed
+
+
 FAR_SPEC = ["--model", "bm:0,1", "--b", "0", "--x", "1.5", "--a", "2"]
 # refinement from 5/16 stalls at last_delta ~ 7e-6 after four doublings
 UNCONVERGED = [*FAR_SPEC, "--potential", "reflected:0.5",

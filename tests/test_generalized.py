@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from snlpscale import (
     BivariatePotential,
     ExitSpec,
-    UnivariatePotential,
     classical_exit_down,
     classical_exit_up,
     conditional_curve,
@@ -282,13 +281,14 @@ class TestRouteConstancy:
 
 class TestLocalTime:
     def test_zero_potential(self, bm_driftless):
-        f0 = UnivariatePotential(lambda x: 0.0 * x, bound=0.0, name="zero")
+        f0 = BivariatePotential(lambda s, x: 0.0 * x, bound=0.0, name="zero", reads_sup=False)
         value, diagnostics = local_time_laplace(bm_driftless, f0, SPEC)
         assert value == pytest.approx(1.0, abs=1e-9)
         assert diagnostics["converged"]
 
     def test_constant_potential_matches_classical_sum(self, bm_driftless):
-        fh = UnivariatePotential(lambda x: 0.5 + 0.0 * x, bound=0.5, name="half")
+        fh = BivariatePotential(lambda s, x: 0.5 + 0.0 * x, bound=0.5, name="half",
+                                reads_sup=False)
         val, _ = local_time_laplace(bm_driftless, fh, SPEC)
         want = 2.0 * math.sinh(0.5) / math.sinh(1.0)
         assert val == pytest.approx(want, abs=1e-5)
@@ -298,12 +298,18 @@ class TestLocalTime:
         assert val == pytest.approx(classical, abs=1e-5)
 
     def test_grid_arguments_reach_the_solve(self, bm_driftless):
-        step = UnivariatePotential(lambda x: 0.5 * (x > 0.7), bound=0.5, name="step")
+        step = BivariatePotential(lambda s, x: 0.5 * (x > 0.7), bound=0.5, name="step",
+                                  reads_sup=False)
         val, diagnostics = local_time_laplace(bm_driftless, step, SPEC, n_outer=9, n_inner=32)
-        lifted = BivariatePotential.from_univariate(step)
-        res = evaluate_exit(bm_driftless, lifted, SPEC, n_outer=9, n_inner=32)
+        res = evaluate_exit(bm_driftless, step, SPEC, n_outer=9, n_inner=32)
         assert val == res.up_laplace + res.down_value
         assert diagnostics == res.diagnostics
+
+    @pytest.mark.parametrize("spec", ["reflected:0.5", "indicator:1,0.3"])
+    def test_a_potential_that_reads_the_supremum_is_rejected(self, bm_driftless, spec):
+        F = parse_bivariate(spec, SPEC.a - SPEC.b)
+        with pytest.raises(ValueError, match="reads the supremum"):
+            local_time_laplace(bm_driftless, F, SPEC, n_outer=9, n_inner=32)
 
 
 class TestDiagnostics:

@@ -4,10 +4,11 @@ The Monte Carlo engine stays independent of the deterministic solver it
 cross-checks, and the runtime dependency is numpy alone; both are read from
 the source with ``ast``.  The process-pool machinery is imported only by a
 Monte Carlo run that starts workers.  No module reads the environment, so a
-stray variable cannot change a result.  Every name a submodule exports is
-re-exported by the package, ``MCConfig`` holds the step, the path count
-and the seed alone, and each Monte Carlo result holds its run's counts in one
-``diagnostics`` dict.
+stray variable cannot change a result, and no module but ``potentials``
+names ``UnivariatePotential``: every solver takes the bivariate type.  Every
+name a submodule exports is re-exported by the package, ``MCConfig`` holds
+the step, the path count and the seed alone, and each Monte Carlo result
+holds its run's counts in one ``diagnostics`` dict.
 """
 
 import ast
@@ -52,6 +53,17 @@ def test_mc_imports_nothing_from_the_solver():
         for module, name in _imports(SRC / "mc.py")
         if module.split(".")[-1] in solver or name in solver
     ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "potentials"],
+                         ids=lambda p: p.name)
+def test_only_the_potentials_module_names_the_univariate_potential(path):
+    # the solvers take one potential type, F(s, x), and read each slice off it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {name for _, name in _imports(path)}
+    assert "UnivariatePotential" not in names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -783,20 +783,19 @@ def test_runs_that_read_no_supremum_do_not_track_it(monkeypatch):
 @pytest.mark.parametrize("model", [BM, JD], ids=["bm", "jd"])
 def test_time_integral_is_the_exit_functional_of_the_lifted_potential(model, levels,
                                                                       monkeypatch):
-    # occupation_mc's (A) evaluates f itself, lifted to (s, x) as
-    # local_time_laplace lifts it, so each path's sum is the one run_exit_mc
-    # accumulates for the lifted potential, bit for bit, at every level and
-    # on both sides of each pair
+    # occupation_mc's (A) evaluates the position-only potential itself, the
+    # one local_time_laplace solves for, so each path's sum is the one
+    # run_exit_mc accumulates for it, bit for bit, at every level and on both
+    # sides of each pair
     runs = _watch_tracking(monkeypatch)
     occ = occupation_mc(model, LEVEL, SPEC, _cfg(), levels=levels)
-    res = run_exit_mc(model, BivariatePotential.from_univariate(LEVEL), SPEC, _cfg(),
-                      levels=levels)
-    (_, occ_states), (_, lifted_states) = runs
-    assert len(occ_states) == len(lifted_states) == 1 + levels
-    for occ_st, lifted in zip(occ_states, lifted_states):
-        assert np.array_equal(occ_st.acc[0], lifted.acc[0])
+    res = run_exit_mc(model, LEVEL, SPEC, _cfg(), levels=levels)
+    (_, occ_states), (_, exit_states) = runs
+    assert len(occ_states) == len(exit_states) == 1 + levels
+    for occ_st, exit_st in zip(occ_states, exit_states):
+        assert np.array_equal(occ_st.acc[0], exit_st.acc[0])
         if occ_st.coarse is not None:
-            assert np.array_equal(occ_st.coarse.acc[0], lifted.coarse.acc[0])
+            assert np.array_equal(occ_st.coarse.acc[0], exit_st.coarse.acc[0])
     # e^{-(A)} splits into its up and down parts
     assert occ.time_integral_laplace.mean == pytest.approx(
         res.up_laplace.mean + res.down_value.mean, rel=1e-12)
@@ -849,11 +848,10 @@ def test_occupation_table_lookup_is_np_interp_bit_for_bit(potential, monkeypatch
 def test_a_coarse_step_warns_for_the_exit_and_the_occupation_runs(levels):
     # each warning points at the line that called the entry point
     model, spec = make_brownian(0.0, 1.0), ExitSpec(0.0, 0.5, 1.0)
-    f_x = parse_univariate("const:0.5")
-    F = BivariatePotential.from_univariate(f_x)
+    F = parse_univariate("const:0.5")
     cfg = MCConfig(dt=0.05, n_paths=200, seed=1)
     for run in (lambda: run_exit_mc(model, F, spec, cfg, levels=levels),
-                lambda: occupation_mc(model, f_x, spec, cfg, levels=levels),
+                lambda: occupation_mc(model, F, spec, cfg, levels=levels),
                 lambda: mc.conditional_mc(model, F, spec, cfg, 4, levels=levels)):
         with pytest.warns(UserWarning, match="coarse") as caught:
             run()
@@ -1116,6 +1114,15 @@ class TestCensoring:
         _cap(monkeypatch, 1e-3)
         with pytest.raises(RuntimeError, match="censored"):
             occupation_mc(BM, LEVEL, SPEC, _cfg())
+
+
+@pytest.mark.parametrize("F", [REFLECTED, parse_bivariate("indicator:1,0.3", 1.0)],
+                         ids=["reflected", "indicator"])
+def test_occupation_mc_rejects_a_potential_that_reads_the_supremum(F, monkeypatch):
+    # rejected before any path is stepped
+    monkeypatch.setattr(mc, "_collect_states", None)
+    with pytest.raises(ValueError, match="reads the supremum"):
+        occupation_mc(BM, F, SPEC, _cfg())
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])

@@ -37,37 +37,29 @@ class TestUnivariate:
 
 
 class TestBivariate:
-    def test_frozen_slice(self):
-        F = BivariatePotential(lambda s, x: 0.4 * (s - x), bound=2.0)
-        f1 = F.frozen(1.0)
-        assert f1(0.5) == pytest.approx(0.2)
-        assert f1.bound == 2.0
+    def test_eval_and_bound_check(self):
+        F = BivariatePotential(lambda s, x: 0.5 * (x > 0.5), bound=0.5)
+        assert F(1.0, 0.4) == 0.0
+        assert F(1.0, 0.6) == 0.5
+        bad = BivariatePotential(lambda s, x: x, bound=0.5)
+        with pytest.raises(ValueError):
+            bad.eval_pairs(np.ones(2), np.array([0.2, 0.9]))
 
-    def test_frozen_slice_stays_vectorized(self):
-        # a callable that reads only s returns a scalar for a scalar s; the
-        # slice hands it s at the shape of x, so one call covers every point
-        calls = []
+    def test_negative_values_rejected(self):
+        F = BivariatePotential(lambda s, x: -0.1 + 0.0 * x, bound=1.0)
+        with pytest.raises(ValueError):
+            F(1.0, 0.3)
 
-        def only_s(s, x):
-            calls.append(np.shape(s))
-            return 0.0 * s
-
-        xs = np.linspace(-1.0, 1.0, 1000)
-        vals = BivariatePotential(only_s, bound=0.0).frozen(0.5).eval_array(xs)
-        assert calls == [(1000,)]
-        assert vals.shape == (1000,) and not vals.any()
-
-    def test_frozen_slice_matches_pairs_bit_for_bit(self):
-        F = parse_bivariate("reflected:0.7", 3.0)
-        xs = np.linspace(-1.0, 1.0, 257)
-        for s in (0.0, 0.3, 1.0):
-            assert np.array_equal(F.frozen(s).eval_array(xs), F.eval_pairs(np.full(257, s), xs))
-
-    def test_lift_from_univariate(self):
-        f = UnivariatePotential(lambda x: 0.5 * (x > 0.0), bound=0.5)
-        F = BivariatePotential.from_univariate(f)
-        assert F(17.0, 0.5) == f(0.5)
-        assert F(-3.0, -0.5) == 0.0
+    def test_scalar_only_callable(self):
+        # the solvers pass (rows, nodes) blocks; a callable of floats alone is
+        # then applied point by point
+        def scalar(s, x):
+            if isinstance(x, np.ndarray):
+                raise TypeError
+            return 0.25
+        F = BivariatePotential(scalar, bound=0.25)
+        x = np.linspace(0, 1, 10).reshape(2, 5)
+        assert np.allclose(F.eval_pairs(np.ones_like(x), x), 0.25)
 
     def test_pairs_bound_check(self):
         F = BivariatePotential(lambda s, x: s - x, bound=0.5)
@@ -118,7 +110,7 @@ class TestSelectors:
         assert F(2.0, 0.6) == 0.5
         assert F(2.0, 0.4) == 0.0
         f = parse_univariate("level:0.5,0.5")
-        assert f(0.6) == 0.5
+        assert f(0.6, 0.6) == 0.5
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):
@@ -163,8 +155,7 @@ class TestReadsSup:
 
     def test_declarations(self):
         assert BivariatePotential(lambda s, x: 0.0 * x, bound=1.0).reads_sup
-        lifted = BivariatePotential.from_univariate(parse_univariate("level:1,0.6"))
-        assert not lifted.reads_sup
+        assert not parse_univariate("level:1,0.6").reads_sup
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +207,7 @@ class TestGrammarProperties:
         if name in _POSITION_ONLY:
             f = parse_univariate(spec)
             assert (f.name, f.bound) == (spec, bound(args, width))
-            assert f(x) == value(args, x, x)
+            assert f(x, x) == value(args, x, x)
         else:
             with pytest.raises(ValueError):
                 parse_univariate(spec)
@@ -248,7 +239,7 @@ class TestGrammarProperties:
         for out in (
             parse_bivariate(spec, 1.0).eval_pairs(xs, xs),
             parse_bivariate(spec, 1.0).eval_pairs(np.float64(0.5), xs),
-            parse_univariate(spec).eval_array(xs),
+            parse_univariate(spec).eval_pairs(xs, xs),
         ):
             assert out.dtype == np.float64 and out.shape == xs.shape
             assert np.all(out == q)
@@ -259,4 +250,5 @@ class TestGrammarProperties:
             np.array([np.nan, np.inf, 0.0]), np.array([0.0, -np.inf, np.nan])
         )
         assert np.array_equal(vals, [0.5, 0.5, 0.5])
-        assert np.array_equal(parse_univariate("const:0.5").eval_array([np.nan]), [0.5])
+        position_only = parse_univariate("const:0.5")
+        assert np.array_equal(position_only.eval_pairs([np.nan], [np.nan]), [0.5])
