@@ -23,11 +23,11 @@ Each value has one public route (:func:`evaluate_exit`,
 outer pass: iota, kappa, ``W(s-b)`` and ``W'(s-b)/W(s-b)``
 on the Simpson nodes of a level interval, and the cumulative Simpson integral
 of iota.  Each outer node needs one frozen renewal solve on its own interval
-``[b, s]``; the solves of a grid are marched together in blocks of rows, and
-only the last node of each row feeds iota and kappa.  The 0-scale values come
-from one array evaluation per grid.  :func:`evaluate_exit` doubles both the
-outer and inner grids until two successive levels agree, by the rule its
-docstring states.
+``[b, s]``; the solves of a grid are marched together in one pass over their
+lattices, and only the last node of each row feeds iota and kappa.  The
+0-scale values come from one array evaluation per grid.  :func:`evaluate_exit`
+doubles both the outer and inner grids until two successive levels agree, by
+the rule its docstring states.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ DEFAULT_OUTER = 129
 DEFAULT_INNER = 1024
 _REFINE_TOL = 1e-6
 _REFINE_CAP = 4
-_ROW_BLOCK = 32  # outer nodes per frozen block solve; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -147,21 +146,17 @@ def _functional_grids(model, F, b, nodes, n_inner):
     of each frozen solve.  An iota below zero beyond rounding means the
     frozen solve is under-resolved, and raises ``ArithmeticError``.
 
-    The solves are marched in blocks of at most ``_ROW_BLOCK`` rows.  The
-    march keeps O(1) state per row, but a block holds about ten arrays of
-    ``rows x (n_inner + 1)`` (nodes, lattice, kernel, potential samples, the
-    W and Z columns and their temporaries), so the block size bounds the
-    memory of a solve.  Each lattice scales with its own ``[b, s]``, so
-    iota's error does not grow as ``s`` nears the barrier.
+    One solve marches every node's frozen equations together.  It keeps
+    O(1) state per row besides one slab of lattice samples, and only the end
+    of each row comes out, so its memory does not grow with ``n_inner``.
+    Each lattice scales with its own ``[b, s]``, so iota's error does not grow
+    as ``s`` nears the barrier.
     """
     nodes = np.asarray(nodes, dtype=float)
     w0 = _wq_array(model, 0.0, nodes - b)
     tails = _w_deriv_array(model, 0.0, nodes - b) / w0
-    w, wp, z, zp = (np.empty_like(nodes) for _ in range(4))
-    for block in np.array_split(np.arange(nodes.size), -(-nodes.size // _ROW_BLOCK)):
-        sol = solve_w_z_f(model, F, b, nodes[block], n_inner)
-        w[block], wp[block] = sol.w[:, -1], sol.w_end_deriv
-        z[block], zp[block] = sol.z[:, -1], sol.z_end_deriv
+    sol = solve_w_z_f(model, F, b, nodes, n_inner)
+    w, wp, z, zp = sol.w_end, sol.w_end_deriv, sol.z_end, sol.z_end_deriv
     iotas = wp / w - tails
     deep = np.flatnonzero(iotas < -1e-6 * np.maximum(1.0, np.abs(tails)))
     if deep.size:
@@ -305,7 +300,8 @@ def conditional_curve(
 ):
     """``E_x[exp(-int_0^T F dt) | S_T = z]`` on ``n_outer`` nodes spanning ``[x, a]``.
 
-    Returns ``(nodes, values)``; one frozen solve per node serves every value.
+    Returns ``(nodes, values)``; one march of the nodes' frozen solves, each on
+    its own ``[b, z]``, serves every value.
     The W-ratio of the statement cancels against the one inside the
     frozen-scale ratio, leaving the exponential damping alone.  Below ``a``
     the last excursion enters through ``kappa / (W'/W)``.  The final node is

@@ -12,18 +12,19 @@ kernel is sampled exactly on the node differences, the unknown enters through
 its node values.  ``W(0) = 0`` (unbounded variation) kills the diagonal
 weight, so the march is explicit.  The slopes ``Wf'`` and ``Zf'`` at each
 row's upper end come from the differentiated equations with the same
-quadrature, never from differencing the value columns; the march reads them
-off the running sums it already keeps.
+quadrature, never from differencing values; the march reads them off the
+running sums it already keeps.
 
-A solve takes a potential ``F(s, u)`` and a block of upper ends; row ``r``
-solves with the slice frozen at its own end, ``f(u) = F(s_r, u)``.  Each row
-keeps its own interval, lattice, kernel and potential samples; the rows and
-the two equations advance together.  The kernel is an exact sum of exponentials
+A solve takes a potential ``F(s, u)`` and an array of upper ends; row ``r``
+solves with the slice frozen at its own end, ``f(u) = F(s_r, u)``, on its own
+interval and lattice.  The kernel is an exact sum of exponentials
 (``scale._exp_sum``), so the trapezoid history is a recursion over a few
 running sums per row and equation, the sum-of-exponentials convolution of
-Lubich & Schaedle (SIAM J. Sci. Comput. 24, 2002): a march of ``n`` steps
-costs O(n), each step a handful of array operations over the whole block.
-Only ``W`` is sampled over the lattice; ``W'`` is needed at each row's end.
+Lubich & Schaedle (SIAM J. Sci. Comput. 24, 2002).  All rows and both
+equations advance together in one march of ``n`` steps, each step a handful
+of array operations over the rows.  The march keeps only those sums and the
+current node, and reads the potential and the kernel one slab of nodes at a
+time, so a solve's memory does not grow with ``n``; it returns each row's end.
 """
 
 from __future__ import annotations
@@ -38,48 +39,39 @@ from .scale import _ExpSum, _exp_sum, _w_deriv_array, _wq_array, w_prime_at_zero
 
 __all__ = ["VolterraSolution", "solve_w_z_f"]
 
+_SLAB = 2**13  # samples per node-by-row slab of the march; bounds a solve's memory
+
 
 @dataclass
 class VolterraSolution:
-    """Weighted scale functions on uniform grids from the barrier ``b``.
+    """Weighted scale functions at the ends of uniform grids from the barrier ``b``.
 
-    Every field but ``b`` has a leading row axis, one row per upper end.
-    ``w`` and ``z`` hold ``Wf`` and ``Zf`` sampled at ``nodes``, with step
-    ``grid_step``; ``w_end_deriv`` and ``z_end_deriv`` hold ``Wf'`` and
-    ``Zf'`` at each row's last node.
+    Every field but ``b`` has one entry per upper end: the grid step
+    ``grid_step``, and ``Wf``, ``Zf``, ``Wf'`` and ``Zf'`` at the row's last
+    node in ``w_end``, ``z_end``, ``w_end_deriv`` and ``z_end_deriv``.
     """
 
     b: float
     grid_step: np.ndarray
-    nodes: np.ndarray
-    w: np.ndarray
-    z: np.ndarray
+    w_end: np.ndarray
+    z_end: np.ndarray
     w_end_deriv: np.ndarray
     z_end_deriv: np.ndarray
 
 
-def _kernel_arrays(model: LevyModel, n: int, h: np.ndarray):
-    """0-scale kernel on each row's lattice ``k*h[r]``, and its slope at the row's end."""
-    lattice = h[:, None] * np.arange(n + 1)
-    k = _wq_array(model, 0.0, lattice)
-    kp_end = _w_deriv_array(model, 0.0, lattice[:, -1])
-    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(kp_end))):
-        raise ArithmeticError("non-finite 0-scale kernel values on the solve lattice")
-    return k, kp_end
-
-
-def _march(
-    es: _ExpSum, fvals: np.ndarray, h: np.ndarray, inhom: np.ndarray, w_prime_0: float
-):
-    """Explicit product-trapezoid march of a block of renewal equations.
+def _march(es: _ExpSum, sample, h: np.ndarray, ks: np.ndarray, w_prime_0: float):
+    """Explicit product-trapezoid march of a set of renewal equations.
 
     Solves ``phi = inhom + int W(u - z) f(z) phi(z) dz`` for every row and
     equation, ``W`` being the 0-scale function that ``es`` represents and
-    ``w_prime_0 = W'(0)``.  Row ``r`` has step ``h[r]`` and potential samples
-    ``fvals[r]`` on its lattice; ``inhom[i, c, r]`` is the inhomogeneous term
-    of equation ``c`` at node ``i`` of row ``r`` (step axis first).  Returns
-    ``phi`` in the same layout and, at each row's last node, the history of
-    the differentiated equation ``int W'(u - z) f(z) phi(z) dz`` (``[c, r]``).
+    ``w_prime_0 = W'(0)``; row ``r`` has step ``h[r]``.  ``ks`` holds the node
+    indices ``0..n``.  ``sample(k)`` returns, for a slab ``k`` of them,
+    ``(fvals, inhom)``: the potential samples ``fvals[i, r]`` of row ``r`` at
+    node ``k[i]``, and the inhomogeneous terms ``inhom[i, c, r]`` of equation
+    ``c`` there.  A slab has ``max(1, _SLAB // rows)`` nodes, so the march
+    holds one slab and its running sums, never a whole lattice.
+    Returns ``phi`` at each row's last node and there the history of the
+    differentiated equation ``int W'(u - z) f(z) phi(z) dz``, both ``[c, r]``.
 
     The history ``h sum_{j<i} w_j W((i-j) h) g_j`` (``g = f phi``, ``w_0 =
     1/2``, else 1) is carried by one running sum per exponential column of
@@ -98,7 +90,6 @@ def _march(
     (column t)``: the derivative history is ``W'(0) E + sum_t t D``, plus the
     diagonal ``W'(0) g_n / 2`` that ``W'(0) != 0`` brings at the last node.
     """
-    n1, cols, rows = inhom.shape
     roots, coef = [es.hi], [es.w[2]]
     if es.w[1]:  # c (e^{far x} - e^{lo x}), present with jumps
         roots.append(es.far)
@@ -108,26 +99,29 @@ def _march(
         dd = np.where(d != 0.0, -np.expm1(-d * h) / d, h)
     rate = np.exp(np.array([es.lo, *roots])[:, None, None] * h)
     gain = np.array(coef)[:, None, None] * rate[1:] * dd
-    fh = np.ascontiguousarray((h[:, None] * fvals).T)
 
-    phi = np.empty_like(inhom)
-    phi[0] = inhom[0]
-    state = np.zeros((len(rate), cols, rows))
-    state[0] = -0.5 * fh[0] * phi[0]
+    slab = max(1, _SLAB // h.size)
+    slabs = map(sample, (ks[lo:lo + slab] for lo in range(0, len(ks), slab)))
+    nodes = (node for fvals, inhom in slabs for node in zip(h * fvals, inhom))  # (h f, inhom)
+    fh, phi = next(nodes)
+    phi = phi.copy()
+    state = np.zeros((len(rate),) + phi.shape)
+    state[0] = -0.5 * fh * phi
     e, diffs = state[0], state[1:]
     first, *rest = diffs
-    g = np.empty((cols, rows))
+    g = np.empty_like(phi)
     push = np.empty_like(diffs)
-    for i in range(1, n1):
-        np.multiply(fh[i - 1], phi[i - 1], out=g)
+    for fh_next, inhom in nodes:
+        np.multiply(fh, phi, out=g)
         np.add(e, g, out=e)
         np.multiply(gain, e, out=push)
         np.multiply(state, rate, out=state)
         np.add(diffs, push, out=diffs)
-        out = np.add(inhom[i], first, out=phi[i])
+        np.add(inhom, first, out=phi)
         for other in rest:
-            np.add(out, other, out=out)
-    end = w_prime_0 * (e + 0.5 * fh[-1] * phi[-1]) + np.tensordot(roots, diffs, 1)
+            np.add(phi, other, out=phi)
+        fh = fh_next
+    end = w_prime_0 * (e + 0.5 * fh * phi) + np.tensordot(roots, diffs, 1)
     return phi, end
 
 
@@ -138,9 +132,10 @@ def solve_w_z_f(
 
     ``his`` is a 1-d array of upper ends.  Row ``r`` is solved on its own
     lattice ``b + k (his[r] - b) / n`` with the slice of ``F`` frozen at its
-    own upper end, ``u -> F(his[r], u)``; one ``F.eval_pairs`` call samples
-    every row.  All rows and both equations are marched together, sharing
-    each row's kernel and potential samples.
+    own upper end, ``u -> F(his[r], u)``.  All rows and both equations are
+    marched together; each slab of nodes is sampled by one ``F.eval_pairs``
+    call, every row's end beside every node of the slab, and one kernel
+    evaluation.
     """
     his = np.asarray(his, dtype=float)
     if his.ndim != 1 or not his.size:
@@ -150,19 +145,21 @@ def solve_w_z_f(
     if n < 16:
         raise ValueError(f"need at least 16 grid intervals, got {n}")
     h = (his - b) / n
-    nodes = b + h[:, None] * np.arange(n + 1)
-    nodes[:, -1] = his
-    fvals = F.eval_pairs(np.broadcast_to(his[:, None], nodes.shape), nodes)
-    kernel, kp_end = _kernel_arrays(model, n, h)
 
-    inhom = np.empty((n + 1, 2, his.size))
-    inhom[:, 0] = kernel.T
-    inhom[:, 1] = 1.0
-    phi, end = _march(_exp_sum(model, 0.0), fvals, h, inhom, w_prime_at_zero(model))
-    w = np.ascontiguousarray(phi[:, 0].T)
-    z = np.ascontiguousarray(phi[:, 1].T)
-    if not np.all(np.isfinite(w)):
-        raise ArithmeticError("renewal march produced non-finite W values")
-    if not np.all(np.isfinite(z)):
-        raise ArithmeticError("renewal march produced non-finite Z values")
-    return VolterraSolution(float(b), h, nodes, w, z, kp_end + end[0], end[1])
+    def sample(ks):
+        lattice = ks[:, None] * h
+        nodes = b + lattice
+        if ks[-1] == n:
+            nodes[-1] = his
+        fvals = F.eval_pairs(np.broadcast_to(his, nodes.shape), nodes)
+        inhom = np.empty((ks.size, 2, his.size))
+        inhom[:, 0] = _wq_array(model, 0.0, lattice)
+        inhom[:, 1] = 1.0
+        return fvals, inhom
+
+    ends, end = _march(_exp_sum(model, 0.0), sample, h, np.arange(n + 1),
+                       w_prime_at_zero(model))
+    if not np.all(np.isfinite(ends)):
+        raise ArithmeticError("renewal march produced non-finite W or Z values")
+    kp_end = _w_deriv_array(model, 0.0, h * n)
+    return VolterraSolution(float(b), h, ends[0], ends[1], kp_end + end[0], end[1])

@@ -204,6 +204,28 @@ def brownian_z(model, q, x):
     return np.where(x > 0.0, out, 1.0)
 
 
+def level_exit_bm(c, r, x, a):
+    """Closed-form exit identities of driftless ``bm:0,1`` from ``b = 0`` under ``c 1{x > r}``.
+
+    The weighted scale functions of Li & Palmowski (2018) with ``k = sqrt(2c)``:
+    ``W_w(v) = 2v`` and ``Z_w(v) = 1`` on ``[0, r]``; beyond ``r``, ``W_w(v) =
+    2r cosh(k(v - r)) + (2/k) sinh(k(v - r))`` and ``Z_w(v) = cosh(k(v - r))``.
+    Returns ``(up, down)`` with ``up = W_w(x)/W_w(a)`` and ``down = Z_w(x) -
+    Z_w(a) up``.
+    """
+    k = np.sqrt(2.0 * c)
+
+    def w(v):
+        d = max(v - r, 0.0)
+        return 2.0 * min(v, r) * np.cosh(k * d) + 2.0 / k * np.sinh(k * d)
+
+    def z(v):
+        return np.cosh(k * max(v - r, 0.0))
+
+    up = float(w(x) / w(a))
+    return up, float(z(x) - z(a) * up)
+
+
 def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
     """Excursion-route over renewal-route ratios for a step potential.
 
@@ -234,9 +256,11 @@ def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
         iota_vals[j] = 2.0 * fine - coarse
     cum = cumulative_simpson(iota_vals, s_step)
 
-    n_vol = round(2.0 / h_lat)
-    vol_coarse = solve_w_z_f(model, F, 0.0, np.array([2.0]), n_vol)
-    vol_fine = solve_w_z_f(model, F, 0.0, np.array([2.0]), 2 * n_vol)
+    def renewal(x):  # Wf(x) off the solves on [0, x] at steps h_lat and h_lat / 2
+        n = round(x / h_lat)
+        coarse, fine = (solve_w_z_f(model, F, 0.0, np.array([x]), m).w_end[0]
+                        for m in (n, 2 * n))
+        return 2.0 * fine - coarse
 
     ratios = []
     for k in range(10):
@@ -244,10 +268,7 @@ def route_constancy_ratios(model, indicator_threshold=0.5, level=0.5):
         excursion = _wq_array(model, 0.0, np.array([x]))[0] * np.exp(
             cum[round(x / s_step)]
         )
-        renewal = 2.0 * vol_fine.w[0, round(x / (h_lat / 2))] - vol_coarse.w[
-            0, round(x / h_lat)
-        ]
-        ratios.append(excursion / renewal)
+        ratios.append(excursion / renewal(x))
     return np.asarray(ratios)
 
 

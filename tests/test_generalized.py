@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from snlpscale import (
     supremum_mass,
     wq,
 )
-from snlpscale import generalized
+from snlpscale import generalized, volterra
 from snlpscale.quadrature import composite_simpson
 
 from conftest import (
     constant_iota_mpmath,
+    level_exit_bm,
     partial_fraction_w,
     partial_fraction_z,
     route_constancy_ratios,
@@ -163,6 +165,46 @@ class TestJumpFamilyExactExit:
         down = partial_fraction_z(jd_drifting, q, 0.5) - z_a * ratio
         assert res.up_laplace == pytest.approx(ratio, rel=1e-6)
         assert res.down_value == pytest.approx(down, rel=1e-6)
+
+
+class TestLevelPotentialExactExit:
+    def test_default_exit_lands_on_the_closed_form(self, bm_driftless):
+        # c 1{x > r} is discontinuous at r; the default refinement must still
+        # converge onto the closed form of the weighted scale functions
+        spec = ExitSpec(0.0, 0.5, 2.0)
+        res = evaluate_exit(bm_driftless, parse_bivariate("level:1,0.6", 2.0), spec)
+        up, down = level_exit_bm(1.0, 0.6, spec.x, spec.a)
+        assert res.diagnostics["converged"]
+        assert res.up_laplace == pytest.approx(up, rel=1e-6)
+        assert res.down_value == pytest.approx(down, rel=1e-6)
+
+
+class TestOneMarchPerGrid:
+    def test_one_frozen_solve_per_grid_level(self, bm_driftless, monkeypatch):
+        # every outer node of a grid is marched in the one solve
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3].size)
+            return volterra.solve_w_z_f(*args)
+
+        monkeypatch.setattr(generalized, "solve_w_z_f", counted)
+        spec = ExitSpec(0.0, 0.5, 2.0)
+        res = evaluate_exit(bm_driftless, parse_bivariate("const:0.5", 2.0), spec)
+        assert res.diagnostics["refinement_levels"] == 1
+        assert calls == [129, 257]
+
+    def test_grid_memory_does_not_grow_with_the_lattice(self):
+        # 257 rows of 16385 nodes would take 34 MB per lattice-sized array
+        model, F = make_brownian(0.0, 1.0), parse_bivariate("reflected:0.5", 2.0)
+        nodes = np.linspace(0.5, 2.0, 257)
+        tracemalloc.start()
+        try:
+            generalized._functional_grids(model, F, 0.0, nodes, 16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSupremumLaw:
